@@ -36,8 +36,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rescuers", type=int, default=15, help="number of rescuer agents")
     p.add_argument("--shelter-managers", type=int, default=4,
                    help="expected number of internal shelters")
-    p.add_argument("--household-radius", type=float, default=50.0,
-                   help="household perception radius, m")
     p.add_argument("--rescuer-radius", type=float, default=50.0,
                    help="rescuer perception radius, m")
     p.add_argument("--shelter-radius", type=float, default=50.0,
@@ -97,7 +95,6 @@ def _config_from_args(args: argparse.Namespace, scenario: risk.Scenario,
         nb_households=args.households,
         nb_rescuers=args.rescuers,
         nb_sheltermanagers=args.shelter_managers,
-        household_radius=args.household_radius,
         rescuer_radius=args.rescuer_radius,
         shelter_radius=args.shelter_radius,
         household_speed=args.household_speed,
@@ -110,6 +107,14 @@ def _config_from_args(args: argparse.Namespace, scenario: risk.Scenario,
         epsilon_min=args.epsilon_min,
         epsilon_max=args.epsilon_max,
     )
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -135,8 +140,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_gen_population(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = population.parse_population_spec(fh.read())
+        spec = population.parse_population_spec(_read(args.spec, "population spec"))
     else:
         spec = population.default_population_spec(count=args.count)
     profiles = population.synthesize(spec, world, args.seed)
@@ -183,8 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
     profiles = population.load_population(args.population, world)
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = sweep_mod.parse_sweep_spec(fh.read())
+    spec = sweep_mod.parse_sweep_spec(_read(args.spec, "sweep spec"))
     base_cfg = _config_from_args(
         args,
         risk.Scenario(risk.STORM_CODES[spec.storm_levels[0]], spec.rainfall_codes[0],
@@ -201,11 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_rows(path: str) -> list[sweep_mod.SweepRow]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return sweep_mod.rows_from_csv(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read results file {path}: {exc}") from exc
+    return sweep_mod.rows_from_csv(_read(path, "results file"))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -7,6 +7,14 @@ Every run is a pure function of (world, profiles, config): all randomness
 flows from config.seed through two named streams, one consumed in a fixed
 order at initialization (epsilon draws, fallback channel and tick,
 rescuer placement) and one by the rescuer random walk during ticks.
+
+A run has two phases. The inform phase (the draws, the rescuer walk and
+the fallback channel) never reads the scenario, the weights or the
+threshold, and cannot see decisions: only unaware households are
+perceived, and they stay at home. It is computed once into an
+`InformTimeline`, which the world index keeps for the next run with the
+same seed and inform parameters. `step` replays that timeline tick by tick
+and runs decide and move on top of it.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "RunResult",
     "SimulationState",
     "WorldIndex",
+    "InformTimeline",
     "HouseholdState",
     "UNAWARE",
     "INFORMED",
@@ -75,7 +84,6 @@ class RunConfig:
     nb_households: int = 570
     nb_rescuers: int = 15
     nb_sheltermanagers: int = 4
-    household_radius: float = 50.0  # reserved; kept for parameter parity
     rescuer_radius: float = 50.0
     shelter_radius: float = 50.0
     household_speed: float = 1.4  # m/s, walking
@@ -91,7 +99,7 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
-        for name in ("household_radius", "rescuer_radius", "shelter_radius",
+        for name in ("rescuer_radius", "shelter_radius",
                      "household_speed", "rescuer_speed", "tick_seconds"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be > 0")
@@ -128,18 +136,48 @@ class RunResult:
     events: list[Event] | None
 
 
+# The RunConfig fields the inform phase reads besides rescuer_radius, which
+# it takes from the index (built for one radius). Runs on one index that
+# agree on these share one InformTimeline.
+INFORM_FIELDS = (
+    "seed", "nb_rescuers", "rescuer_speed", "tick_seconds", "max_ticks",
+    "fallback_tick_min", "fallback_tick_max", "fallback_friends_prob",
+    "epsilon_min", "epsilon_max",
+)
+
+
+@dataclass(frozen=True)
+class InformTimeline:
+    """The inform phase of a run: its init-stream draws and, for every tick
+    the rescuers walked, the households informed in that tick with their
+    warning source, in inform order (rescuers first, then the fallback
+    channel). Ticks that inform nobody are absent from `informs`."""
+
+    epsilon: tuple[float, ...]
+    fallback_source: tuple[WarningSource, ...]
+    fallback_tick: tuple[int, ...]
+    placed: tuple[int, ...]  # start node of each rescuer
+    informs: dict[int, tuple[tuple[int, WarningSource], ...]]
+
+
 class WorldIndex:
     """Per-(world, profiles, radius) precomputation shared across runs.
 
-    Holds house positions, snapped road nodes, hazard proximity classes,
-    per-edge lists of households a roaming rescuer could perceive, and one
-    shortest-path tree per shelter for routing and nearest-shelter queries.
+    Holds the profiles it was built and validated for, house positions,
+    snapped road nodes, hazard proximity classes, per-household CDM and CRF
+    scores, per-edge lists of households a roaming rescuer could perceive,
+    one shortest-path tree per shelter for routing and nearest-shelter
+    queries, and the inform timeline of the last run it served.
     """
 
     def __init__(self, world: World, profiles: list[HouseholdProfile], rescuer_radius: float):
+        validate_profiles(profiles, world)
         self.world = world
+        self.profiles = tuple(profiles)
         self.rescuer_radius = rescuer_radius
         self.n = len(profiles)
+        self.cdm = [cdm_score(p) for p in profiles]
+        self.crf = [crf_score(p) for p in profiles]
         self.house_pos: list[tuple[float, float]] = []
         self.house_node: list[int] = []
         self.proximity = []
@@ -181,6 +219,17 @@ class WorldIndex:
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
         self.internal_ids = sorted(s.id for s in world.shelters if not s.external)
         self.external_ids = sorted(s.id for s in world.shelters if s.external)
+        self._timeline_key: tuple | None = None
+        self._timeline: InformTimeline | None = None
+
+    def inform_timeline(self, cfg: RunConfig) -> InformTimeline:
+        """The inform phase of a run with cfg: the one memoised from the last
+        call if it read the same INFORM_FIELDS, else a fresh walk."""
+        key = tuple(getattr(cfg, name) for name in INFORM_FIELDS)
+        if key != self._timeline_key:
+            self._timeline = _walk_rescuers(self, cfg)
+            self._timeline_key = key
+        return self._timeline
 
     def route_to_shelter(self, node: int, shelter_id: int) -> list[int]:
         nxt = self.shelter_next[shelter_id]
@@ -237,9 +286,8 @@ def _point_segment_dist(px: float, py: float, ax: float, ay: float, bx: float, b
 
 class HouseholdState:
     __slots__ = (
-        "idx", "profile", "status", "epsilon", "fallback_source", "fallback_tick",
-        "source", "breakdown", "decision", "target_shelter", "route", "leg",
-        "progress", "x", "y", "tried_shelters", "stranded",
+        "idx", "profile", "status", "epsilon", "source", "breakdown", "decision",
+        "target_shelter", "route", "leg", "progress", "x", "y", "tried_shelters", "stranded",
     )
 
     def __init__(self, idx: int, profile: HouseholdProfile, x: float, y: float):
@@ -247,8 +295,6 @@ class HouseholdState:
         self.profile = profile
         self.status = UNAWARE
         self.epsilon = 0.0
-        self.fallback_source = WarningSource.MEDIA
-        self.fallback_tick = 0
         self.source: WarningSource | None = None
         self.breakdown: RiskBreakdown | None = None
         self.decision: Decision | None = None
@@ -263,10 +309,9 @@ class HouseholdState:
 
 
 class RescuerState:
-    __slots__ = ("idx", "node", "prev", "edge_a", "edge_b", "edge_len", "progress", "x", "y")
+    __slots__ = ("node", "prev", "edge_a", "edge_b", "edge_len", "progress", "x", "y")
 
-    def __init__(self, idx: int, node: int, pos: Point):
-        self.idx = idx
+    def __init__(self, node: int, pos: Point):
         self.node = node  # node the rescuer last departed from (or stands on)
         self.prev = -1
         self.edge_a = -1  # current edge endpoints; -1 while standing on a node
@@ -283,12 +328,10 @@ class SimulationState:
     profiles: list[HouseholdProfile]
     cfg: RunConfig
     index: WorldIndex
+    timeline: InformTimeline
     households: list[HouseholdState]
-    rescuers: list[RescuerState]
     occupancy: dict[int, int]  # shelter id -> persons
     admitted: dict[int, int]  # shelter id -> households
-    fallback_schedule: dict[int, list[int]]
-    walk_rng: random.Random
     tick: int = 0
     informed_count: int = 0
     terminal_count: int = 0
@@ -296,7 +339,6 @@ class SimulationState:
     stay_decisions: int = 0
     time_series: list[int] = field(default_factory=list)
     events: list[Event] | None = None
-    cdm_cache: list[float] = field(default_factory=list)
     moving: list[HouseholdState] = field(default_factory=list)
 
 
@@ -307,9 +349,16 @@ def init_run(
     index: WorldIndex | None = None,
     collect_events: bool = True,
 ) -> SimulationState:
-    """Build the tick-0 state. Identical inputs give bit-identical states."""
+    """Build the tick-0 state. Identical inputs give bit-identical states.
+
+    A caller's index is used only if it was built for this world, these
+    profiles and this rescuer radius; otherwise a fresh one is built, which
+    validates the profiles.
+    """
     cfg.validate()
-    validate_profiles(profiles, world)
+    if (index is None or index.world is not world
+            or index.rescuer_radius != cfg.rescuer_radius or index.profiles != tuple(profiles)):
+        index = WorldIndex(world, profiles, cfg.rescuer_radius)
     if cfg.nb_households != len(profiles):
         raise InputError(
             f"config expects {cfg.nb_households} households, population has {len(profiles)}"
@@ -323,50 +372,92 @@ def init_run(
     if cfg.nb_rescuers > 0 and not world.rescuer_starts:
         raise InputError("config requests rescuers but the world has no rescuer_start nodes")
 
-    if (index is None or index.world is not world
-            or index.rescuer_radius != cfg.rescuer_radius or index.n != len(profiles)):
-        index = WorldIndex(world, profiles, cfg.rescuer_radius)
-
-    rng_init = random.Random(derive_seed(cfg.seed, "init"))
+    timeline = index.inform_timeline(cfg)
     households: list[HouseholdState] = []
-    fallback_schedule: dict[int, list[int]] = {}
     for i, p in enumerate(profiles):
         hx, hy = index.house_pos[i]
         h = HouseholdState(i, p, hx, hy)
-        h.epsilon = rng_init.uniform(cfg.epsilon_min, cfg.epsilon_max)
-        h.fallback_source = (
-            WarningSource.FRIENDS
-            if rng_init.random() < cfg.fallback_friends_prob
-            else WarningSource.MEDIA
-        )
-        h.fallback_tick = rng_init.randint(cfg.fallback_tick_min, cfg.fallback_tick_max)
-        fallback_schedule.setdefault(h.fallback_tick, []).append(i)
+        h.epsilon = timeline.epsilon[i]
         households.append(h)
 
-    rescuers: list[RescuerState] = []
-    starts = world.rescuer_starts
-    events: list[Event] | None = [] if collect_events else None
-    for i in range(cfg.nb_rescuers):
-        node = starts[rng_init.randrange(len(starts))]
-        rescuers.append(RescuerState(i, node, world.nodes[node]))
-        if events is not None:
-            events.append(Event(0, "rescuer", i, "placed", f"node={node}"))
-
-    state = SimulationState(
+    events: list[Event] | None = None
+    if collect_events:
+        events = [Event(0, "rescuer", i, "placed", f"node={node}")
+                  for i, node in enumerate(timeline.placed)]
+    return SimulationState(
         world=world,
         profiles=profiles,
         cfg=cfg,
         index=index,
+        timeline=timeline,
         households=households,
-        rescuers=rescuers,
         occupancy={s.id: 0 for s in world.shelters},
         admitted={s.id: 0 for s in world.shelters},
-        fallback_schedule=fallback_schedule,
-        walk_rng=random.Random(derive_seed(cfg.seed, "walk")),
         events=events,
-        cdm_cache=[cdm_score(p) for p in profiles],
     )
-    return state
+
+
+def _walk_rescuers(index: WorldIndex, cfg: RunConfig) -> InformTimeline:
+    """Draw a run's init stream, then walk its rescuers and fire the
+    fallback channel until every household is informed or max_ticks is
+    reached."""
+    world = index.world
+    n = index.n
+    rng_init = random.Random(derive_seed(cfg.seed, "init"))
+    epsilon: list[float] = []
+    fallback_source: list[WarningSource] = []
+    fallback_tick: list[int] = []
+    fallback_schedule: dict[int, list[int]] = {}
+    for i in range(n):
+        epsilon.append(rng_init.uniform(cfg.epsilon_min, cfg.epsilon_max))
+        fallback_source.append(
+            WarningSource.FRIENDS
+            if rng_init.random() < cfg.fallback_friends_prob
+            else WarningSource.MEDIA
+        )
+        tick = rng_init.randint(cfg.fallback_tick_min, cfg.fallback_tick_max)
+        fallback_tick.append(tick)
+        fallback_schedule.setdefault(tick, []).append(i)
+    starts = world.rescuer_starts
+    placed = tuple(starts[rng_init.randrange(len(starts))] for _ in range(cfg.nb_rescuers))
+    rescuers = [RescuerState(node, world.nodes[node]) for node in placed]
+
+    walk_rng = random.Random(derive_seed(cfg.seed, "walk"))
+    budget = cfg.rescuer_speed * cfg.tick_seconds
+    radius = index.rescuer_radius
+    house_pos = index.house_pos
+    unaware = [True] * n
+    remaining = n
+    informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    t = 0
+    while remaining and t < cfg.max_ticks:
+        t += 1
+        newly: list[tuple[int, WarningSource]] = []
+        # (1) rescuers roam; (2) they inform unaware households in range
+        for r in rescuers:
+            _advance_rescuer(world, walk_rng, r, budget)
+            if r.edge_a >= 0:
+                key = (r.edge_a, r.edge_b) if r.edge_a < r.edge_b else (r.edge_b, r.edge_a)
+                candidates = index.edge_candidates.get(key, ())
+            else:
+                candidates = _node_candidates(index, world, r.node)
+            rx, ry = r.x, r.y
+            for hid in candidates:
+                if unaware[hid]:
+                    hx, hy = house_pos[hid]
+                    if math.hypot(hx - rx, hy - ry) <= radius:
+                        unaware[hid] = False
+                        newly.append((hid, WarningSource.AUTHORITIES))
+        # (3) fallback channel fires on its pre-drawn tick
+        for hid in fallback_schedule.pop(t, ()):
+            if unaware[hid]:
+                unaware[hid] = False
+                newly.append((hid, fallback_source[hid]))
+        if newly:
+            informs[t] = tuple(newly)
+            remaining -= len(newly)
+    return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick),
+                          placed, informs)
 
 
 def _would_fit(state: SimulationState, shelter: Shelter, members: int) -> bool:
@@ -434,9 +525,7 @@ def _inform(state: SimulationState, h: HouseholdState, source: WarningSource, t:
         state.events.append(Event(t, "household", h.idx, "informed", source.name.lower()))
 
 
-def _advance_rescuer(state: SimulationState, r: RescuerState, budget: float) -> None:
-    world = state.world
-    rng = state.walk_rng
+def _advance_rescuer(world: World, rng: random.Random, r: RescuerState, budget: float) -> None:
     adjacency = world.adjacency
     nodes = world.nodes
     while budget > 0.0:
@@ -486,27 +575,9 @@ def step(state: SimulationState) -> SimulationState:
     index = state.index
     newly_informed: list[int] = []
 
-    if state.informed_count < len(households):
-        # (1) rescuers roam; (2) they inform unaware households in range
-        budget = cfg.rescuer_speed * cfg.tick_seconds
-        radius = cfg.rescuer_radius
-        for r in state.rescuers:
-            _advance_rescuer(state, r, budget)
-            if r.edge_a >= 0:
-                key = (r.edge_a, r.edge_b) if r.edge_a < r.edge_b else (r.edge_b, r.edge_a)
-                candidates = index.edge_candidates.get(key, ())
-            else:
-                candidates = _node_candidates(index, state.world, r.node)
-            rx, ry = r.x, r.y
-            for hid in candidates:
-                h = households[hid]
-                if h.status == UNAWARE and math.hypot(h.x - rx, h.y - ry) <= radius:
-                    _inform(state, h, WarningSource.AUTHORITIES, t, newly_informed)
-        # (3) fallback channel fires on its pre-drawn tick
-        for hid in state.fallback_schedule.pop(t, ()):
-            h = households[hid]
-            if h.status == UNAWARE:
-                _inform(state, h, h.fallback_source, t, newly_informed)
+    # (1)-(3) the informs of this tick, as the rescuer walk recorded them
+    for hid, source in state.timeline.informs.get(t, ()):
+        _inform(state, households[hid], source, t, newly_informed)
 
     # (4) newly informed households assess risk and decide
     if newly_informed:
@@ -524,8 +595,8 @@ def step(state: SimulationState) -> SimulationState:
                 + h.source.code
                 + scenario.time_of_day
             )
-            cdm = state.cdm_cache[hid]
-            crf = crf_score(h.profile)
+            cdm = index.cdm[hid]
+            crf = index.crf[hid]
             value = cdm * w1 + hrf * w2 + crf * w3 + h.epsilon
             h.breakdown = RiskBreakdown(cdm, hrf, crf, value, highest)
             h.decision = decide(h.breakdown, cfg.threshold)

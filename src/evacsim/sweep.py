@@ -6,7 +6,9 @@ whose weights do not satisfy the filter rule are skipped. Each surviving
 combination runs `replications` times; the replicate seed is derived by a
 stable hash of (base seed, threshold-free combination index, replicate),
 so combinations that differ only in threshold share their random draws
-and threshold effects are exactly paired.
+and threshold effects are exactly paired. They also share the run's
+inform phase: the runs of one seed execute back to back on one world
+index, which walks the rescuers once for all of them.
 """
 
 from __future__ import annotations
@@ -191,11 +193,24 @@ def _combo_config(combo: Combo, base_cfg: RunConfig, seed: int) -> RunConfig:
     )
 
 
-def _run_combo(combo: Combo, spec: SweepSpec, world: World,
+# A seed group: the valid combos of one scenario_weight_index, which differ
+# only in threshold, and one replicate. All its runs share a seed.
+SeedGroup = tuple[tuple[Combo, ...], int]
+
+
+def _seed_groups(valid: list[Combo], replications: int) -> list[SeedGroup]:
+    by_sw: dict[int, list[Combo]] = {}
+    for combo in valid:
+        by_sw.setdefault(combo.scenario_weight_index, []).append(combo)
+    return [(tuple(combos), rep) for combos in by_sw.values() for rep in range(replications)]
+
+
+def _run_group(group: SeedGroup, spec: SweepSpec, world: World,
                profiles: list[HouseholdProfile], base_cfg: RunConfig,
                index: WorldIndex) -> list[SweepRow]:
+    combos, rep = group
     rows = []
-    for rep in range(spec.replications):
+    for combo in combos:
         seed = replicate_seed(spec.base_seed, combo, rep)
         cfg = _combo_config(combo, base_cfg, seed)
         result = run(world, profiles, cfg, index=index, collect_events=False)
@@ -230,8 +245,8 @@ def _worker_init(spec: SweepSpec, world: World, profiles: list[HouseholdProfile]
     _WORKER_CTX["index"] = WorldIndex(world, profiles, base_cfg.rescuer_radius)
 
 
-def _worker_run(combo: Combo) -> list[SweepRow]:
-    return _run_combo(combo, _WORKER_CTX["spec"], _WORKER_CTX["world"],
+def _worker_run(group: SeedGroup) -> list[SweepRow]:
+    return _run_group(group, _WORKER_CTX["spec"], _WORKER_CTX["world"],
                       _WORKER_CTX["profiles"], _WORKER_CTX["base_cfg"],
                       _WORKER_CTX["index"])
 
@@ -245,9 +260,10 @@ def execute(
 ) -> list[SweepRow]:
     """Run every valid combination x replications.
 
-    Rows come back in combo-then-replicate order no matter how many workers
-    executed them; a failed run aborts the sweep (runs themselves never
-    fail, truncation is recorded per row).
+    Runs execute one seed group at a time; rows come back in
+    combo-then-replicate order no matter how many workers executed them. A
+    failed run aborts the sweep (runs themselves never fail, truncation is
+    recorded per row).
     """
     spec.validate()
     if base_cfg is None:
@@ -260,20 +276,20 @@ def execute(
             nb_households=len(profiles),
             nb_sheltermanagers=len(world.internal_shelters()),
         )
-    valid = filter_valid(enumerate_combos(spec), spec.weight_filter)
-    rows: list[SweepRow] = []
+    groups = _seed_groups(filter_valid(enumerate_combos(spec), spec.weight_filter),
+                          spec.replications)
     if workers <= 1:
         index = WorldIndex(world, profiles, base_cfg.rescuer_radius)
-        for combo in valid:
-            rows.extend(_run_combo(combo, spec, world, profiles, base_cfg, index))
-        return rows
-    with futures.ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(spec, world, profiles, base_cfg),
-    ) as pool:
-        for combo_rows in pool.map(_worker_run, valid, chunksize=8):
-            rows.extend(combo_rows)
+        batches = [_run_group(g, spec, world, profiles, base_cfg, index) for g in groups]
+    else:
+        with futures.ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(spec, world, profiles, base_cfg),
+        ) as pool:
+            batches = list(pool.map(_worker_run, groups, chunksize=3))
+    rows = [row for batch in batches for row in batch]
+    rows.sort(key=lambda r: (r.combo_index, r.replicate))
     return rows
 
 
@@ -304,6 +320,9 @@ def rows_from_csv(text: str) -> list[SweepRow]:
         cells = line.split(",")
         if len(cells) != 13:
             raise InputError(f"results CSV line {lineno}: expected 13 cells")
+        if cells[12] not in ("0", "1"):
+            raise InputError(f"results CSV line {lineno}: truncated must be 0 or 1, "
+                             f"got {cells[12]!r}")
         try:
             rows.append(SweepRow(
                 combo_index=int(cells[0]),

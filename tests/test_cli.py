@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from evacsim.cli import build_parser, emit_demo_assets, main
@@ -88,6 +90,22 @@ def test_unknown_flag_exits_1(capsys):
 
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["validate", "--world", str(tmp_path / "nope.world")]) == 1
+
+
+def test_gen_population_missing_spec_exits_1(tmp_path, assets, capsys):
+    rc = main(["gen-population", "--world", str(assets / "village.world"),
+               "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "pop.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot read population spec")
+
+
+def test_sweep_missing_spec_exits_1(tmp_path, capsys):
+    world_path, pop_path = micro_assets(tmp_path)
+    rc = main(["sweep", "--spec", str(tmp_path / "nope.cfg"), "--world", str(world_path),
+               "--population", str(pop_path), "--out", str(tmp_path / "rows.csv"),
+               *MICRO_FLAGS])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot read sweep spec")
 
 
 def test_gen_population_deterministic(tmp_path, assets):
@@ -205,3 +223,19 @@ def test_help_lists_table_defaults():
 
 def test_demo_pop_csv_has_570_rows(demo_pop_csv):
     assert len(demo_pop_csv.read_text().splitlines()) == 571
+
+
+# sha256 of the event log below, recorded before runs replayed a shared
+# inform timeline; any change to the order or content of events shows here.
+DEMO_EVENTS_SHA256 = "253de7fa1481bfe010eba7646a3ca316cc42d68ba752e7aa25c6011d8ccf2e76"
+
+
+def test_simulate_event_log_bytes_are_pinned(tmp_path, assets, demo_pop_csv, capsys):
+    events = tmp_path / "events.csv"
+    rc = main(["simulate", "--world", str(assets / "village.world"),
+               "--population", str(demo_pop_csv), "--storm", "2", "--rain", "orange",
+               "--time", "night", "--threshold", "0.8", "--weights", "0.1,0.1,0.8",
+               "--seed", "99", "--out-events", str(events)])
+    assert rc == 0
+    capsys.readouterr()
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == DEMO_EVENTS_SHA256

@@ -1,7 +1,10 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from evacsim.engine import (
     EVACUATING,
+    INFORM_FIELDS,
     INFORMED,
     SHELTERED,
     STAYING,
@@ -14,7 +17,12 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError
-from evacsim.population import HouseholdProfile
+from evacsim.population import (
+    HouseholdProfile,
+    PopulationError,
+    default_population_spec,
+    synthesize,
+)
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import line_world
 
@@ -67,14 +75,14 @@ def test_init_run_matches_configured_counts(demo_world, demo_profiles):
         weights=Weights(0.1, 0.1, 0.1), threshold=0.7, seed=3,
     )
     state = init_run(demo_world, demo_profiles, cfg)
-    assert len(state.rescuers) == 15
+    assert len(state.timeline.placed) == 15
     assert len(state.households) == 570
     assert all(0.0 <= h.epsilon <= 0.05 for h in state.households)
     # bit-identical re-initialization
     state2 = init_run(demo_world, demo_profiles, cfg)
     assert [h.epsilon for h in state.households] == [h.epsilon for h in state2.households]
-    assert [h.fallback_tick for h in state.households] == [h.fallback_tick for h in state2.households]
-    assert [r.node for r in state.rescuers] == [r.node for r in state2.rescuers]
+    assert state.timeline.fallback_tick == state2.timeline.fallback_tick
+    assert state.timeline.placed == state2.timeline.placed
 
 
 def test_count_mismatches_rejected(demo_world, demo_profiles):
@@ -278,3 +286,74 @@ def test_event_log_csv_shape(demo_world, demo_profiles):
     kinds = {line.split(",")[3] for line in lines[1:]}
     assert {"placed", "informed", "decided"} <= kinds
     assert len(lines) >= 570 * 2  # every household informs and decides
+
+
+def test_index_built_for_another_population_is_not_reused(demo_world, demo_profiles):
+    # Same world, radius and household count; only the profiles differ.
+    other = synthesize(default_population_spec(), demo_world, seed=43)
+    cfg = RunConfig(
+        scenario=Scenario.from_names(2, "orange", "nighttime"),
+        weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99,
+    )
+    stale = WorldIndex(demo_world, demo_profiles, cfg.rescuer_radius)
+    assert run(demo_world, other, cfg, index=stale) == run(demo_world, other, cfg)
+
+
+def test_run_without_index_validates_profiles():
+    world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
+    with pytest.raises(PopulationError, match="unknown building"):
+        run(world, [profile(0, 7)], config(nb_households=1))
+
+
+def test_timeline_memo_hit_and_rebuild_give_identical_runs(demo_world, demo_profiles):
+    cfg = RunConfig(
+        scenario=Scenario.from_names(2, "orange", "nighttime"),
+        weights=Weights(0.1, 0.1, 0.8), threshold=0.7, seed=23,
+    )
+    index = WorldIndex(demo_world, demo_profiles, cfg.rescuer_radius)
+    first = run(demo_world, demo_profiles, cfg, index=index)
+    timeline = index.inform_timeline(cfg)
+    # Configs that differ only in threshold share one timeline, and a run on
+    # the shared one equals a run on a fresh index.
+    higher = replace(cfg, threshold=0.9)
+    assert index.inform_timeline(higher) is timeline
+    shared = run(demo_world, demo_profiles, higher, index=index)
+    assert shared == run(demo_world, demo_profiles, higher)
+    assert shared.evacuated < first.evacuated
+    # Another seed evicts the timeline; coming back rebuilds it identically.
+    run(demo_world, demo_profiles, replace(cfg, seed=24), index=index)
+    assert index.inform_timeline(cfg) is not timeline
+    assert run(demo_world, demo_profiles, cfg, index=index) == first
+    # The radius is the index's: another one gets another index.
+    wider = replace(cfg, rescuer_radius=80.0)
+    fresh = run(demo_world, demo_profiles, wider)
+    assert run(demo_world, demo_profiles, wider, index=index) == fresh
+
+
+# RunConfig fields the inform phase never reads, and rescuer_radius, which
+# it reads from the index: init_run builds a new index when that differs.
+NON_INFORM_FIELDS = {"scenario", "weights", "threshold", "nb_households",
+                     "nb_sheltermanagers", "shelter_radius", "household_speed",
+                     "rescuer_radius"}
+
+
+def test_every_config_field_is_classified_for_the_timeline_key():
+    assert not set(INFORM_FIELDS) & NON_INFORM_FIELDS
+    assert set(INFORM_FIELDS) | NON_INFORM_FIELDS == {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("name,value", [
+    ("seed", 12), ("nb_rescuers", 2), ("rescuer_speed", 2.5), ("tick_seconds", 5.0),
+    ("max_ticks", 400), ("fallback_tick_min", 6), ("fallback_tick_max", 21),
+    ("fallback_friends_prob", 0.25), ("epsilon_min", 0.01), ("epsilon_max", 0.04),
+])
+def test_timeline_rebuilt_when_an_inform_field_changes(name, value):
+    world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0)])
+    cfg = config(nb_households=2)
+    index = WorldIndex(world, [profile(0, 0), profile(1, 1)], cfg.rescuer_radius)
+    before = index.inform_timeline(cfg)
+    changed = replace(cfg, **{name: value})
+    after = index.inform_timeline(changed)
+    assert after is not before
+    assert index.inform_timeline(replace(changed, threshold=0.9, household_speed=2.0)) is after
+

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from evacsim.engine import RunConfig
+from evacsim import engine
+from evacsim.engine import RunConfig, run
 from evacsim.errors import InputError
-from evacsim.risk import Scenario, Weights
+from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
     FILTER_AT_LEAST_ONE,
     FILTER_EXACT_ONE,
@@ -156,6 +158,15 @@ def test_rows_csv_round_trip():
     assert rows_from_csv(rows_to_csv(rows)) == rows
 
 
+def test_rows_csv_rejects_truncated_other_than_0_or_1():
+    world, profiles, base_cfg, spec = micro_setup()
+    text = rows_to_csv(execute(spec, world, profiles, base_cfg=base_cfg, workers=1))
+    lines = text.splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",yes"
+    with pytest.raises(InputError, match="line 3: truncated must be 0 or 1"):
+        rows_from_csv("\n".join(lines) + "\n")
+
+
 def test_rows_csv_rejects_bad_header():
     with pytest.raises(InputError, match="header"):
         rows_from_csv("nope\n1,2\n")
@@ -181,3 +192,55 @@ def test_sweep_spec_validation():
             "weight_filter = exact_one", "weight_filter = sometimes"))
     with pytest.raises(InputError, match="missing key"):
         parse_sweep_spec("storm_levels = 1\n")
+
+
+def demo_grid_spec() -> SweepSpec:
+    # 2 scenarios x 3 thresholds x 4 weight triples summing to one x 2 replicates
+    return SweepSpec(
+        storm_levels=(1, 2), rainfall_codes=(0.5,), time_of_day_codes=(1.0,),
+        thresholds=(0.7, 0.8, 0.9), w_cdm_values=(0.2, 0.4), w_hrf_values=(0.2, 0.4),
+        w_crf_values=(0.2, 0.4, 0.6), replications=2, base_seed=5,
+    )
+
+
+def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles):
+    spec = demo_grid_spec()
+    base_cfg = RunConfig(scenario=Scenario.from_names(1, "yellow", "daytime"),
+                         weights=Weights(0.2, 0.2, 0.6), threshold=0.7, seed=0)
+    rows = execute(spec, demo_world, demo_profiles, base_cfg=base_cfg, workers=1)
+    valid = filter_valid(enumerate_combos(spec), FILTER_EXACT_ONE)
+    assert len(valid) == 24
+    assert [(r.combo_index, r.replicate) for r in rows] == [
+        (c.index, rep) for c in valid for rep in range(spec.replications)]
+    by_key = {(r.combo_index, r.replicate): r for r in rows}
+    for c in valid:
+        for rep in range(spec.replications):
+            seed = replicate_seed(spec.base_seed, c, rep)
+            cfg = replace(base_cfg, scenario=Scenario(STORM_CODES[c.storm_level], c.rainfall,
+                                                      c.time_of_day),
+                          weights=Weights(c.w_cdm, c.w_hrf, c.w_crf), threshold=c.threshold,
+                          seed=seed)
+            fresh = run(demo_world, demo_profiles, cfg, collect_events=False)
+            row = by_key[(c.index, rep)]
+            assert row.seed == seed
+            assert (row.evacuated, row.ticks, row.truncated) == (
+                fresh.evacuated, fresh.ticks_elapsed, fresh.truncated)
+    # the grid is not degenerate: thresholds and weights move the outcome
+    assert len({r.evacuated for r in rows}) > 3
+
+
+def test_execute_bytes_identical_across_worker_counts(demo_world, demo_profiles):
+    spec = demo_grid_spec()
+    texts = {workers: rows_to_csv(execute(spec, demo_world, demo_profiles, workers=workers))
+             for workers in (1, 2, 3)}
+    assert texts[1] == texts[2] == texts[3]
+
+
+def test_sweep_validates_population_once(demo_world, demo_profiles, monkeypatch):
+    calls = []
+    real = engine.validate_profiles
+    monkeypatch.setattr(engine, "validate_profiles",
+                        lambda *args: calls.append(1) or real(*args))
+    rows = execute(demo_grid_spec(), demo_world, demo_profiles, workers=1)
+    assert len(rows) == 48
+    assert len(calls) == 1
