@@ -118,11 +118,21 @@ def _read(path: str, what: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over path,
+    so a write that fails partway leaves path as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    created = False
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            created = True
             fh.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if created:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -19,17 +19,25 @@ and runs decide and move on top of it.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
-from .geo import Point, Shelter, World, classify_proximity, hazard_distance
+from .geo import (
+    Point,
+    Shelter,
+    World,
+    classify_proximity,
+    hazard_distance,
+    nearest_road_node,
+    point_segment_distance,
+    shortest_path_tree,
+)
 from .population import HouseholdProfile, validate_profiles
 from .risk import (
+    EPSILON_MAX,
     Decision,
-    RiskBreakdown,
     Scenario,
     WarningSource,
     Weights,
@@ -37,6 +45,8 @@ from .risk import (
     crf_score,
     decide,
     highest_possible_score,
+    hrf_score,
+    perceived_risk,
 )
 from .seeds import derive_seed
 
@@ -111,8 +121,8 @@ class RunConfig:
             raise InputError("fallback tick window requires 0 <= min <= max")
         if not 0.0 <= self.fallback_friends_prob <= 1.0:
             raise InputError("fallback_friends_prob outside [0, 1]")
-        if not 0.0 <= self.epsilon_min <= self.epsilon_max <= 0.05:
-            raise InputError("epsilon range must satisfy 0 <= min <= max <= 0.05")
+        if not 0.0 <= self.epsilon_min <= self.epsilon_max <= EPSILON_MAX:
+            raise InputError(f"epsilon range must satisfy 0 <= min <= max <= {EPSILON_MAX}")
 
 
 @dataclass(frozen=True)
@@ -178,34 +188,20 @@ class WorldIndex:
         self.n = len(profiles)
         self.cdm = [cdm_score(p) for p in profiles]
         self.crf = [crf_score(p) for p in profiles]
-        self.house_pos: list[tuple[float, float]] = []
-        self.house_node: list[int] = []
-        self.proximity = []
-        nodes = world.nodes
-        node_items = sorted(nodes.items())
-        for p in profiles:
-            pos = world.buildings[p.building_id]
-            self.house_pos.append((pos.x, pos.y))
-            best_id, best_d = -1, math.inf
-            for nid, np_ in node_items:
-                d = (np_.x - pos.x) ** 2 + (np_.y - pos.y) ** 2
-                if d < best_d:
-                    best_d = d
-                    best_id = nid
-            self.house_node.append(best_id)
-            self.proximity.append(classify_proximity(hazard_distance(world, pos)))
+        houses = [world.buildings[p.building_id] for p in profiles]
+        self.house_pos = [(pos.x, pos.y) for pos in houses]
+        self.house_node = [nearest_road_node(world, pos) for pos in houses]
+        self.proximity = [classify_proximity(hazard_distance(world, pos)) for pos in houses]
 
         # Edge -> households whose house is within rescuer_radius of the
         # segment (superset of anything perceivable from a point on it).
         self.edge_candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         for a, b, _ in world.edges:
-            pa, pb = nodes[a], nodes[b]
-            cand = []
-            for idx in range(self.n):
-                hx, hy = self.house_pos[idx]
-                if _point_segment_dist(hx, hy, pa.x, pa.y, pb.x, pb.y) <= rescuer_radius:
-                    cand.append(idx)
-            self.edge_candidates[(min(a, b), max(a, b))] = tuple(cand)
+            pa, pb = world.nodes[a], world.nodes[b]
+            self.edge_candidates[(min(a, b), max(a, b))] = tuple(
+                idx for idx, pos in enumerate(houses)
+                if point_segment_distance(pos, pa, pb) <= rescuer_radius
+            )
 
         # One shortest-path tree per shelter: dist and next-hop-toward-shelter
         # for every road node. Undirected graph, so dist(node, shelter) is
@@ -213,7 +209,7 @@ class WorldIndex:
         self.shelter_dist: dict[int, dict[int, float]] = {}
         self.shelter_next: dict[int, dict[int, int]] = {}
         for s in world.shelters:
-            dist, parent = _dijkstra_tree(world, s.node)
+            dist, parent = shortest_path_tree(world, s.node)
             self.shelter_dist[s.id] = dist
             self.shelter_next[s.id] = parent
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
@@ -242,51 +238,9 @@ class WorldIndex:
         return route
 
 
-def _dijkstra_tree(world: World, root: int) -> tuple[dict[int, float], dict[int, int]]:
-    """Distances and next-hop-toward-root for every node reachable from root.
-
-    Deterministic: the heap breaks distance ties by (node id, hop id).
-    """
-    dist: dict[int, float] = {root: 0.0}
-    parent: dict[int, int] = {root: root}
-    heap: list[tuple[float, int, int]] = [(0.0, root, root)]
-    settled: set[int] = set()
-    adjacency = world.adjacency
-    while heap:
-        d, node, via = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        parent[node] = via
-        dist[node] = d
-        for nbr, length in adjacency[node]:
-            if nbr not in settled:
-                nd = d + length
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr, node))
-                elif nd == dist.get(nbr, math.inf):
-                    heapq.heappush(heap, (nd, nbr, node))
-    return dist, parent
-
-
-def _point_segment_dist(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    seg2 = vx * vx + vy * vy
-    if seg2 == 0.0:
-        return math.hypot(wx, wy)
-    t = (wx * vx + wy * vy) / seg2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(wx - t * vx, wy - t * vy)
-
-
 class HouseholdState:
     __slots__ = (
-        "idx", "profile", "status", "epsilon", "source", "breakdown", "decision",
+        "idx", "profile", "status", "epsilon", "source", "decision",
         "target_shelter", "route", "leg", "progress", "x", "y", "tried_shelters", "stranded",
     )
 
@@ -296,7 +250,6 @@ class HouseholdState:
         self.status = UNAWARE
         self.epsilon = 0.0
         self.source: WarningSource | None = None
-        self.breakdown: RiskBreakdown | None = None
         self.decision: Decision | None = None
         self.target_shelter: int | None = None
         self.route: list[int] = []
@@ -584,22 +537,12 @@ def step(state: SimulationState) -> SimulationState:
         newly_informed.sort()
         scenario = cfg.scenario
         weights = cfg.weights
-        w1, w2, w3 = weights.w_cdm, weights.w_hrf, weights.w_crf
         highest = highest_possible_score(weights)
         for hid in newly_informed:
             h = households[hid]
-            hrf = (
-                scenario.storm_severity
-                + scenario.rainfall_severity
-                + index.proximity[hid].code
-                + h.source.code
-                + scenario.time_of_day
-            )
-            cdm = index.cdm[hid]
-            crf = index.crf[hid]
-            value = cdm * w1 + hrf * w2 + crf * w3 + h.epsilon
-            h.breakdown = RiskBreakdown(cdm, hrf, crf, value, highest)
-            h.decision = decide(h.breakdown, cfg.threshold)
+            hrf = hrf_score(scenario, index.proximity[hid], h.source)
+            value = perceived_risk(index.cdm[hid], hrf, index.crf[hid], h.epsilon, weights)
+            h.decision = decide(value, highest, cfg.threshold)
             if state.events is not None:
                 state.events.append(Event(
                     t, "household", hid, "decided",

@@ -27,7 +27,7 @@ __all__ = [
     "validate_world",
     "serialize_world",
     "nearest_road_node",
-    "shortest_path",
+    "shortest_path_tree",
     "hazard_distance",
     "classify_proximity",
     "point_segment_distance",
@@ -293,48 +293,51 @@ def serialize_world(world: World) -> str:
 
 
 def nearest_road_node(world: World, p: Point) -> int:
-    """Node minimizing Euclidean distance to p; ties break to the lowest id."""
+    """Node minimizing Euclidean distance to p; ties break to the lowest id.
+
+    Compares squared distances, so no square root is taken per node.
+    """
     if not world.nodes:
         raise WorldValidationError("world has no road nodes")
+    px, py = p.x, p.y
     best_id = -1
     best_d = math.inf
-    for nid in sorted(world.nodes):
-        d = world.nodes[nid].distance_to(p)
-        if d < best_d:
+    for nid, q in world.nodes.items():
+        d = (q.x - px) ** 2 + (q.y - py) ** 2
+        if d < best_d or (d == best_d and nid < best_id):
             best_d = d
             best_id = nid
     return best_id
 
 
-def shortest_path(world: World, src: int, dst: int) -> tuple[float, list[int]] | None:
-    """Dijkstra over the undirected road graph.
+def shortest_path_tree(world: World, root: int) -> tuple[dict[int, float], dict[int, int]]:
+    """Dijkstra over the undirected road graph from root.
 
-    Returns (length, node path) or None when dst is unreachable. Among
-    equal-length shortest paths the lexicographically smallest node-id
-    sequence is returned, which makes the result deterministic.
+    Returns (dist, parent): the shortest distance to root and the next hop
+    toward root for every node reachable from root (parent[root] == root);
+    unreachable nodes are absent. Deterministic: the heap breaks distance
+    ties by (node id, hop id), so of two equal-length hops toward root the
+    one through the lower node id wins.
     """
-    if src not in world.nodes or dst not in world.nodes:
-        raise InputError(f"unknown node in shortest_path: {src} or {dst}")
-    if src == dst:
-        return 0.0, [src]
-
+    if root not in world.nodes:
+        raise InputError(f"unknown root node {root} for shortest_path_tree")
+    dist: dict[int, float] = {root: 0.0}
+    parent: dict[int, int] = {}
+    heap: list[tuple[float, int, int]] = [(0.0, root, root)]
     adjacency = world.adjacency
-    # Heap entries are (dist, path); the tuple ordering gives us both the
-    # distance priority and the lexicographic tie-break for free.
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (src,))]
-    settled: set[int] = set()
     while heap:
-        dist, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
+        d, node, via = heapq.heappop(heap)
+        if node in parent:
             continue
-        settled.add(node)
-        if node == dst:
-            return dist, list(path)
+        parent[node] = via
+        dist[node] = d
         for nbr, length in adjacency[node]:
-            if nbr not in settled:
-                heapq.heappush(heap, (dist + length, path + (nbr,)))
-    return None
+            if nbr not in parent:
+                nd = d + length
+                if nd <= dist.get(nbr, math.inf):
+                    dist[nbr] = nd
+                    heapq.heappush(heap, (nd, nbr, node))
+    return dist, parent
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:

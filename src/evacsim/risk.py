@@ -24,13 +24,12 @@ __all__ = [
     "SOURCE_CODES",
     "Scenario",
     "Weights",
-    "RiskContext",
-    "RiskBreakdown",
     "Decision",
     "WarningSource",
     "CDM_MAX",
     "HRF_MAX",
     "CRF_MAX",
+    "EPSILON_MAX",
     "cdm_score",
     "hrf_score",
     "crf_score",
@@ -119,31 +118,8 @@ class Weights:
         return abs(self.w_cdm + self.w_hrf + self.w_crf - 1.0) <= 1e-9
 
 
-@dataclass(frozen=True)
-class RiskContext:
-    """Per-household, per-run context: who warned them, how close the hazard
-    is, and the bounded-rationality draw."""
-
-    source_of_warning: WarningSource
-    proximity: ProximityClass
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= EPSILON_MAX:
-            raise InputError(f"epsilon {self.epsilon!r} outside [0, {EPSILON_MAX}]")
-
-
-@dataclass(frozen=True)
-class RiskBreakdown:
-    cdm: float
-    hrf: float
-    crf: float
-    perceived_risk: float
-    highest_possible: float
-
-
 def cdm_score(p: HouseholdProfile) -> float:
-    """Sum of the eight decision-maker codes; computed once per run."""
+    """Sum of the eight decision-maker codes; computed once per index build."""
     return (
         p.head_gender
         + p.income_level
@@ -156,13 +132,13 @@ def cdm_score(p: HouseholdProfile) -> float:
     )
 
 
-def hrf_score(s: Scenario, ctx: RiskContext) -> float:
+def hrf_score(s: Scenario, proximity: ProximityClass, source: WarningSource) -> float:
     """Sum of the five hazard codes."""
     return (
         s.storm_severity
         + s.rainfall_severity
-        + ctx.proximity.code
-        + ctx.source_of_warning.code
+        + proximity.code
+        + source.code
         + s.time_of_day
     )
 
@@ -176,27 +152,17 @@ def highest_possible_score(w: Weights) -> float:
     return CDM_MAX * w.w_cdm + CRF_MAX * w.w_crf + HRF_MAX * w.w_hrf
 
 
-def perceived_risk(
-    p: HouseholdProfile, s: Scenario, ctx: RiskContext, w: Weights
-) -> RiskBreakdown:
-    cdm = cdm_score(p)
-    hrf = hrf_score(s, ctx)
-    crf = crf_score(p)
-    value = cdm * w.w_cdm + hrf * w.w_hrf + crf * w.w_crf + ctx.epsilon
-    return RiskBreakdown(
-        cdm=cdm,
-        hrf=hrf,
-        crf=crf,
-        perceived_risk=value,
-        highest_possible=highest_possible_score(w),
-    )
+def perceived_risk(cdm: float, hrf: float, crf: float, epsilon: float, w: Weights) -> float:
+    """Weighted sum of the three factor scores plus the bounded-rationality
+    draw epsilon."""
+    return cdm * w.w_cdm + hrf * w.w_hrf + crf * w.w_crf + epsilon
 
 
-def decide(b: RiskBreakdown, threshold: float) -> Decision:
+def decide(perceived: float, highest: float, threshold: float) -> Decision:
     """Evacuate only when perceived risk strictly exceeds threshold x highest
     possible score; ties mean Stay."""
     if not 0.0 <= threshold <= 1.0:
         raise InputError(f"threshold {threshold!r} outside [0, 1]")
-    if b.perceived_risk > threshold * b.highest_possible:
+    if perceived > threshold * highest:
         return Decision.EVACUATE
     return Decision.STAY

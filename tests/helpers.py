@@ -70,8 +70,9 @@ def random_graph_world(seed: int, n_nodes: int = 50, extra_edges: int = 30) -> W
     )
 
 
-def bellman_ford_distance(world: World, src: int, dst: int) -> float:
-    """Independent relaxation-based shortest-path oracle (lengths only)."""
+def bellman_ford_distances(world: World, src: int) -> dict[int, float]:
+    """Independent relaxation-based shortest-path oracle: the distance from
+    src to every node, math.inf where unreachable."""
     dist = {n: math.inf for n in world.nodes}
     dist[src] = 0.0
     for _ in range(len(world.nodes) - 1):
@@ -85,4 +86,9 @@ def bellman_ford_distance(world: World, src: int, dst: int) -> float:
                 changed = True
         if not changed:
             break
-    return dist[dst]
+    return dist
+
+
+def bellman_ford_distance(world: World, src: int, dst: int) -> float:
+    """The relaxation oracle's distance from src to dst."""
+    return bellman_ford_distances(world, src)[dst]

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from evacsim import cli
 from evacsim.cli import build_parser, emit_demo_assets, main
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
@@ -160,6 +161,28 @@ def test_simulate_rejects_unrepresentable_storm(tmp_path, capsys):
     ])
     assert rc == 1
     assert "PSWS" in capsys.readouterr().err
+
+
+def test_simulate_rejects_epsilon_max_over_cap(tmp_path, capsys):
+    world_path, pop_path = micro_assets(tmp_path)
+    rc = main([
+        "simulate", "--world", str(world_path), "--population", str(pop_path),
+        "--epsilon-max", "0.06", *MICRO_FLAGS,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: epsilon range")
+
+
+def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write(str(target), "new\n" + "\ud800")
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    cli._write(str(target), "new\n")
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_sweep_analyze_series_end_to_end(tmp_path, capsys):

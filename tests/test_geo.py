@@ -8,6 +8,7 @@ from evacsim.errors import InputError
 from evacsim.geo import (
     Point,
     ProximityClass,
+    World,
     WorldFormatError,
     WorldValidationError,
     classify_proximity,
@@ -17,10 +18,10 @@ from evacsim.geo import (
     parse_world,
     point_segment_distance,
     serialize_world,
-    shortest_path,
+    shortest_path_tree,
     validate_world,
 )
-from helpers import bellman_ford_distance, random_graph_world
+from helpers import bellman_ford_distances, random_graph_world
 
 MINIMAL = """
 node|0|0.0|0.0
@@ -97,9 +98,9 @@ def test_nearest_node_coincident():
 
 
 def test_nearest_node_tie_breaks_low_id():
-    text = "node|3|0|0\nnode|7|2|0\n"
-    world = parse_world(text)
-    assert nearest_road_node(world, Point(1.0, 0.0)) == 3
+    for text in ("node|3|0|0\nnode|7|2|0\n", "node|7|2|0\nnode|3|0|0\n"):
+        world = parse_world(text)
+        assert nearest_road_node(world, Point(1.0, 0.0)) == 3
 
 
 def test_nearest_node_matches_linear_scan_oracle():
@@ -111,71 +112,102 @@ def test_nearest_node_matches_linear_scan_oracle():
         assert nearest_road_node(world, p) == oracle
 
 
+def _edge_lengths(world):
+    return {(min(a, b), max(a, b)): length for a, b, length in world.edges}
+
+
+def _path_to_root(parent, node):
+    path = [node]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+        assert len(path) <= len(parent)
+    return path
+
+
 def test_shortest_path_identity():
     world = parse_world(MINIMAL)
-    assert shortest_path(world, 0, 0) == (0.0, [0])
+    dist, parent = shortest_path_tree(world, 0)
+    assert dist[0] == 0.0 and parent[0] == 0
 
 
 def test_shortest_path_triangle():
     text = "node|0|0|0\nnode|1|3|0\nnode|2|3|4\nedge|0|1\nedge|1|2\nedge|0|2\n"
     world = parse_world(text)
-    length, path = shortest_path(world, 0, 2)
-    assert length == pytest.approx(5.0)
-    assert path == [0, 2]
+    dist, parent = shortest_path_tree(world, 0)
+    assert dist[2] == pytest.approx(5.0)
+    assert _path_to_root(parent, 2) == [2, 0]
 
 
 def test_shortest_path_unreachable_returns_none():
     text = "node|0|0|0\nnode|1|10|0\nnode|2|500|500\nedge|0|1\n"
     world = parse_world(text)
-    assert shortest_path(world, 0, 2) is None
+    dist, parent = shortest_path_tree(world, 0)
+    assert dist.get(2) is None and parent.get(2) is None
+    with pytest.raises(InputError):
+        shortest_path_tree(world, 9)
 
 
 def test_shortest_path_matches_bellman_ford_oracle():
+    # Every node of each random graph, plus an unreachable pair and an
+    # isolated node that the tree must leave out.
     rng = random.Random(7)
     for seed in range(10):
-        world = random_graph_world(seed=seed, n_nodes=50)
-        for _ in range(10):
-            a = rng.randrange(50)
-            b = rng.randrange(50)
-            got = shortest_path(world, a, b)
-            want = bellman_ford_distance(world, a, b)
-            assert got is not None
-            assert got[0] == pytest.approx(want, abs=1e-9)
+        connected = random_graph_world(seed=seed, n_nodes=50)
+        nodes = dict(connected.nodes)
+        nodes.update({50: Point(2000.0, 0.0), 51: Point(2000.0, 30.0), 52: Point(3000.0, 0.0)})
+        world = World(nodes=nodes, edges=connected.edges + [(50, 51, 30.0)], buildings={},
+                      waterways=[], shelters=[], rescuer_starts=[])
+        lengths = _edge_lengths(world)
+        for root in rng.sample(range(50), 5):
+            dist, parent = shortest_path_tree(world, root)
+            want = bellman_ford_distances(world, root)
+            assert set(dist) == set(parent) == {n for n, d in want.items() if d < math.inf}
+            for node, d in dist.items():
+                assert d == pytest.approx(want[node], abs=1e-9)
+                path = _path_to_root(parent, node)
+                assert path[-1] == root
+                total = sum(lengths[(min(u, v), max(u, v))] for u, v in zip(path, path[1:]))
+                assert total == pytest.approx(d, abs=1e-9)
 
 
 def test_shortest_path_symmetric_and_valid():
-    edge_index = {}
     world = random_graph_world(seed=3, n_nodes=40)
-    for a, b, length in world.edges:
-        edge_index[(min(a, b), max(a, b))] = length
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b = rng.randrange(40), rng.randrange(40)
-        fwd = shortest_path(world, a, b)
-        rev = shortest_path(world, b, a)
-        assert fwd is not None and rev is not None
-        assert fwd[0] == pytest.approx(rev[0], abs=1e-9)
-        # every consecutive pair is an edge and lengths add up
-        length, path = fwd
-        assert path[0] == a and path[-1] == b
-        total = 0.0
-        for u, v in zip(path, path[1:]):
-            key = (min(u, v), max(u, v))
-            assert key in edge_index
-            total += edge_index[key]
-        assert total == pytest.approx(length, abs=1e-9)
+    lengths = _edge_lengths(world)
+    trees = {root: shortest_path_tree(world, root) for root in range(40)}
+    for a in range(40):
+        for b in range(40):
+            assert trees[a][0][b] == pytest.approx(trees[b][0][a], abs=1e-9)
+            # every hop toward the root is an edge and the lengths add up
+            dist, parent = trees[b]
+            path = _path_to_root(parent, a)
+            assert path[0] == a and path[-1] == b
+            total = sum(lengths[(min(u, v), max(u, v))] for u, v in zip(path, path[1:]))
+            assert total == pytest.approx(dist[a], abs=1e-9)
 
 
-def test_shortest_path_lexicographic_tie_break():
-    # Square with equal sides: two equal paths 0-1-3 and 0-2-3; pick 0-1-3.
+def test_shortest_path_tree_tie_breaks_to_low_hop_id():
+    # Square with equal sides: 0 reaches 3 through 1 or through 2 at equal
+    # length; the heap orders (distance, node id, hop id), so the hop with
+    # the lower id wins in both directions.
     text = (
         "node|0|0|0\nnode|1|1|0\nnode|2|0|1\nnode|3|1|1\n"
         "edge|0|1\nedge|0|2\nedge|1|3\nedge|2|3\n"
     )
     world = parse_world(text)
-    length, path = shortest_path(world, 0, 3)
-    assert length == pytest.approx(2.0)
-    assert path == [0, 1, 3]
+    dist, parent = shortest_path_tree(world, 3)
+    assert dist[0] == pytest.approx(2.0)
+    assert _path_to_root(parent, 0) == [0, 1, 3]
+    dist, parent = shortest_path_tree(world, 0)
+    assert dist[3] == pytest.approx(2.0)
+    assert _path_to_root(parent, 3) == [3, 1, 0]
+    # Kite: from 0, hop 2 is settled first but hop 1 still wins the tie.
+    kite = parse_world(
+        "node|0|0|0\nnode|1|3|1\nnode|2|1|1\nnode|3|4|0\n"
+        "edge|0|1\nedge|0|2\nedge|1|3\nedge|2|3\n"
+    )
+    dist, parent = shortest_path_tree(kite, 0)
+    assert dist[2] < dist[1]
+    assert _path_to_root(parent, 3) == [3, 1, 0]
 
 
 def test_hazard_distance_on_vertex_is_zero(demo_world):

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evacsim.engine import RunConfig, init_run, step
 from evacsim.errors import InputError
-from evacsim.geo import ProximityClass
+from evacsim.geo import ProximityClass, classify_proximity, hazard_distance
 from evacsim.population import HouseholdProfile
 from evacsim.risk import (
     CDM_MAX,
     CRF_MAX,
     HRF_MAX,
     Decision,
-    RiskBreakdown,
-    RiskContext,
     Scenario,
     WarningSource,
     Weights,
@@ -42,6 +41,23 @@ MAX_PROFILE = make_profile(gender=1.0, educ=1.0, income=1.0, own=1.0, child=1.0,
                            eld=1.0, dis=1.0, years=1.0, quality=1.0, floors=1.0, exp=1.0)
 
 
+def straight_line_risk(p, s, proximity_code, source_code, epsilon, w):
+    """Independent recomputation of perceived risk straight from the raw codes."""
+    cdm = (p.head_gender + p.income_level + p.educ_level + p.has_children
+           + p.has_elderly + p.with_disability + p.house_ownership + p.years_of_residency)
+    hrf = s.storm_severity + s.rainfall_severity + proximity_code + source_code + s.time_of_day
+    crf = p.house_quality + p.floor_levels + p.typhoon_experience
+    return cdm * w.w_cdm + hrf * w.w_hrf + crf * w.w_crf + epsilon
+
+
+def max_factor_risk(w, epsilon):
+    """The kernels' perceived risk of the top-coded household in the worst
+    scenario, warned by the authorities from within the hazard zone."""
+    s = Scenario.from_names(3, "red", "nighttime")
+    hrf = hrf_score(s, ProximityClass.WITHIN, WarningSource.AUTHORITIES)
+    return perceived_risk(cdm_score(MAX_PROFILE), hrf, crf_score(MAX_PROFILE), epsilon, w)
+
+
 def test_cdm_worked_example():
     # female head, low income, grade school, children, renting, recent resident
     p = make_profile(gender=1.0, income=1.0, educ=1.0, child=1.0, eld=0.0,
@@ -57,15 +73,13 @@ def test_cdm_extremes():
 
 def test_hrf_worked_examples():
     mild = Scenario.from_names(1, "yellow", "daytime")
-    ctx = RiskContext(WarningSource.FRIENDS, ProximityClass.FAR, 0.0)
-    assert hrf_score(mild, ctx) == 1.5
+    assert hrf_score(mild, ProximityClass.FAR, WarningSource.FRIENDS) == 1.5
 
     worst = Scenario.from_names(3, "red", "nighttime")
-    ctx_max = RiskContext(WarningSource.AUTHORITIES, ProximityClass.WITHIN, 0.0)
-    assert hrf_score(worst, ctx_max) == 5.0 == HRF_MAX
+    assert hrf_score(worst, ProximityClass.WITHIN, WarningSource.AUTHORITIES) == 5.0 == HRF_MAX
 
     mid = Scenario.from_names(2, "orange", "nighttime")
-    assert hrf_score(mid, ctx_max) == 4.0
+    assert hrf_score(mid, ProximityClass.WITHIN, WarningSource.AUTHORITIES) == 4.0
 
 
 def test_crf_worked_examples():
@@ -85,19 +99,15 @@ def test_perceived_risk_worked_example():
     p = make_profile(gender=1.0, income=1.0, educ=1.0, child=1.0, own=1.0, years=1.0,
                      quality=0.5, floors=1.0, exp=0.5)
     s = Scenario.from_names(1, "yellow", "daytime")
-    ctx = RiskContext(WarningSource.AUTHORITIES, ProximityClass.WITHIN, 0.0)
-    assert hrf_score(s, ctx) == 3.0
-    b = perceived_risk(p, s, ctx, Weights(0.3, 0.4, 0.3))
-    assert b.cdm == 6.0 and b.hrf == 3.0 and b.crf == 2.0
-    assert b.perceived_risk == pytest.approx(3.6, abs=1e-12)
+    hrf = hrf_score(s, ProximityClass.WITHIN, WarningSource.AUTHORITIES)
+    assert cdm_score(p) == 6.0 and hrf == 3.0 and crf_score(p) == 2.0
+    value = perceived_risk(cdm_score(p), hrf, crf_score(p), 0.0, Weights(0.3, 0.4, 0.3))
+    assert value == pytest.approx(3.6, abs=1e-12)
 
 
 def test_perceived_equals_highest_at_max_factors():
-    s = Scenario.from_names(3, "red", "nighttime")
-    ctx = RiskContext(WarningSource.AUTHORITIES, ProximityClass.WITHIN, 0.0)
     w = Weights(0.2, 0.5, 0.3)
-    b = perceived_risk(MAX_PROFILE, s, ctx, w)
-    assert b.perceived_risk == pytest.approx(b.highest_possible, abs=1e-12)
+    assert max_factor_risk(w, 0.0) == pytest.approx(highest_possible_score(w), abs=1e-12)
 
 
 def test_perceived_risk_matches_straight_line_oracle():
@@ -115,44 +125,61 @@ def test_perceived_risk_matches_straight_line_oracle():
         )
         s = Scenario(rng.choice([0.25, 0.5, 1.0]), rng.choice([0.25, 0.5, 1.0]),
                      rng.choice([0.5, 1.0]))
-        ctx = RiskContext(rng.choice(list(WarningSource)), rng.choice(list(ProximityClass)),
-                          rng.uniform(0, 0.05))
+        source = rng.choice(list(WarningSource))
+        proximity = rng.choice(list(ProximityClass))
+        epsilon = rng.uniform(0, 0.05)
         w = Weights(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
-        b = perceived_risk(p, s, ctx, w)
-        # independent recomputation straight from the raw codes
-        cdm = (p.head_gender + p.income_level + p.educ_level + p.has_children
-               + p.has_elderly + p.with_disability + p.house_ownership + p.years_of_residency)
-        hrf = (s.storm_severity + s.rainfall_severity + ctx.proximity.value
-               + ctx.source_of_warning.value + s.time_of_day)
-        crf = p.house_quality + p.floor_levels + p.typhoon_experience
-        expected = cdm * w.w_cdm + hrf * w.w_hrf + crf * w.w_crf + ctx.epsilon
-        assert b.perceived_risk == pytest.approx(expected, abs=1e-12)
+        got = perceived_risk(cdm_score(p), hrf_score(s, proximity, source), crf_score(p),
+                             epsilon, w)
+        expected = straight_line_risk(p, s, proximity.value, source.value, epsilon, w)
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles):
+    # One demo run with events on: every decided event's perceived risk is
+    # the straight-line sum of that household's codes, its hazard proximity,
+    # the source that informed it and its epsilon.
+    w = Weights(0.3, 0.4, 0.3)
+    s = Scenario.from_names(2, "orange", "nighttime")
+    cfg = RunConfig(scenario=s, weights=w, threshold=0.7, seed=11)
+    state = init_run(demo_world, demo_profiles, cfg)
+    while state.terminal_count < len(demo_profiles) and state.tick < cfg.max_ticks:
+        step(state)
+    source = {hid: src for informs in state.timeline.informs.values() for hid, src in informs}
+    highest = 8.0 * w.w_cdm + 3.0 * w.w_crf + 5.0 * w.w_hrf
+    decided = [e for e in state.events if e.event == "decided"]
+    assert len(decided) == len(demo_profiles)
+    assert {e.detail.split()[0] for e in decided} == {"evacuate", "stay"}
+    for e in decided:
+        p = demo_profiles[e.agent_id]
+        house = demo_world.buildings[p.building_id]
+        proximity = classify_proximity(hazard_distance(demo_world, house))
+        oracle = straight_line_risk(p, s, proximity.value, source[e.agent_id].value,
+                                    state.timeline.epsilon[e.agent_id], w)
+        decision, perceived, top = e.detail.split()
+        assert perceived == f"perceived={oracle:.6f}"
+        assert top == f"highest={highest:.6f}"
+        assert decision == ("evacuate" if oracle > cfg.threshold * highest else "stay")
 
 
 def test_decide_worked_example():
-    b = RiskBreakdown(cdm=6.0, hrf=3.0, crf=2.0, perceived_risk=3.6, highest_possible=5.3)
-    assert decide(b, 0.7) is Decision.STAY  # 3.6 <= 3.71
+    assert decide(3.6, 5.3, 0.7) is Decision.STAY  # 3.6 <= 3.71
 
 
 def test_decide_tie_means_stay():
     # 0.5 * 7.0 is exactly representable, so this is a true float tie
-    b = RiskBreakdown(cdm=0, hrf=0, crf=0, perceived_risk=3.5, highest_possible=7.0)
-    assert decide(b, 0.5) is Decision.STAY
-    b2 = RiskBreakdown(cdm=0, hrf=0, crf=0, perceived_risk=5.3, highest_possible=5.3)
-    assert decide(b2, 1.0) is Decision.STAY
+    assert decide(3.5, 7.0, 0.5) is Decision.STAY
+    assert decide(5.3, 5.3, 1.0) is Decision.STAY
 
 
 def test_decide_epsilon_pushes_over_max():
-    s = Scenario.from_names(3, "red", "nighttime")
-    ctx = RiskContext(WarningSource.AUTHORITIES, ProximityClass.WITHIN, 0.05)
-    b = perceived_risk(MAX_PROFILE, s, ctx, Weights(0.2, 0.5, 0.3))
-    assert decide(b, 1.0) is Decision.EVACUATE
+    w = Weights(0.2, 0.5, 0.3)
+    assert decide(max_factor_risk(w, 0.05), highest_possible_score(w), 1.0) is Decision.EVACUATE
 
 
 def test_decide_rejects_bad_threshold():
-    b = RiskBreakdown(0, 0, 0, 1.0, 2.0)
     with pytest.raises(InputError):
-        decide(b, 1.5)
+        decide(1.0, 2.0, 1.5)
 
 
 def test_scenario_rejects_unrepresentable_codes():
@@ -160,8 +187,10 @@ def test_scenario_rejects_unrepresentable_codes():
         Scenario.from_names(4, "red", "daytime")
     with pytest.raises(InputError):
         Scenario(0.3, 0.25, 0.5)
-    with pytest.raises(InputError):
-        RiskContext(WarningSource.MEDIA, ProximityClass.FAR, 0.06)
+    cfg = RunConfig(scenario=Scenario(0.25, 0.25, 0.5), weights=Weights(0.2, 0.5, 0.3),
+                    threshold=0.5, seed=1, epsilon_max=0.06)
+    with pytest.raises(InputError, match="epsilon"):
+        cfg.validate()
 
 
 def test_monotone_in_each_hazard_code():
@@ -173,9 +202,8 @@ def test_monotone_in_each_hazard_code():
     proxes = [ProximityClass.FAR, ProximityClass.NEAR, ProximityClass.WITHIN]
     sources = [WarningSource.FRIENDS, WarningSource.MEDIA, WarningSource.AUTHORITIES]
     def value(storm, rain, tod, prox, src):
-        b = perceived_risk(p, Scenario(storm, rain, tod),
-                           RiskContext(src, prox, 0.01), w)
-        return b.perceived_risk
+        hrf = hrf_score(Scenario(storm, rain, tod), prox, src)
+        return perceived_risk(cdm_score(p), hrf, crf_score(p), 0.01, w)
     base_combos = list(itertools.product(storms, rains, times, proxes, sources))
     for storm, rain, tod, prox, src in base_combos:
         v = value(storm, rain, tod, prox, src)
@@ -203,11 +231,10 @@ def test_monotone_in_each_hazard_code():
     k=st.floats(min_value=0.01, max_value=100.0),
 )
 def test_decide_scale_covariant(perceived, highest, threshold, k):
-    b = RiskBreakdown(0, 0, 0, perceived, highest)
-    scaled = RiskBreakdown(0, 0, 0, perceived * k, highest * k)
     # ties can flip either way under float scaling; skip razor-edge cases
     if abs(perceived - threshold * highest) > 1e-9 * max(1.0, highest):
-        assert decide(b, threshold) is decide(scaled, threshold)
+        scaled = decide(perceived * k, highest * k, threshold)
+        assert decide(perceived, highest, threshold) is scaled
 
 
 def test_exhaustive_code_enumeration_bounds():
