@@ -32,12 +32,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--households", type=int, default=570, help="expected household count")
     p.add_argument("--rescuers", type=int, default=15, help="number of rescuer agents")
-    p.add_argument("--shelter-managers", type=int, default=4,
-                   help="expected number of internal shelters")
     p.add_argument("--rescuer-radius", type=float, default=50.0,
-                   help="rescuer perception radius, m")
+                   help="rescuer perception radius, m (sizes the world index)")
     p.add_argument("--shelter-radius", type=float, default=50.0,
                    help="shelter manager perception radius, m")
     p.add_argument("--household-speed", type=float, default=1.4, help="walking speed, m/s")
@@ -92,10 +89,7 @@ def _config_from_args(args: argparse.Namespace, scenario: risk.Scenario,
         weights=weights,
         threshold=threshold,
         seed=seed,
-        nb_households=args.households,
         nb_rescuers=args.rescuers,
-        nb_sheltermanagers=args.shelter_managers,
-        rescuer_radius=args.rescuer_radius,
         shelter_radius=args.shelter_radius,
         household_speed=args.household_speed,
         rescuer_speed=args.rescuer_speed,
@@ -165,8 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     weights = _weights_from_arg(args.weights)
     cfg = _config_from_args(args, scenario, weights, args.threshold, args.seed)
-    collect = bool(args.out_events)
-    result = engine.run(world, profiles, cfg, collect_events=collect)
+    index = engine.WorldIndex(world, profiles, args.rescuer_radius)
+    result = engine.run(index, cfg, collect_events=bool(args.out_events))
     if args.out_summary:
         row = sweep_mod.SweepRow(
             combo_index=0, replicate=0, seed=args.seed,
@@ -206,7 +200,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec.thresholds[0],
         seed=0,
     )
-    rows = sweep_mod.execute(spec, world, profiles, base_cfg=base_cfg, workers=args.workers)
+    rows = sweep_mod.execute(spec, world, profiles, base_cfg=base_cfg, workers=args.workers,
+                             rescuer_radius=args.rescuer_radius)
     _write(args.out, sweep_mod.rows_to_csv(rows))
     truncated = sum(1 for r in rows if r.truncated)
     print(f"wrote {len(rows)} rows to {args.out} (truncated runs: {truncated})")

@@ -3,10 +3,12 @@
 One run: rescuers roam the road network informing households, informed
 households score their perceived risk and either stay or walk to the
 nearest shelter with room, shelter managers admit or redirect arrivals.
-Every run is a pure function of (world, profiles, config): all randomness
-flows from config.seed through two named streams, one consumed in a fixed
-order at initialization (epsilon draws, fallback channel and tick,
-rescuer placement) and one by the rescuer random walk during ticks.
+Every run is a pure function of (index, config): the `WorldIndex` owns the
+world, the profiles and the rescuer radius, and the household and shelter
+counts are those of its world and profiles. All randomness flows from
+config.seed through two named streams, one consumed in a fixed order at
+initialization (epsilon draws, fallback channel and tick, rescuer
+placement) and one by the rescuer random walk during ticks.
 
 A run has two phases. The inform phase (the draws, the rescuer walk and
 the fallback channel) never reads the scenario, the weights or the
@@ -91,10 +93,7 @@ class RunConfig:
     weights: Weights
     threshold: float
     seed: int
-    nb_households: int = 570
     nb_rescuers: int = 15
-    nb_sheltermanagers: int = 4
-    rescuer_radius: float = 50.0
     shelter_radius: float = 50.0
     household_speed: float = 1.4  # m/s, walking
     rescuer_speed: float = 3.0  # m/s
@@ -109,14 +108,13 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
-        for name in ("rescuer_radius", "shelter_radius",
-                     "household_speed", "rescuer_speed", "tick_seconds"):
+        for name in ("shelter_radius", "household_speed", "rescuer_speed", "tick_seconds"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be > 0")
         if self.max_ticks < 1:
             raise InputError("max_ticks must be >= 1")
-        if self.nb_rescuers < 0 or self.nb_households < 0 or self.nb_sheltermanagers < 0:
-            raise InputError("agent counts must be >= 0")
+        if self.nb_rescuers < 0:
+            raise InputError("nb_rescuers must be >= 0")
         if not 0 <= self.fallback_tick_min <= self.fallback_tick_max:
             raise InputError("fallback tick window requires 0 <= min <= max")
         if not 0.0 <= self.fallback_friends_prob <= 1.0:
@@ -146,9 +144,8 @@ class RunResult:
     events: list[Event] | None
 
 
-# The RunConfig fields the inform phase reads besides rescuer_radius, which
-# it takes from the index (built for one radius). Runs on one index that
-# agree on these share one InformTimeline.
+# The RunConfig fields the inform phase reads; the rescuer radius is the
+# index's own. Runs on one index that agree on these share one InformTimeline.
 INFORM_FIELDS = (
     "seed", "nb_rescuers", "rescuer_speed", "tick_seconds", "max_ticks",
     "fallback_tick_min", "fallback_tick_max", "fallback_friends_prob",
@@ -171,16 +168,21 @@ class InformTimeline:
 
 
 class WorldIndex:
-    """Per-(world, profiles, radius) precomputation shared across runs.
+    """The one owner of a run's world, population and rescuer perception
+    radius (m), and the precomputation shared by every run on them.
 
-    Holds the profiles it was built and validated for, house positions,
+    Raises InputError on a radius <= 0 and PopulationError on profiles that
+    do not fit the world. Holds the profiles it validated, house positions,
     snapped road nodes, hazard proximity classes, per-household CDM and CRF
     scores, per-edge lists of households a roaming rescuer could perceive,
     one shortest-path tree per shelter for routing and nearest-shelter
     queries, and the inform timeline of the last run it served.
     """
 
-    def __init__(self, world: World, profiles: list[HouseholdProfile], rescuer_radius: float):
+    def __init__(self, world: World, profiles: list[HouseholdProfile],
+                 rescuer_radius: float = 50.0):
+        if rescuer_radius <= 0:
+            raise InputError("rescuer_radius must be > 0")
         validate_profiles(profiles, world)
         self.world = world
         self.profiles = tuple(profiles)
@@ -240,13 +242,12 @@ class WorldIndex:
 
 class HouseholdState:
     __slots__ = (
-        "idx", "profile", "status", "epsilon", "source", "decision",
+        "idx", "status", "epsilon", "source", "decision",
         "target_shelter", "route", "leg", "progress", "x", "y", "tried_shelters", "stranded",
     )
 
-    def __init__(self, idx: int, profile: HouseholdProfile, x: float, y: float):
+    def __init__(self, idx: int, x: float, y: float):
         self.idx = idx
-        self.profile = profile
         self.status = UNAWARE
         self.epsilon = 0.0
         self.source: WarningSource | None = None
@@ -277,8 +278,6 @@ class RescuerState:
 
 @dataclass
 class SimulationState:
-    world: World
-    profiles: list[HouseholdProfile]
     cfg: RunConfig
     index: WorldIndex
     timeline: InformTimeline
@@ -295,41 +294,19 @@ class SimulationState:
     moving: list[HouseholdState] = field(default_factory=list)
 
 
-def init_run(
-    world: World,
-    profiles: list[HouseholdProfile],
-    cfg: RunConfig,
-    index: WorldIndex | None = None,
-    collect_events: bool = True,
-) -> SimulationState:
-    """Build the tick-0 state. Identical inputs give bit-identical states.
-
-    A caller's index is used only if it was built for this world, these
-    profiles and this rescuer radius; otherwise a fresh one is built, which
-    validates the profiles.
-    """
+def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> SimulationState:
+    """Build the tick-0 state of a run with cfg on index's world and
+    population. Identical inputs give bit-identical states."""
     cfg.validate()
-    if (index is None or index.world is not world
-            or index.rescuer_radius != cfg.rescuer_radius or index.profiles != tuple(profiles)):
-        index = WorldIndex(world, profiles, cfg.rescuer_radius)
-    if cfg.nb_households != len(profiles):
-        raise InputError(
-            f"config expects {cfg.nb_households} households, population has {len(profiles)}"
-        )
-    n_internal = len(world.internal_shelters())
-    if cfg.nb_sheltermanagers != n_internal:
-        raise InputError(
-            f"config expects {cfg.nb_sheltermanagers} shelter managers, "
-            f"world has {n_internal} internal shelters"
-        )
+    world = index.world
     if cfg.nb_rescuers > 0 and not world.rescuer_starts:
         raise InputError("config requests rescuers but the world has no rescuer_start nodes")
 
     timeline = index.inform_timeline(cfg)
     households: list[HouseholdState] = []
-    for i, p in enumerate(profiles):
+    for i in range(index.n):
         hx, hy = index.house_pos[i]
-        h = HouseholdState(i, p, hx, hy)
+        h = HouseholdState(i, hx, hy)
         h.epsilon = timeline.epsilon[i]
         households.append(h)
 
@@ -338,8 +315,6 @@ def init_run(
         events = [Event(0, "rescuer", i, "placed", f"node={node}")
                   for i, node in enumerate(timeline.placed)]
     return SimulationState(
-        world=world,
-        profiles=profiles,
         cfg=cfg,
         index=index,
         timeline=timeline,
@@ -448,8 +423,9 @@ def _pick_shelter(state: SimulationState, node: int, members: int, exclude: set[
 
 
 def _start_evacuation(state: SimulationState, h: HouseholdState, t: int) -> None:
-    node = state.index.house_node[h.idx]
-    target = _pick_shelter(state, node, h.profile.members, exclude=set())
+    index = state.index
+    node = index.house_node[h.idx]
+    target = _pick_shelter(state, node, index.profiles[h.idx].members, exclude=set())
     if target is None:
         h.stranded = True
         h.route = [node]
@@ -459,10 +435,10 @@ def _start_evacuation(state: SimulationState, h: HouseholdState, t: int) -> None
             state.events.append(Event(t, "household", h.idx, "stranded", "no reachable shelter"))
         return
     h.target_shelter = target
-    h.route = state.index.route_to_shelter(node, target)
+    h.route = index.route_to_shelter(node, target)
     h.leg = 0
     h.progress = 0.0
-    p = state.world.nodes[node]
+    p = index.world.nodes[node]
     h.x, h.y = p.x, p.y  # movement happens on the road network
     if state.events is not None:
         state.events.append(Event(t, "household", h.idx, "depart", f"shelter={target}"))
@@ -561,7 +537,7 @@ def step(state: SimulationState) -> SimulationState:
     # (5) evacuating households walk; (6) shelter managers admit or redirect
     if state.moving:
         move = cfg.household_speed * cfg.tick_seconds
-        nodes = state.world.nodes
+        nodes = index.world.nodes
         still_moving: list[HouseholdState] = []
         for h in state.moving:
             if h.stranded:
@@ -613,10 +589,10 @@ def _try_admission(state: SimulationState, h: HouseholdState, t: int) -> None:
         return
     index = state.index
     shelter = index.shelters_by_id[h.target_shelter]
-    spos = state.world.nodes[shelter.node]
+    spos = index.world.nodes[shelter.node]
     if math.hypot(h.x - spos.x, h.y - spos.y) > state.cfg.shelter_radius:
         return
-    members = h.profile.members
+    members = index.profiles[h.idx].members
     if _would_fit(state, shelter, members):
         state.occupancy[shelter.id] += members
         state.admitted[shelter.id] += 1
@@ -655,15 +631,9 @@ def _try_admission(state: SimulationState, h: HouseholdState, t: int) -> None:
         ))
 
 
-def run(
-    world: World,
-    profiles: list[HouseholdProfile],
-    cfg: RunConfig,
-    index: WorldIndex | None = None,
-    collect_events: bool = True,
-) -> RunResult:
+def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunResult:
     """Step until every household is terminal or max_ticks is reached."""
-    state = init_run(world, profiles, cfg, index=index, collect_events=collect_events)
+    state = init_run(index, cfg, collect_events=collect_events)
     n = len(state.households)
     while state.terminal_count < n and state.tick < cfg.max_ticks:
         step(state)

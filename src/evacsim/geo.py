@@ -377,10 +377,6 @@ class ProximityClass(enum.Enum):
     NEAR = 0.5
     FAR = 0.25
 
-    @property
-    def code(self) -> float:
-        return self.value
-
 
 WITHIN_CUTOFF_M = 10.0
 NEAR_CUTOFF_M = 50.0

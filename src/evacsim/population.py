@@ -23,7 +23,6 @@ __all__ = [
     "CODED_FIELDS",
     "synthesize",
     "load_population",
-    "save_population",
     "parse_population_spec",
     "serialize_population_spec",
     "default_population_spec",
@@ -219,11 +218,6 @@ def validate_profiles(profiles: list[HouseholdProfile], world: World | None = No
 
 def _fmt_code(v: float) -> str:
     return repr(float(v))
-
-
-def save_population(profiles: list[HouseholdProfile], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(serialize_population(profiles))
 
 
 def serialize_population(profiles: list[HouseholdProfile]) -> str:

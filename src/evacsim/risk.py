@@ -21,7 +21,6 @@ __all__ = [
     "STORM_CODES",
     "RAINFALL_CODES",
     "TIME_OF_DAY_CODES",
-    "SOURCE_CODES",
     "Scenario",
     "Weights",
     "Decision",
@@ -41,7 +40,6 @@ __all__ = [
 STORM_CODES = {1: 0.25, 2: 0.5, 3: 1.0}  # PSWS level -> code
 RAINFALL_CODES = {"yellow": 0.25, "orange": 0.5, "red": 1.0}
 TIME_OF_DAY_CODES = {"daytime": 0.5, "nighttime": 1.0}
-SOURCE_CODES = {"friends": 0.25, "media": 0.5, "authorities": 1.0}
 
 CDM_MAX = 8.0  # eight decision-maker attributes, each coded at most 1.0
 HRF_MAX = 5.0  # five hazard factors
@@ -54,10 +52,6 @@ class WarningSource(enum.Enum):
     FRIENDS = 0.25
     MEDIA = 0.5
     AUTHORITIES = 1.0
-
-    @property
-    def code(self) -> float:
-        return self.value
 
 
 class Decision(enum.Enum):
@@ -114,9 +108,6 @@ class Weights:
             if not (0.0 < w <= 1.0) or not math.isfinite(w):
                 raise InputError(f"{name} must be in (0, 1], got {w!r}")
 
-    def sums_to_one(self) -> bool:
-        return abs(self.w_cdm + self.w_hrf + self.w_crf - 1.0) <= 1e-9
-
 
 def cdm_score(p: HouseholdProfile) -> float:
     """Sum of the eight decision-maker codes; computed once per index build."""
@@ -137,8 +128,8 @@ def hrf_score(s: Scenario, proximity: ProximityClass, source: WarningSource) -> 
     return (
         s.storm_severity
         + s.rainfall_severity
-        + proximity.code
-        + source.code
+        + proximity.value
+        + source.value
         + s.time_of_day
     )
 

@@ -50,7 +50,7 @@ class RankDeficiencyError(InputError):
         self.aliased = aliased
         super().__init__(
             f"design matrix is rank deficient; aliased columns: {', '.join(aliased)} ({detail}). "
-            "Refit with drop_aliased=True or choose a different mode to proceed."
+            "Choose --mode drop-one-weight or --mode no-intercept to fit these results."
         )
 
 

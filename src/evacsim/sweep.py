@@ -205,15 +205,14 @@ def _seed_groups(valid: list[Combo], replications: int) -> list[SeedGroup]:
     return [(tuple(combos), rep) for combos in by_sw.values() for rep in range(replications)]
 
 
-def _run_group(group: SeedGroup, spec: SweepSpec, world: World,
-               profiles: list[HouseholdProfile], base_cfg: RunConfig,
+def _run_group(group: SeedGroup, spec: SweepSpec, base_cfg: RunConfig,
                index: WorldIndex) -> list[SweepRow]:
     combos, rep = group
     rows = []
     for combo in combos:
         seed = replicate_seed(spec.base_seed, combo, rep)
         cfg = _combo_config(combo, base_cfg, seed)
-        result = run(world, profiles, cfg, index=index, collect_events=False)
+        result = run(index, cfg, collect_events=False)
         rows.append(SweepRow(
             combo_index=combo.index,
             replicate=rep,
@@ -237,18 +236,18 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(spec: SweepSpec, world: World, profiles: list[HouseholdProfile],
-                 base_cfg: RunConfig) -> None:
+                 base_cfg: RunConfig, rescuer_radius: float) -> None:
     _WORKER_CTX["spec"] = spec
-    _WORKER_CTX["world"] = world
-    _WORKER_CTX["profiles"] = profiles
     _WORKER_CTX["base_cfg"] = base_cfg
-    _WORKER_CTX["index"] = WorldIndex(world, profiles, base_cfg.rescuer_radius)
+    _WORKER_CTX["index_args"] = (world, profiles, rescuer_radius)
 
 
 def _worker_run(group: SeedGroup) -> list[SweepRow]:
-    return _run_group(group, _WORKER_CTX["spec"], _WORKER_CTX["world"],
-                      _WORKER_CTX["profiles"], _WORKER_CTX["base_cfg"],
-                      _WORKER_CTX["index"])
+    # The index is built by the first task, not by the initializer, so that
+    # an InputError it raises reaches the caller instead of breaking the pool.
+    if "index" not in _WORKER_CTX:
+        _WORKER_CTX["index"] = WorldIndex(*_WORKER_CTX["index_args"])
+    return _run_group(group, _WORKER_CTX["spec"], _WORKER_CTX["base_cfg"], _WORKER_CTX["index"])
 
 
 def execute(
@@ -257,8 +256,10 @@ def execute(
     profiles: list[HouseholdProfile],
     base_cfg: RunConfig | None = None,
     workers: int = 1,
+    rescuer_radius: float = 50.0,
 ) -> list[SweepRow]:
-    """Run every valid combination x replications.
+    """Run every valid combination x replications on the world index of
+    (world, profiles, rescuer_radius).
 
     Runs execute one seed group at a time; rows come back in
     combo-then-replicate order no matter how many workers executed them. A
@@ -273,19 +274,17 @@ def execute(
             weights=Weights(spec.w_cdm_values[0], spec.w_hrf_values[0], spec.w_crf_values[0]),
             threshold=spec.thresholds[0],
             seed=0,
-            nb_households=len(profiles),
-            nb_sheltermanagers=len(world.internal_shelters()),
         )
     groups = _seed_groups(filter_valid(enumerate_combos(spec), spec.weight_filter),
                           spec.replications)
     if workers <= 1:
-        index = WorldIndex(world, profiles, base_cfg.rescuer_radius)
-        batches = [_run_group(g, spec, world, profiles, base_cfg, index) for g in groups]
+        index = WorldIndex(world, profiles, rescuer_radius)
+        batches = [_run_group(g, spec, base_cfg, index) for g in groups]
     else:
         with futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(spec, world, profiles, base_cfg),
+            initargs=(spec, world, profiles, base_cfg, rescuer_radius),
         ) as pool:
             batches = list(pool.map(_worker_run, groups, chunksize=3))
     rows = [row for batch in batches for row in batch]

@@ -285,7 +285,7 @@ def test_criterion_8_safety_invariants(full_sweep, assets_dir):
     assert not truncated, f"{len(truncated)} truncated runs"
 
     # Direct check on a heavy run: capacities respected, everyone terminal.
-    from evacsim.engine import RunConfig, run
+    from evacsim.engine import RunConfig, WorldIndex, run
     from evacsim.geo import load_world
     from evacsim.population import load_population
     from evacsim.risk import Scenario
@@ -296,7 +296,7 @@ def test_criterion_8_safety_invariants(full_sweep, assets_dir):
         scenario=Scenario.from_names(2, "red", "nighttime"),
         weights=Weights(0.1, 0.1, 0.8), threshold=0.7, seed=20_19,
     )
-    result = run(world, profiles, cfg, collect_events=False)
+    result = run(WorldIndex(world, profiles), cfg, collect_events=False)
     assert not result.truncated
     for shelter in world.internal_shelters():
         assert result.shelter_occupancy[shelter.id] <= shelter.capacity

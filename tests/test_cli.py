@@ -1,9 +1,13 @@
+import argparse
 import hashlib
+import inspect
+from dataclasses import fields
 
 import pytest
 
 from evacsim import cli
 from evacsim.cli import build_parser, emit_demo_assets, main
+from evacsim.engine import RunConfig, WorldIndex
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
 from evacsim.sweep import enumerate_combos, parse_sweep_spec
@@ -50,8 +54,8 @@ def micro_assets(tmp_path):
     return world_path, pop_path
 
 
-MICRO_FLAGS = ["--households", "3", "--rescuers", "1", "--shelter-managers", "1",
-               "--fallback-min", "5", "--fallback-max", "20", "--max-ticks", "400"]
+MICRO_FLAGS = ["--rescuers", "1", "--fallback-min", "5", "--fallback-max", "20",
+               "--max-ticks", "400"]
 
 
 def test_emit_demo_assets_load(assets):
@@ -173,6 +177,34 @@ def test_simulate_rejects_epsilon_max_over_cap(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: epsilon range")
 
 
+def test_simulate_rejects_non_positive_rescuer_radius(tmp_path, capsys):
+    world_path, pop_path = micro_assets(tmp_path)
+    rc = main([
+        "simulate", "--world", str(world_path), "--population", str(pop_path),
+        "--rescuer-radius", "0", *MICRO_FLAGS,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: rescuer_radius must be > 0")
+
+
+# Engine flags whose dest differs from the RunConfig field they set.
+FLAG_FIELD_RENAMES = {"rescuers": "nb_rescuers", "fallback_min": "fallback_tick_min",
+                      "fallback_max": "fallback_tick_max"}
+
+
+def test_engine_flags_map_one_to_one_onto_run_inputs():
+    # Every engine flag sets one RunConfig field or the index's radius, and
+    # every such input has one flag: no flag exists only to be checked.
+    p = argparse.ArgumentParser()
+    cli._add_engine_flags(p)
+    dests = [a.dest for a in p._actions if a.dest != "help"]  # noqa: SLF001
+    targets = [FLAG_FIELD_RENAMES.get(d, d) for d in dests]
+    run_inputs = {f.name for f in fields(RunConfig)} - {"scenario", "weights", "threshold", "seed"}
+    assert "rescuer_radius" in inspect.signature(WorldIndex).parameters
+    assert len(set(targets)) == len(targets)
+    assert set(targets) == run_inputs | {"rescuer_radius"}
+
+
 def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path):
     target = tmp_path / "out.csv"
     target.write_bytes(b"old\n")
@@ -220,7 +252,8 @@ def test_sweep_analyze_series_end_to_end(tmp_path, capsys):
 
     rc = main(["analyze", "--in", str(rows_a), "--mode", "intercept-full"])
     assert rc == 1
-    assert "aliased" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "aliased" in err and "drop-one-weight" in err
 
     series_out = tmp_path / "series.csv"
     rc = main(["series", "--in", str(rows_a), "--storm", "2", "--rain", "red",
@@ -240,7 +273,7 @@ def test_help_lists_table_defaults():
         if name == "simulate":
             help_text = sub.format_help()
     assert help_text is not None
-    for needle in ("570", "15", "4", "50.0", "0.7", "0.1,0.1,0.1", "1.4", "3.0", "5000"):
+    for needle in ("15", "4", "50.0", "0.7", "0.1,0.1,0.1", "1.4", "3.0", "5000"):
         assert needle in help_text, needle
 
 

@@ -17,12 +17,7 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError
-from evacsim.population import (
-    HouseholdProfile,
-    PopulationError,
-    default_population_spec,
-    synthesize,
-)
+from evacsim.population import HouseholdProfile, PopulationError
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import line_world
 
@@ -44,9 +39,7 @@ def config(**overrides) -> RunConfig:
         weights=Weights(0.2, 0.3, 0.5),
         threshold=0.0,
         seed=11,
-        nb_households=0,
         nb_rescuers=1,
-        nb_sheltermanagers=1,
         fallback_tick_min=5,
         fallback_tick_max=20,
         max_ticks=600,
@@ -55,49 +48,33 @@ def config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def test_run_is_deterministic(demo_world, demo_profiles):
+def test_run_is_deterministic(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(2, "orange", "nighttime"),
         weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99,
     )
-    index = WorldIndex(demo_world, demo_profiles, cfg.rescuer_radius)
-    a = run(demo_world, demo_profiles, cfg, index=index)
-    b = run(demo_world, demo_profiles, cfg, index=index)
+    a = run(demo_index, cfg)
+    b = run(demo_index, cfg)
     assert a.evacuated == b.evacuated
     assert a.time_series == b.time_series
     assert a.sheltered_by_shelter == b.sheltered_by_shelter
     assert event_log_csv(a.events) == event_log_csv(b.events)
 
 
-def test_init_run_matches_configured_counts(demo_world, demo_profiles):
+def test_init_run_matches_configured_counts(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(1, "yellow", "daytime"),
         weights=Weights(0.1, 0.1, 0.1), threshold=0.7, seed=3,
     )
-    state = init_run(demo_world, demo_profiles, cfg)
+    state = init_run(demo_index, cfg)
     assert len(state.timeline.placed) == 15
     assert len(state.households) == 570
     assert all(0.0 <= h.epsilon <= 0.05 for h in state.households)
     # bit-identical re-initialization
-    state2 = init_run(demo_world, demo_profiles, cfg)
+    state2 = init_run(demo_index, cfg)
     assert [h.epsilon for h in state.households] == [h.epsilon for h in state2.households]
     assert state.timeline.fallback_tick == state2.timeline.fallback_tick
     assert state.timeline.placed == state2.timeline.placed
-
-
-def test_count_mismatches_rejected(demo_world, demo_profiles):
-    cfg = RunConfig(
-        scenario=Scenario.from_names(1, "yellow", "daytime"),
-        weights=Weights(0.1, 0.1, 0.1), threshold=0.7, seed=3, nb_households=100,
-    )
-    with pytest.raises(InputError, match="households"):
-        init_run(demo_world, demo_profiles, cfg)
-    cfg2 = RunConfig(
-        scenario=Scenario.from_names(1, "yellow", "daytime"),
-        weights=Weights(0.1, 0.1, 0.1), threshold=0.7, seed=3, nb_sheltermanagers=7,
-    )
-    with pytest.raises(InputError, match="shelter"):
-        init_run(demo_world, demo_profiles, cfg2)
 
 
 def test_rescuer_informs_within_radius_only():
@@ -109,9 +86,8 @@ def test_rescuer_informs_within_radius_only():
         shelter_specs=[(0, 3, 1000, False)],
     )
     profiles = [profile(0, 0), profile(1, 1)]
-    cfg = config(nb_households=2, rescuer_speed=0.001, fallback_tick_min=50,
-                 fallback_tick_max=60, max_ticks=50)
-    state = init_run(world, profiles, cfg)
+    cfg = config(rescuer_speed=0.001, fallback_tick_min=50, fallback_tick_max=60, max_ticks=50)
+    state = init_run(WorldIndex(world, profiles), cfg)
     step(state)
     assert state.households[0].status != UNAWARE
     assert state.households[0].source is WarningSource.AUTHORITIES
@@ -130,10 +106,9 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
         rescuer_starts=[5],
     )
     profiles = [profile(0, 0, members=10), profile(1, 1, members=4)]
-    cfg = config(nb_households=2, nb_sheltermanagers=2, rescuer_speed=0.001,
-                 fallback_tick_min=1, fallback_tick_max=1, household_speed=10.0,
-                 max_ticks=200)
-    result = run(world, profiles, cfg)
+    cfg = config(rescuer_speed=0.001, fallback_tick_min=1, fallback_tick_max=1,
+                 household_speed=10.0, max_ticks=200)
+    result = run(WorldIndex(world, profiles), cfg)
     assert result.evacuated == 2
     assert result.shelter_occupancy[0] == 10
     assert result.sheltered_by_shelter[0] == 1
@@ -143,40 +118,40 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
     assert "from=0" in redirects[0].detail and "to=1" in redirects[0].detail
 
 
-def test_threshold_zero_everyone_evacuates(demo_world, demo_profiles):
+def test_threshold_zero_everyone_evacuates(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(1, "yellow", "daytime"),
         weights=Weights(0.1, 0.1, 0.1), threshold=0.0, seed=5,
     )
-    result = run(demo_world, demo_profiles, cfg, collect_events=False)
+    result = run(demo_index, cfg, collect_events=False)
     assert not result.truncated
     assert result.evacuated == 570
     assert sum(result.sheltered_by_shelter.values()) == 570
 
 
-def test_threshold_one_with_zero_epsilon_nobody_evacuates(demo_world, demo_profiles):
+def test_threshold_one_with_zero_epsilon_nobody_evacuates(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(3, "red", "nighttime"),
         weights=Weights(0.2, 0.5, 0.3), threshold=1.0, seed=5,
         epsilon_min=0.0, epsilon_max=0.0,
     )
-    result = run(demo_world, demo_profiles, cfg, collect_events=False)
+    result = run(demo_index, cfg, collect_events=False)
     assert result.evacuated == 0
     assert result.stayed == 570
 
 
-def test_capacity_never_exceeded(demo_world, demo_profiles):
+def test_capacity_never_exceeded(demo_world, demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(2, "red", "nighttime"),
         weights=Weights(0.1, 0.1, 0.8), threshold=0.7, seed=13,
     )
-    result = run(demo_world, demo_profiles, cfg, collect_events=False)
+    result = run(demo_index, cfg, collect_events=False)
     for shelter in demo_world.internal_shelters():
         assert result.shelter_occupancy[shelter.id] <= shelter.capacity
     assert not result.truncated
 
 
-def test_paired_scenario_monotonicity(demo_world, demo_profiles):
+def test_paired_scenario_monotonicity(demo_index):
     # identical seed: every coded driver of B dominates A
     weights = Weights(0.2, 0.4, 0.4)
     lo = RunConfig(scenario=Scenario.from_names(1, "yellow", "daytime"),
@@ -185,43 +160,40 @@ def test_paired_scenario_monotonicity(demo_world, demo_profiles):
                    weights=weights, threshold=0.8, seed=17)
     top = RunConfig(scenario=Scenario.from_names(3, "red", "nighttime"),
                     weights=weights, threshold=0.8, seed=17)
-    index = WorldIndex(demo_world, demo_profiles, 50.0)
-    e_lo = run(demo_world, demo_profiles, lo, index=index, collect_events=False).evacuated
-    e_hi = run(demo_world, demo_profiles, hi, index=index, collect_events=False).evacuated
-    e_top = run(demo_world, demo_profiles, top, index=index, collect_events=False).evacuated
+    e_lo = run(demo_index, lo, collect_events=False).evacuated
+    e_hi = run(demo_index, hi, collect_events=False).evacuated
+    e_top = run(demo_index, top, collect_events=False).evacuated
     assert e_lo <= e_hi <= e_top
 
 
-def test_threshold_monotonicity(demo_world, demo_profiles):
-    index = WorldIndex(demo_world, demo_profiles, 50.0)
+def test_threshold_monotonicity(demo_index):
     results = []
     for threshold in (0.7, 0.8, 0.9):
         cfg = RunConfig(
             scenario=Scenario.from_names(2, "orange", "nighttime"),
             weights=Weights(0.1, 0.1, 0.8), threshold=threshold, seed=23,
         )
-        results.append(run(demo_world, demo_profiles, cfg, index=index,
-                           collect_events=False).evacuated)
+        results.append(run(demo_index, cfg, collect_events=False).evacuated)
     assert results[0] >= results[1] >= results[2]
 
 
 def test_fallback_informs_without_rescuers():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0), (200.0, 20.0)])
     profiles = [profile(i, i) for i in range(3)]
-    cfg = config(nb_households=3, nb_rescuers=0, threshold=0.5, max_ticks=300)
-    result = run(world, profiles, cfg)
+    cfg = config(nb_rescuers=0, threshold=0.5, max_ticks=300)
+    result = run(WorldIndex(world, profiles), cfg)
     assert not result.truncated
     informed = [e for e in result.events if e.event == "informed"]
     assert len(informed) == 3
     assert all(e.detail in ("friends", "media") for e in informed)
 
 
-def test_eventual_information_and_terminal_states(demo_world, demo_profiles):
+def test_eventual_information_and_terminal_states(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(1, "orange", "daytime"),
         weights=Weights(0.3, 0.3, 0.4), threshold=0.8, seed=31,
     )
-    state = init_run(demo_world, demo_profiles, cfg, collect_events=False)
+    state = init_run(demo_index, cfg, collect_events=False)
     while state.terminal_count < len(state.households) and state.tick < cfg.max_ticks:
         step(state)
     assert all(h.status in (SHELTERED, STAYING) for h in state.households)
@@ -232,9 +204,8 @@ def test_eventual_information_and_terminal_states(demo_world, demo_profiles):
 def test_truncation_flag_when_out_of_ticks():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
     profiles = [profile(0, 0)]
-    cfg = config(nb_households=1, nb_rescuers=0, fallback_tick_min=50,
-                 fallback_tick_max=50, max_ticks=3)
-    result = run(world, profiles, cfg)
+    cfg = config(nb_rescuers=0, fallback_tick_min=50, fallback_tick_max=50, max_ticks=3)
+    result = run(WorldIndex(world, profiles), cfg)
     assert result.truncated
     assert result.ticks_elapsed == 3
     assert result.evacuated == 0
@@ -243,21 +214,20 @@ def test_truncation_flag_when_out_of_ticks():
 def test_step_past_max_ticks_rejected():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
     profiles = [profile(0, 0)]
-    cfg = config(nb_households=1, nb_rescuers=0, fallback_tick_min=50,
-                 fallback_tick_max=50, max_ticks=2)
-    state = init_run(world, profiles, cfg)
+    cfg = config(nb_rescuers=0, fallback_tick_min=50, fallback_tick_max=50, max_ticks=2)
+    state = init_run(WorldIndex(world, profiles), cfg)
     step(state)
     step(state)
     with pytest.raises(InputError, match="max_ticks"):
         step(state)
 
 
-def test_time_series_is_cumulative_and_monotone(demo_world, demo_profiles):
+def test_time_series_is_cumulative_and_monotone(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(2, "orange", "daytime"),
         weights=Weights(0.2, 0.2, 0.6), threshold=0.7, seed=41,
     )
-    result = run(demo_world, demo_profiles, cfg, collect_events=False)
+    result = run(demo_index, cfg, collect_events=False)
     series = result.time_series
     assert len(series) == result.ticks_elapsed
     assert all(a <= b for a, b in zip(series, series[1:]))
@@ -269,17 +239,17 @@ def test_rescuers_require_start_nodes():
     # line_world defaults rescuer_starts=[0]; force empty
     world.rescuer_starts.clear()
     profiles = [profile(0, 0)]
-    cfg = config(nb_households=1, nb_rescuers=2)
+    cfg = config(nb_rescuers=2)
     with pytest.raises(InputError, match="rescuer"):
-        init_run(world, profiles, cfg)
+        init_run(WorldIndex(world, profiles), cfg)
 
 
-def test_event_log_csv_shape(demo_world, demo_profiles):
+def test_event_log_csv_shape(demo_index):
     cfg = RunConfig(
         scenario=Scenario.from_names(2, "orange", "nighttime"),
         weights=Weights(0.1, 0.1, 0.8), threshold=0.9, seed=7,
     )
-    result = run(demo_world, demo_profiles, cfg)
+    result = run(demo_index, cfg)
     text = event_log_csv(result.events)
     lines = text.splitlines()
     assert lines[0] == "tick,agent_kind,agent_id,event,detail"
@@ -288,21 +258,10 @@ def test_event_log_csv_shape(demo_world, demo_profiles):
     assert len(lines) >= 570 * 2  # every household informs and decides
 
 
-def test_index_built_for_another_population_is_not_reused(demo_world, demo_profiles):
-    # Same world, radius and household count; only the profiles differ.
-    other = synthesize(default_population_spec(), demo_world, seed=43)
-    cfg = RunConfig(
-        scenario=Scenario.from_names(2, "orange", "nighttime"),
-        weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99,
-    )
-    stale = WorldIndex(demo_world, demo_profiles, cfg.rescuer_radius)
-    assert run(demo_world, other, cfg, index=stale) == run(demo_world, other, cfg)
-
-
 def test_run_without_index_validates_profiles():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
     with pytest.raises(PopulationError, match="unknown building"):
-        run(world, [profile(0, 7)], config(nb_households=1))
+        run(WorldIndex(world, [profile(0, 7)]), config())
 
 
 def test_timeline_memo_hit_and_rebuild_give_identical_runs(demo_world, demo_profiles):
@@ -310,31 +269,24 @@ def test_timeline_memo_hit_and_rebuild_give_identical_runs(demo_world, demo_prof
         scenario=Scenario.from_names(2, "orange", "nighttime"),
         weights=Weights(0.1, 0.1, 0.8), threshold=0.7, seed=23,
     )
-    index = WorldIndex(demo_world, demo_profiles, cfg.rescuer_radius)
-    first = run(demo_world, demo_profiles, cfg, index=index)
+    index = WorldIndex(demo_world, demo_profiles)
+    first = run(index, cfg)
     timeline = index.inform_timeline(cfg)
     # Configs that differ only in threshold share one timeline, and a run on
     # the shared one equals a run on a fresh index.
     higher = replace(cfg, threshold=0.9)
     assert index.inform_timeline(higher) is timeline
-    shared = run(demo_world, demo_profiles, higher, index=index)
-    assert shared == run(demo_world, demo_profiles, higher)
+    shared = run(index, higher)
+    assert shared == run(WorldIndex(demo_world, demo_profiles), higher)
     assert shared.evacuated < first.evacuated
     # Another seed evicts the timeline; coming back rebuilds it identically.
-    run(demo_world, demo_profiles, replace(cfg, seed=24), index=index)
+    run(index, replace(cfg, seed=24))
     assert index.inform_timeline(cfg) is not timeline
-    assert run(demo_world, demo_profiles, cfg, index=index) == first
-    # The radius is the index's: another one gets another index.
-    wider = replace(cfg, rescuer_radius=80.0)
-    fresh = run(demo_world, demo_profiles, wider)
-    assert run(demo_world, demo_profiles, wider, index=index) == fresh
+    assert run(index, cfg) == first
 
 
-# RunConfig fields the inform phase never reads, and rescuer_radius, which
-# it reads from the index: init_run builds a new index when that differs.
-NON_INFORM_FIELDS = {"scenario", "weights", "threshold", "nb_households",
-                     "nb_sheltermanagers", "shelter_radius", "household_speed",
-                     "rescuer_radius"}
+# RunConfig fields the inform phase never reads.
+NON_INFORM_FIELDS = {"scenario", "weights", "threshold", "shelter_radius", "household_speed"}
 
 
 def test_every_config_field_is_classified_for_the_timeline_key():
@@ -349,8 +301,8 @@ def test_every_config_field_is_classified_for_the_timeline_key():
 ])
 def test_timeline_rebuilt_when_an_inform_field_changes(name, value):
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0)])
-    cfg = config(nb_households=2)
-    index = WorldIndex(world, [profile(0, 0), profile(1, 1)], cfg.rescuer_radius)
+    cfg = config()
+    index = WorldIndex(world, [profile(0, 0), profile(1, 1)])
     before = index.inform_timeline(cfg)
     changed = replace(cfg, **{name: value})
     after = index.inform_timeline(changed)

@@ -275,4 +275,4 @@ def test_classify_proximity_rejects_negative():
 )
 def test_classify_proximity_monotone(d1, d2):
     lo, hi = sorted((d1, d2))
-    assert classify_proximity(lo).code >= classify_proximity(hi).code
+    assert classify_proximity(lo).value >= classify_proximity(hi).value

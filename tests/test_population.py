@@ -12,7 +12,6 @@ from evacsim.population import (
     load_population,
     parse_population,
     parse_population_spec,
-    save_population,
     serialize_population,
     serialize_population_spec,
     synthesize,
@@ -92,7 +91,7 @@ def test_cdm_sum_bounds_by_exhaustive_enumeration():
 
 def test_csv_round_trip(tmp_path, demo_world, demo_profiles):
     path = tmp_path / "pop.csv"
-    save_population(demo_profiles, str(path))
+    path.write_text(serialize_population(demo_profiles), encoding="utf-8")
     again = load_population(str(path), demo_world)
     assert again == demo_profiles
 

@@ -135,14 +135,14 @@ def test_perceived_risk_matches_straight_line_oracle():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles):
+def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, demo_index):
     # One demo run with events on: every decided event's perceived risk is
     # the straight-line sum of that household's codes, its hazard proximity,
     # the source that informed it and its epsilon.
     w = Weights(0.3, 0.4, 0.3)
     s = Scenario.from_names(2, "orange", "nighttime")
     cfg = RunConfig(scenario=s, weights=w, threshold=0.7, seed=11)
-    state = init_run(demo_world, demo_profiles, cfg)
+    state = init_run(demo_index, cfg)
     while state.terminal_count < len(demo_profiles) and state.tick < cfg.max_ticks:
         step(state)
     source = {hid: src for informs in state.timeline.informs.values() for hid, src in informs}

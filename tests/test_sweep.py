@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from evacsim import engine
-from evacsim.engine import RunConfig, run
+from evacsim.engine import RunConfig, WorldIndex, run
 from evacsim.errors import InputError
 from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
@@ -117,8 +117,7 @@ def micro_setup():
     base_cfg = RunConfig(
         scenario=Scenario.from_names(1, "yellow", "daytime"),
         weights=Weights(0.1, 0.1, 0.8), threshold=0.7, seed=0,
-        nb_households=3, nb_rescuers=1, nb_sheltermanagers=1,
-        fallback_tick_min=5, fallback_tick_max=20, max_ticks=400,
+        nb_rescuers=1, fallback_tick_min=5, fallback_tick_max=20, max_ticks=400,
     )
     spec = SweepSpec(
         storm_levels=(1, 2), rainfall_codes=(0.25, 1.0), time_of_day_codes=(0.5,),
@@ -203,7 +202,7 @@ def demo_grid_spec() -> SweepSpec:
     )
 
 
-def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles):
+def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles, demo_index):
     spec = demo_grid_spec()
     base_cfg = RunConfig(scenario=Scenario.from_names(1, "yellow", "daytime"),
                          weights=Weights(0.2, 0.2, 0.6), threshold=0.7, seed=0)
@@ -220,7 +219,7 @@ def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles):
                                                       c.time_of_day),
                           weights=Weights(c.w_cdm, c.w_hrf, c.w_crf), threshold=c.threshold,
                           seed=seed)
-            fresh = run(demo_world, demo_profiles, cfg, collect_events=False)
+            fresh = run(demo_index, cfg, collect_events=False)
             row = by_key[(c.index, rep)]
             assert row.seed == seed
             assert (row.evacuated, row.ticks, row.truncated) == (
@@ -244,3 +243,25 @@ def test_sweep_validates_population_once(demo_world, demo_profiles, monkeypatch)
     rows = execute(demo_grid_spec(), demo_world, demo_profiles, workers=1)
     assert len(rows) == 48
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_execute_runs_on_an_index_of_the_given_radius(workers):
+    # Houses sit 20 m off the road: at 15 m no rescuer reaches one, so only
+    # the fallback channel informs and the rows change.
+    world, profiles, base_cfg, spec = micro_setup()
+    rows = execute(spec, world, profiles, base_cfg=base_cfg, workers=workers, rescuer_radius=15.0)
+    index = WorldIndex(world, profiles, 15.0)
+    combos = {c.index: c for c in enumerate_combos(spec)}
+    for row in rows:
+        c = combos[row.combo_index]
+        cfg = replace(base_cfg, scenario=Scenario(STORM_CODES[c.storm_level], c.rainfall,
+                                                  c.time_of_day),
+                      weights=Weights(c.w_cdm, c.w_hrf, c.w_crf), threshold=c.threshold,
+                      seed=row.seed)
+        result = run(index, cfg, collect_events=False)
+        assert (row.evacuated, row.ticks, row.truncated) == (
+            result.evacuated, result.ticks_elapsed, result.truncated)
+    assert rows != execute(spec, world, profiles, base_cfg=base_cfg, workers=1)
+    with pytest.raises(InputError, match="rescuer_radius must be > 0"):
+        execute(spec, world, profiles, base_cfg=base_cfg, workers=workers, rescuer_radius=0.0)
