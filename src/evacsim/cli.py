@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rescuers", type=int, default=15, help="number of rescuer agents")
     p.add_argument("--rescuer-radius", type=float, default=50.0,
-                   help="rescuer perception radius, m (sizes the world index)")
+                   help="rescuer perception radius, m")
     p.add_argument("--shelter-radius", type=float, default=50.0,
                    help="shelter manager perception radius, m")
     p.add_argument("--household-speed", type=float, default=1.4, help="walking speed, m/s")
@@ -82,14 +82,10 @@ def _weights_from_arg(text: str) -> risk.Weights:
     return risk.Weights(*values)
 
 
-def _config_from_args(args: argparse.Namespace, scenario: risk.Scenario,
-                      weights: risk.Weights, threshold: float, seed: int) -> engine.RunConfig:
-    return engine.RunConfig(
-        scenario=scenario,
-        weights=weights,
-        threshold=threshold,
-        seed=seed,
+def _params_from_args(args: argparse.Namespace) -> engine.EngineParams:
+    return engine.EngineParams(
         nb_rescuers=args.rescuers,
+        rescuer_radius=args.rescuer_radius,
         shelter_radius=args.shelter_radius,
         household_speed=args.household_speed,
         rescuer_speed=args.rescuer_speed,
@@ -158,8 +154,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     profiles = population.load_population(args.population, world)
     scenario = _scenario_from_args(args)
     weights = _weights_from_arg(args.weights)
-    cfg = _config_from_args(args, scenario, weights, args.threshold, args.seed)
-    index = engine.WorldIndex(world, profiles, args.rescuer_radius)
+    cfg = engine.RunConfig(scenario, weights, args.threshold, args.seed)
+    index = engine.WorldIndex(world, profiles, _params_from_args(args))
     result = engine.run(index, cfg, collect_events=bool(args.out_events))
     if args.out_summary:
         row = sweep_mod.SweepRow(
@@ -192,16 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
     profiles = population.load_population(args.population, world)
     spec = sweep_mod.parse_sweep_spec(_read(args.spec, "sweep spec"))
-    base_cfg = _config_from_args(
-        args,
-        risk.Scenario(risk.STORM_CODES[spec.storm_levels[0]], spec.rainfall_codes[0],
-                      spec.time_of_day_codes[0]),
-        risk.Weights(spec.w_cdm_values[0], spec.w_hrf_values[0], spec.w_crf_values[0]),
-        spec.thresholds[0],
-        seed=0,
-    )
-    rows = sweep_mod.execute(spec, world, profiles, base_cfg=base_cfg, workers=args.workers,
-                             rescuer_radius=args.rescuer_radius)
+    rows = sweep_mod.execute(spec, world, profiles, _params_from_args(args),
+                             workers=args.workers)
     _write(args.out, sweep_mod.rows_to_csv(rows))
     truncated = sum(1 for r in rows if r.truncated)
     print(f"wrote {len(rows)} rows to {args.out} (truncated runs: {truncated})")

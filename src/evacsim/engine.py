@@ -3,20 +3,23 @@
 One run: rescuers roam the road network informing households, informed
 households score their perceived risk and either stay or walk to the
 nearest shelter with room, shelter managers admit or redirect arrivals.
-Every run is a pure function of (index, config): the `WorldIndex` owns the
-world, the profiles and the rescuer radius, and the household and shelter
-counts are those of its world and profiles. All randomness flows from
-config.seed through two named streams, one consumed in a fixed order at
-initialization (epsilon draws, fallback channel and tick, rescuer
-placement) and one by the rescuer random walk during ticks.
+Every run is a pure function of (index, config). The `WorldIndex` owns the
+world, the profiles and the `EngineParams` (rescuers, speeds, radii, tick
+length, tick limit, fallback channel and epsilon range), the fixed model
+parameters of an experiment; the household and shelter counts are those of
+its world and profiles. The `RunConfig` is one grid point of the
+experiment (scenario, weights, threshold) plus the replicate seed. All
+randomness flows from config.seed through two named streams, one consumed
+in a fixed order at initialization (epsilon draws, fallback channel and
+tick, rescuer placement) and one by the rescuer random walk during ticks.
 
 A run has two phases. The inform phase (the draws, the rescuer walk and
-the fallback channel) never reads the scenario, the weights or the
-threshold, and cannot see decisions: only unaware households are
-perceived, and they stay at home. It is computed once into an
-`InformTimeline`, which the world index keeps for the next run with the
-same seed and inform parameters. `step` replays that timeline tick by tick
-and runs decide and move on top of it.
+the fallback channel) reads the index and the seed only, never the
+scenario, the weights or the threshold, and cannot see decisions: only
+unaware households are perceived, and they stay at home. It is computed
+once into an `InformTimeline`, which the world index keeps for the next
+run with the same seed. `step` replays that timeline tick by tick and runs
+decide and move on top of it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .risk import (
 from .seeds import derive_seed
 
 __all__ = [
+    "EngineParams",
     "RunConfig",
     "RunResult",
     "SimulationState",
@@ -88,13 +92,12 @@ STATUS_NAMES = {
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    scenario: Scenario
-    weights: Weights
-    threshold: float
-    seed: int
+class EngineParams:
+    """The fixed model parameters of an experiment, one per engine flag."""
+
     nb_rescuers: int = 15
-    shelter_radius: float = 50.0
+    rescuer_radius: float = 50.0  # m, rescuer perception
+    shelter_radius: float = 50.0  # m, shelter manager perception
     household_speed: float = 1.4  # m/s, walking
     rescuer_speed: float = 3.0  # m/s
     tick_seconds: float = 10.0
@@ -106,9 +109,8 @@ class RunConfig:
     epsilon_max: float = 0.05
 
     def validate(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
-        for name in ("shelter_radius", "household_speed", "rescuer_speed", "tick_seconds"):
+        for name in ("rescuer_radius", "shelter_radius", "household_speed", "rescuer_speed",
+                     "tick_seconds"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be > 0")
         if self.max_ticks < 1:
@@ -121,6 +123,20 @@ class RunConfig:
             raise InputError("fallback_friends_prob outside [0, 1]")
         if not 0.0 <= self.epsilon_min <= self.epsilon_max <= EPSILON_MAX:
             raise InputError(f"epsilon range must satisfy 0 <= min <= max <= {EPSILON_MAX}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One grid point of the experiment and the replicate seed."""
+
+    scenario: Scenario
+    weights: Weights
+    threshold: float
+    seed: int
+
+    def validate(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -144,15 +160,6 @@ class RunResult:
     events: list[Event] | None
 
 
-# The RunConfig fields the inform phase reads; the rescuer radius is the
-# index's own. Runs on one index that agree on these share one InformTimeline.
-INFORM_FIELDS = (
-    "seed", "nb_rescuers", "rescuer_speed", "tick_seconds", "max_ticks",
-    "fallback_tick_min", "fallback_tick_max", "fallback_friends_prob",
-    "epsilon_min", "epsilon_max",
-)
-
-
 @dataclass(frozen=True)
 class InformTimeline:
     """The inform phase of a run: its init-stream draws and, for every tick
@@ -168,25 +175,29 @@ class InformTimeline:
 
 
 class WorldIndex:
-    """The one owner of a run's world, population and rescuer perception
-    radius (m), and the precomputation shared by every run on them.
+    """The one owner of a run's world, population and engine parameters,
+    and the precomputation shared by every run on them.
 
-    Raises InputError on a radius <= 0 and PopulationError on profiles that
-    do not fit the world. Holds the profiles it validated, house positions,
-    snapped road nodes, hazard proximity classes, per-household CDM and CRF
-    scores, per-edge lists of households a roaming rescuer could perceive,
-    one shortest-path tree per shelter for routing and nearest-shelter
-    queries, and the inform timeline of the last run it served.
+    Validates everything once, when built: raises InputError on parameters
+    out of range or on rescuers for a world with no rescuer_start nodes, and
+    PopulationError on profiles that do not fit the world. Holds the
+    parameters and profiles it validated, house positions, snapped road
+    nodes, hazard proximity classes, per-household CDM and CRF scores,
+    per-edge lists of households a roaming rescuer could perceive, one
+    shortest-path tree per shelter for routing and nearest-shelter queries,
+    and the inform timeline of the last seed it served. The parameters are
+    frozen, so that timeline is keyed on the seed alone.
     """
 
     def __init__(self, world: World, profiles: list[HouseholdProfile],
-                 rescuer_radius: float = 50.0):
-        if rescuer_radius <= 0:
-            raise InputError("rescuer_radius must be > 0")
+                 params: EngineParams = EngineParams()):
+        params.validate()
+        if params.nb_rescuers > 0 and not world.rescuer_starts:
+            raise InputError("nb_rescuers > 0 but the world has no rescuer_start nodes")
         validate_profiles(profiles, world)
         self.world = world
         self.profiles = tuple(profiles)
-        self.rescuer_radius = rescuer_radius
+        self.params = params
         self.n = len(profiles)
         self.cdm = [cdm_score(p) for p in profiles]
         self.crf = [crf_score(p) for p in profiles]
@@ -197,6 +208,7 @@ class WorldIndex:
 
         # Edge -> households whose house is within rescuer_radius of the
         # segment (superset of anything perceivable from a point on it).
+        rescuer_radius = params.rescuer_radius
         self.edge_candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         for a, b, _ in world.edges:
             pa, pb = world.nodes[a], world.nodes[b]
@@ -217,16 +229,15 @@ class WorldIndex:
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
         self.internal_ids = sorted(s.id for s in world.shelters if not s.external)
         self.external_ids = sorted(s.id for s in world.shelters if s.external)
-        self._timeline_key: tuple | None = None
+        self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
 
-    def inform_timeline(self, cfg: RunConfig) -> InformTimeline:
-        """The inform phase of a run with cfg: the one memoised from the last
-        call if it read the same INFORM_FIELDS, else a fresh walk."""
-        key = tuple(getattr(cfg, name) for name in INFORM_FIELDS)
-        if key != self._timeline_key:
-            self._timeline = _walk_rescuers(self, cfg)
-            self._timeline_key = key
+    def inform_timeline(self, seed: int) -> InformTimeline:
+        """The inform phase of a run with this seed: the one memoised from
+        the last call if it had the same seed, else a fresh walk."""
+        if seed != self._timeline_seed:
+            self._timeline = _walk_rescuers(self, seed)
+            self._timeline_seed = seed
         return self._timeline
 
     def route_to_shelter(self, node: int, shelter_id: int) -> list[int]:
@@ -295,14 +306,11 @@ class SimulationState:
 
 
 def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> SimulationState:
-    """Build the tick-0 state of a run with cfg on index's world and
-    population. Identical inputs give bit-identical states."""
+    """Build the tick-0 state of a run with cfg on index's world,
+    population and parameters. Identical inputs give bit-identical states."""
     cfg.validate()
     world = index.world
-    if cfg.nb_rescuers > 0 and not world.rescuer_starts:
-        raise InputError("config requests rescuers but the world has no rescuer_start nodes")
-
-    timeline = index.inform_timeline(cfg)
+    timeline = index.inform_timeline(cfg.seed)
     households: list[HouseholdState] = []
     for i in range(index.n):
         hx, hy = index.house_pos[i]
@@ -325,40 +333,41 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     )
 
 
-def _walk_rescuers(index: WorldIndex, cfg: RunConfig) -> InformTimeline:
+def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     """Draw a run's init stream, then walk its rescuers and fire the
     fallback channel until every household is informed or max_ticks is
     reached."""
     world = index.world
     n = index.n
-    rng_init = random.Random(derive_seed(cfg.seed, "init"))
+    p = index.params
+    rng_init = random.Random(derive_seed(seed, "init"))
     epsilon: list[float] = []
     fallback_source: list[WarningSource] = []
     fallback_tick: list[int] = []
     fallback_schedule: dict[int, list[int]] = {}
     for i in range(n):
-        epsilon.append(rng_init.uniform(cfg.epsilon_min, cfg.epsilon_max))
+        epsilon.append(rng_init.uniform(p.epsilon_min, p.epsilon_max))
         fallback_source.append(
             WarningSource.FRIENDS
-            if rng_init.random() < cfg.fallback_friends_prob
+            if rng_init.random() < p.fallback_friends_prob
             else WarningSource.MEDIA
         )
-        tick = rng_init.randint(cfg.fallback_tick_min, cfg.fallback_tick_max)
+        tick = rng_init.randint(p.fallback_tick_min, p.fallback_tick_max)
         fallback_tick.append(tick)
         fallback_schedule.setdefault(tick, []).append(i)
     starts = world.rescuer_starts
-    placed = tuple(starts[rng_init.randrange(len(starts))] for _ in range(cfg.nb_rescuers))
+    placed = tuple(starts[rng_init.randrange(len(starts))] for _ in range(p.nb_rescuers))
     rescuers = [RescuerState(node, world.nodes[node]) for node in placed]
 
-    walk_rng = random.Random(derive_seed(cfg.seed, "walk"))
-    budget = cfg.rescuer_speed * cfg.tick_seconds
-    radius = index.rescuer_radius
+    walk_rng = random.Random(derive_seed(seed, "walk"))
+    budget = p.rescuer_speed * p.tick_seconds
+    radius = p.rescuer_radius
     house_pos = index.house_pos
     unaware = [True] * n
     remaining = n
     informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
     t = 0
-    while remaining and t < cfg.max_ticks:
+    while remaining and t < p.max_ticks:
         t += 1
         newly: list[tuple[int, WarningSource]] = []
         # (1) rescuers roam; (2) they inform unaware households in range
@@ -495,13 +504,14 @@ def _advance_rescuer(world: World, rng: random.Random, r: RescuerState, budget: 
 
 def step(state: SimulationState) -> SimulationState:
     """Advance one tick in place and return the state."""
-    if state.tick >= state.cfg.max_ticks:
+    index = state.index
+    params = index.params
+    if state.tick >= params.max_ticks:
         raise InputError("step called past max_ticks")
     state.tick += 1
     t = state.tick
     cfg = state.cfg
     households = state.households
-    index = state.index
     newly_informed: list[int] = []
 
     # (1)-(3) the informs of this tick, as the rescuer walk recorded them
@@ -536,7 +546,7 @@ def step(state: SimulationState) -> SimulationState:
 
     # (5) evacuating households walk; (6) shelter managers admit or redirect
     if state.moving:
-        move = cfg.household_speed * cfg.tick_seconds
+        move = params.household_speed * params.tick_seconds
         nodes = index.world.nodes
         still_moving: list[HouseholdState] = []
         for h in state.moving:
@@ -590,7 +600,7 @@ def _try_admission(state: SimulationState, h: HouseholdState, t: int) -> None:
     index = state.index
     shelter = index.shelters_by_id[h.target_shelter]
     spos = index.world.nodes[shelter.node]
-    if math.hypot(h.x - spos.x, h.y - spos.y) > state.cfg.shelter_radius:
+    if math.hypot(h.x - spos.x, h.y - spos.y) > index.params.shelter_radius:
         return
     members = index.profiles[h.idx].members
     if _would_fit(state, shelter, members):
@@ -635,7 +645,8 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
     """Step until every household is terminal or max_ticks is reached."""
     state = init_run(index, cfg, collect_events=collect_events)
     n = len(state.households)
-    while state.terminal_count < n and state.tick < cfg.max_ticks:
+    max_ticks = index.params.max_ticks
+    while state.terminal_count < n and state.tick < max_ticks:
         step(state)
     truncated = state.terminal_count < n
     if not truncated:

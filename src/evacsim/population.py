@@ -288,6 +288,7 @@ def parse_population_spec(text: str) -> PopulationSpec:
     members_min = members_max = None
     members_mean = None
     distributions: dict[str, dict[str, float]] = {name: {} for name in CODED_FIELDS}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -297,6 +298,9 @@ def parse_population_spec(text: str) -> PopulationSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise PopulationError(f"population spec line {lineno}: repeated key {key!r}")
+        seen.add(key)
         try:
             if key == "count":
                 count = int(value)

@@ -78,7 +78,6 @@ class PredictorStats:
     std_error: float
     t_statistic: float
     p_value: float
-    aliased: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class RegressionReport:
     df_resid: int
     r_squared: float
     condition_number: float
-    aliased: tuple[str, ...]
     n_obs: int
 
     def by_name(self, name: str) -> PredictorStats:
@@ -97,19 +95,19 @@ class RegressionReport:
         raise KeyError(name)
 
 
-def _find_aliased(x: np.ndarray, names: tuple[str, ...]) -> tuple[list[int], list[str], dict[str, str]]:
+def _find_aliased(x: np.ndarray, names: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
     """Greedy left-to-right Gram-Schmidt: a column is aliased when the part
     orthogonal to the columns kept so far is numerically zero."""
     n, p = x.shape
     kept: list[int] = []
-    aliased: list[int] = []
+    aliased: list[str] = []
     detail: dict[str, str] = {}
     basis = np.empty((n, 0))
     for j in range(p):
         col = x[:, j].astype(float)
         norm = np.linalg.norm(col)
         if norm == 0.0:
-            aliased.append(j)
+            aliased.append(names[j])
             detail[names[j]] = "all-zero column"
             continue
         if basis.shape[1]:
@@ -118,46 +116,45 @@ def _find_aliased(x: np.ndarray, names: tuple[str, ...]) -> tuple[list[int], lis
         else:
             resid = col
         if np.linalg.norm(resid) <= ALIAS_REL_TOL * norm:
-            aliased.append(j)
+            aliased.append(names[j])
             deps = [names[k] for k in kept]
             detail[names[j]] = f"linear combination of {', '.join(deps)}"
         else:
             kept.append(j)
             q = resid / np.linalg.norm(resid)
             basis = np.column_stack([basis, q])
-    return kept, [names[j] for j in aliased], detail
+    return aliased, detail
 
 
-def fit_ols(m: DesignMatrix, drop_aliased: bool = False) -> RegressionReport:
+def fit_ols(m: DesignMatrix) -> RegressionReport:
     """Least squares through QR with t-distribution inference.
 
-    Raises RankDeficiencyError naming the aliased columns unless
-    drop_aliased is set, in which case those columns are reported as
-    aliased (no coefficient) and the rest are fit.
+    Raises RankDeficiencyError naming the aliased columns, if any.
     """
     n, p = m.x.shape
     if n <= p:
         raise InputError(f"need more observations ({n}) than columns ({p}) for inference")
-    kept_idx, aliased_names, alias_detail = _find_aliased(m.x, m.names)
-    if aliased_names and not drop_aliased:
+    aliased, alias_detail = _find_aliased(m.x, m.names)
+    if aliased:
         why = "; ".join(f"{k}: {v}" for k, v in alias_detail.items())
-        raise RankDeficiencyError(aliased_names, why)
+        raise RankDeficiencyError(aliased, why)
 
-    x = m.x[:, kept_idx]
+    # Fit in column-major order: the products below round differently for a
+    # row-major X, and the report must not depend on how the caller laid X out.
+    x = np.asfortranarray(m.x)
     y = m.y.astype(float)
     q, r = np.linalg.qr(x)
     beta = np.linalg.solve(r, q.T @ y)
     fitted = x @ beta
     resid = y - fitted
     rss = float(resid @ resid)
-    df = n - len(kept_idx)
+    df = n - p
     sigma2 = rss / df if df > 0 else 0.0
-    r_inv = np.linalg.solve(r, np.eye(len(kept_idx)))
+    r_inv = np.linalg.solve(r, np.eye(p))
     xtx_inv = r_inv @ r_inv.T
     se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
 
-    has_intercept = any(m.names[j] == "intercept" for j in kept_idx)
-    if has_intercept:
+    if "intercept" in m.names:
         tss = float(np.sum((y - y.mean()) ** 2))
     else:
         tss = float(y @ y)
@@ -167,12 +164,7 @@ def fit_ols(m: DesignMatrix, drop_aliased: bool = False) -> RegressionReport:
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
 
     stats: list[PredictorStats] = []
-    kept_pos = {j: k for k, j in enumerate(kept_idx)}
-    for j, name in enumerate(m.names):
-        if j not in kept_pos:
-            stats.append(PredictorStats(name, math.nan, math.nan, math.nan, math.nan, aliased=True))
-            continue
-        k = kept_pos[j]
+    for k, name in enumerate(m.names):
         b = float(beta[k])
         s = float(se[k])
         if s == 0.0:
@@ -190,7 +182,6 @@ def fit_ols(m: DesignMatrix, drop_aliased: bool = False) -> RegressionReport:
         df_resid=df,
         r_squared=r_squared,
         condition_number=condition,
-        aliased=tuple(aliased_names),
         n_obs=n,
     )
 
@@ -308,8 +299,6 @@ def sensitivity(rows: list[SweepRow], mode: str = "drop-one-weight") -> Regressi
 
 
 def format_p(p: float) -> str:
-    if math.isnan(p):
-        return "NA"
     if p < P_VALUE_FLOOR:
         return "<2e-16"
     return f"{p:.6g}"
@@ -318,16 +307,13 @@ def format_p(p: float) -> str:
 def report_to_text(report: RegressionReport) -> str:
     rows = [("predictor", "coefficient", "std_error", "t_value", "p_value")]
     for p in report.predictors:
-        if p.aliased:
-            rows.append((p.name, "aliased", "-", "-", "-"))
-        else:
-            rows.append((
-                p.name,
-                f"{p.coefficient:.6g}",
-                f"{p.std_error:.6g}",
-                f"{p.t_statistic:.4g}",
-                format_p(p.p_value),
-            ))
+        rows.append((
+            p.name,
+            f"{p.coefficient:.6g}",
+            f"{p.std_error:.6g}",
+            f"{p.t_statistic:.4g}",
+            format_p(p.p_value),
+        ))
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     lines = []
     for i, r in enumerate(rows):
@@ -337,22 +323,19 @@ def report_to_text(report: RegressionReport) -> str:
     lines.append("")
     lines.append(f"observations: {report.n_obs}   residual df: {report.df_resid}   "
                  f"R-squared: {report.r_squared:.6f}   condition: {report.condition_number:.6g}")
-    if report.aliased:
-        lines.append(f"aliased columns: {', '.join(report.aliased)}")
     return "\n".join(lines) + "\n"
 
 
 def report_to_csv(report: RegressionReport) -> str:
     buf = io.StringIO()
+    # The aliased column is always 0: fit_ols refuses a design with aliased
+    # columns. It stays so the documented format does not change.
     buf.write("predictor,coefficient,std_error,t_value,p_value,aliased\n")
     for p in report.predictors:
-        if p.aliased:
-            buf.write(f"{p.name},,,,,1\n")
-        else:
-            buf.write(
-                f"{p.name},{repr(p.coefficient)},{repr(p.std_error)},"
-                f"{repr(p.t_statistic)},{repr(p.p_value)},0\n"
-            )
+        buf.write(
+            f"{p.name},{repr(p.coefficient)},{repr(p.std_error)},"
+            f"{repr(p.t_statistic)},{repr(p.p_value)},0\n"
+        )
     return buf.getvalue()
 
 

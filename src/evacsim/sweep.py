@@ -16,9 +16,9 @@ from __future__ import annotations
 import io
 import itertools
 from concurrent import futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .engine import RunConfig, WorldIndex, run
+from .engine import EngineParams, RunConfig, WorldIndex, run
 from .errors import InputError
 from .geo import World
 from .population import HouseholdProfile
@@ -183,16 +183,6 @@ def replicate_seed(base_seed: int, combo: Combo, replicate: int) -> int:
     return derive_seed(base_seed, combo.scenario_weight_index, replicate)
 
 
-def _combo_config(combo: Combo, base_cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(
-        base_cfg,
-        scenario=Scenario(STORM_CODES[combo.storm_level], combo.rainfall, combo.time_of_day),
-        weights=Weights(combo.w_cdm, combo.w_hrf, combo.w_crf),
-        threshold=combo.threshold,
-        seed=seed,
-    )
-
-
 # A seed group: the valid combos of one scenario_weight_index, which differ
 # only in threshold, and one replicate. All its runs share a seed.
 SeedGroup = tuple[tuple[Combo, ...], int]
@@ -205,13 +195,17 @@ def _seed_groups(valid: list[Combo], replications: int) -> list[SeedGroup]:
     return [(tuple(combos), rep) for combos in by_sw.values() for rep in range(replications)]
 
 
-def _run_group(group: SeedGroup, spec: SweepSpec, base_cfg: RunConfig,
-               index: WorldIndex) -> list[SweepRow]:
+def _run_group(group: SeedGroup, spec: SweepSpec, index: WorldIndex) -> list[SweepRow]:
     combos, rep = group
     rows = []
     for combo in combos:
         seed = replicate_seed(spec.base_seed, combo, rep)
-        cfg = _combo_config(combo, base_cfg, seed)
+        cfg = RunConfig(
+            Scenario(STORM_CODES[combo.storm_level], combo.rainfall, combo.time_of_day),
+            Weights(combo.w_cdm, combo.w_hrf, combo.w_crf),
+            combo.threshold,
+            seed,
+        )
         result = run(index, cfg, collect_events=False)
         rows.append(SweepRow(
             combo_index=combo.index,
@@ -236,10 +230,9 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(spec: SweepSpec, world: World, profiles: list[HouseholdProfile],
-                 base_cfg: RunConfig, rescuer_radius: float) -> None:
+                 params: EngineParams) -> None:
     _WORKER_CTX["spec"] = spec
-    _WORKER_CTX["base_cfg"] = base_cfg
-    _WORKER_CTX["index_args"] = (world, profiles, rescuer_radius)
+    _WORKER_CTX["index_args"] = (world, profiles, params)
 
 
 def _worker_run(group: SeedGroup) -> list[SweepRow]:
@@ -247,44 +240,38 @@ def _worker_run(group: SeedGroup) -> list[SweepRow]:
     # an InputError it raises reaches the caller instead of breaking the pool.
     if "index" not in _WORKER_CTX:
         _WORKER_CTX["index"] = WorldIndex(*_WORKER_CTX["index_args"])
-    return _run_group(group, _WORKER_CTX["spec"], _WORKER_CTX["base_cfg"], _WORKER_CTX["index"])
+    return _run_group(group, _WORKER_CTX["spec"], _WORKER_CTX["index"])
 
 
 def execute(
     spec: SweepSpec,
     world: World,
     profiles: list[HouseholdProfile],
-    base_cfg: RunConfig | None = None,
+    params: EngineParams = EngineParams(),
     workers: int = 1,
-    rescuer_radius: float = 50.0,
 ) -> list[SweepRow]:
     """Run every valid combination x replications on the world index of
-    (world, profiles, rescuer_radius).
+    (world, profiles, params), built once per worker process.
 
-    Runs execute one seed group at a time; rows come back in
-    combo-then-replicate order no matter how many workers executed them. A
-    failed run aborts the sweep (runs themselves never fail, truncation is
-    recorded per row).
+    A run's config is its combination's scenario, weights and threshold and
+    its replicate seed. Runs execute one seed group at a time; rows come
+    back in combo-then-replicate order no matter how many workers executed
+    them. A failed run aborts the sweep (runs themselves never fail,
+    truncation is recorded per row).
     """
     spec.validate()
-    if base_cfg is None:
-        base_cfg = RunConfig(
-            scenario=Scenario(STORM_CODES[spec.storm_levels[0]],
-                              spec.rainfall_codes[0], spec.time_of_day_codes[0]),
-            weights=Weights(spec.w_cdm_values[0], spec.w_hrf_values[0], spec.w_crf_values[0]),
-            threshold=spec.thresholds[0],
-            seed=0,
-        )
+    if workers < 1:
+        raise InputError("workers must be >= 1")
     groups = _seed_groups(filter_valid(enumerate_combos(spec), spec.weight_filter),
                           spec.replications)
-    if workers <= 1:
-        index = WorldIndex(world, profiles, rescuer_radius)
-        batches = [_run_group(g, spec, base_cfg, index) for g in groups]
+    if workers == 1:
+        index = WorldIndex(world, profiles, params)
+        batches = [_run_group(g, spec, index) for g in groups]
     else:
         with futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(spec, world, profiles, base_cfg, rescuer_radius),
+            initargs=(spec, world, profiles, params),
         ) as pool:
             batches = list(pool.map(_worker_run, groups, chunksize=3))
     rows = [row for batch in batches for row in batch]
@@ -345,6 +332,10 @@ def rows_from_csv(text: str) -> list[SweepRow]:
 
 # --- sweep spec file (flat key = value text) ---
 
+_SPEC_KEYS = ("storm_levels", "rainfall_codes", "time_of_day_codes", "thresholds",
+              "w_cdm", "w_hrf", "w_crf", "replications", "base_seed", "weight_filter")
+
+
 def parse_sweep_spec(text: str) -> SweepSpec:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -354,7 +345,12 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         if "=" not in line:
             raise InputError(f"sweep spec line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _SPEC_KEYS:
+            raise InputError(f"sweep spec line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InputError(f"sweep spec line {lineno}: repeated key {key!r}")
+        values[key] = value.strip()
 
     def floats(key: str) -> tuple[float, ...]:
         if key not in values:

@@ -1,13 +1,11 @@
 import argparse
 import hashlib
-import inspect
-from dataclasses import fields
+from dataclasses import asdict
 
 import pytest
 
 from evacsim import cli
 from evacsim.cli import build_parser, emit_demo_assets, main
-from evacsim.engine import RunConfig, WorldIndex
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
 from evacsim.sweep import enumerate_combos, parse_sweep_spec
@@ -187,22 +185,75 @@ def test_simulate_rejects_non_positive_rescuer_radius(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rescuer_radius must be > 0")
 
 
-# Engine flags whose dest differs from the RunConfig field they set.
+# Engine flags whose dest differs from the EngineParams field they set.
 FLAG_FIELD_RENAMES = {"rescuers": "nb_rescuers", "fallback_min": "fallback_tick_min",
                       "fallback_max": "fallback_tick_max"}
 
 
 def test_engine_flags_map_one_to_one_onto_run_inputs():
-    # Every engine flag sets one RunConfig field or the index's radius, and
-    # every such input has one flag: no flag exists only to be checked.
+    # Every engine flag sets its own field of the index's EngineParams, and
+    # every field has one flag: no flag exists only to be checked.
     p = argparse.ArgumentParser()
     cli._add_engine_flags(p)
     dests = [a.dest for a in p._actions if a.dest != "help"]  # noqa: SLF001
-    targets = [FLAG_FIELD_RENAMES.get(d, d) for d in dests]
-    run_inputs = {f.name for f in fields(RunConfig)} - {"scenario", "weights", "threshold", "seed"}
-    assert "rescuer_radius" in inspect.signature(WorldIndex).parameters
-    assert len(set(targets)) == len(targets)
-    assert set(targets) == run_inputs | {"rescuer_radius"}
+    params = cli._params_from_args(argparse.Namespace(**{d: i for i, d in enumerate(dests)}))
+    assert asdict(params) == {FLAG_FIELD_RENAMES.get(d, d): i for i, d in enumerate(dests)}
+
+
+def sweep_spec_file(tmp_path):
+    spec_path = tmp_path / "sweep.cfg"
+    spec_path.write_text(
+        "storm_levels = 1\n"
+        "rainfall_codes = 0.25\n"
+        "time_of_day_codes = 0.5\n"
+        "thresholds = 0.7,0.9\n"
+        "w_cdm = 0.2\n"
+        "w_hrf = 0.2\n"
+        "w_crf = 0.6\n"
+        "replications = 2\n"
+    )
+    return spec_path
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_non_positive_workers(tmp_path, capsys, workers):
+    world_path, pop_path = micro_assets(tmp_path)
+    out = tmp_path / "rows.csv"
+    rc = main(["sweep", "--spec", str(sweep_spec_file(tmp_path)), "--world", str(world_path),
+               "--population", str(pop_path), "--out", str(out), "--workers", workers,
+               *MICRO_FLAGS])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rejects_epsilon_max_over_cap(tmp_path, capsys, workers):
+    world_path, pop_path = micro_assets(tmp_path)
+    rc = main(["sweep", "--spec", str(sweep_spec_file(tmp_path)), "--world", str(world_path),
+               "--population", str(pop_path), "--out", str(tmp_path / "rows.csv"),
+               "--workers", workers, *MICRO_FLAGS, "--epsilon-max", "0.06"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: epsilon range")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rejects_rescuers_on_a_world_without_starts(tmp_path, capsys, workers):
+    world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)], rescuer_starts=[])
+    world_path = tmp_path / "w.world"
+    world_path.write_text(serialize_world(world))
+    pop_path = tmp_path / "pop.csv"
+    pop_path.write_text(serialize_population([
+        HouseholdProfile(id=0, head_gender=1.0, educ_level=1.0, income_level=1.0,
+                         house_ownership=1.0, has_children=1.0, has_elderly=1.0,
+                         with_disability=1.0, years_of_residency=1.0, house_quality=1.0,
+                         floor_levels=1.0, typhoon_experience=1.0, members=4, building_id=0)
+    ]))
+    rc = main(["sweep", "--spec", str(sweep_spec_file(tmp_path)), "--world", str(world_path),
+               "--population", str(pop_path), "--out", str(tmp_path / "rows.csv"),
+               "--workers", workers, *MICRO_FLAGS, "--rescuers", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: nb_rescuers > 0 but the world has no")
 
 
 def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path):

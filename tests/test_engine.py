@@ -4,11 +4,11 @@ import pytest
 
 from evacsim.engine import (
     EVACUATING,
-    INFORM_FIELDS,
     INFORMED,
     SHELTERED,
     STAYING,
     UNAWARE,
+    EngineParams,
     RunConfig,
     WorldIndex,
     event_log_csv,
@@ -33,16 +33,18 @@ def profile(i: int, building: int, members: int = 4, **overrides) -> HouseholdPr
     return HouseholdProfile(**base)
 
 
+def params(**overrides) -> EngineParams:
+    base = dict(nb_rescuers=1, fallback_tick_min=5, fallback_tick_max=20, max_ticks=600)
+    base.update(overrides)
+    return EngineParams(**base)
+
+
 def config(**overrides) -> RunConfig:
     base = dict(
         scenario=Scenario.from_names(2, "orange", "nighttime"),
         weights=Weights(0.2, 0.3, 0.5),
         threshold=0.0,
         seed=11,
-        nb_rescuers=1,
-        fallback_tick_min=5,
-        fallback_tick_max=20,
-        max_ticks=600,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -86,8 +88,9 @@ def test_rescuer_informs_within_radius_only():
         shelter_specs=[(0, 3, 1000, False)],
     )
     profiles = [profile(0, 0), profile(1, 1)]
-    cfg = config(rescuer_speed=0.001, fallback_tick_min=50, fallback_tick_max=60, max_ticks=50)
-    state = init_run(WorldIndex(world, profiles), cfg)
+    index = WorldIndex(world, profiles, params(rescuer_speed=0.001, fallback_tick_min=50,
+                                               fallback_tick_max=60, max_ticks=50))
+    state = init_run(index, config())
     step(state)
     assert state.households[0].status != UNAWARE
     assert state.households[0].source is WarningSource.AUTHORITIES
@@ -106,9 +109,10 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
         rescuer_starts=[5],
     )
     profiles = [profile(0, 0, members=10), profile(1, 1, members=4)]
-    cfg = config(rescuer_speed=0.001, fallback_tick_min=1, fallback_tick_max=1,
-                 household_speed=10.0, max_ticks=200)
-    result = run(WorldIndex(world, profiles), cfg)
+    index = WorldIndex(world, profiles, params(rescuer_speed=0.001, fallback_tick_min=1,
+                                               fallback_tick_max=1, household_speed=10.0,
+                                               max_ticks=200))
+    result = run(index, config())
     assert result.evacuated == 2
     assert result.shelter_occupancy[0] == 10
     assert result.sheltered_by_shelter[0] == 1
@@ -129,13 +133,13 @@ def test_threshold_zero_everyone_evacuates(demo_index):
     assert sum(result.sheltered_by_shelter.values()) == 570
 
 
-def test_threshold_one_with_zero_epsilon_nobody_evacuates(demo_index):
+def test_threshold_one_with_zero_epsilon_nobody_evacuates(demo_world, demo_profiles):
     cfg = RunConfig(
         scenario=Scenario.from_names(3, "red", "nighttime"),
         weights=Weights(0.2, 0.5, 0.3), threshold=1.0, seed=5,
-        epsilon_min=0.0, epsilon_max=0.0,
     )
-    result = run(demo_index, cfg, collect_events=False)
+    index = WorldIndex(demo_world, demo_profiles, EngineParams(epsilon_min=0.0, epsilon_max=0.0))
+    result = run(index, cfg, collect_events=False)
     assert result.evacuated == 0
     assert result.stayed == 570
 
@@ -180,8 +184,8 @@ def test_threshold_monotonicity(demo_index):
 def test_fallback_informs_without_rescuers():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0), (200.0, 20.0)])
     profiles = [profile(i, i) for i in range(3)]
-    cfg = config(nb_rescuers=0, threshold=0.5, max_ticks=300)
-    result = run(WorldIndex(world, profiles), cfg)
+    result = run(WorldIndex(world, profiles, params(nb_rescuers=0, max_ticks=300)),
+                 config(threshold=0.5))
     assert not result.truncated
     informed = [e for e in result.events if e.event == "informed"]
     assert len(informed) == 3
@@ -194,7 +198,8 @@ def test_eventual_information_and_terminal_states(demo_index):
         weights=Weights(0.3, 0.3, 0.4), threshold=0.8, seed=31,
     )
     state = init_run(demo_index, cfg, collect_events=False)
-    while state.terminal_count < len(state.households) and state.tick < cfg.max_ticks:
+    while (state.terminal_count < len(state.households)
+           and state.tick < demo_index.params.max_ticks):
         step(state)
     assert all(h.status in (SHELTERED, STAYING) for h in state.households)
     assert all(h.status != UNAWARE and h.status != INFORMED and h.status != EVACUATING
@@ -204,8 +209,9 @@ def test_eventual_information_and_terminal_states(demo_index):
 def test_truncation_flag_when_out_of_ticks():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
     profiles = [profile(0, 0)]
-    cfg = config(nb_rescuers=0, fallback_tick_min=50, fallback_tick_max=50, max_ticks=3)
-    result = run(WorldIndex(world, profiles), cfg)
+    index = WorldIndex(world, profiles, params(nb_rescuers=0, fallback_tick_min=50,
+                                               fallback_tick_max=50, max_ticks=3))
+    result = run(index, config())
     assert result.truncated
     assert result.ticks_elapsed == 3
     assert result.evacuated == 0
@@ -214,8 +220,9 @@ def test_truncation_flag_when_out_of_ticks():
 def test_step_past_max_ticks_rejected():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
     profiles = [profile(0, 0)]
-    cfg = config(nb_rescuers=0, fallback_tick_min=50, fallback_tick_max=50, max_ticks=2)
-    state = init_run(WorldIndex(world, profiles), cfg)
+    index = WorldIndex(world, profiles, params(nb_rescuers=0, fallback_tick_min=50,
+                                               fallback_tick_max=50, max_ticks=2))
+    state = init_run(index, config())
     step(state)
     step(state)
     with pytest.raises(InputError, match="max_ticks"):
@@ -239,9 +246,8 @@ def test_rescuers_require_start_nodes():
     # line_world defaults rescuer_starts=[0]; force empty
     world.rescuer_starts.clear()
     profiles = [profile(0, 0)]
-    cfg = config(nb_rescuers=2)
     with pytest.raises(InputError, match="rescuer"):
-        init_run(WorldIndex(world, profiles), cfg)
+        WorldIndex(world, profiles, params(nb_rescuers=2))
 
 
 def test_event_log_csv_shape(demo_index):
@@ -271,27 +277,18 @@ def test_timeline_memo_hit_and_rebuild_give_identical_runs(demo_world, demo_prof
     )
     index = WorldIndex(demo_world, demo_profiles)
     first = run(index, cfg)
-    timeline = index.inform_timeline(cfg)
+    timeline = index.inform_timeline(cfg.seed)
     # Configs that differ only in threshold share one timeline, and a run on
     # the shared one equals a run on a fresh index.
     higher = replace(cfg, threshold=0.9)
-    assert index.inform_timeline(higher) is timeline
+    assert index.inform_timeline(higher.seed) is timeline
     shared = run(index, higher)
     assert shared == run(WorldIndex(demo_world, demo_profiles), higher)
     assert shared.evacuated < first.evacuated
     # Another seed evicts the timeline; coming back rebuilds it identically.
     run(index, replace(cfg, seed=24))
-    assert index.inform_timeline(cfg) is not timeline
+    assert index.inform_timeline(cfg.seed) is not timeline
     assert run(index, cfg) == first
-
-
-# RunConfig fields the inform phase never reads.
-NON_INFORM_FIELDS = {"scenario", "weights", "threshold", "shelter_radius", "household_speed"}
-
-
-def test_every_config_field_is_classified_for_the_timeline_key():
-    assert not set(INFORM_FIELDS) & NON_INFORM_FIELDS
-    assert set(INFORM_FIELDS) | NON_INFORM_FIELDS == {f.name for f in fields(RunConfig)}
 
 
 @pytest.mark.parametrize("name,value", [
@@ -300,12 +297,24 @@ def test_every_config_field_is_classified_for_the_timeline_key():
     ("fallback_friends_prob", 0.25), ("epsilon_min", 0.01), ("epsilon_max", 0.04),
 ])
 def test_timeline_rebuilt_when_an_inform_field_changes(name, value):
-    world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0)])
-    cfg = config()
-    index = WorldIndex(world, [profile(0, 0), profile(1, 1)])
-    before = index.inform_timeline(cfg)
-    changed = replace(cfg, **{name: value})
-    after = index.inform_timeline(changed)
-    assert after is not before
-    assert index.inform_timeline(replace(changed, threshold=0.9, household_speed=2.0)) is after
+    # Every input of the inform phase reaches the rescuer walk: the seed
+    # through the index's memo, each engine parameter through the index that
+    # holds it. The houses 400 m off the road only the fallback channel
+    # informs, and its window reaches past max_ticks=400.
+    world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0), (150.0, 400.0),
+                                                     (250.0, 400.0), (50.0, -400.0)])
+    profiles = [profile(i, i) for i in range(5)]
+    base = params(fallback_tick_max=500)
+    index = WorldIndex(world, profiles, base)
+    before = index.inform_timeline(11)
+    if name == "seed":
+        after = index.inform_timeline(value)
+    else:
+        after = WorldIndex(world, profiles, replace(base, **{name: value})).inform_timeline(11)
+    assert after != before
 
+
+def test_run_config_is_the_grid_point_and_seed():
+    # Every engine parameter belongs to the index, which fixes it for every
+    # run it serves; a run adds only what the experiment varies.
+    assert {f.name for f in fields(RunConfig)} == {"scenario", "weights", "threshold", "seed"}

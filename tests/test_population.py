@@ -153,3 +153,12 @@ def test_population_spec_validation():
         parse_population_spec("count = 5\nmembers_min = 1\nmembers_max = 2\nmembers_mean = 1.5\nbogus = 1\n")
     with pytest.raises(PopulationError, match="unknown category"):
         parse_population_spec("count = 5\nhead_gender.alien = 0.5\n")
+
+
+def test_population_spec_rejects_repeated_keys():
+    text = serialize_population_spec(default_population_spec())
+    lines = len(text.splitlines())
+    with pytest.raises(PopulationError, match=f"line {lines + 1}: repeated key 'count'"):
+        parse_population_spec(text + "count = 3\n")
+    with pytest.raises(PopulationError, match=f"line {lines + 1}: repeated key 'head_gender.male'"):
+        parse_population_spec(text + "head_gender.male = 0.5\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim.engine import RunConfig, init_run, step
+from evacsim.engine import EngineParams, RunConfig, init_run, step
 from evacsim.errors import InputError
 from evacsim.geo import ProximityClass, classify_proximity, hazard_distance
 from evacsim.population import HouseholdProfile
@@ -143,7 +143,7 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     s = Scenario.from_names(2, "orange", "nighttime")
     cfg = RunConfig(scenario=s, weights=w, threshold=0.7, seed=11)
     state = init_run(demo_index, cfg)
-    while state.terminal_count < len(demo_profiles) and state.tick < cfg.max_ticks:
+    while state.terminal_count < len(demo_profiles) and state.tick < demo_index.params.max_ticks:
         step(state)
     source = {hid: src for informs in state.timeline.informs.values() for hid, src in informs}
     highest = 8.0 * w.w_cdm + 3.0 * w.w_crf + 5.0 * w.w_hrf
@@ -187,10 +187,8 @@ def test_scenario_rejects_unrepresentable_codes():
         Scenario.from_names(4, "red", "daytime")
     with pytest.raises(InputError):
         Scenario(0.3, 0.25, 0.5)
-    cfg = RunConfig(scenario=Scenario(0.25, 0.25, 0.5), weights=Weights(0.2, 0.5, 0.3),
-                    threshold=0.5, seed=1, epsilon_max=0.06)
     with pytest.raises(InputError, match="epsilon"):
-        cfg.validate()
+        EngineParams(epsilon_max=0.06).validate()
 
 
 def test_monotone_in_each_hazard_code():

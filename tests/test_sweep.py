@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from evacsim import engine
-from evacsim.engine import RunConfig, WorldIndex, run
+from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
 from evacsim.errors import InputError
 from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
@@ -114,22 +114,18 @@ def micro_setup():
         shelter_specs=[(0, 3, 1000, False)],
     )
     profiles = [profile(i, i) for i in range(3)]
-    base_cfg = RunConfig(
-        scenario=Scenario.from_names(1, "yellow", "daytime"),
-        weights=Weights(0.1, 0.1, 0.8), threshold=0.7, seed=0,
-        nb_rescuers=1, fallback_tick_min=5, fallback_tick_max=20, max_ticks=400,
-    )
+    params = EngineParams(nb_rescuers=1, fallback_tick_min=5, fallback_tick_max=20, max_ticks=400)
     spec = SweepSpec(
         storm_levels=(1, 2), rainfall_codes=(0.25, 1.0), time_of_day_codes=(0.5,),
         thresholds=(0.7, 0.9), w_cdm_values=(0.2, 0.4), w_hrf_values=(0.2, 0.4),
         w_crf_values=(0.2, 0.4, 0.6), replications=2, base_seed=77,
     )
-    return world, profiles, base_cfg, spec
+    return world, profiles, params, spec
 
 
 def test_execute_row_shape_and_determinism():
-    world, profiles, base_cfg, spec = micro_setup()
-    rows = execute(spec, world, profiles, base_cfg=base_cfg, workers=1)
+    world, profiles, params, spec = micro_setup()
+    rows = execute(spec, world, profiles, params, workers=1)
     valid = filter_valid(enumerate_combos(spec), FILTER_EXACT_ONE)
     assert len(rows) == len(valid) * spec.replications
     # combo-then-replicate order
@@ -140,26 +136,26 @@ def test_execute_row_shape_and_determinism():
     assert first[0].seed != first[1].seed
     assert (first[0].w_cdm, first[0].w_hrf, first[0].w_crf) == (first[1].w_cdm, first[1].w_hrf, first[1].w_crf)
     # byte-identical on re-execution
-    again = execute(spec, world, profiles, base_cfg=base_cfg, workers=1)
+    again = execute(spec, world, profiles, params, workers=1)
     assert rows_to_csv(rows) == rows_to_csv(again)
 
 
 def test_execute_worker_count_does_not_change_bytes():
-    world, profiles, base_cfg, spec = micro_setup()
-    serial = rows_to_csv(execute(spec, world, profiles, base_cfg=base_cfg, workers=1))
-    parallel = rows_to_csv(execute(spec, world, profiles, base_cfg=base_cfg, workers=2))
+    world, profiles, params, spec = micro_setup()
+    serial = rows_to_csv(execute(spec, world, profiles, params, workers=1))
+    parallel = rows_to_csv(execute(spec, world, profiles, params, workers=2))
     assert serial == parallel
 
 
 def test_rows_csv_round_trip():
-    world, profiles, base_cfg, spec = micro_setup()
-    rows = execute(spec, world, profiles, base_cfg=base_cfg, workers=1)
+    world, profiles, params, spec = micro_setup()
+    rows = execute(spec, world, profiles, params, workers=1)
     assert rows_from_csv(rows_to_csv(rows)) == rows
 
 
 def test_rows_csv_rejects_truncated_other_than_0_or_1():
-    world, profiles, base_cfg, spec = micro_setup()
-    text = rows_to_csv(execute(spec, world, profiles, base_cfg=base_cfg, workers=1))
+    world, profiles, params, spec = micro_setup()
+    text = rows_to_csv(execute(spec, world, profiles, params, workers=1))
     lines = text.splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0] + ",yes"
     with pytest.raises(InputError, match="line 3: truncated must be 0 or 1"):
@@ -193,6 +189,15 @@ def test_sweep_spec_validation():
         parse_sweep_spec("storm_levels = 1\n")
 
 
+def test_sweep_spec_rejects_unknown_and_repeated_keys():
+    text = serialize_sweep_spec(default_sweep_spec())
+    typo = text.replace("replications = 10", "replicaitons = 2")
+    with pytest.raises(InputError, match="line 9: unknown key 'replicaitons'"):
+        parse_sweep_spec(typo)
+    with pytest.raises(InputError, match="line 12: repeated key 'replications'"):
+        parse_sweep_spec(text + "replications = 3\n")
+
+
 def demo_grid_spec() -> SweepSpec:
     # 2 scenarios x 3 thresholds x 4 weight triples summing to one x 2 replicates
     return SweepSpec(
@@ -202,11 +207,14 @@ def demo_grid_spec() -> SweepSpec:
     )
 
 
+def combo_config(c, seed: int) -> RunConfig:
+    return RunConfig(Scenario(STORM_CODES[c.storm_level], c.rainfall, c.time_of_day),
+                     Weights(c.w_cdm, c.w_hrf, c.w_crf), c.threshold, seed)
+
+
 def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles, demo_index):
     spec = demo_grid_spec()
-    base_cfg = RunConfig(scenario=Scenario.from_names(1, "yellow", "daytime"),
-                         weights=Weights(0.2, 0.2, 0.6), threshold=0.7, seed=0)
-    rows = execute(spec, demo_world, demo_profiles, base_cfg=base_cfg, workers=1)
+    rows = execute(spec, demo_world, demo_profiles, workers=1)
     valid = filter_valid(enumerate_combos(spec), FILTER_EXACT_ONE)
     assert len(valid) == 24
     assert [(r.combo_index, r.replicate) for r in rows] == [
@@ -215,11 +223,7 @@ def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles, demo_index
     for c in valid:
         for rep in range(spec.replications):
             seed = replicate_seed(spec.base_seed, c, rep)
-            cfg = replace(base_cfg, scenario=Scenario(STORM_CODES[c.storm_level], c.rainfall,
-                                                      c.time_of_day),
-                          weights=Weights(c.w_cdm, c.w_hrf, c.w_crf), threshold=c.threshold,
-                          seed=seed)
-            fresh = run(demo_index, cfg, collect_events=False)
+            fresh = run(demo_index, combo_config(c, seed), collect_events=False)
             row = by_key[(c.index, rep)]
             assert row.seed == seed
             assert (row.evacuated, row.ticks, row.truncated) == (
@@ -249,19 +253,15 @@ def test_sweep_validates_population_once(demo_world, demo_profiles, monkeypatch)
 def test_execute_runs_on_an_index_of_the_given_radius(workers):
     # Houses sit 20 m off the road: at 15 m no rescuer reaches one, so only
     # the fallback channel informs and the rows change.
-    world, profiles, base_cfg, spec = micro_setup()
-    rows = execute(spec, world, profiles, base_cfg=base_cfg, workers=workers, rescuer_radius=15.0)
-    index = WorldIndex(world, profiles, 15.0)
+    world, profiles, params, spec = micro_setup()
+    near = replace(params, rescuer_radius=15.0)
+    rows = execute(spec, world, profiles, near, workers=workers)
+    index = WorldIndex(world, profiles, near)
     combos = {c.index: c for c in enumerate_combos(spec)}
     for row in rows:
-        c = combos[row.combo_index]
-        cfg = replace(base_cfg, scenario=Scenario(STORM_CODES[c.storm_level], c.rainfall,
-                                                  c.time_of_day),
-                      weights=Weights(c.w_cdm, c.w_hrf, c.w_crf), threshold=c.threshold,
-                      seed=row.seed)
-        result = run(index, cfg, collect_events=False)
+        result = run(index, combo_config(combos[row.combo_index], row.seed), collect_events=False)
         assert (row.evacuated, row.ticks, row.truncated) == (
             result.evacuated, result.ticks_elapsed, result.truncated)
-    assert rows != execute(spec, world, profiles, base_cfg=base_cfg, workers=1)
+    assert rows != execute(spec, world, profiles, params, workers=1)
     with pytest.raises(InputError, match="rescuer_radius must be > 0"):
-        execute(spec, world, profiles, base_cfg=base_cfg, workers=workers, rescuer_radius=0.0)
+        execute(spec, world, profiles, replace(params, rescuer_radius=0.0), workers=workers)
