@@ -31,26 +31,32 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# flag -> (EngineParams field it sets, help). The field's default value
+# gives the flag its type and default.
+_ENGINE_FLAGS = {
+    "--rescuers": ("nb_rescuers", "number of rescuer agents"),
+    "--rescuer-radius": ("rescuer_radius", "rescuer perception radius, m"),
+    "--shelter-radius": ("shelter_radius", "shelter manager perception radius, m"),
+    "--household-speed": ("household_speed", "walking speed, m/s"),
+    "--rescuer-speed": ("rescuer_speed", "rescuer speed, m/s"),
+    "--tick-seconds": ("tick_seconds", "simulated seconds per tick"),
+    "--max-ticks": ("max_ticks", "hard stop for a run"),
+    "--fallback-min": ("fallback_tick_min",
+                       "earliest tick for the non-rescuer information channel"),
+    "--fallback-max": ("fallback_tick_max",
+                       "latest tick for the non-rescuer information channel"),
+    "--fallback-friends-prob": ("fallback_friends_prob",
+                                "probability the fallback warning comes from friends (else media)"),
+    "--epsilon-min": ("epsilon_min", "lower bound of the bounded-rationality draw"),
+    "--epsilon-max": ("epsilon_max", "upper bound of the bounded-rationality draw"),
+}
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rescuers", type=int, default=15, help="number of rescuer agents")
-    p.add_argument("--rescuer-radius", type=float, default=50.0,
-                   help="rescuer perception radius, m")
-    p.add_argument("--shelter-radius", type=float, default=50.0,
-                   help="shelter manager perception radius, m")
-    p.add_argument("--household-speed", type=float, default=1.4, help="walking speed, m/s")
-    p.add_argument("--rescuer-speed", type=float, default=3.0, help="rescuer speed, m/s")
-    p.add_argument("--tick-seconds", type=float, default=10.0, help="simulated seconds per tick")
-    p.add_argument("--max-ticks", type=int, default=5000, help="hard stop for a run")
-    p.add_argument("--fallback-min", type=int, default=1000,
-                   help="earliest tick for the non-rescuer information channel")
-    p.add_argument("--fallback-max", type=int, default=3000,
-                   help="latest tick for the non-rescuer information channel")
-    p.add_argument("--fallback-friends-prob", type=float, default=0.5,
-                   help="probability the fallback warning comes from friends (else media)")
-    p.add_argument("--epsilon-min", type=float, default=0.0,
-                   help="lower bound of the bounded-rationality draw")
-    p.add_argument("--epsilon-max", type=float, default=0.05,
-                   help="upper bound of the bounded-rationality draw")
+    defaults = engine.EngineParams()
+    for flag, (field, help_text) in _ENGINE_FLAGS.items():
+        default = getattr(defaults, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default, help=help_text)
 
 
 def _scenario_from_args(args: argparse.Namespace) -> risk.Scenario:
@@ -83,20 +89,8 @@ def _weights_from_arg(text: str) -> risk.Weights:
 
 
 def _params_from_args(args: argparse.Namespace) -> engine.EngineParams:
-    return engine.EngineParams(
-        nb_rescuers=args.rescuers,
-        rescuer_radius=args.rescuer_radius,
-        shelter_radius=args.shelter_radius,
-        household_speed=args.household_speed,
-        rescuer_speed=args.rescuer_speed,
-        tick_seconds=args.tick_seconds,
-        max_ticks=args.max_ticks,
-        fallback_tick_min=args.fallback_min,
-        fallback_tick_max=args.fallback_max,
-        fallback_friends_prob=args.fallback_friends_prob,
-        epsilon_min=args.epsilon_min,
-        epsilon_max=args.epsilon_max,
-    )
+    return engine.EngineParams(**{field: getattr(args, field)
+                                  for field, _ in _ENGINE_FLAGS.values()})
 
 
 def _read(path: str, what: str) -> str:
@@ -230,7 +224,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def emit_demo_assets(directory: str) -> list[str]:
     """Write the demo world, default population spec, and default sweep spec."""
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {directory}: {exc}") from exc
     world_path = os.path.join(directory, "village.world")
     pop_path = os.path.join(directory, "population.cfg")
     sweep_path = os.path.join(directory, "sweep.cfg")
@@ -262,9 +259,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-population", help="synthesize a coded population CSV",
                        formatter_class=fmt)
     p.add_argument("--world", required=True, help="world file (buildings to assign)")
-    p.add_argument("--spec", default=None, help="population spec file (default: built-in spec)")
-    p.add_argument("--count", type=int, default=570,
-                   help="household count when no spec file is given")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", default=None,
+                        help="population spec file (default: built-in spec)")
+    source.add_argument("--count", type=int, default=population.default_population_spec().count,
+                        help="household count when no spec file is given")
     p.add_argument("--seed", type=int, default=42, help="sampling seed")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_gen_population)

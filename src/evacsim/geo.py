@@ -115,6 +115,12 @@ def parse_world(text: str) -> World:
     def fail(lineno: int, why: str) -> None:
         raise WorldFormatError(f"line {lineno}: {why}")
 
+    def points(lineno: int, kind: str, coords: list[str]) -> list[Point]:
+        values = [float(v) for v in coords]
+        if not all(math.isfinite(v) for v in values):
+            fail(lineno, f"{kind} coordinates must be finite")
+        return [Point(values[i], values[i + 1]) for i in range(0, len(values), 2)]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -128,10 +134,7 @@ def parse_world(text: str) -> World:
                 nid = int(parts[1])
                 if nid in nodes:
                     fail(lineno, f"duplicate node id {nid}")
-                p = Point(float(parts[2]), float(parts[3]))
-                if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                    fail(lineno, "node coordinates must be finite")
-                nodes[nid] = p
+                nodes[nid] = points(lineno, "node", parts[2:])[0]
             elif kind == "edge":
                 if len(parts) not in (3, 4):
                     fail(lineno, "edge expects edge|a|b or edge|a|b|length")
@@ -160,14 +163,12 @@ def parse_world(text: str) -> World:
                 bid = int(parts[1])
                 if bid in buildings:
                     fail(lineno, f"duplicate building id {bid}")
-                buildings[bid] = Point(float(parts[2]), float(parts[3]))
+                buildings[bid] = points(lineno, "building", parts[2:])[0]
             elif kind == "waterway":
                 if len(parts) < 6 or len(parts) % 2 != 0:
                     fail(lineno, "waterway expects waterway|id|x1|y1|x2|y2|... (>= 2 points)")
                 wid = int(parts[1])
-                coords = [float(v) for v in parts[2:]]
-                pts = tuple(Point(coords[i], coords[i + 1]) for i in range(0, len(coords), 2))
-                waterways.append(Waterway(wid, pts))
+                waterways.append(Waterway(wid, tuple(points(lineno, "waterway", parts[2:]))))
             elif kind == "shelter":
                 if len(parts) != 5:
                     fail(lineno, "shelter expects shelter|id|node|capacity|external")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 from .errors import InputError
@@ -27,6 +28,7 @@ __all__ = [
     "serialize_population_spec",
     "default_population_spec",
     "validate_profiles",
+    "read_key_values",
 ]
 
 
@@ -50,13 +52,6 @@ CODED_FIELDS: dict[str, dict[str, float]] = {
     "typhoon_experience": {"yes": 0.5, "no": 1.0},
 }
 
-CSV_HEADER = (
-    "id,head_gender,educ_level,income_level,house_ownership,has_children,"
-    "has_elderly,with_disability,years_of_residency,house_quality,"
-    "floor_levels,typhoon_experience,members,building_id"
-)
-
-
 @dataclass(frozen=True)
 class HouseholdProfile:
     id: int
@@ -76,7 +71,7 @@ class HouseholdProfile:
 
 
 _PROFILE_FIELDS = [f.name for f in fields(HouseholdProfile)]
-assert _PROFILE_FIELDS == CSV_HEADER.split(",")
+CSV_HEADER = ",".join(_PROFILE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -248,7 +243,7 @@ def parse_population(text: str, world: World | None = None) -> list[HouseholdPro
         header = next(reader)
     except StopIteration:
         raise PopulationError("population CSV is empty") from None
-    if header != CSV_HEADER.split(","):
+    if header != _PROFILE_FIELDS:
         raise PopulationError(
             f"population CSV header mismatch: expected {CSV_HEADER!r}"
         )
@@ -281,35 +276,40 @@ def parse_population(text: str, world: World | None = None) -> list[HouseholdPro
     return profiles
 
 
-# --- population spec file (flat key = value text) ---
+# --- spec files (flat key = value text) ---
 
-def parse_population_spec(text: str) -> PopulationSpec:
-    count = None
-    members_min = members_max = None
-    members_mean = None
-    distributions: dict[str, dict[str, float]] = {name: {} for name in CODED_FIELDS}
+def read_key_values(text: str, what: str,
+                    error: type[InputError] = InputError) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) for each `key = value` line of a spec
+    file, skipping blank and `#` lines. A line without `=` or a key seen
+    before raises error, its message prefixed with "<what> line <n>:"."""
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise PopulationError(f"population spec line {lineno}: expected key = value")
+            raise error(f"{what} line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in seen:
-            raise PopulationError(f"population spec line {lineno}: repeated key {key!r}")
+            raise error(f"{what} line {lineno}: repeated key {key!r}")
         seen.add(key)
+        yield lineno, key, value.strip()
+
+
+# Scalar keys of the population spec, in file order, with their parsers. The
+# other keys are `field.category` probabilities.
+_SPEC_SCALARS = {"count": int, "members_min": int, "members_max": int, "members_mean": float}
+
+
+def parse_population_spec(text: str) -> PopulationSpec:
+    scalars: dict[str, int | float] = {}
+    distributions: dict[str, dict[str, float]] = {name: {} for name in CODED_FIELDS}
+    for lineno, key, value in read_key_values(text, "population spec", PopulationError):
         try:
-            if key == "count":
-                count = int(value)
-            elif key == "members_min":
-                members_min = int(value)
-            elif key == "members_max":
-                members_max = int(value)
-            elif key == "members_mean":
-                members_mean = float(value)
+            if key in _SPEC_SCALARS:
+                scalars[key] = _SPEC_SCALARS[key](value)
             elif "." in key:
                 fname, _, cat = key.partition(".")
                 if fname not in CODED_FIELDS:
@@ -323,27 +323,16 @@ def parse_population_spec(text: str) -> PopulationSpec:
                 raise PopulationError(f"population spec line {lineno}: unknown key {key!r}")
         except ValueError:
             raise PopulationError(f"population spec line {lineno}: bad value {value!r}") from None
-    if count is None or members_min is None or members_max is None or members_mean is None:
-        raise PopulationError("population spec must define count, members_min, members_max, members_mean")
-    spec = PopulationSpec(
-        count=count,
-        distributions=distributions,
-        members_min=members_min,
-        members_max=members_max,
-        members_mean=members_mean,
-    )
+    if len(scalars) != len(_SPEC_SCALARS):
+        raise PopulationError(f"population spec must define {', '.join(_SPEC_SCALARS)}")
+    spec = PopulationSpec(distributions=distributions, **scalars)  # type: ignore[arg-type]
     spec.validate()
     return spec
 
 
 def serialize_population_spec(spec: PopulationSpec) -> str:
-    out = [
-        "# evacsim population spec",
-        f"count = {spec.count}",
-        f"members_min = {spec.members_min}",
-        f"members_max = {spec.members_max}",
-        f"members_mean = {repr(spec.members_mean)}",
-    ]
+    out = ["# evacsim population spec"]
+    out += [f"{key} = {getattr(spec, key)}" for key in _SPEC_SCALARS]
     for name in CODED_FIELDS:
         for cat in CODED_FIELDS[name]:
             out.append(f"{name}.{cat} = {repr(spec.distributions[name].get(cat, 0.0))}")

@@ -16,12 +16,12 @@ from __future__ import annotations
 import io
 import itertools
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .engine import EngineParams, RunConfig, WorldIndex, run
 from .errors import InputError
 from .geo import World
-from .population import HouseholdProfile
+from .population import HouseholdProfile, read_key_values
 from .risk import STORM_CODES, Scenario, Weights
 from .seeds import derive_seed
 
@@ -120,9 +120,9 @@ class SweepRow:
 _DEFAULT_WEIGHT_STEPS = tuple(round(i / 10, 1) for i in range(1, 9))
 
 
-def default_sweep_spec(replications: int = 10, base_seed: int = 1,
-                       weight_filter: str = FILTER_EXACT_ONE) -> SweepSpec:
-    return SweepSpec(
+def default_sweep_spec(**overrides) -> SweepSpec:
+    """The paper's grid; keyword arguments replace SweepSpec fields."""
+    return replace(SweepSpec(
         storm_levels=(1, 2),
         rainfall_codes=(0.25, 0.5, 1.0),
         time_of_day_codes=(0.5, 1.0),
@@ -130,10 +130,7 @@ def default_sweep_spec(replications: int = 10, base_seed: int = 1,
         w_cdm_values=_DEFAULT_WEIGHT_STEPS,
         w_hrf_values=_DEFAULT_WEIGHT_STEPS,
         w_crf_values=_DEFAULT_WEIGHT_STEPS,
-        replications=replications,
-        base_seed=base_seed,
-        weight_filter=weight_filter,
-    )
+    ), **overrides)
 
 
 def enumerate_combos(spec: SweepSpec) -> list[Combo]:
@@ -332,77 +329,60 @@ def rows_from_csv(text: str) -> list[SweepRow]:
 
 # --- sweep spec file (flat key = value text) ---
 
-_SPEC_KEYS = ("storm_levels", "rainfall_codes", "time_of_day_codes", "thresholds",
-              "w_cdm", "w_hrf", "w_crf", "replications", "base_seed", "weight_filter")
+def _list_of(kind):
+    return lambda value: tuple(kind(v) for v in value.split(","))
+
+
+# Parser of a key's value and the error it raises on a ValueError.
+_INTS = (_list_of(int), "sweep spec key {key!r}: bad int list")
+_FLOATS = (_list_of(float), "sweep spec key {key!r}: bad float list")
+_INT = (int, "sweep spec: replications and base_seed must be integers")
+
+# key -> (SweepSpec field, parser, error), in file order. A key left out of
+# a file takes its field's default; a key whose field has none is required.
+_SPEC_KEYS = {
+    "storm_levels": ("storm_levels", *_INTS),
+    "rainfall_codes": ("rainfall_codes", *_FLOATS),
+    "time_of_day_codes": ("time_of_day_codes", *_FLOATS),
+    "thresholds": ("thresholds", *_FLOATS),
+    "w_cdm": ("w_cdm_values", *_FLOATS),
+    "w_hrf": ("w_hrf_values", *_FLOATS),
+    "w_crf": ("w_crf_values", *_FLOATS),
+    "replications": ("replications", *_INT),
+    "base_seed": ("base_seed", *_INT),
+    "weight_filter": ("weight_filter", str, ""),
+}
+_OPTIONAL_FIELDS = {f.name for f in fields(SweepSpec) if f.default is not MISSING}
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"sweep spec line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
+    for lineno, key, value in read_key_values(text, "sweep spec"):
         if key not in _SPEC_KEYS:
             raise InputError(f"sweep spec line {lineno}: unknown key {key!r}")
+        values[key] = value
+    kwargs = {}
+    for key, (field, parse, bad_value) in _SPEC_KEYS.items():
         if key in values:
-            raise InputError(f"sweep spec line {lineno}: repeated key {key!r}")
-        values[key] = value.strip()
-
-    def floats(key: str) -> tuple[float, ...]:
-        if key not in values:
+            try:
+                kwargs[field] = parse(values[key])
+            except ValueError:
+                raise InputError(bad_value.format(key=key)) from None
+        elif field not in _OPTIONAL_FIELDS:
             raise InputError(f"sweep spec missing key {key!r}")
-        try:
-            return tuple(float(v) for v in values[key].split(","))
-        except ValueError:
-            raise InputError(f"sweep spec key {key!r}: bad float list") from None
-
-    def ints(key: str) -> tuple[int, ...]:
-        if key not in values:
-            raise InputError(f"sweep spec missing key {key!r}")
-        try:
-            return tuple(int(v) for v in values[key].split(","))
-        except ValueError:
-            raise InputError(f"sweep spec key {key!r}: bad int list") from None
-
-    try:
-        replications = int(values.get("replications", "10"))
-        base_seed = int(values.get("base_seed", "1"))
-    except ValueError:
-        raise InputError("sweep spec: replications and base_seed must be integers") from None
-    spec = SweepSpec(
-        storm_levels=ints("storm_levels"),
-        rainfall_codes=floats("rainfall_codes"),
-        time_of_day_codes=floats("time_of_day_codes"),
-        thresholds=floats("thresholds"),
-        w_cdm_values=floats("w_cdm"),
-        w_hrf_values=floats("w_hrf"),
-        w_crf_values=floats("w_crf"),
-        replications=replications,
-        base_seed=base_seed,
-        weight_filter=values.get("weight_filter", FILTER_EXACT_ONE),
-    )
+    spec = SweepSpec(**kwargs)
     spec.validate()
     return spec
 
 
-def serialize_sweep_spec(spec: SweepSpec) -> str:
-    def join(axis) -> str:
-        return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in axis)
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in value)
+    return str(value)
 
-    return "\n".join([
-        "# evacsim sweep spec",
-        f"storm_levels = {join(spec.storm_levels)}",
-        f"rainfall_codes = {join(spec.rainfall_codes)}",
-        f"time_of_day_codes = {join(spec.time_of_day_codes)}",
-        f"thresholds = {join(spec.thresholds)}",
-        f"w_cdm = {join(spec.w_cdm_values)}",
-        f"w_hrf = {join(spec.w_hrf_values)}",
-        f"w_crf = {join(spec.w_crf_values)}",
-        f"replications = {spec.replications}",
-        f"base_seed = {spec.base_seed}",
-        f"weight_filter = {spec.weight_filter}",
-    ]) + "\n"
+
+def serialize_sweep_spec(spec: SweepSpec) -> str:
+    lines = ["# evacsim sweep spec"]
+    lines += [f"{key} = {_format(getattr(spec, field))}"
+              for key, (field, _, _) in _SPEC_KEYS.items()]
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from evacsim import cli
+from evacsim import cli, engine
 from evacsim.cli import build_parser, emit_demo_assets, main
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
@@ -71,6 +71,22 @@ def test_emit_demo_respects_env_dir(tmp_path, monkeypatch, capsys):
     assert main(["emit-demo"]) == 0
     capsys.readouterr()
     assert (target / "village.world").exists()
+
+
+def test_emit_demo_into_a_path_under_a_file_exits_1(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["emit-demo", "--dir", str(afile / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot create directory")
+
+
+def test_gen_population_rejects_count_with_spec(tmp_path, assets, capsys):
+    out = tmp_path / "pop.csv"
+    rc = main(["gen-population", "--world", str(assets / "village.world"),
+               "--spec", str(assets / "population.cfg"), "--count", "5", "--out", str(out)])
+    assert rc == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_ok(assets, capsys):
@@ -198,6 +214,16 @@ def test_engine_flags_map_one_to_one_onto_run_inputs():
     dests = [a.dest for a in p._actions if a.dest != "help"]  # noqa: SLF001
     params = cli._params_from_args(argparse.Namespace(**{d: i for i, d in enumerate(dests)}))
     assert asdict(params) == {FLAG_FIELD_RENAMES.get(d, d): i for i, d in enumerate(dests)}
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--world", "w", "--population", "p"],
+    ["sweep", "--spec", "s", "--world", "w", "--population", "p", "--out", "o"],
+])
+def test_no_engine_flags_give_default_engine_params(command):
+    params = cli._params_from_args(build_parser().parse_args(command))
+    assert params == engine.EngineParams()
+    assert repr(params) == repr(engine.EngineParams())  # types too: 15, not 15.0
 
 
 def sweep_spec_file(tmp_path):

@@ -63,6 +63,17 @@ def test_parse_errors_carry_line_numbers():
         parse_world("node|0|0|0\nnode|0|1|0")
 
 
+@pytest.mark.parametrize("record, kind", [
+    ("building|1|nan|10.0", "building"),
+    ("waterway|0|0.0|5.0|inf|5.0", "waterway"),
+])
+def test_non_finite_coordinates_rejected_with_line_number(record, kind):
+    # A nan waterway vertex would silently drop its segments from
+    # hazard_distance; a nan building has no distance to anything.
+    with pytest.raises(WorldFormatError, match=f"line 7: {kind} coordinates must be finite"):
+        parse_world(MINIMAL + record + "\n")
+
+
 def test_edge_length_field_checked_against_geometry():
     ok = "node|0|0|0\nnode|1|100|0\nedge|0|1|100.0\n"
     parse_world(ok)

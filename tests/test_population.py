@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evacsim.geo import Point, World
 from evacsim.population import (
@@ -141,6 +142,30 @@ def test_population_spec_round_trip():
     spec = default_population_spec()
     text = serialize_population_spec(spec)
     assert parse_population_spec(text) == spec
+
+
+@st.composite
+def population_specs(draw):
+    distributions = {}
+    for name, cats in CODED_FIELDS.items():
+        weights = [draw(st.integers(0, 100)) for _ in cats]
+        weights[draw(st.integers(0, len(cats) - 1))] += 1
+        distributions[name] = {cat: w / sum(weights) for cat, w in zip(cats, weights)}
+    members_min = draw(st.integers(1, 20))
+    members_max = draw(st.integers(members_min, 30))
+    return PopulationSpec(
+        count=draw(st.integers(0, 10**6)),
+        distributions=distributions,
+        members_min=members_min,
+        members_max=members_max,
+        members_mean=draw(st.floats(members_min, members_max)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(population_specs())
+def test_population_spec_round_trips_every_key(spec):
+    assert parse_population_spec(serialize_population_spec(spec)) == spec
 
 
 def test_population_spec_validation():

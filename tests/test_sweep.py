@@ -2,6 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evacsim import engine
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
@@ -169,6 +170,29 @@ def test_rows_csv_rejects_bad_header():
 
 def test_sweep_spec_round_trip():
     spec = default_sweep_spec()
+    assert parse_sweep_spec(serialize_sweep_spec(spec)) == spec
+
+
+def axis(elements):
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(tuple)
+
+
+codes = axis(st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(
+    SweepSpec,
+    storm_levels=axis(st.sampled_from(sorted(STORM_CODES))),
+    rainfall_codes=codes, time_of_day_codes=codes, thresholds=codes,
+    w_cdm_values=codes, w_hrf_values=codes, w_crf_values=codes,
+    replications=st.integers(1, 10**6),
+    base_seed=st.integers(-2**63, 2**63),
+    weight_filter=st.sampled_from([FILTER_EXACT_ONE, FILTER_AT_LEAST_ONE]),
+))
+def test_sweep_spec_round_trips_every_key(spec):
+    # Non-default replications, base_seed and weight_filter: a serializer
+    # that dropped one of their lines would parse back to the default.
     assert parse_sweep_spec(serialize_sweep_spec(spec)) == spec
 
 
