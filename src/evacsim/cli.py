@@ -152,14 +152,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     index = engine.WorldIndex(world, profiles, _params_from_args(args))
     result = engine.run(index, cfg, collect_events=bool(args.out_events))
     if args.out_summary:
-        row = sweep_mod.SweepRow(
-            combo_index=0, replicate=0, seed=args.seed,
-            storm=scenario.storm_level, rainfall=scenario.rainfall_severity,
-            time_of_day=scenario.time_of_day, threshold=args.threshold,
-            w_cdm=weights.w_cdm, w_hrf=weights.w_hrf, w_crf=weights.w_crf,
-            evacuated=result.evacuated, ticks=result.ticks_elapsed,
-            truncated=result.truncated,
-        )
+        row = sweep_mod.result_row(0, 0, cfg, result)
         _write(args.out_summary, sweep_mod.rows_to_csv([row]))
     if args.out_events:
         _write(args.out_events, engine.event_log_csv(result.events or []))

@@ -39,7 +39,7 @@ from .geo import (
     point_segment_distance,
     shortest_path_tree,
 )
-from .population import HouseholdProfile, validate_profiles
+from .population import HouseholdProfile, csv_header, validate_profiles
 from .risk import (
     EPSILON_MAX,
     Decision,
@@ -125,7 +125,7 @@ class EngineParams:
             raise InputError(f"epsilon range must satisfy 0 <= min <= max <= {EPSILON_MAX}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """One grid point of the experiment and the replicate seed."""
 
@@ -227,8 +227,6 @@ class WorldIndex:
             self.shelter_dist[s.id] = dist
             self.shelter_next[s.id] = parent
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
-        self.internal_ids = sorted(s.id for s in world.shelters if not s.external)
-        self.external_ids = sorted(s.id for s in world.shelters if s.external)
         self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
 
@@ -406,29 +404,22 @@ def _would_fit(state: SimulationState, shelter: Shelter, members: int) -> bool:
 def _pick_shelter(state: SimulationState, node: int, members: int, exclude: set[int]) -> int | None:
     """Nearest internal shelter that would fit, else nearest external.
 
-    Ties break by shelter id; unreachable shelters are skipped.
+    Ties break by shelter id; unreachable shelters are skipped. External
+    shelters are unbounded, so exclude and capacity do not apply to them.
     """
     index = state.index
-    best: tuple[float, int] | None = None
-    for sid in index.internal_ids:
-        if sid in exclude:
+    best: tuple[bool, float, int] | None = None
+    for shelter in index.world.shelters:
+        if not shelter.external and (
+                shelter.id in exclude or not _would_fit(state, shelter, members)):
             continue
-        shelter = index.shelters_by_id[sid]
-        if not _would_fit(state, shelter, members):
-            continue
-        d = index.shelter_dist[sid].get(node)
+        d = index.shelter_dist[shelter.id].get(node)
         if d is None:
             continue
-        if best is None or (d, sid) < best:
-            best = (d, sid)
-    if best is None:
-        for sid in index.external_ids:
-            d = index.shelter_dist[sid].get(node)
-            if d is None:
-                continue
-            if best is None or (d, sid) < best:
-                best = (d, sid)
-    return None if best is None else best[1]
+        key = (shelter.external, d, shelter.id)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[2]
 
 
 def _start_evacuation(state: SimulationState, h: HouseholdState, t: int) -> None:
@@ -672,7 +663,7 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
 
 
 def event_log_csv(events: list[Event]) -> str:
-    lines = ["tick,agent_kind,agent_id,event,detail"]
+    lines = [csv_header(Event)]
     for e in events:
         detail = e.detail.replace(",", ";")
         lines.append(f"{e.tick},{e.agent_kind},{e.agent_id},{e.event},{detail}")

@@ -4,6 +4,10 @@ Every decision-relevant attribute of a household head is stored as its
 numeric code (see docs/formats.md for the code tables). Synthesis samples
 each coded field independently from a configurable categorical
 distribution and assigns households to buildings by a seeded shuffle.
+
+The module also holds the text-format helpers the other files share: the
+CSV codec that derives a record's columns from its dataclass, and the
+`key = value` reader of the spec files.
 """
 
 from __future__ import annotations
@@ -11,8 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Any, get_type_hints
 
 from .errors import InputError
 from .geo import World
@@ -29,6 +35,10 @@ __all__ = [
     "default_population_spec",
     "validate_profiles",
     "read_key_values",
+    "CellError",
+    "csv_header",
+    "records_to_csv",
+    "record_parser",
 ]
 
 
@@ -36,8 +46,91 @@ class PopulationError(InputError):
     pass
 
 
+# --- text formats shared by the CSV and spec files ---
+
+# A dataclass record is one CSV line: its field names, in order, are the
+# header, and each field's type sets how its cell is written and read.
+_CELL_FORMATS = {int: "%d", bool: "%d", float: "%r"}
+_CELL_PARSERS = {int: int, float: float, bool: {"0": False, "1": True}.__getitem__}
+
+
+class CellError(ValueError):
+    """A CSV cell that does not parse as its field's type."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def _columns(record: type) -> list[tuple[str, type]]:
+    hints = get_type_hints(record)
+    return [(f.name, hints[f.name]) for f in fields(record)]
+
+
+def csv_header(record: type) -> str:
+    """The CSV header of a dataclass record: its field names, in order."""
+    return ",".join(f.name for f in fields(record))
+
+
+def records_to_csv(record: type, rows: Sequence) -> str:
+    """The header line, then one line per row: int and bool fields as %d,
+    float fields as the shortest repr that reads back to the same float
+    (an int held in a float field prints as `1.0`)."""
+    columns = _columns(record)
+    template = ",".join(_CELL_FORMATS[kind] for _, kind in columns) + "\n"
+    # One lazy column per field, zipped back into rows, so that the per-cell
+    # work runs in C: a Python loop over each row's cells writes slower.
+    cells = [map(attrgetter(name), rows) for name, _ in columns]
+    cells = [map(float, col) if kind is float else col for col, (_, kind) in zip(cells, columns)]
+    return csv_header(record) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+
+
+def record_parser(record: type) -> Callable[[list[str]], Any]:
+    """A function from one line's cells, one per field, to a record. Int and
+    float cells read as int() and float() do; a bool cell must be exactly 0
+    or 1. A bad cell raises CellError naming the first bad field."""
+    columns = _columns(record)
+    parsers = [_CELL_PARSERS[kind] for _, kind in columns]
+
+    def parse(cells: list[str]):
+        try:
+            return record(*[p(c) for p, c in zip(parsers, cells)])
+        except (ValueError, KeyError):
+            for (name, _), p, cell in zip(columns, parsers, cells):
+                try:
+                    p(cell)
+                except KeyError:
+                    raise CellError(name, f"{name} must be 0 or 1, got {cell!r}") from None
+                except ValueError as exc:
+                    raise CellError(name, str(exc)) from None
+            raise
+
+    return parse
+
+
+def read_key_values(text: str, what: str,
+                    error: type[InputError] = InputError) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) for each `key = value` line of a spec
+    file, skipping blank and `#` lines. A line without `=` or a key seen
+    before raises error, its message prefixed with "<what> line <n>:"."""
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{what} line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in seen:
+            raise error(f"{what} line {lineno}: repeated key {key!r}")
+        seen.add(key)
+        yield lineno, key, value.strip()
+
+
 # field name -> {category name: code}. Order matters: it is the sampling
-# order during synthesis and the CSV column order.
+# order during synthesis, and HouseholdProfile lists the fields, which are
+# the CSV columns, in the same order.
 CODED_FIELDS: dict[str, dict[str, float]] = {
     "head_gender": {"male": 0.5, "female": 1.0},
     "educ_level": {"college": 0.25, "high_school": 0.5, "grade_school": 1.0},
@@ -70,8 +163,12 @@ class HouseholdProfile:
     building_id: int
 
 
-_PROFILE_FIELDS = [f.name for f in fields(HouseholdProfile)]
-CSV_HEADER = ",".join(_PROFILE_FIELDS)
+CSV_HEADER = csv_header(HouseholdProfile)
+_PROFILE_FIELDS = CSV_HEADER.split(",")
+# (column, field, its codes) of each coded field.
+_CODED_COLUMNS = [(col, name, frozenset(CODED_FIELDS[name].values()))
+                  for col, name in enumerate(_PROFILE_FIELDS) if name in CODED_FIELDS]
+_parse_profile = record_parser(HouseholdProfile)
 
 
 @dataclass(frozen=True)
@@ -211,19 +308,8 @@ def validate_profiles(profiles: list[HouseholdProfile], world: World | None = No
             raise PopulationError(f"household {p.id}: unknown building {p.building_id}")
 
 
-def _fmt_code(v: float) -> str:
-    return repr(float(v))
-
-
 def serialize_population(profiles: list[HouseholdProfile]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for p in profiles:
-        cells = [str(p.id)]
-        cells += [_fmt_code(getattr(p, name)) for name in CODED_FIELDS]
-        cells += [str(p.members), str(p.building_id)]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return records_to_csv(HouseholdProfile, profiles)
 
 
 def load_population(path: str, world: World | None = None) -> list[HouseholdProfile]:
@@ -253,49 +339,16 @@ def parse_population(text: str, world: World | None = None) -> list[HouseholdPro
             continue
         if len(cells) != len(_PROFILE_FIELDS):
             raise PopulationError(f"row {rownum}: expected {len(_PROFILE_FIELDS)} cells")
-        row: dict[str, float | int] = {}
         try:
-            row["id"] = int(cells[0])
-        except ValueError:
-            raise PopulationError(f"row {rownum}: id") from None
-        for col, name in enumerate(CODED_FIELDS, start=1):
-            try:
-                value = float(cells[col])
-            except ValueError:
-                raise PopulationError(f"row {rownum}: {name}") from None
-            if value not in CODED_FIELDS[name].values():
+            profile = _parse_profile(cells)
+        except CellError as exc:
+            raise PopulationError(f"row {rownum}: {exc.field}") from None
+        for col, name, codes in _CODED_COLUMNS:
+            if getattr(profile, name) not in codes:
                 raise PopulationError(f"row {rownum}: {name} code {cells[col]} is invalid")
-            row[name] = value
-        try:
-            row["members"] = int(cells[-2])
-            row["building_id"] = int(cells[-1])
-        except ValueError:
-            raise PopulationError(f"row {rownum}: members/building_id") from None
-        profiles.append(HouseholdProfile(**row))  # type: ignore[arg-type]
+        profiles.append(profile)
     validate_profiles(profiles, world)
     return profiles
-
-
-# --- spec files (flat key = value text) ---
-
-def read_key_values(text: str, what: str,
-                    error: type[InputError] = InputError) -> Iterator[tuple[int, str, str]]:
-    """Yield (line number, key, value) for each `key = value` line of a spec
-    file, skipping blank and `#` lines. A line without `=` or a key seen
-    before raises error, its message prefixed with "<what> line <n>:"."""
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise error(f"{what} line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in seen:
-            raise error(f"{what} line {lineno}: repeated key {key!r}")
-        seen.add(key)
-        yield lineno, key, value.strip()
 
 
 # Scalar keys of the population spec, in file order, with their parsers. The

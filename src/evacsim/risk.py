@@ -59,7 +59,7 @@ class Decision(enum.Enum):
     STAY = "stay"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """Exogenous drivers, stored as their numeric codes."""
 
@@ -97,7 +97,7 @@ class Scenario:
         return cls(STORM_CODES[storm_level], RAINFALL_CODES[rainfall], TIME_OF_DAY_CODES[time_of_day])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weights:
     w_cdm: float
     w_hrf: float

@@ -13,15 +13,21 @@ index, which walks the rescuers once for all of them.
 
 from __future__ import annotations
 
-import io
 import itertools
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields, replace
 
-from .engine import EngineParams, RunConfig, WorldIndex, run
+from .engine import EngineParams, RunConfig, RunResult, WorldIndex, run
 from .errors import InputError
 from .geo import World
-from .population import HouseholdProfile, read_key_values
+from .population import (
+    CellError,
+    HouseholdProfile,
+    csv_header,
+    read_key_values,
+    record_parser,
+    records_to_csv,
+)
 from .risk import STORM_CODES, Scenario, Weights
 from .seeds import derive_seed
 
@@ -40,17 +46,13 @@ __all__ = [
     "rows_to_csv",
     "rows_from_csv",
     "replicate_seed",
+    "result_row",
     "RESULTS_HEADER",
 ]
 
 FILTER_EXACT_ONE = "exact_one"
 FILTER_AT_LEAST_ONE = "at_least_one"
 WEIGHT_SUM_TOL = 1e-9
-
-RESULTS_HEADER = (
-    "combo_index,replicate,seed,storm,rainfall,time_of_day,threshold,"
-    "w_cdm,w_hrf,w_crf,evacuated,ticks,truncated"
-)
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,20 @@ class SweepRow:
     truncated: bool
 
 
+RESULTS_HEADER = csv_header(SweepRow)
+_RESULTS_WIDTH = len(fields(SweepRow))
+_parse_row = record_parser(SweepRow)
+
+
+def result_row(combo_index: int, replicate: int, cfg: RunConfig, result: RunResult) -> SweepRow:
+    """The results-file row of one run of cfg."""
+    scenario, weights = cfg.scenario, cfg.weights
+    return SweepRow(combo_index, replicate, cfg.seed, scenario.storm_level,
+                    scenario.rainfall_severity, scenario.time_of_day, cfg.threshold,
+                    weights.w_cdm, weights.w_hrf, weights.w_crf,
+                    result.evacuated, result.ticks_elapsed, result.truncated)
+
+
 _DEFAULT_WEIGHT_STEPS = tuple(round(i / 10, 1) for i in range(1, 9))
 
 
@@ -180,55 +196,43 @@ def replicate_seed(base_seed: int, combo: Combo, replicate: int) -> int:
     return derive_seed(base_seed, combo.scenario_weight_index, replicate)
 
 
-# A seed group: the valid combos of one scenario_weight_index, which differ
-# only in threshold, and one replicate. All its runs share a seed.
-SeedGroup = tuple[tuple[Combo, ...], int]
+# A seed group: the runs of one scenario_weight_index and one replicate, as
+# (replicate, ((combo index, config), ...)). Its runs differ only in
+# threshold and share a seed.
+SeedGroup = tuple[int, tuple[tuple[int, RunConfig], ...]]
 
 
-def _seed_groups(valid: list[Combo], replications: int) -> list[SeedGroup]:
+def _seed_groups(spec: SweepSpec) -> list[SeedGroup]:
+    """Every run's config, validated, grouped by seed."""
     by_sw: dict[int, list[Combo]] = {}
-    for combo in valid:
+    for combo in filter_valid(enumerate_combos(spec), spec.weight_filter):
         by_sw.setdefault(combo.scenario_weight_index, []).append(combo)
-    return [(tuple(combos), rep) for combos in by_sw.values() for rep in range(replications)]
+    groups: list[SeedGroup] = []
+    for combos in by_sw.values():
+        first = combos[0]
+        scenario = Scenario(STORM_CODES[first.storm_level], first.rainfall, first.time_of_day)
+        weights = Weights(first.w_cdm, first.w_hrf, first.w_crf)
+        for rep in range(spec.replications):
+            seed = replicate_seed(spec.base_seed, first, rep)
+            runs = tuple((c.index, RunConfig(scenario, weights, c.threshold, seed))
+                         for c in combos)
+            for _, cfg in runs:
+                cfg.validate()
+            groups.append((rep, runs))
+    return groups
 
 
-def _run_group(group: SeedGroup, spec: SweepSpec, index: WorldIndex) -> list[SweepRow]:
-    combos, rep = group
-    rows = []
-    for combo in combos:
-        seed = replicate_seed(spec.base_seed, combo, rep)
-        cfg = RunConfig(
-            Scenario(STORM_CODES[combo.storm_level], combo.rainfall, combo.time_of_day),
-            Weights(combo.w_cdm, combo.w_hrf, combo.w_crf),
-            combo.threshold,
-            seed,
-        )
-        result = run(index, cfg, collect_events=False)
-        rows.append(SweepRow(
-            combo_index=combo.index,
-            replicate=rep,
-            seed=seed,
-            storm=combo.storm_level,
-            rainfall=combo.rainfall,
-            time_of_day=combo.time_of_day,
-            threshold=combo.threshold,
-            w_cdm=combo.w_cdm,
-            w_hrf=combo.w_hrf,
-            w_crf=combo.w_crf,
-            evacuated=result.evacuated,
-            ticks=result.ticks_elapsed,
-            truncated=result.truncated,
-        ))
-    return rows
+def _run_group(group: SeedGroup, index: WorldIndex) -> list[SweepRow]:
+    rep, runs = group
+    return [result_row(combo_index, rep, cfg, run(index, cfg, collect_events=False))
+            for combo_index, cfg in runs]
 
 
 # Worker-process globals, set once per worker by _worker_init.
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(spec: SweepSpec, world: World, profiles: list[HouseholdProfile],
-                 params: EngineParams) -> None:
-    _WORKER_CTX["spec"] = spec
+def _worker_init(world: World, profiles: list[HouseholdProfile], params: EngineParams) -> None:
     _WORKER_CTX["index_args"] = (world, profiles, params)
 
 
@@ -237,7 +241,7 @@ def _worker_run(group: SeedGroup) -> list[SweepRow]:
     # an InputError it raises reaches the caller instead of breaking the pool.
     if "index" not in _WORKER_CTX:
         _WORKER_CTX["index"] = WorldIndex(*_WORKER_CTX["index_args"])
-    return _run_group(group, _WORKER_CTX["spec"], _WORKER_CTX["index"])
+    return _run_group(group, _WORKER_CTX["index"])
 
 
 def execute(
@@ -251,24 +255,25 @@ def execute(
     (world, profiles, params), built once per worker process.
 
     A run's config is its combination's scenario, weights and threshold and
-    its replicate seed. Runs execute one seed group at a time; rows come
-    back in combo-then-replicate order no matter how many workers executed
-    them. A failed run aborts the sweep (runs themselves never fail,
-    truncation is recorded per row).
+    its replicate seed. Every config is built and validated before the
+    first run, so a spec value a run would reject fails the sweep before
+    any work. Runs execute one seed group at a time; rows come back in
+    combo-then-replicate order no matter how many workers executed them. A
+    failed run aborts the sweep (runs themselves never fail, truncation is
+    recorded per row).
     """
     spec.validate()
     if workers < 1:
         raise InputError("workers must be >= 1")
-    groups = _seed_groups(filter_valid(enumerate_combos(spec), spec.weight_filter),
-                          spec.replications)
+    groups = _seed_groups(spec)
     if workers == 1:
         index = WorldIndex(world, profiles, params)
-        batches = [_run_group(g, spec, index) for g in groups]
+        batches = [_run_group(g, index) for g in groups]
     else:
         with futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(spec, world, profiles, params),
+            initargs=(world, profiles, params),
         ) as pool:
             batches = list(pool.map(_worker_run, groups, chunksize=3))
     rows = [row for batch in batches for row in batch]
@@ -276,20 +281,8 @@ def execute(
     return rows
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    buf.write(RESULTS_HEADER + "\n")
-    for r in rows:
-        buf.write(
-            f"{r.combo_index},{r.replicate},{r.seed},{r.storm},{_fmt(r.rainfall)},"
-            f"{_fmt(r.time_of_day)},{_fmt(r.threshold)},{_fmt(r.w_cdm)},{_fmt(r.w_hrf)},"
-            f"{_fmt(r.w_crf)},{r.evacuated},{r.ticks},{1 if r.truncated else 0}\n"
-        )
-    return buf.getvalue()
+    return records_to_csv(SweepRow, rows)
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:
@@ -301,28 +294,11 @@ def rows_from_csv(text: str) -> list[SweepRow]:
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != 13:
-            raise InputError(f"results CSV line {lineno}: expected 13 cells")
-        if cells[12] not in ("0", "1"):
-            raise InputError(f"results CSV line {lineno}: truncated must be 0 or 1, "
-                             f"got {cells[12]!r}")
+        if len(cells) != _RESULTS_WIDTH:
+            raise InputError(f"results CSV line {lineno}: expected {_RESULTS_WIDTH} cells")
         try:
-            rows.append(SweepRow(
-                combo_index=int(cells[0]),
-                replicate=int(cells[1]),
-                seed=int(cells[2]),
-                storm=int(cells[3]),
-                rainfall=float(cells[4]),
-                time_of_day=float(cells[5]),
-                threshold=float(cells[6]),
-                w_cdm=float(cells[7]),
-                w_hrf=float(cells[8]),
-                w_crf=float(cells[9]),
-                evacuated=int(cells[10]),
-                ticks=int(cells[11]),
-                truncated=cells[12] == "1",
-            ))
-        except ValueError as exc:
+            rows.append(_parse_row(cells))
+        except CellError as exc:
             raise InputError(f"results CSV line {lineno}: {exc}") from None
     return rows
 

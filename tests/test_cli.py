@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from evacsim import cli, engine
+from evacsim import cli, engine, sweep
 from evacsim.cli import build_parser, emit_demo_assets, main
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
@@ -261,6 +261,26 @@ def test_sweep_rejects_epsilon_max_over_cap(tmp_path, capsys, workers):
                "--workers", workers, *MICRO_FLAGS, "--epsilon-max", "0.06"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: epsilon range")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rejects_a_bad_spec_value_before_any_run(tmp_path, capsys, monkeypatch, workers):
+    world_path, pop_path = micro_assets(tmp_path)
+    spec_path = sweep_spec_file(tmp_path)
+    spec_path.write_text(spec_path.read_text().replace("rainfall_codes = 0.25",
+                                                       "rainfall_codes = 0.25,0.3"))
+    started = []
+    real_run, real_pool = sweep.run, sweep.futures.ProcessPoolExecutor
+    monkeypatch.setattr(sweep, "run", lambda *a, **kw: started.append("run") or real_run(*a, **kw))
+    monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor",
+                        lambda *a, **kw: started.append("pool") or real_pool(*a, **kw))
+    rc = main(["sweep", "--spec", str(spec_path), "--world", str(world_path),
+               "--population", str(pop_path), "--out", str(tmp_path / "rows.csv"),
+               "--workers", workers, *MICRO_FLAGS])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: rainfall code 0.3 invalid")
+    assert started == []
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

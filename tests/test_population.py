@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -105,6 +106,24 @@ def test_csv_line_count(demo_profiles):
         "has_elderly,with_disability,years_of_residency,house_quality,"
         "floor_levels,typhoon_experience,members,building_id"
     ]
+
+
+def test_csv_bytes_are_pinned(demo_profiles):
+    # Recorded from the hand-written writer this one replaced.
+    text = serialize_population(demo_profiles)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "75dc96c93a379b8e9d2d073017ecd6a9f241c8042e391683a5f7540ef1cf7f79")
+
+
+@pytest.mark.parametrize("col, field", [(0, "id"), (5, "has_children"), (12, "members"),
+                                        (13, "building_id")])
+def test_unparseable_cell_names_row_and_field(demo_profiles, col, field):
+    lines = serialize_population(demo_profiles[:3]).splitlines()
+    cells = lines[2].split(",")
+    cells[col] = "many"
+    lines[2] = ",".join(cells)
+    with pytest.raises(PopulationError, match=f"row 3: {field}$"):
+        parse_population("\n".join(lines))
 
 
 def test_bad_code_names_row_and_column(demo_profiles):

@@ -110,6 +110,17 @@ def test_rank_deficiency_names_the_aliased_column():
     assert exc.value.aliased == ["mirror"]
 
 
+def test_rank_deficiency_names_an_all_zero_column_apart():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=60)
+    x = np.column_stack([np.ones(60), a, np.zeros(60), 2.0 - a])
+    y = a * 3 + rng.normal(size=60)
+    with pytest.raises(RankDeficiencyError, match=r"\(zero: all-zero column; "
+                       r"mirror: linear combination of intercept, a\)") as exc:
+        fit_ols(DesignMatrix(("intercept", "a", "zero", "mirror"), x, y))
+    assert exc.value.aliased == ["zero", "mirror"]
+
+
 # --- t_sf / incomplete beta ---
 
 def test_t_sf_symmetry_point():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
     FILTER_AT_LEAST_ONE,
     FILTER_EXACT_ONE,
+    SweepRow,
     SweepSpec,
     default_sweep_spec,
     enumerate_combos,
@@ -160,6 +162,37 @@ def test_rows_csv_rejects_truncated_other_than_0_or_1():
     lines = text.splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0] + ",yes"
     with pytest.raises(InputError, match="line 3: truncated must be 0 or 1"):
+        rows_from_csv("\n".join(lines) + "\n")
+
+
+def test_rows_csv_bytes_are_pinned():
+    # Recorded from the hand-written writer this one replaced. The last row
+    # holds ints in its float fields: they still print as floats.
+    world, profiles, params, spec = micro_setup()
+    rows = execute(spec, world, profiles, params, workers=1)
+    rows.append(SweepRow(1, 2, 3, 1, 1, 1, 0, 1, 0, 0, 4, 5, True))
+    text = rows_to_csv(rows)
+    assert text.splitlines()[-1] == "1,2,3,1,1.0,1.0,0.0,1.0,0.0,0.0,4,5,1"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5d943ba6964a7ab71b63ef348b6b649b8ff1af4d2722a89812748cdbba1ba76e")
+
+
+@pytest.mark.parametrize("col, cell, error", [
+    (0, "x", "line 3: invalid literal for int"),
+    (4, "wet", "line 3: could not convert string to float: 'wet'"),
+    (12, "", "line 3: truncated must be 0 or 1, got ''"),
+])
+def test_rows_csv_rejects_a_bad_cell(col, cell, error):
+    text = rows_to_csv([SweepRow(0, r, 9, 1, 0.25, 0.5, 0.7, 0.2, 0.2, 0.6, 3, 50, False)
+                        for r in range(2)])
+    lines = text.splitlines()
+    cells = lines[2].split(",")
+    cells[col] = cell
+    lines[2] = ",".join(cells)
+    with pytest.raises(InputError, match=error):
+        rows_from_csv("\n".join(lines) + "\n")
+    lines[2] = ",".join(cells[:-1])
+    with pytest.raises(InputError, match="line 3: expected 13 cells"):
         rows_from_csv("\n".join(lines) + "\n")
 
 
