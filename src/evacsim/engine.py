@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
 from .geo import (
-    Point,
     Shelter,
     World,
     classify_proximity,
     hazard_distance,
-    nearest_road_node,
-    point_segment_distance,
+    nearest_road_nodes,
+    points_near_edges,
     shortest_path_tree,
 )
 from .population import HouseholdProfile, csv_header, validate_profiles
@@ -182,11 +181,19 @@ class WorldIndex:
     out of range or on rescuers for a world with no rescuer_start nodes, and
     PopulationError on profiles that do not fit the world. Holds the
     parameters and profiles it validated, house positions, snapped road
-    nodes, hazard proximity classes, per-household CDM and CRF scores,
-    per-edge lists of households a roaming rescuer could perceive, one
+    nodes, hazard proximity classes, per-household CDM and CRF scores, one
     shortest-path tree per shelter for routing and nearest-shelter queries,
     and the inform timeline of the last seed it served. The parameters are
     frozen, so that timeline is keyed on the seed alone.
+
+    For the rescuer walk it holds the households a rescuer could perceive,
+    in ascending id per edge (`edge_candidates`, every house within
+    rescuer_radius of the segment) and per node (`node_candidates`, the
+    union of the incident edges' lists in adjacency order, first occurrence
+    kept), and the walk table `moves`: for a rescuer standing on a node,
+    keyed (node, node it came from, or -1 at its start), one (next node,
+    edge length, edge candidates) per choice, in adjacency order without
+    the way back unless that is the only way.
     """
 
     def __init__(self, world: World, profiles: list[HouseholdProfile],
@@ -203,19 +210,25 @@ class WorldIndex:
         self.crf = [crf_score(p) for p in profiles]
         houses = [world.buildings[p.building_id] for p in profiles]
         self.house_pos = [(pos.x, pos.y) for pos in houses]
-        self.house_node = [nearest_road_node(world, pos) for pos in houses]
+        self.house_node = nearest_road_nodes(world, houses)
         self.proximity = [classify_proximity(hazard_distance(world, pos)) for pos in houses]
 
-        # Edge -> households whose house is within rescuer_radius of the
-        # segment (superset of anything perceivable from a point on it).
-        rescuer_radius = params.rescuer_radius
-        self.edge_candidates: dict[tuple[int, int], tuple[int, ...]] = {}
-        for a, b, _ in world.edges:
-            pa, pb = world.nodes[a], world.nodes[b]
-            self.edge_candidates[(min(a, b), max(a, b))] = tuple(
-                idx for idx, pos in enumerate(houses)
-                if point_segment_distance(pos, pa, pb) <= rescuer_radius
-            )
+        # A superset of anything perceivable from a point on the edge.
+        self.edge_candidates = points_near_edges(world, houses, params.rescuer_radius)
+        self.node_candidates: dict[int, tuple[int, ...]] = {}
+        self.moves: dict[tuple[int, int], tuple[tuple[int, float, tuple[int, ...]], ...]] = {}
+        for node, nbrs in world.adjacency.items():
+            # neighbour -> (length of its first adjacency entry, candidates)
+            edge: dict[int, tuple[float, tuple[int, ...]]] = {}
+            for nb, length in nbrs:
+                key = (node, nb) if node < nb else (nb, node)
+                edge.setdefault(nb, (length, self.edge_candidates[key]))
+            self.node_candidates[node] = tuple(dict.fromkeys(
+                hid for _, cands in edge.values() for hid in cands))
+            for prev in (-1, *edge):
+                back = len(nbrs) > 1 and prev >= 0
+                self.moves[(node, prev)] = tuple(
+                    (nb, *edge[nb]) for nb, _ in nbrs if not (back and nb == prev))
 
         # One shortest-path tree per shelter: dist and next-hop-toward-shelter
         # for every road node. Undirected graph, so dist(node, shelter) is
@@ -269,20 +282,6 @@ class HouseholdState:
         self.y = y
         self.tried_shelters: set[int] = set()
         self.stranded = False
-
-
-class RescuerState:
-    __slots__ = ("node", "prev", "edge_a", "edge_b", "edge_len", "progress", "x", "y")
-
-    def __init__(self, node: int, pos: Point):
-        self.node = node  # node the rescuer last departed from (or stands on)
-        self.prev = -1
-        self.edge_a = -1  # current edge endpoints; -1 while standing on a node
-        self.edge_b = -1
-        self.edge_len = 0.0
-        self.progress = 0.0
-        self.x = pos.x
-        self.y = pos.y
 
 
 @dataclass
@@ -355,12 +354,25 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
         fallback_schedule.setdefault(tick, []).append(i)
     starts = world.rescuer_starts
     placed = tuple(starts[rng_init.randrange(len(starts))] for _ in range(p.nb_rescuers))
-    rescuers = [RescuerState(node, world.nodes[node]) for node in placed]
 
     walk_rng = random.Random(derive_seed(seed, "walk"))
+    randrange = walk_rng.randrange
     budget = p.rescuer_speed * p.tick_seconds
     radius = p.rescuer_radius
     house_pos = index.house_pos
+    nodes = world.nodes
+    moves = index.moves
+    node_candidates = index.node_candidates
+    # The rescuers as parallel lists: the node each last left or stands on,
+    # the node before it, and the edge it walks (its far node, None while
+    # standing on a node, its length, the progress along it and its
+    # candidates).
+    at = list(placed)
+    came_from = [-1] * len(placed)
+    to: list[int | None] = [None] * len(placed)
+    edge_len = [0.0] * len(placed)
+    progress = [0.0] * len(placed)
+    edge_cands: list[tuple[int, ...]] = [()] * len(placed)
     unaware = [True] * n
     remaining = n
     informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
@@ -369,14 +381,35 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
         t += 1
         newly: list[tuple[int, WarningSource]] = []
         # (1) rescuers roam; (2) they inform unaware households in range
-        for r in rescuers:
-            _advance_rescuer(world, walk_rng, r, budget)
-            if r.edge_a >= 0:
-                key = (r.edge_a, r.edge_b) if r.edge_a < r.edge_b else (r.edge_b, r.edge_a)
-                candidates = index.edge_candidates.get(key, ())
+        for r in range(len(at)):
+            node, nxt, length, done = at[r], to[r], edge_len[r], progress[r]
+            left = budget
+            while left > 0.0:
+                if nxt is None:  # standing on a node: pick an edge
+                    options = moves[(node, came_from[r])]
+                    if not options:
+                        break  # isolated node: nowhere to go
+                    nxt, length, edge_cands[r] = (
+                        options[randrange(len(options))] if len(options) > 1 else options[0])
+                    done = 0.0
+                if left < length - done:
+                    done += left
+                    left = 0.0
+                else:
+                    left -= length - done
+                    came_from[r] = node
+                    node, nxt, done = nxt, None, 0.0
+            at[r], to[r], edge_len[r], progress[r] = node, nxt, length, done
+            pa = nodes[node]
+            if nxt is None:
+                rx, ry = pa.x, pa.y
+                candidates = node_candidates[node]
             else:
-                candidates = _node_candidates(index, world, r.node)
-            rx, ry = r.x, r.y
+                pb = nodes[nxt]
+                f = done / length if length > 0 else 0.0
+                rx = pa.x + (pb.x - pa.x) * f
+                ry = pa.y + (pb.y - pa.y) * f
+                candidates = edge_cands[r]
             for hid in candidates:
                 if unaware[hid]:
                     hx, hy = house_pos[hid]
@@ -452,45 +485,6 @@ def _inform(state: SimulationState, h: HouseholdState, source: WarningSource, t:
     newly.append(h.idx)
     if state.events is not None:
         state.events.append(Event(t, "household", h.idx, "informed", source.name.lower()))
-
-
-def _advance_rescuer(world: World, rng: random.Random, r: RescuerState, budget: float) -> None:
-    adjacency = world.adjacency
-    nodes = world.nodes
-    while budget > 0.0:
-        if r.edge_a < 0:  # standing on node r.node: pick an edge
-            nbrs = adjacency[r.node]
-            if not nbrs:
-                return  # isolated node: nowhere to go
-            if len(nbrs) > 1 and r.prev >= 0:
-                choices = [nb for nb, _ in nbrs if nb != r.prev]
-            else:
-                choices = [nb for nb, _ in nbrs]
-            nxt = choices[rng.randrange(len(choices))] if len(choices) > 1 else choices[0]
-            r.edge_a = r.node
-            r.edge_b = nxt
-            r.edge_len = next(length for nb, length in nbrs if nb == nxt)
-            r.progress = 0.0
-        remaining = r.edge_len - r.progress
-        if budget < remaining:
-            r.progress += budget
-            budget = 0.0
-        else:
-            budget -= remaining
-            r.prev = r.edge_a
-            r.node = r.edge_b
-            r.edge_a = -1
-            r.edge_b = -1
-            r.progress = 0.0
-    if r.edge_a >= 0:
-        pa = nodes[r.edge_a]
-        pb = nodes[r.edge_b]
-        f = r.progress / r.edge_len if r.edge_len > 0 else 0.0
-        r.x = pa.x + (pb.x - pa.x) * f
-        r.y = pa.y + (pb.y - pa.y) * f
-    else:
-        p = nodes[r.node]
-        r.x, r.y = p.x, p.y
 
 
 def step(state: SimulationState) -> SimulationState:
@@ -569,20 +563,6 @@ def step(state: SimulationState) -> SimulationState:
 
     state.time_series.append(state.evacuate_decisions)
     return state
-
-
-def _node_candidates(index: WorldIndex, world: World, node: int) -> tuple[int, ...]:
-    # A rescuer exactly on a node perceives along every incident edge. Rare
-    # (only before its first move), so unioning on the fly is fine.
-    seen: list[int] = []
-    got: set[int] = set()
-    for nbr, _ in world.adjacency[node]:
-        key = (node, nbr) if node < nbr else (nbr, node)
-        for hid in index.edge_candidates.get(key, ()):
-            if hid not in got:
-                got.add(hid)
-                seen.append(hid)
-    return tuple(seen)
 
 
 def _try_admission(state: SimulationState, h: HouseholdState, t: int) -> None:

@@ -7,6 +7,7 @@ are planar meters.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import math
@@ -26,7 +27,8 @@ __all__ = [
     "parse_world",
     "validate_world",
     "serialize_world",
-    "nearest_road_node",
+    "nearest_road_nodes",
+    "points_near_edges",
     "shortest_path_tree",
     "hazard_distance",
     "classify_proximity",
@@ -293,22 +295,74 @@ def serialize_world(world: World) -> str:
     return "\n".join(out) + "\n"
 
 
-def nearest_road_node(world: World, p: Point) -> int:
-    """Node minimizing Euclidean distance to p; ties break to the lowest id.
+def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
+    """For each point, the node minimizing Euclidean distance to it; ties
+    break to the lowest id.
 
-    Compares squared distances, so no square root is taken per node.
+    Compares squared distances, so no square root is taken per node. The
+    nodes are sorted by x once, and each point sweeps outward from its own
+    x on both sides. A side stops at the first node whose squared x offset
+    alone exceeds the best distance so far: rounding is monotone, so in
+    floating point dx**2 <= dx**2 + dy**2, and neither that node nor any
+    farther one can be nearer or tie. Equal offsets are still visited, so
+    ties resolve as in a scan of every node.
     """
     if not world.nodes:
         raise WorldValidationError("world has no road nodes")
-    px, py = p.x, p.y
-    best_id = -1
-    best_d = math.inf
-    for nid, q in world.nodes.items():
-        d = (q.x - px) ** 2 + (q.y - py) ** 2
-        if d < best_d or (d == best_d and nid < best_id):
-            best_d = d
-            best_id = nid
-    return best_id
+    ranked = sorted(world.nodes.items(), key=lambda item: (item[1].x, item[0]))
+    xs = [q.x for _, q in ranked]
+    out: list[int] = []
+    for p in points:
+        px, py = p.x, p.y
+        best_id = -1
+        best_d = math.inf
+        start = bisect.bisect_left(xs, px)
+        for side in (range(start, len(ranked)), range(start - 1, -1, -1)):
+            for k in side:
+                nid, q = ranked[k]
+                dx2 = (q.x - px) ** 2
+                if dx2 > best_d:
+                    break
+                d = dx2 + (q.y - py) ** 2
+                if d < best_d or (d == best_d and nid < best_id):
+                    best_d = d
+                    best_id = nid
+        out.append(best_id)
+    return out
+
+
+# Padding of the prefilter box beyond the radius. point_segment_distance
+# rounds its projection by about 1e-13 m at village coordinates, far below
+# this, so every pair the kernel accepts lies inside the padded box.
+_BOX_SLACK = 1e-6
+
+
+def points_near_edges(world: World, points: list[Point],
+                      radius: float) -> dict[tuple[int, int], tuple[int, ...]]:
+    """For every road edge, keyed (lower id, higher id) in world.edges
+    order, the ascending indices of the points whose point_segment_distance
+    to the edge is <= radius.
+
+    The points are sorted by x once. Each edge bisects out the points in
+    the x range of its bounding box padded by radius, keeps those in the
+    padded y range, and passes only them to the kernel. The kernel makes
+    every decision, so the result equals a test of every pair.
+    """
+    order = sorted(range(len(points)), key=lambda i: points[i].x)
+    xs = [points[i].x for i in order]
+    pad = radius + _BOX_SLACK
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
+    for a, b, _ in world.edges:
+        pa, pb = world.nodes[a], world.nodes[b]
+        lo = bisect.bisect_left(xs, min(pa.x, pb.x) - pad)
+        hi = bisect.bisect_right(xs, max(pa.x, pb.x) + pad)
+        y0 = min(pa.y, pb.y) - pad
+        y1 = max(pa.y, pb.y) + pad
+        near = [i for i in order[lo:hi]
+                if y0 <= points[i].y <= y1 and point_segment_distance(points[i], pa, pb) <= radius]
+        near.sort()
+        out[(min(a, b), max(a, b))] = tuple(near)
+    return out
 
 
 def shortest_path_tree(world: World, root: int) -> tuple[dict[int, float], dict[int, int]]:

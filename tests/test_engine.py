@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 
 import pytest
@@ -79,6 +80,45 @@ def test_init_run_matches_configured_counts(demo_index):
     assert state.timeline.placed == state2.timeline.placed
 
 
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_demo_index_is_pinned(demo_index):
+    # Recorded from the all-pairs index build; dict key order included.
+    assert _sha256(demo_index.house_node) == (
+        "b21b0fb3d26d9d2a696fd52744c481621fdc507a66ac810b55c380d50ccddef1")
+    assert _sha256([p.name for p in demo_index.proximity]) == (
+        "79d5ce1c50d387e8a320c53cb02d7c7a4f89dc8ff9c5490d03f7af8f05779b24")
+    assert _sha256(list(demo_index.edge_candidates.items())) == (
+        "f77739f10d853423975ecf6ea951a26b90615c5a7af0445e8e86939e7e02bd3c")
+
+
+def test_demo_inform_timelines_are_pinned(demo_index):
+    # Seeds 0-49 as the per-rescuer walk drew them: init draws, placement,
+    # and every inform in tick and inform order.
+    lines = []
+    for seed in range(50):
+        tl = demo_index.inform_timeline(seed)
+        lines.append(repr((
+            seed, tl.epsilon, [s.name for s in tl.fallback_source], tl.fallback_tick, tl.placed,
+            [(tick, [(hid, s.name) for hid, s in got]) for tick, got in tl.informs.items()],
+        )))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "7e1aacf646a91f8f8ad148617e3ef2f73b4f0c75af0b653e5e5d4fd7da3a8d8a")
+
+
+def test_node_candidates_union_incident_edges_in_adjacency_order(demo_index):
+    world = demo_index.world
+    for node, nbrs in world.adjacency.items():
+        union: list[int] = []
+        for nb, _ in nbrs:
+            for hid in demo_index.edge_candidates[(min(node, nb), max(node, nb))]:
+                if hid not in union:
+                    union.append(hid)
+        assert demo_index.node_candidates[node] == tuple(union)
+
+
 def test_rescuer_informs_within_radius_only():
     # Two houses near node 0: one at 40 m, one at 60 m. The rescuer barely
     # moves, so only the 40 m house is informed on tick 1.
@@ -95,6 +135,23 @@ def test_rescuer_informs_within_radius_only():
     assert state.households[0].status != UNAWARE
     assert state.households[0].source is WarningSource.AUTHORITIES
     assert state.households[1].status == UNAWARE
+
+
+def test_rescuer_ending_its_tick_on_a_node_informs_from_there():
+    # A 100 m budget takes the rescuer from node 0 exactly onto node 1 in
+    # tick 1 and onto node 2 in tick 2; it perceives the house 40 m off
+    # each node from that node.
+    world = line_world(
+        n_nodes=4,
+        building_offsets=[(200.0, 40.0), (100.0, 40.0)],
+        shelter_specs=[(0, 3, 1000, False)],
+    )
+    profiles = [profile(0, 0), profile(1, 1)]
+    index = WorldIndex(world, profiles, params(rescuer_speed=10.0, fallback_tick_min=50,
+                                               fallback_tick_max=60, max_ticks=50))
+    informs = index.inform_timeline(11).informs
+    assert informs[1] == ((1, WarningSource.AUTHORITIES),)
+    assert informs[2] == ((0, WarningSource.AUTHORITIES),)
 
 
 def test_full_shelter_redirects_and_occupancy_unchanged():

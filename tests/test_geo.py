@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from evacsim.errors import InputError
 from evacsim.geo import (
+    _BOX_SLACK,
     Point,
     ProximityClass,
     World,
@@ -14,9 +15,10 @@ from evacsim.geo import (
     classify_proximity,
     hazard_distance,
     load_world,
-    nearest_road_node,
+    nearest_road_nodes,
     parse_world,
     point_segment_distance,
+    points_near_edges,
     serialize_world,
     shortest_path_tree,
     validate_world,
@@ -105,13 +107,13 @@ def test_load_world_from_file(tmp_path, demo_world):
 
 def test_nearest_node_coincident():
     world = parse_world(MINIMAL)
-    assert nearest_road_node(world, Point(100.0, 0.0)) == 1
+    assert nearest_road_nodes(world, [Point(100.0, 0.0)])[0] == 1
 
 
 def test_nearest_node_tie_breaks_low_id():
     for text in ("node|3|0|0\nnode|7|2|0\n", "node|7|2|0\nnode|3|0|0\n"):
         world = parse_world(text)
-        assert nearest_road_node(world, Point(1.0, 0.0)) == 3
+        assert nearest_road_nodes(world, [Point(1.0, 0.0)])[0] == 3
 
 
 def test_nearest_node_matches_linear_scan_oracle():
@@ -120,7 +122,73 @@ def test_nearest_node_matches_linear_scan_oracle():
     for _ in range(50):
         p = Point(rng.uniform(-100, 1100), rng.uniform(-100, 1100))
         oracle = min(((world.nodes[n].distance_to(p), n) for n in world.nodes))[1]
-        assert nearest_road_node(world, p) == oracle
+        assert nearest_road_nodes(world, [p])[0] == oracle
+
+
+def _linear_scan_nearest(world, p):
+    px, py = p.x, p.y
+    return min(((q.x - px) ** 2 + (q.y - py) ** 2, nid) for nid, q in world.nodes.items())[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_nodes=st.integers(1, 40), n_dups=st.integers(0, 8),
+       reverse=st.booleans())
+def test_nearest_nodes_batch_matches_linear_scan_with_ties(seed, n_nodes, n_dups, reverse):
+    # Duplicated coordinates under other ids, in either dict order, tie
+    # exactly; points on nodes, halfway between two nodes and far outside
+    # the nodes' hull probe the sweep's stopping rule.
+    base = random_graph_world(seed=seed, n_nodes=n_nodes, extra_edges=0)
+    rng = random.Random(seed)
+    nodes = dict(base.nodes)
+    for k in range(n_dups):
+        nodes[n_nodes + rng.randrange(50) * 100 + k] = base.nodes[rng.randrange(n_nodes)]
+    items = sorted(nodes.items(), reverse=reverse)
+    world = World(nodes=dict(items), edges=[], buildings={}, waterways=[], shelters=[],
+                  rescuer_starts=[])
+    qs = list(nodes.values())
+    points = [Point(rng.uniform(-3000, 4000), rng.uniform(-3000, 4000)) for _ in range(30)]
+    points += qs
+    points += [Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+               for a, b in zip(qs, rng.sample(qs, len(qs)))]
+    points += [Point(q.x, q.y + 25.0) for q in qs] + [Point(-1e6, 500.0), Point(500.0, 1e6)]
+    got = nearest_road_nodes(world, points)
+    assert got == [_linear_scan_nearest(world, p) for p in points]
+
+
+def _all_pairs_candidates(world, points, radius):
+    out = {}
+    for a, b, _ in world.edges:
+        pa, pb = world.nodes[a], world.nodes[b]
+        out[(min(a, b), max(a, b))] = tuple(
+            i for i, p in enumerate(points) if point_segment_distance(p, pa, pb) <= radius)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), radius=st.sampled_from([0.5, 7.25, 50.0, 133.0, 900.0]))
+def test_points_near_edges_equals_all_pairs(seed, radius):
+    world = random_graph_world(seed=seed, n_nodes=25, extra_edges=15)
+    rng = random.Random(seed)
+    points = [Point(rng.uniform(-200, 1200), rng.uniform(-200, 1200)) for _ in range(60)]
+    pad = radius + _BOX_SLACK
+    for a, b, _ in rng.sample(world.edges, 6):
+        pa, pb = world.nodes[a], world.nodes[b]
+        theta = rng.uniform(0, 2 * math.pi)
+        lo_x, hi_x = min(pa.x, pb.x), max(pa.x, pb.x)
+        lo_y, hi_y = min(pa.y, pb.y), max(pa.y, pb.y)
+        points += [
+            # exactly radius from an endpoint, along the axes and at an angle
+            Point(pa.x + radius, pa.y), Point(pb.x, pb.y - radius),
+            Point(pa.x + radius * math.cos(theta), pa.y + radius * math.sin(theta)),
+            # on the unpadded and the padded box edges
+            Point(lo_x - radius, pa.y if pa.x == lo_x else pb.y),
+            Point(lo_x - pad, (lo_y + hi_y) / 2), Point(hi_x + pad, hi_y),
+            Point((lo_x + hi_x) / 2, lo_y - pad), Point(lo_x, hi_y + radius),
+        ]
+    rng.shuffle(points)
+    got = points_near_edges(world, points, radius)
+    want = _all_pairs_candidates(world, points, radius)
+    assert list(got.items()) == list(want.items())
 
 
 def _edge_lengths(world):
