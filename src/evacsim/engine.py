@@ -19,11 +19,16 @@ scenario, the weights or the threshold, and cannot see decisions: only
 unaware households are perceived, and they stay at home. It is computed
 once into an `InformTimeline`, which the world index keeps for the next
 run with the same seed. `step` replays that timeline tick by tick and runs
-decide and move on top of it.
+the decisions on top of it. A household's walk depends only on its house
+node and the shelters it heads for in turn, so the world index computes
+the tick it reaches each shelter once per (house node, shelter chain) and
+keeps it for every later run. `step` then admits or redirects only the
+households that arrive in its tick, popped from a heap keyed by arrival.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -80,6 +85,10 @@ INFORMED = 1
 EVACUATING = 2
 SHELTERED = 3
 STAYING = 4
+
+# The arrival tick of a stranded household: past any max_ticks, so it stays
+# in the admission heap and is never popped.
+NEVER = math.inf
 
 STATUS_NAMES = {
     UNAWARE: "unaware",
@@ -194,6 +203,9 @@ class WorldIndex:
     keyed (node, node it came from, or -1 at its start), one (next node,
     edge length, edge candidates) per choice, in adjacency order without
     the way back unless that is the only way.
+
+    For the households' walks it memoises `arrival_offset` per (house
+    node, shelter chain).
     """
 
     def __init__(self, world: World, profiles: list[HouseholdProfile],
@@ -242,6 +254,10 @@ class WorldIndex:
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
         self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
+        # (house node, shelter chain) -> (arrival offset, route, leg,
+        # progress, x, y) of the walk at its arrival tick
+        self._walks: dict[tuple[int, tuple[int, ...]],
+                          tuple[int, list[int], int, float, float, float]] = {}
 
     def inform_timeline(self, seed: int) -> InformTimeline:
         """The inform phase of a run with this seed: the one memoised from
@@ -250,6 +266,69 @@ class WorldIndex:
             self._timeline = _walk_rescuers(self, seed)
             self._timeline_seed = seed
         return self._timeline
+
+    def arrival_offset(self, node: int, chain: tuple[int, ...]) -> int:
+        """The tick, counted from its decision tick, on which a household
+        that departs from road node `node` first comes within shelter_radius
+        of chain[-1]. It heads for chain[0] and, on reaching each earlier
+        shelter of the chain, is redirected to the next one: it finishes
+        its route to the full shelter, then follows the tail from there,
+        carrying its progress along the current leg.
+
+        A household moves in its decision tick, so one whose house node is
+        the shelter's arrives at offset 0. The walk advances household_speed
+        * tick_seconds metres per tick along the route's legs and tests the
+        distance to the target at the end of each tick. Memoised with the
+        walk's route, leg, progress and position at arrival, so a longer
+        chain continues from the state of its prefix.
+        """
+        key = (node, chain)
+        walk = self._walks.get(key)
+        if walk is None:
+            target = chain[-1]
+            if len(chain) == 1:
+                p = self.world.nodes[node]
+                walk = self._walk(target, -1, self.route_to_shelter(node, target), 0, 0.0,
+                                  p.x, p.y)
+            else:
+                self.arrival_offset(node, chain[:-1])
+                offset, route, leg, progress, x, y = self._walks[(node, chain[:-1])]
+                tail = self.route_to_shelter(self.shelters_by_id[chain[-2]].node, target)
+                walk = self._walk(target, offset, route[leg:] + tail[1:], 0, progress, x, y)
+            self._walks[key] = walk
+        return walk[0]
+
+    def _walk(self, shelter_id: int, offset: int, route: list[int], leg: int,
+              progress: float, x: float, y: float
+              ) -> tuple[int, list[int], int, float, float, float]:
+        """Walk from the state at `offset` one tick at a time until within
+        shelter_radius of the shelter; its end always is."""
+        p = self.params
+        move = p.household_speed * p.tick_seconds
+        nodes = self.world.nodes
+        spos = nodes[self.shelters_by_id[shelter_id].node]
+        last = len(route) - 1
+        while True:
+            offset += 1
+            budget = move
+            while budget > 0.0 and leg < last:
+                a = nodes[route[leg]]
+                b = nodes[route[leg + 1]]
+                leg_len = math.hypot(b.x - a.x, b.y - a.y)
+                remaining = leg_len - progress
+                if budget < remaining:
+                    progress += budget
+                    budget = 0.0
+                    f = progress / leg_len
+                    x = a.x + (b.x - a.x) * f
+                    y = a.y + (b.y - a.y) * f
+                else:
+                    budget -= remaining
+                    leg += 1
+                    progress = 0.0
+                    x, y = b.x, b.y
+            if math.hypot(x - spos.x, y - spos.y) <= p.shelter_radius:
+                return offset, route, leg, progress, x, y
 
     def route_to_shelter(self, node: int, shelter_id: int) -> list[int]:
         nxt = self.shelter_next[shelter_id]
@@ -263,25 +342,22 @@ class WorldIndex:
 
 
 class HouseholdState:
-    __slots__ = (
-        "idx", "status", "epsilon", "source", "decision",
-        "target_shelter", "route", "leg", "progress", "x", "y", "tried_shelters", "stranded",
-    )
+    __slots__ = ("idx", "status", "epsilon", "source", "decision", "chain", "stranded")
 
-    def __init__(self, idx: int, x: float, y: float):
+    def __init__(self, idx: int, epsilon: float):
         self.idx = idx
         self.status = UNAWARE
-        self.epsilon = 0.0
+        self.epsilon = epsilon
         self.source: WarningSource | None = None
         self.decision: Decision | None = None
-        self.target_shelter: int | None = None
-        self.route: list[int] = []
-        self.leg = 0
-        self.progress = 0.0
-        self.x = x
-        self.y = y
-        self.tried_shelters: set[int] = set()
+        # The shelters it headed for, in order; the last is its target.
+        self.chain: tuple[int, ...] = ()
         self.stranded = False
+
+    @property
+    def tried_shelters(self) -> tuple[int, ...]:
+        """The shelters this household found full."""
+        return self.chain if self.stranded else self.chain[:-1]
 
 
 @dataclass
@@ -299,7 +375,9 @@ class SimulationState:
     stay_decisions: int = 0
     time_series: list[int] = field(default_factory=list)
     events: list[Event] | None = None
-    moving: list[HouseholdState] = field(default_factory=list)
+    # The admission heap: one (arrival tick, decision tick, household id)
+    # per evacuating household, NEVER as the arrival of a stranded one.
+    moving: list[tuple[float, int, int]] = field(default_factory=list)
 
 
 def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> SimulationState:
@@ -308,12 +386,7 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     cfg.validate()
     world = index.world
     timeline = index.inform_timeline(cfg.seed)
-    households: list[HouseholdState] = []
-    for i in range(index.n):
-        hx, hy = index.house_pos[i]
-        h = HouseholdState(i, hx, hy)
-        h.epsilon = timeline.epsilon[i]
-        households.append(h)
+    households = [HouseholdState(i, eps) for i, eps in enumerate(timeline.epsilon)]
 
     events: list[Event] | None = None
     if collect_events:
@@ -434,7 +507,8 @@ def _would_fit(state: SimulationState, shelter: Shelter, members: int) -> bool:
     return state.occupancy[shelter.id] + members <= shelter.capacity
 
 
-def _pick_shelter(state: SimulationState, node: int, members: int, exclude: set[int]) -> int | None:
+def _pick_shelter(state: SimulationState, node: int, members: int,
+                  exclude: tuple[int, ...]) -> int | None:
     """Nearest internal shelter that would fit, else nearest external.
 
     Ties break by shelter id; unreachable shelters are skipped. External
@@ -458,21 +532,15 @@ def _pick_shelter(state: SimulationState, node: int, members: int, exclude: set[
 def _start_evacuation(state: SimulationState, h: HouseholdState, t: int) -> None:
     index = state.index
     node = index.house_node[h.idx]
-    target = _pick_shelter(state, node, index.profiles[h.idx].members, exclude=set())
+    target = _pick_shelter(state, node, index.profiles[h.idx].members, exclude=())
     if target is None:
         h.stranded = True
-        h.route = [node]
-        h.leg = 0
-        h.progress = 0.0
+        heapq.heappush(state.moving, (NEVER, t, h.idx))
         if state.events is not None:
             state.events.append(Event(t, "household", h.idx, "stranded", "no reachable shelter"))
         return
-    h.target_shelter = target
-    h.route = index.route_to_shelter(node, target)
-    h.leg = 0
-    h.progress = 0.0
-    p = index.world.nodes[node]
-    h.x, h.y = p.x, p.y  # movement happens on the road network
+    h.chain = (target,)
+    heapq.heappush(state.moving, (t + index.arrival_offset(node, h.chain), t, h.idx))
     if state.events is not None:
         state.events.append(Event(t, "household", h.idx, "depart", f"shelter={target}"))
 
@@ -490,8 +558,7 @@ def _inform(state: SimulationState, h: HouseholdState, source: WarningSource, t:
 def step(state: SimulationState) -> SimulationState:
     """Advance one tick in place and return the state."""
     index = state.index
-    params = index.params
-    if state.tick >= params.max_ticks:
+    if state.tick >= index.params.max_ticks:
         raise InputError("step called past max_ticks")
     state.tick += 1
     t = state.tick
@@ -523,56 +590,24 @@ def step(state: SimulationState) -> SimulationState:
                 state.evacuate_decisions += 1
                 h.status = EVACUATING
                 _start_evacuation(state, h, t)
-                state.moving.append(h)
             else:
                 state.stay_decisions += 1
                 h.status = STAYING
                 state.terminal_count += 1
 
-    # (5) evacuating households walk; (6) shelter managers admit or redirect
-    if state.moving:
-        move = params.household_speed * params.tick_seconds
-        nodes = index.world.nodes
-        still_moving: list[HouseholdState] = []
-        for h in state.moving:
-            if h.stranded:
-                still_moving.append(h)
-                continue
-            budget = move
-            route = h.route
-            while budget > 0.0 and h.leg < len(route) - 1:
-                a = nodes[route[h.leg]]
-                b = nodes[route[h.leg + 1]]
-                leg_len = math.hypot(b.x - a.x, b.y - a.y)
-                remaining = leg_len - h.progress
-                if budget < remaining:
-                    h.progress += budget
-                    budget = 0.0
-                    f = h.progress / leg_len
-                    h.x = a.x + (b.x - a.x) * f
-                    h.y = a.y + (b.y - a.y) * f
-                else:
-                    budget -= remaining
-                    h.leg += 1
-                    h.progress = 0.0
-                    h.x, h.y = b.x, b.y
-            _try_admission(state, h, t)
-            if h.status == EVACUATING:
-                still_moving.append(h)
-        state.moving = still_moving
+    # (5) shelter managers admit or redirect the households arriving now
+    moving = state.moving
+    while moving and moving[0][0] <= t:
+        _, decided, hid = heapq.heappop(moving)
+        _admit_or_redirect(state, households[hid], decided, t)
 
     state.time_series.append(state.evacuate_decisions)
     return state
 
 
-def _try_admission(state: SimulationState, h: HouseholdState, t: int) -> None:
-    if h.target_shelter is None or h.stranded:
-        return
+def _admit_or_redirect(state: SimulationState, h: HouseholdState, decided: int, t: int) -> None:
     index = state.index
-    shelter = index.shelters_by_id[h.target_shelter]
-    spos = index.world.nodes[shelter.node]
-    if math.hypot(h.x - spos.x, h.y - spos.y) > index.params.shelter_radius:
-        return
+    shelter = index.shelters_by_id[h.chain[-1]]
     members = index.profiles[h.idx].members
     if _would_fit(state, shelter, members):
         state.occupancy[shelter.id] += members
@@ -593,19 +628,18 @@ def _try_admission(state: SimulationState, h: HouseholdState, t: int) -> None:
     # Full: redirect to the next-nearest shelter that would fit, measured
     # from the full shelter's node; the household finishes the walk there
     # before heading out again.
-    h.tried_shelters.add(shelter.id)
-    target = _pick_shelter(state, shelter.node, members, exclude=h.tried_shelters)
+    target = _pick_shelter(state, shelter.node, members, exclude=h.chain)
     if target is None:
         h.stranded = True
+        heapq.heappush(state.moving, (NEVER, decided, h.idx))
         if state.events is not None:
             state.events.append(Event(
                 t, "household", h.idx, "stranded", f"no capacity anywhere after shelter={shelter.id}",
             ))
         return
-    tail = state.index.route_to_shelter(shelter.node, target)
-    h.route = h.route[h.leg:] + tail[1:]
-    h.leg = 0
-    h.target_shelter = target
+    h.chain += (target,)
+    arrival = decided + index.arrival_offset(index.house_node[h.idx], h.chain)
+    heapq.heappush(state.moving, (arrival, decided, h.idx))
     if state.events is not None:
         state.events.append(Event(
             t, "household", h.idx, "redirected", f"from={shelter.id} to={target}",

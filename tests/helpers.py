@@ -92,3 +92,50 @@ def bellman_ford_distances(world: World, src: int) -> dict[int, float]:
 def bellman_ford_distance(world: World, src: int, dst: int) -> float:
     """The relaxation oracle's distance from src to dst."""
     return bellman_ford_distances(world, src)[dst]
+
+
+def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
+    """The ticks, counted from the decision tick, on which a household that
+    departs from road node `node` comes within shelter_radius of each
+    shelter of `chain` in turn, walked by a per-tick move loop: every tick
+    it spends household_speed * tick_seconds metres along its route, then
+    the distance to its target is tested; on reaching a shelter that is not
+    the chain's last it keeps its leg progress, finishes the route to that
+    shelter and follows the route from there to the next one.
+
+    The tick-by-tick oracle of `WorldIndex.arrival_offset`; routes come from
+    the index's shortest-path trees, which the Bellman-Ford oracle checks.
+    """
+    params = index.params
+    nodes = index.world.nodes
+    shelter_node = {s.id: s.node for s in index.world.shelters}
+    move = params.household_speed * params.tick_seconds
+    route = index.route_to_shelter(node, chain[0])
+    leg, progress = 0, 0.0
+    x, y = nodes[node].x, nodes[node].y
+    arrivals: list[int] = []
+    tick = 0
+    while True:
+        budget = move
+        while budget > 0.0 and leg < len(route) - 1:
+            a, b = nodes[route[leg]], nodes[route[leg + 1]]
+            leg_len = math.hypot(b.x - a.x, b.y - a.y)
+            if budget < leg_len - progress:
+                progress += budget
+                budget = 0.0
+                x = a.x + (b.x - a.x) * (progress / leg_len)
+                y = a.y + (b.y - a.y) * (progress / leg_len)
+            else:
+                budget -= leg_len - progress
+                leg += 1
+                progress = 0.0
+                x, y = b.x, b.y
+        target = nodes[shelter_node[chain[len(arrivals)]]]
+        if math.hypot(x - target.x, y - target.y) <= params.shelter_radius:
+            arrivals.append(tick)
+            if len(arrivals) == len(chain):
+                return arrivals
+            here = shelter_node[chain[len(arrivals) - 1]]
+            route = route[leg:] + index.route_to_shelter(here, chain[len(arrivals)])[1:]
+            leg = 0
+        tick += 1

@@ -18,6 +18,7 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError
+from evacsim.geo import Point
 from evacsim.population import HouseholdProfile, PopulationError
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import line_world
@@ -177,6 +178,70 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
     redirects = [e for e in result.events if e.event == "redirected"]
     assert len(redirects) == 1 and redirects[0].agent_id == 1
     assert "from=0" in redirects[0].detail and "to=1" in redirects[0].detail
+
+
+def _run_and_final_state(index: WorldIndex, cfg: RunConfig):
+    """The run's result and the state `run` would end on."""
+    state = init_run(index, cfg)
+    while state.terminal_count < len(state.households) and state.tick < index.params.max_ticks:
+        step(state)
+    return run(index, cfg), state
+
+
+def test_stranded_when_no_shelter_is_reachable():
+    # Household 1's house snaps to road 10-11, which no road joins to the
+    # shelter; it strands on deciding and stays in the admission heap.
+    base = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (0.0, 520.0)])
+    world = replace(base, nodes={**base.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
+                    edges=[*base.edges, (10, 11, 100.0)])
+    index = WorldIndex(world, [profile(0, 0), profile(1, 1)],
+                       params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=3,
+                              max_ticks=40))
+    result, state = _run_and_final_state(index, config())
+    assert event_log_csv(result.events) == (
+        "tick,agent_kind,agent_id,event,detail\n"
+        "2,household,0,informed,media\n"
+        "2,household,1,informed,friends\n"
+        "2,household,0,decided,evacuate perceived=3.926111 highest=4.600000\n"
+        "2,household,0,depart,shelter=0\n"
+        "2,household,1,decided,evacuate perceived=3.899860 highest=4.600000\n"
+        "2,household,1,stranded,no reachable shelter\n"
+        "19,household,0,admitted,shelter=0 occupancy=4\n"
+    )
+    assert result.truncated and result.ticks_elapsed == 40
+    assert result.time_series == [0] + [2] * 39
+    assert len(state.moving) == 1
+    stranded = state.households[1]
+    assert stranded.stranded and stranded.status == EVACUATING and stranded.tried_shelters == ()
+
+
+def test_stranded_when_no_capacity_is_left_after_a_full_shelter():
+    # One internal shelter for four persons and no external one: household 0
+    # lives at it and fills it in its decision tick; household 1 arrives to
+    # find it full and has nowhere left to go.
+    world = line_world(n_nodes=4, building_offsets=[(300.0, 20.0), (0.0, 20.0)],
+                       shelter_specs=[(0, 3, 4, False)])
+    index = WorldIndex(world, [profile(0, 0, members=4), profile(1, 1, members=4)],
+                       params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=1,
+                              max_ticks=40))
+    result, state = _run_and_final_state(index, config())
+    assert event_log_csv(result.events) == (
+        "tick,agent_kind,agent_id,event,detail\n"
+        "1,household,0,informed,media\n"
+        "1,household,1,informed,friends\n"
+        "1,household,0,decided,evacuate perceived=3.926111 highest=4.600000\n"
+        "1,household,0,depart,shelter=0\n"
+        "1,household,1,decided,evacuate perceived=3.899860 highest=4.600000\n"
+        "1,household,1,depart,shelter=0\n"
+        "1,household,0,admitted,shelter=0 occupancy=4\n"
+        "18,household,1,stranded,no capacity anywhere after shelter=0\n"
+    )
+    assert result.truncated and result.ticks_elapsed == 40
+    assert result.time_series == [2] * 40
+    assert result.shelter_occupancy == {0: 4}
+    assert len(state.moving) == 1
+    stranded = state.households[1]
+    assert stranded.stranded and stranded.status == EVACUATING and stranded.tried_shelters == (0,)
 
 
 def test_threshold_zero_everyone_evacuates(demo_index):
