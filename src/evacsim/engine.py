@@ -18,12 +18,18 @@ the fallback channel) reads the index and the seed only, never the
 scenario, the weights or the threshold, and cannot see decisions: only
 unaware households are perceived, and they stay at home. It is computed
 once into an `InformTimeline`, which the world index keeps for the next
-run with the same seed. `step` replays that timeline tick by tick and runs
-the decisions on top of it. A household's walk depends only on its house
-node and the shelters it heads for in turn, so the world index computes
-the tick it reaches each shelter once per (house node, shelter chain) and
-keeps it for every later run. `step` then admits or redirects only the
-households that arrive in its tick, popped from a heap keyed by arrival.
+run with the same seed. A household's perceived risk depends only on the
+seed (its epsilon draw and the source that informed it), the scenario and
+the weights, so the runs of one seed group, which differ only in
+threshold, share one perceived-risk array: the world index computes it once
+per (seed, scenario, weights) and keeps the last one, and each run compares
+it with its threshold once, in `init_run`. `step` replays the timeline tick
+by tick and applies those decisions to the households it informs. A
+household's walk depends only on its house node and the shelters it heads
+for in turn, so the world index computes the tick it reaches each shelter
+once per (house node, shelter chain) and keeps it for every later run.
+`step` then admits or redirects only the households that arrive in its
+tick, popped from a heap keyed by arrival.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError, InternalError
 from .geo import (
@@ -193,7 +201,9 @@ class WorldIndex:
     nodes, hazard proximity classes, per-household CDM and CRF scores, one
     shortest-path tree per shelter for routing and nearest-shelter queries,
     and the inform timeline of the last seed it served. The parameters are
-    frozen, so that timeline is keyed on the seed alone.
+    frozen, so that timeline is keyed on the seed alone. It also keeps the
+    perceived-risk array of the last (seed, scenario, weights) it served:
+    those are every input of the array besides the index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -218,12 +228,13 @@ class WorldIndex:
         self.profiles = tuple(profiles)
         self.params = params
         self.n = len(profiles)
-        self.cdm = [cdm_score(p) for p in profiles]
-        self.crf = [crf_score(p) for p in profiles]
+        self.cdm = np.array([cdm_score(p) for p in profiles], dtype=float)
+        self.crf = np.array([crf_score(p) for p in profiles], dtype=float)
         houses = [world.buildings[p.building_id] for p in profiles]
         self.house_pos = [(pos.x, pos.y) for pos in houses]
         self.house_node = nearest_road_nodes(world, houses)
         self.proximity = [classify_proximity(hazard_distance(world, pos)) for pos in houses]
+        self.proximity_code = np.array([c.value for c in self.proximity], dtype=float)
 
         # A superset of anything perceivable from a point on the edge.
         self.edge_candidates = points_near_edges(world, houses, params.rescuer_radius)
@@ -254,6 +265,8 @@ class WorldIndex:
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
         self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
+        self._risk_key: tuple[int, Scenario, Weights] | None = None
+        self._risk: np.ndarray | None = None
         # (house node, shelter chain) -> (arrival offset, route, leg,
         # progress, x, y) of the walk at its arrival tick
         self._walks: dict[tuple[int, tuple[int, ...]],
@@ -266,6 +279,26 @@ class WorldIndex:
             self._timeline = _walk_rescuers(self, seed)
             self._timeline_seed = seed
         return self._timeline
+
+    def perceived(self, seed: int, scenario: Scenario, weights: Weights) -> np.ndarray:
+        """Every household's perceived risk in a run with this seed, scenario
+        and weights, whatever its threshold: the one memoised from the last
+        call if it had the same three, else a fresh array. A household's
+        source is the one the seed's inform timeline informs it by (NaN if
+        it is never informed) and its epsilon the timeline's draw."""
+        key = (seed, scenario, weights)
+        if key != self._risk_key:
+            timeline = self.inform_timeline(seed)
+            source = np.full(self.n, np.nan)
+            for informs in timeline.informs.values():
+                for hid, src in informs:
+                    source[hid] = src.value
+            hrf = hrf_score(scenario, self.proximity_code, source)
+            self._risk = perceived_risk(self.cdm, hrf, self.crf,
+                                        np.array(timeline.epsilon, dtype=float), weights)
+            self._risk.flags.writeable = False  # every run of the key reads it
+            self._risk_key = key
+        return self._risk
 
     def arrival_offset(self, node: int, chain: tuple[int, ...]) -> int:
         """The tick, counted from its decision tick, on which a household
@@ -308,13 +341,16 @@ class WorldIndex:
         nodes = self.world.nodes
         spos = nodes[self.shelters_by_id[shelter_id].node]
         last = len(route) - 1
+        measured = -1  # the leg whose end points and length a, b, leg_len hold
         while True:
             offset += 1
             budget = move
             while budget > 0.0 and leg < last:
-                a = nodes[route[leg]]
-                b = nodes[route[leg + 1]]
-                leg_len = math.hypot(b.x - a.x, b.y - a.y)
+                if leg != measured:
+                    a = nodes[route[leg]]
+                    b = nodes[route[leg + 1]]
+                    leg_len = math.hypot(b.x - a.x, b.y - a.y)
+                    measured = leg
                 remaining = leg_len - progress
                 if budget < remaining:
                     progress += budget
@@ -342,12 +378,11 @@ class WorldIndex:
 
 
 class HouseholdState:
-    __slots__ = ("idx", "status", "epsilon", "source", "decision", "chain", "stranded")
+    __slots__ = ("idx", "status", "source", "decision", "chain", "stranded")
 
-    def __init__(self, idx: int, epsilon: float):
+    def __init__(self, idx: int):
         self.idx = idx
         self.status = UNAWARE
-        self.epsilon = epsilon
         self.source: WarningSource | None = None
         self.decision: Decision | None = None
         # The shelters it headed for, in order; the last is its target.
@@ -365,6 +400,9 @@ class SimulationState:
     cfg: RunConfig
     index: WorldIndex
     timeline: InformTimeline
+    perceived: np.ndarray  # per household, shared by the runs of its seed group
+    highest: float  # highest possible score under cfg.weights
+    evacuate: list[bool]  # per household, perceived > threshold * highest
     households: list[HouseholdState]
     occupancy: dict[int, int]  # shelter id -> persons
     admitted: dict[int, int]  # shelter id -> households
@@ -386,7 +424,10 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     cfg.validate()
     world = index.world
     timeline = index.inform_timeline(cfg.seed)
-    households = [HouseholdState(i, eps) for i, eps in enumerate(timeline.epsilon)]
+    perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
+    highest = highest_possible_score(cfg.weights)
+    evacuate = decide(perceived, highest, cfg.threshold).tolist()
+    households = [HouseholdState(i) for i in range(index.n)]
 
     events: list[Event] | None = None
     if collect_events:
@@ -396,6 +437,9 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         cfg=cfg,
         index=index,
         timeline=timeline,
+        perceived=perceived,
+        highest=highest,
+        evacuate=evacuate,
         households=households,
         occupancy={s.id: 0 for s in world.shelters},
         admitted={s.id: 0 for s in world.shelters},
@@ -562,7 +606,6 @@ def step(state: SimulationState) -> SimulationState:
         raise InputError("step called past max_ticks")
     state.tick += 1
     t = state.tick
-    cfg = state.cfg
     households = state.households
     newly_informed: list[int] = []
 
@@ -570,21 +613,18 @@ def step(state: SimulationState) -> SimulationState:
     for hid, source in state.timeline.informs.get(t, ()):
         _inform(state, households[hid], source, t, newly_informed)
 
-    # (4) newly informed households assess risk and decide
+    # (4) newly informed households act on the decision init_run made
     if newly_informed:
         newly_informed.sort()
-        scenario = cfg.scenario
-        weights = cfg.weights
-        highest = highest_possible_score(weights)
+        evacuate = state.evacuate
         for hid in newly_informed:
             h = households[hid]
-            hrf = hrf_score(scenario, index.proximity[hid], h.source)
-            value = perceived_risk(index.cdm[hid], hrf, index.crf[hid], h.epsilon, weights)
-            h.decision = decide(value, highest, cfg.threshold)
+            h.decision = Decision.EVACUATE if evacuate[hid] else Decision.STAY
             if state.events is not None:
                 state.events.append(Event(
                     t, "household", hid, "decided",
-                    f"{h.decision.value} perceived={value:.6f} highest={highest:.6f}",
+                    f"{h.decision.value} perceived={state.perceived[hid]:.6f} "
+                    f"highest={state.highest:.6f}",
                 ))
             if h.decision is Decision.EVACUATE:
                 state.evacuate_decisions += 1

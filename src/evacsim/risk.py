@@ -13,8 +13,9 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
-from .geo import ProximityClass
 from .population import HouseholdProfile
 
 __all__ = [
@@ -123,13 +124,17 @@ def cdm_score(p: HouseholdProfile) -> float:
     )
 
 
-def hrf_score(s: Scenario, proximity: ProximityClass, source: WarningSource) -> float:
-    """Sum of the five hazard codes."""
+def hrf_score(s: Scenario, proximity: float | np.ndarray,
+              source: float | np.ndarray) -> float | np.ndarray:
+    """Sum of the five hazard codes: the scenario's three, the proximity
+    class code and the warning source code (a `ProximityClass` and a
+    `WarningSource` value each). Proximity and source may be floats or
+    numpy arrays of codes, one per household."""
     return (
         s.storm_severity
         + s.rainfall_severity
-        + proximity.value
-        + source.value
+        + proximity
+        + source
         + s.time_of_day
     )
 
@@ -143,17 +148,18 @@ def highest_possible_score(w: Weights) -> float:
     return CDM_MAX * w.w_cdm + CRF_MAX * w.w_crf + HRF_MAX * w.w_hrf
 
 
-def perceived_risk(cdm: float, hrf: float, crf: float, epsilon: float, w: Weights) -> float:
+def perceived_risk(cdm: float | np.ndarray, hrf: float | np.ndarray, crf: float | np.ndarray,
+                   epsilon: float | np.ndarray, w: Weights) -> float | np.ndarray:
     """Weighted sum of the three factor scores plus the bounded-rationality
-    draw epsilon."""
+    draw epsilon; floats, or numpy arrays with one entry per household."""
     return cdm * w.w_cdm + hrf * w.w_hrf + crf * w.w_crf + epsilon
 
 
-def decide(perceived: float, highest: float, threshold: float) -> Decision:
-    """Evacuate only when perceived risk strictly exceeds threshold x highest
-    possible score; ties mean Stay."""
+def decide(perceived: float | np.ndarray, highest: float,
+           threshold: float) -> bool | np.ndarray:
+    """True (evacuate) only where perceived risk strictly exceeds threshold x
+    highest possible score; ties mean stay. `perceived` is a float, giving a
+    bool, or a numpy array, giving a bool array."""
     if not 0.0 <= threshold <= 1.0:
         raise InputError(f"threshold {threshold!r} outside [0, 1]")
-    if perceived > threshold * highest:
-        return Decision.EVACUATE
-    return Decision.STAY
+    return perceived > threshold * highest

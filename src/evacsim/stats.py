@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -244,28 +245,18 @@ def build_design(rows: list[SweepRow], mode: str) -> DesignMatrix:
         raise InputError(f"unknown sensitivity mode {mode!r}; choose from {SENSITIVITY_MODES}")
     if not rows:
         raise InputError("no sweep rows to analyze")
-    cols = {
-        "storm": np.array([float(r.storm) for r in rows]),
-        "rainfall": np.array([r.rainfall for r in rows]),
-        "time_of_day": np.array([r.time_of_day for r in rows]),
-        "threshold": np.array([r.threshold for r in rows]),
-        "w_cdm": np.array([r.w_cdm for r in rows]),
-        "w_hrf": np.array([r.w_hrf for r in rows]),
-        "w_crf": np.array([r.w_crf for r in rows]),
-    }
-    y = np.array([float(r.evacuated) for r in rows])
+
+    def column(name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), rows), float, len(rows))
+
+    y = column("evacuated")
     if mode == "no-intercept":
         names = PREDICTOR_ORDER
     elif mode == "drop-one-weight":
         names = ("intercept",) + tuple(n for n in PREDICTOR_ORDER if n != "w_crf")
     else:  # intercept-full
         names = ("intercept",) + PREDICTOR_ORDER
-    columns = []
-    for name in names:
-        if name == "intercept":
-            columns.append(np.ones(len(rows)))
-        else:
-            columns.append(cols[name])
+    columns = [np.ones(len(rows)) if name == "intercept" else column(name) for name in names]
     return DesignMatrix(names=tuple(names), x=np.column_stack(columns), y=y)
 
 

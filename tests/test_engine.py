@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from evacsim import engine
 from evacsim.engine import (
     EVACUATING,
     INFORMED,
@@ -73,10 +74,11 @@ def test_init_run_matches_configured_counts(demo_index):
     state = init_run(demo_index, cfg)
     assert len(state.timeline.placed) == 15
     assert len(state.households) == 570
-    assert all(0.0 <= h.epsilon <= 0.05 for h in state.households)
+    assert len(state.timeline.epsilon) == 570
+    assert all(0.0 <= eps <= 0.05 for eps in state.timeline.epsilon)
     # bit-identical re-initialization
     state2 = init_run(demo_index, cfg)
-    assert [h.epsilon for h in state.households] == [h.epsilon for h in state2.households]
+    assert state.timeline.epsilon == state2.timeline.epsilon
     assert state.timeline.fallback_tick == state2.timeline.fallback_tick
     assert state.timeline.placed == state2.timeline.placed
 
@@ -93,6 +95,37 @@ def test_demo_index_is_pinned(demo_index):
         "79d5ce1c50d387e8a320c53cb02d7c7a4f89dc8ff9c5490d03f7af8f05779b24")
     assert _sha256(list(demo_index.edge_candidates.items())) == (
         "f77739f10d853423975ecf6ea951a26b90615c5a7af0445e8e86939e7e02bd3c")
+
+
+def test_risk_memo_keys_on_seed_scenario_and_weights(demo_world, demo_profiles, monkeypatch):
+    calls = []
+    real = engine.perceived_risk
+    monkeypatch.setattr(engine, "perceived_risk",
+                        lambda *args: calls.append(1) or real(*args))
+    index = WorldIndex(demo_world, demo_profiles)
+    fresh = WorldIndex(demo_world, demo_profiles)
+    s = Scenario.from_names(2, "orange", "nighttime")
+    w = Weights(0.3, 0.4, 0.3)
+    first = index.perceived(5, s, w)
+    assert len(calls) == 1
+    assert not first.flags.writeable  # a run cannot alter what the next one reads
+    # Runs of every threshold of the seed group reuse it.
+    for threshold in (0.7, 0.8, 0.9):
+        assert init_run(index, RunConfig(s, w, threshold, 5)).perceived is first
+    assert len(calls) == 1
+    # Each step changes one of seed, scenario and weights; each recomputes.
+    keys = [(6, s, w), (6, Scenario.from_names(2, "red", "nighttime"), w),
+            (6, Scenario.from_names(2, "red", "nighttime"), Weights(0.2, 0.4, 0.4))]
+    values = []
+    for n, key in enumerate(keys, start=2):
+        values.append(index.perceived(*key).tolist())
+        assert len(calls) == n
+        assert index.perceived(*key).tolist() == values[-1]
+        assert len(calls) == n
+    for key, got in zip(keys, values):
+        assert fresh.perceived(*key).tolist() == got
+    assert first.tolist() not in values
+    assert len({tuple(v) for v in values}) == 3
 
 
 def test_demo_inform_timelines_are_pinned(demo_index):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim.engine import EngineParams, RunConfig, init_run, step
+from evacsim.engine import EngineParams, RunConfig, WorldIndex, init_run, step
 from evacsim.errors import InputError
 from evacsim.geo import ProximityClass, classify_proximity, hazard_distance
 from evacsim.population import HouseholdProfile
@@ -13,7 +13,7 @@ from evacsim.risk import (
     CDM_MAX,
     CRF_MAX,
     HRF_MAX,
-    Decision,
+    STORM_CODES,
     Scenario,
     WarningSource,
     Weights,
@@ -24,6 +24,7 @@ from evacsim.risk import (
     highest_possible_score,
     perceived_risk,
 )
+from evacsim.sweep import default_sweep_spec, enumerate_combos, filter_valid
 
 
 def make_profile(gender=0.5, educ=0.25, income=0.25, own=0.5, child=0.0, eld=0.0,
@@ -54,7 +55,7 @@ def max_factor_risk(w, epsilon):
     """The kernels' perceived risk of the top-coded household in the worst
     scenario, warned by the authorities from within the hazard zone."""
     s = Scenario.from_names(3, "red", "nighttime")
-    hrf = hrf_score(s, ProximityClass.WITHIN, WarningSource.AUTHORITIES)
+    hrf = hrf_score(s, ProximityClass.WITHIN.value, WarningSource.AUTHORITIES.value)
     return perceived_risk(cdm_score(MAX_PROFILE), hrf, crf_score(MAX_PROFILE), epsilon, w)
 
 
@@ -73,13 +74,14 @@ def test_cdm_extremes():
 
 def test_hrf_worked_examples():
     mild = Scenario.from_names(1, "yellow", "daytime")
-    assert hrf_score(mild, ProximityClass.FAR, WarningSource.FRIENDS) == 1.5
+    assert hrf_score(mild, ProximityClass.FAR.value, WarningSource.FRIENDS.value) == 1.5
 
     worst = Scenario.from_names(3, "red", "nighttime")
-    assert hrf_score(worst, ProximityClass.WITHIN, WarningSource.AUTHORITIES) == 5.0 == HRF_MAX
+    assert hrf_score(worst, ProximityClass.WITHIN.value,
+                     WarningSource.AUTHORITIES.value) == 5.0 == HRF_MAX
 
     mid = Scenario.from_names(2, "orange", "nighttime")
-    assert hrf_score(mid, ProximityClass.WITHIN, WarningSource.AUTHORITIES) == 4.0
+    assert hrf_score(mid, ProximityClass.WITHIN.value, WarningSource.AUTHORITIES.value) == 4.0
 
 
 def test_crf_worked_examples():
@@ -99,7 +101,7 @@ def test_perceived_risk_worked_example():
     p = make_profile(gender=1.0, income=1.0, educ=1.0, child=1.0, own=1.0, years=1.0,
                      quality=0.5, floors=1.0, exp=0.5)
     s = Scenario.from_names(1, "yellow", "daytime")
-    hrf = hrf_score(s, ProximityClass.WITHIN, WarningSource.AUTHORITIES)
+    hrf = hrf_score(s, ProximityClass.WITHIN.value, WarningSource.AUTHORITIES.value)
     assert cdm_score(p) == 6.0 and hrf == 3.0 and crf_score(p) == 2.0
     value = perceived_risk(cdm_score(p), hrf, crf_score(p), 0.0, Weights(0.3, 0.4, 0.3))
     assert value == pytest.approx(3.6, abs=1e-12)
@@ -129,8 +131,8 @@ def test_perceived_risk_matches_straight_line_oracle():
         proximity = rng.choice(list(ProximityClass))
         epsilon = rng.uniform(0, 0.05)
         w = Weights(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
-        got = perceived_risk(cdm_score(p), hrf_score(s, proximity, source), crf_score(p),
-                             epsilon, w)
+        hrf = hrf_score(s, proximity.value, source.value)
+        got = perceived_risk(cdm_score(p), hrf, crf_score(p), epsilon, w)
         expected = straight_line_risk(p, s, proximity.value, source.value, epsilon, w)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -162,19 +164,72 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
         assert decision == ("evacuate" if oracle > cfg.threshold * highest else "stay")
 
 
+def test_memoised_risk_matches_straight_line_oracle_on_the_grid(demo_world, demo_profiles,
+                                                                demo_index):
+    # The array the runs of one seed read, for every household under every
+    # (scenario, weights) pair of the paper grid's 1,296 combinations, is
+    # the straight-line sum of the raw codes, bit for bit.
+    seed = 11
+    timeline = demo_index.inform_timeline(seed)
+    source = {hid: src.value for informs in timeline.informs.values() for hid, src in informs}
+    assert len(source) == len(demo_profiles)
+    houses = [demo_world.buildings[p.building_id] for p in demo_profiles]
+    proximity = [classify_proximity(hazard_distance(demo_world, h)) for h in houses]
+    spec = default_sweep_spec()
+    combos = filter_valid(enumerate_combos(spec), spec.weight_filter)
+    assert len(combos) == 1296
+    for c in combos:
+        s = Scenario(STORM_CODES[c.storm_level], c.rainfall, c.time_of_day)
+        w = Weights(c.w_cdm, c.w_hrf, c.w_crf)
+        oracle = [straight_line_risk(p, s, proximity[i].value, source[i], timeline.epsilon[i], w)
+                  for i, p in enumerate(demo_profiles)]
+        assert demo_index.perceived(seed, s, w).tolist() == oracle
+
+
+def test_memoised_risk_reads_each_households_source(demo_world, demo_profiles):
+    # No rescuers, and a tick limit inside the fallback window: the channel
+    # informs some households by friends, some by media and the rest never.
+    # The array holds each informed household's own straight-line risk and
+    # NaN for the others, which never decide.
+    index = WorldIndex(demo_world, demo_profiles, EngineParams(
+        nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=6, max_ticks=3))
+    seed = 3
+    timeline = index.inform_timeline(seed)
+    source = {hid: src for informs in timeline.informs.values() for hid, src in informs}
+    assert set(source.values()) == {WarningSource.FRIENDS, WarningSource.MEDIA}
+    assert 0 < len(source) < len(demo_profiles)
+    s = Scenario.from_names(2, "orange", "nighttime")
+    w = Weights(0.3, 0.4, 0.3)
+    got = index.perceived(seed, s, w)
+    for i, p in enumerate(demo_profiles):
+        if i in source:
+            assert got[i] == straight_line_risk(p, s, index.proximity[i].value, source[i].value,
+                                                timeline.epsilon[i], w)
+        else:
+            assert np.isnan(got[i])
+
+
 def test_decide_worked_example():
-    assert decide(3.6, 5.3, 0.7) is Decision.STAY  # 3.6 <= 3.71
+    assert decide(3.6, 5.3, 0.7) is False  # 3.6 <= 3.71: stay
 
 
 def test_decide_tie_means_stay():
     # 0.5 * 7.0 is exactly representable, so this is a true float tie
-    assert decide(3.5, 7.0, 0.5) is Decision.STAY
-    assert decide(5.3, 5.3, 1.0) is Decision.STAY
+    assert decide(3.5, 7.0, 0.5) is False
+    assert decide(5.3, 5.3, 1.0) is False
+
+
+def test_decide_on_an_array_ties_mean_stay():
+    # 0.5 * 7.0 == 3.5 exactly: the tie stays, one ulp above it evacuates.
+    perceived = np.array([3.5, np.nextafter(3.5, 4.0), np.nextafter(3.5, 3.0), 0.0])
+    assert decide(perceived, 7.0, 0.5).tolist() == [False, True, False, False]
+    with pytest.raises(InputError):
+        decide(perceived, 7.0, 1.5)
 
 
 def test_decide_epsilon_pushes_over_max():
     w = Weights(0.2, 0.5, 0.3)
-    assert decide(max_factor_risk(w, 0.05), highest_possible_score(w), 1.0) is Decision.EVACUATE
+    assert decide(max_factor_risk(w, 0.05), highest_possible_score(w), 1.0) is True
 
 
 def test_decide_rejects_bad_threshold():
@@ -200,7 +255,7 @@ def test_monotone_in_each_hazard_code():
     proxes = [ProximityClass.FAR, ProximityClass.NEAR, ProximityClass.WITHIN]
     sources = [WarningSource.FRIENDS, WarningSource.MEDIA, WarningSource.AUTHORITIES]
     def value(storm, rain, tod, prox, src):
-        hrf = hrf_score(Scenario(storm, rain, tod), prox, src)
+        hrf = hrf_score(Scenario(storm, rain, tod), prox.value, src.value)
         return perceived_risk(cdm_score(p), hrf, crf_score(p), 0.01, w)
     base_combos = list(itertools.product(storms, rains, times, proxes, sources))
     for storm, rain, tod, prox, src in base_combos:

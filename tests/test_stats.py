@@ -1,12 +1,17 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import evacsim
 from evacsim.errors import InputError
 from evacsim.stats import (
     DesignMatrix,
@@ -289,3 +294,19 @@ def test_series_empty_slice_is_error():
     rows = make_rows([(1, 0.25, 0.5, 0.7, 0.2, 0.2, 0.6)], [42])
     with pytest.raises(InputError, match="no rows match"):
         series(rows, storm=2, rainfall=1.0, time_of_day=1.0, threshold=0.9)
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def test_import_pins_blas_to_one_thread():
+    # A multi-threaded BLAS changes the last digits of the OLS report with
+    # the thread count, so importing evacsim overrides even an explicit one.
+    src = Path(evacsim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), **{var: "4" for var in BLAS_THREAD_VARS}}
+    code = ("import os, evacsim; "
+            f"print(','.join(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ",".join(["1"] * len(BLAS_THREAD_VARS))

@@ -306,6 +306,17 @@ def test_sweep_validates_population_once(demo_world, demo_profiles, monkeypatch)
     assert len(calls) == 1
 
 
+def test_sweep_computes_one_risk_array_per_seed_group(demo_world, demo_profiles, monkeypatch):
+    # The three thresholds of a seed group read one perceived-risk array.
+    calls = []
+    real = engine.perceived_risk
+    monkeypatch.setattr(engine, "perceived_risk",
+                        lambda *args: calls.append(1) or real(*args))
+    rows = execute(demo_grid_spec(), demo_world, demo_profiles, workers=1)
+    assert len(rows) == 48
+    assert len(calls) == len({r.seed for r in rows}) == 16
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_execute_runs_on_an_index_of_the_given_radius(workers):
     # Houses sit 20 m off the road: at 15 m no rescuer reaches one, so only
