@@ -183,7 +183,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_rows(path: str) -> list[sweep_mod.SweepRow]:
+def _read_rows(path: str) -> sweep_mod.SweepTable:
     return sweep_mod.rows_from_csv(_read(path, "results file"))
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "read_key_values",
     "CellError",
     "csv_header",
+    "record_fields",
     "records_to_csv",
     "record_parser",
 ]
@@ -62,9 +63,10 @@ class CellError(ValueError):
         self.field = field
 
 
-def _columns(record: type) -> list[tuple[str, type]]:
+def record_fields(record: type) -> list[tuple[str, type, Callable[[str], Any]]]:
+    """(name, type, cell parser) of each field of a dataclass record, in order."""
     hints = get_type_hints(record)
-    return [(f.name, hints[f.name]) for f in fields(record)]
+    return [(f.name, hints[f.name], _CELL_PARSERS[hints[f.name]]) for f in fields(record)]
 
 
 def csv_header(record: type) -> str:
@@ -76,12 +78,12 @@ def records_to_csv(record: type, rows: Sequence) -> str:
     """The header line, then one line per row: int and bool fields as %d,
     float fields as the shortest repr that reads back to the same float
     (an int held in a float field prints as `1.0`)."""
-    columns = _columns(record)
-    template = ",".join(_CELL_FORMATS[kind] for _, kind in columns) + "\n"
+    columns = record_fields(record)
+    template = ",".join(_CELL_FORMATS[kind] for _, kind, _ in columns) + "\n"
     # One lazy column per field, zipped back into rows, so that the per-cell
     # work runs in C: a Python loop over each row's cells writes slower.
-    cells = [map(attrgetter(name), rows) for name, _ in columns]
-    cells = [map(float, col) if kind is float else col for col, (_, kind) in zip(cells, columns)]
+    cells = [map(attrgetter(name), rows) for name, _, _ in columns]
+    cells = [map(float, col) if kind is float else col for col, (_, kind, _) in zip(cells, columns)]
     return csv_header(record) + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
 
@@ -89,14 +91,14 @@ def record_parser(record: type) -> Callable[[list[str]], Any]:
     """A function from one line's cells, one per field, to a record. Int and
     float cells read as int() and float() do; a bool cell must be exactly 0
     or 1. A bad cell raises CellError naming the first bad field."""
-    columns = _columns(record)
-    parsers = [_CELL_PARSERS[kind] for _, kind in columns]
+    columns = record_fields(record)
+    parsers = [parse for _, _, parse in columns]
 
     def parse(cells: list[str]):
         try:
             return record(*[p(c) for p, c in zip(parsers, cells)])
         except (ValueError, KeyError):
-            for (name, _), p, cell in zip(columns, parsers, cells):
+            for (name, _, p), cell in zip(columns, cells):
                 try:
                     p(cell)
                 except KeyError:

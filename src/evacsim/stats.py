@@ -12,12 +12,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import InputError
-from .sweep import SweepRow
+from .sweep import SweepTable
 
 __all__ = [
     "DesignMatrix",
@@ -239,28 +238,26 @@ def t_sf(t: float, df: int | float) -> float:
     return half_tail if t > 0 else 1.0 - half_tail
 
 
-def build_design(rows: list[SweepRow], mode: str) -> DesignMatrix:
+def build_design(rows: SweepTable, mode: str) -> DesignMatrix:
     """Assemble predictors from sweep rows in the fixed reporting order."""
     if mode not in SENSITIVITY_MODES:
         raise InputError(f"unknown sensitivity mode {mode!r}; choose from {SENSITIVITY_MODES}")
     if not rows:
         raise InputError("no sweep rows to analyze")
 
-    def column(name: str) -> np.ndarray:
-        return np.fromiter(map(attrgetter(name), rows), float, len(rows))
-
-    y = column("evacuated")
+    y = rows.columns["evacuated"].astype(float)
     if mode == "no-intercept":
         names = PREDICTOR_ORDER
     elif mode == "drop-one-weight":
         names = ("intercept",) + tuple(n for n in PREDICTOR_ORDER if n != "w_crf")
     else:  # intercept-full
         names = ("intercept",) + PREDICTOR_ORDER
-    columns = [np.ones(len(rows)) if name == "intercept" else column(name) for name in names]
+    columns = [np.ones(len(rows)) if name == "intercept" else rows.columns[name].astype(float)
+               for name in names]
     return DesignMatrix(names=tuple(names), x=np.column_stack(columns), y=y)
 
 
-def sensitivity(rows: list[SweepRow], mode: str = "drop-one-weight") -> RegressionReport:
+def sensitivity(rows: SweepTable, mode: str = "drop-one-weight") -> RegressionReport:
     """Fit evacuated ~ sweep predictors under the named collinearity mode.
 
     An exact-sum weight grid makes the full model singular, so intercept-full
@@ -320,7 +317,7 @@ class SeriesPoint:
 
 
 def series(
-    rows: list[SweepRow],
+    rows: SweepTable,
     storm: int,
     rainfall: float,
     time_of_day: float,
@@ -332,23 +329,21 @@ def series(
     in the slice with that value (all replicates, all settings of the other
     two weights).
     """
-    slice_rows = [
-        r for r in rows
-        if r.storm == storm and r.rainfall == rainfall
-        and r.time_of_day == time_of_day and r.threshold == threshold
-    ]
-    if not slice_rows:
+    col = rows.columns
+    in_slice = ((col["storm"] == storm) & (col["rainfall"] == rainfall)
+                & (col["time_of_day"] == time_of_day) & (col["threshold"] == threshold))
+    if not in_slice.any():
         raise InputError(
             f"no rows match slice storm={storm} rainfall={rainfall} "
             f"time_of_day={time_of_day} threshold={threshold}"
         )
+    evacuated = col["evacuated"][in_slice]
     out: list[SeriesPoint] = []
     for kind in ("w_cdm", "w_hrf", "w_crf"):
-        groups: dict[float, list[int]] = {}
-        for r in slice_rows:
-            groups.setdefault(getattr(r, kind), []).append(r.evacuated)
-        for v in sorted(groups):
-            vals = groups[v]
+        values, group = np.unique(col[kind][in_slice], return_inverse=True)
+        for k, v in enumerate(values.tolist()):
+            # Summed as Python ints, so the mean is that of the exact total.
+            vals = evacuated[group == k].tolist()
             out.append(SeriesPoint(kind, v, sum(vals) / len(vals), len(vals)))
     return out
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 import itertools
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields, replace
+from operator import attrgetter
+
+import numpy as np
 
 from .engine import EngineParams, RunConfig, RunResult, WorldIndex, run
 from .errors import InputError
@@ -25,6 +28,7 @@ from .population import (
     HouseholdProfile,
     csv_header,
     read_key_values,
+    record_fields,
     record_parser,
     records_to_csv,
 )
@@ -35,6 +39,7 @@ __all__ = [
     "SweepSpec",
     "Combo",
     "SweepRow",
+    "SweepTable",
     "FILTER_EXACT_ONE",
     "FILTER_AT_LEAST_ONE",
     "default_sweep_spec",
@@ -121,7 +126,31 @@ class SweepRow:
 
 RESULTS_HEADER = csv_header(SweepRow)
 _RESULTS_WIDTH = len(fields(SweepRow))
-_parse_row = record_parser(SweepRow)
+# (name, cell parser, array dtype) per field; seeds are unsigned 64-bit.
+_COLUMNS = [(name, parse, np.uint64 if name == "seed" else np.dtype(kind))
+            for name, kind, parse in record_fields(SweepRow)]
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Sweep rows as one array per SweepRow field. It iterates as SweepRows
+    of plain Python values and equals the list of those rows."""
+
+    columns: dict[str, np.ndarray]
+
+    @classmethod
+    def from_rows(cls, rows: list[SweepRow]) -> SweepTable:
+        return cls({name: np.fromiter(map(attrgetter(name), rows), dtype, len(rows))
+                    for name, _, dtype in _COLUMNS})
+
+    def __len__(self) -> int:
+        return len(self.columns["seed"])
+
+    def __iter__(self):
+        return map(SweepRow, *(column.tolist() for column in self.columns.values()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (SweepTable, list)) and list(self) == list(other)
 
 
 def result_row(combo_index: int, replicate: int, cfg: RunConfig, result: RunResult) -> SweepRow:
@@ -285,22 +314,59 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return records_to_csv(SweepRow, rows)
 
 
-def rows_from_csv(text: str) -> list[SweepRow]:
+# Lines read per chunk: a chunk's list of cell strings is freed before the
+# next one is made, which keeps the peak memory of a read near its input's.
+_CHUNK_LINES = 8192
+
+
+def _read_columns(lines: list[str]) -> list[np.ndarray]:
+    """One array per SweepRow field from non-blank lines. A bad line raises
+    ValueError or KeyError, which do not say where."""
+    if not set(map(str.count, lines, itertools.repeat(","))) <= {_RESULTS_WIDTH - 1}:
+        raise ValueError("a line has the wrong number of cells")
+    flat = ",".join(lines).split(",") if lines else []
+    columns = []
+    for i, (name, parse, dtype) in enumerate(_COLUMNS):
+        cells = flat[i::_RESULTS_WIDTH]
+        value = {cell: parse(cell) for cell in set(cells)}  # few distinct strings
+        try:
+            columns.append(np.fromiter(map(value.__getitem__, cells), dtype, len(cells)))
+        except OverflowError:
+            raise CellError(name, f"{name} does not fit in {np.dtype(dtype).name}") from None
+    return columns
+
+
+def rows_from_csv(text: str) -> SweepTable:
+    """Read a results file into columns, skipping blank lines. A bad file
+    raises InputError naming its first bad line, found line by line."""
     lines = text.splitlines()
     if not lines or lines[0] != RESULTS_HEADER:
         raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    parts = [_read_columns([])]
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
+        try:
+            parts.append(_read_columns(list(filter(str.strip, chunk))))
+        except (ValueError, KeyError):
+            _raise_first_error(chunk, start + 1)
+            raise
+    return SweepTable({name: np.concatenate(column)
+                       for (name, _, _), column in zip(_COLUMNS, zip(*parts))})
+
+
+def _raise_first_error(lines: list[str], first_lineno: int) -> None:
+    parse_row = record_parser(SweepRow)
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != _RESULTS_WIDTH:
             raise InputError(f"results CSV line {lineno}: expected {_RESULTS_WIDTH} cells")
         try:
-            rows.append(_parse_row(cells))
+            parse_row(cells)
+            _read_columns([line])
         except CellError as exc:
             raise InputError(f"results CSV line {lineno}: {exc}") from None
-    return rows
 
 
 # --- sweep spec file (flat key = value text) ---

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 import random
 
+from evacsim.errors import InputError
 from evacsim.geo import Point, Shelter, Waterway, World
+from evacsim.population import CellError, record_parser
+from evacsim.sweep import RESULTS_HEADER, SweepRow
 
 
 def line_world(
@@ -139,3 +142,35 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
             route = route[leg:] + index.route_to_shelter(here, chain[len(arrivals)])[1:]
             leg = 0
         tick += 1
+
+
+def rows_from_csv_reference(text: str) -> list[SweepRow]:
+    """The results file read one line at a time: blank lines skipped, each
+    other line split into 13 cells and parsed by `record_parser(SweepRow)`,
+    the first bad line raising InputError.
+
+    The line-by-line oracle of `sweep.rows_from_csv`, which reads columns.
+    Like it, a line whose row parses but holds an int outside its field's
+    range (uint64 for seed, int64 for the other int fields) is refused.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0] != RESULTS_HEADER:
+        raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
+    parse_row = record_parser(SweepRow)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != 13:
+            raise InputError(f"results CSV line {lineno}: expected 13 cells")
+        try:
+            rows.append(parse_row(cells))
+        except CellError as exc:
+            raise InputError(f"results CSV line {lineno}: {exc}") from None
+        for name, value in vars(rows[-1]).items():
+            low, high, dtype = (0, 2**64 - 1, "uint64") if name == "seed" else (
+                -2**63, 2**63 - 1, "int64")
+            if type(value) is int and not low <= value <= high:
+                raise InputError(f"results CSV line {lineno}: {name} does not fit in {dtype}")
+    return rows

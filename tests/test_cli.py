@@ -361,6 +361,25 @@ def test_sweep_analyze_series_end_to_end(tmp_path, capsys):
     assert header == "x,series,mean_evacuated,n"
 
 
+def test_analyze_and_series_refuse_a_header_only_results_file(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(sweep.RESULTS_HEADER + "\n")
+    assert main(["analyze", "--in", str(results)]) == 1
+    assert capsys.readouterr().err == "error: no sweep rows to analyze\n"
+    assert main(["series", "--in", str(results), "--storm", "2", "--rain", "red",
+                 "--time", "night", "--threshold", "0.9"]) == 1
+    assert capsys.readouterr().err.startswith("error: no rows match slice storm=2 ")
+
+
+def test_analyze_refuses_an_int_too_large_for_its_column(tmp_path, capsys):
+    row = sweep.SweepRow(0, 0, 9, 1, 0.25, 0.5, 0.7, 0.2, 0.2, 0.6, 2**70, 50, False)
+    results = tmp_path / "results.csv"
+    results.write_text(sweep.rows_to_csv([row]))
+    assert main(["analyze", "--in", str(results)]) == 1
+    assert capsys.readouterr().err == (
+        "error: results CSV line 2: evacuated does not fit in int64\n")
+
+
 def test_help_lists_table_defaults():
     parser = build_parser()
     # defaults of the single-run command mirror the documented initial values

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import evacsim
+from evacsim import stats
 from evacsim.errors import InputError
 from evacsim.stats import (
     DesignMatrix,
@@ -26,7 +27,7 @@ from evacsim.stats import (
     series_to_csv,
     t_sf,
 )
-from evacsim.sweep import SweepRow
+from evacsim.sweep import SweepRow, SweepTable
 
 
 def make_rows(params_list, evacuated):
@@ -37,7 +38,7 @@ def make_rows(params_list, evacuated):
             time_of_day=tod, threshold=threshold, w_cdm=w1, w_hrf=w2, w_crf=w3,
             evacuated=evac, ticks=100, truncated=False,
         ))
-    return rows
+    return SweepTable.from_rows(rows)
 
 
 def varied_params(n, rng):
@@ -246,6 +247,7 @@ def test_report_csv_bytes_are_pinned():
         evac = int(100 * storm + 80 * rain + 40 * tod - 200 * threshold + 150 * w[0]
                    + rng.randint(0, 30))
         rows.append(SweepRow(i, 0, i, storm, rain, tod, threshold, *w, evac, 100, False))
+    rows = SweepTable.from_rows(rows)
     digests = {mode: hashlib.sha256(report_to_csv(sensitivity(rows, mode)).encode()).hexdigest()
                for mode in ("drop-one-weight", "no-intercept")}
     assert digests == {
@@ -257,9 +259,36 @@ def test_report_csv_bytes_are_pinned():
 
 def test_build_design_rejects_unknown_mode_and_empty():
     with pytest.raises(InputError, match="mode"):
-        build_design([SweepRow(0, 0, 0, 1, 0.25, 0.5, 0.7, 0.1, 0.1, 0.8, 5, 10, False)], "magic")
+        build_design(SweepTable.from_rows(
+            [SweepRow(0, 0, 0, 1, 0.25, 0.5, 0.7, 0.1, 0.1, 0.8, 5, 10, False)]), "magic")
     with pytest.raises(InputError, match="no sweep rows"):
-        build_design([], "no-intercept")
+        build_design(SweepTable.from_rows([]), "no-intercept")
+
+
+def test_build_design_columns_hold_the_row_values_bit_for_bit():
+    rows = [SweepRow(i, 0, i, 1 + i % 2, 0.1 * i, -0.0, 0.7, 5e-324, 1 / 3, 0.6, 2**53 + i, 9, False)
+            for i in range(10)]
+    m = build_design(SweepTable.from_rows(rows), "intercept-full")
+    expected = [[1.0] + [float(getattr(r, n)) for n in m.names[1:]] for r in rows]
+    assert np.asfortranarray(m.x).tobytes("F") == np.asfortranarray(expected).tobytes("F")
+    assert m.y.tobytes() == np.array([float(r.evacuated) for r in rows]).tobytes()
+
+
+def test_sensitivity_looks_up_build_design_at_call_time(monkeypatch):
+    # The benchmark's tracer times stats.build_design by replacing the module
+    # global, so sensitivity must call it through that name.
+    calls = []
+    original = stats.build_design
+
+    def spy(rows, mode):
+        calls.append(mode)
+        return original(rows, mode)
+
+    monkeypatch.setattr(stats, "build_design", spy)
+    rng = random.Random(5)
+    params = varied_params(60, rng)
+    stats.sensitivity(make_rows(params, [rng.randrange(570) for _ in params]), "no-intercept")
+    assert calls == ["no-intercept"]
 
 
 # --- series ---
@@ -279,6 +308,27 @@ def test_series_means_match_independent_grouping():
         assert p.mean_evacuated == pytest.approx(sum(vals) / len(vals))
     kinds = {p.series for p in points}
     assert kinds == {"w_cdm", "w_hrf", "w_crf"}
+
+
+@pytest.mark.parametrize("evac, naive_mean", [
+    ([2**53 + 1] * 5, lambda v: float(np.sum(v)) / len(v)),  # int64 total, rounded to divide
+    ([2**53 + 1, 2**53 + 3, 1, 1, 1], lambda v: np.sum(v.astype(float)) / len(v)),  # float total
+])
+def test_series_means_are_of_exact_integer_totals(evac, naive_mean):
+    rows = make_rows([(1, 0.25, 0.5, 0.7, 0.2, 0.2, 0.6)] * 5, evac)
+    points = series(rows, storm=1, rainfall=0.25, time_of_day=0.5, threshold=0.7)
+    assert [p.mean_evacuated for p in points] == [sum(evac) / 5] * 3
+    assert naive_mean(np.array(evac)) != sum(evac) / 5
+
+
+def test_series_pools_equal_weights_and_nan():
+    nan = float("nan")
+    rows = make_rows([(1, 0.25, 0.5, 0.7, w, 0.2, 0.6) for w in (0.0, -0.0, nan, nan, 0.2)],
+                     [1, 2, 3, 4, 5])
+    points = series(rows, storm=1, rainfall=0.25, time_of_day=0.5, threshold=0.7)
+    cdm = [(p.x, p.mean_evacuated, p.n) for p in points if p.series == "w_cdm"]
+    assert cdm[:2] == [(0.0, 1.5, 2), (0.2, 5.0, 1)]  # 0.0 == -0.0
+    assert math.isnan(cdm[2][0]) and cdm[2][1:] == (3.5, 2)
 
 
 def test_series_single_combo_gives_single_points():

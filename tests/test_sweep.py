@@ -1,19 +1,23 @@
 import hashlib
 import itertools
-from dataclasses import replace
+from dataclasses import astuple, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim import engine
+from evacsim import engine, sweep
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
 from evacsim.errors import InputError
+from evacsim.population import record_fields
 from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
     FILTER_AT_LEAST_ONE,
     FILTER_EXACT_ONE,
+    RESULTS_HEADER,
     SweepRow,
     SweepSpec,
+    SweepTable,
     default_sweep_spec,
     enumerate_combos,
     execute,
@@ -24,7 +28,7 @@ from evacsim.sweep import (
     rows_to_csv,
     serialize_sweep_spec,
 )
-from helpers import line_world
+from helpers import line_world, rows_from_csv_reference
 from test_engine import profile
 
 
@@ -199,6 +203,142 @@ def test_rows_csv_rejects_a_bad_cell(col, cell, error):
 def test_rows_csv_rejects_bad_header():
     with pytest.raises(InputError, match="header"):
         rows_from_csv("nope\n1,2\n")
+
+
+def test_sweep_table_is_a_list_of_rows():
+    rows = [SweepRow(0, r, 2**64 - 1 - r, 1, 0.25, -0.0, 0.7, 0.2, 0.2, 0.6, 3 * r, 50, r == 1)
+            for r in range(3)]
+    table = rows_from_csv(rows_to_csv(rows))
+    assert len(table) == 3
+    assert table == rows and rows == table and not table != rows
+    assert table == SweepTable.from_rows(rows)
+    assert table != rows[:2]
+    assert [tuple(map(type, astuple(r))) for r in table] == [
+        (int, int, int, int, float, float, float, float, float, float, int, int, bool)] * 3
+    assert rows_to_csv(list(table)) == rows_to_csv(rows)
+    assert len(rows_from_csv(RESULTS_HEADER + "\n")) == 0
+
+
+def results_lines(n):
+    return rows_to_csv([SweepRow(i, 0, i, 1, 0.25, 0.5, 0.7, 0.2, 0.2, 0.6, i % 7, 50, False)
+                        for i in range(n)]).splitlines()
+
+
+def test_rows_csv_names_the_first_bad_line_after_the_first_chunk():
+    # Line 1 is the header, so lines 2..8193 are the first chunk.
+    lines = results_lines(9_000)
+    lines[8_999] = lines[8_999].replace(",0.2,", ",0.2x,", 1)
+    lines[8_500] = "   "  # a blank line counts in line numbers
+    with pytest.raises(InputError, match="^results CSV line 9000: could not convert string "
+                                         "to float: '0.2x'$"):
+        rows_from_csv("\n".join(lines) + "\n")
+    lines[8_600] = lines[8_600].rsplit(",", 1)[0]
+    with pytest.raises(InputError, match="^results CSV line 8601: expected 13 cells$"):
+        rows_from_csv("\n".join(lines) + "\n")
+
+
+def test_rows_csv_counts_each_lines_cells():
+    # A cell moved from line 3 to line 4 keeps the file's cell count, and
+    # "1" parses in every column.
+    text = "\n".join([RESULTS_HEADER, ",".join(["1"] * 13), ",".join(["1"] * 12),
+                      ",".join(["1"] * 14)]) + "\n"
+    with pytest.raises(InputError, match="^results CSV line 3: expected 13 cells$"):
+        rows_from_csv(text)
+
+
+def test_rows_csv_reads_crlf_lines():
+    lines = results_lines(5)
+    rows = rows_from_csv("\n".join(lines) + "\n")
+    assert rows_from_csv("\r\n".join(lines) + "\r\n") == rows
+    lines[4] = lines[4].replace(",50,", ",5.0,")
+    with pytest.raises(InputError, match="^results CSV line 5: invalid literal for int"):
+        rows_from_csv("\r\n".join(lines) + "\r\n")
+
+
+def test_rows_csv_reports_an_earlier_line_before_an_earlier_column():
+    lines = results_lines(5)
+    lines[2] = lines[2][:-1] + "2"  # truncated, the last field, on line 3
+    lines[4] = "x" + lines[4]  # combo_index, the first field, on line 5
+    with pytest.raises(InputError, match="^results CSV line 3: truncated must be 0 or 1, got '2'$"):
+        rows_from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("col, cell, error", [
+    (2, str(2**64), "line 3: seed does not fit in uint64"),
+    (2, "-1", "line 3: seed does not fit in uint64"),
+    (10, str(2**70), "line 3: evacuated does not fit in int64"),
+    (0, str(-2**63 - 1), "line 3: combo_index does not fit in int64"),
+])
+def test_rows_csv_refuses_an_int_its_column_cannot_hold(col, cell, error):
+    lines = results_lines(3)
+    cells = lines[2].split(",")
+    cells[col] = cell
+    lines[2] = ",".join(cells)
+    with pytest.raises(InputError, match=f"^results CSV {error}$"):
+        rows_from_csv("\n".join(lines) + "\n")
+    cells[col] = str(2**64 - 1) if col == 2 else str(-2**63)
+    lines[2] = ",".join(cells)
+    assert list(rows_from_csv("\n".join(lines) + "\n"))[1] == rows_from_csv_reference(
+        "\n".join(lines) + "\n")[1]
+
+
+def cell_strategy(name, kind):
+    if kind is bool:
+        return st.sampled_from(["0", "1"])
+    if kind is float:
+        return st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+                         st.sampled_from(["-0.0", "5e-324", "2.225073858507201e-308"]))
+    if name == "seed":
+        return st.integers(0, 2**64 - 1).map(str)
+    return st.integers(-2**63, 2**63 - 1).map(str)
+
+
+RESULTS_CELLS = st.tuples(*(cell_strategy(name, kind)
+                            for name, kind, _ in record_fields(SweepRow)))
+BAD_CELLS = st.one_of(
+    st.sampled_from(["", "x", "1.5", "nan", "-inf", " 7 ", "+3", "1_000", "0x1f", "yes", "2",
+                     "-1", "1e3", str(2**63), str(2**64), str(-2**63 - 1), "\u0661\u0662"]),
+    st.text(alphabet="0123456789.-+eEx _", max_size=6),
+)
+
+
+def exactly(rows):
+    """Each value with its type, so that True != 1 and -0.0 != 0.0."""
+    return [[(type(v), repr(v)) for v in astuple(r)] for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    body=st.lists(RESULTS_CELLS, max_size=12).map(lambda rows: [",".join(r) for r in rows]),
+    data=st.data(),
+    chunk_lines=st.sampled_from([1, 2, 5, 8192]),
+)
+def test_rows_csv_matches_the_line_by_line_reader(body, data, chunk_lines):
+    lines = [RESULTS_HEADER] + body
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["", " ", "\t"])))
+    if body and data.draw(st.booleans()):
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if i and line.strip()]))
+        cells = lines[i].split(",")
+        how = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if how == "replace":
+            cells[data.draw(st.integers(0, 12))] = data.draw(BAD_CELLS)
+        elif how == "drop":
+            del cells[data.draw(st.integers(0, 12))]
+        else:
+            cells.append(data.draw(BAD_CELLS))
+        lines[i] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = rows_from_csv_reference(text)
+    except InputError as exc:
+        expected = str(exc)
+    with mock.patch.object(sweep, "_CHUNK_LINES", chunk_lines):
+        try:
+            got = exactly(rows_from_csv(text))
+        except InputError as exc:
+            got = str(exc)
+    assert got == (expected if isinstance(expected, str) else exactly(expected))
 
 
 def test_sweep_spec_round_trip():
