@@ -148,8 +148,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     profiles = population.load_population(args.population, world)
     scenario = _scenario_from_args(args)
     weights = _weights_from_arg(args.weights)
-    cfg = engine.RunConfig(scenario, weights, args.threshold, args.seed)
     index = engine.WorldIndex(world, profiles, _params_from_args(args))
+    cfg = engine.RunConfig(scenario, weights, args.threshold, args.seed)
     result = engine.run(index, cfg, collect_events=bool(args.out_events))
     if args.out_summary:
         row = sweep_mod.result_row(0, 0, cfg, result)

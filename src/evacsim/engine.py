@@ -124,7 +124,7 @@ class EngineParams:
     epsilon_min: float = 0.0
     epsilon_max: float = 0.05
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("rescuer_radius", "shelter_radius", "household_speed", "rescuer_speed",
                      "tick_seconds"):
             if getattr(self, name) <= 0:
@@ -150,7 +150,7 @@ class RunConfig:
     threshold: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
 
@@ -194,16 +194,16 @@ class WorldIndex:
     """The one owner of a run's world, population and engine parameters,
     and the precomputation shared by every run on them.
 
-    Validates everything once, when built: raises InputError on parameters
-    out of range or on rescuers for a world with no rescuer_start nodes, and
+    Checks, when built, what its parameters cannot check alone: raises
+    InputError on rescuers for a world with no rescuer_start nodes, and
     PopulationError on profiles that do not fit the world. Holds the
-    parameters and profiles it validated, house positions, snapped road
-    nodes, hazard proximity classes, per-household CDM and CRF scores, one
-    shortest-path tree per shelter for routing and nearest-shelter queries,
-    and the inform timeline of the last seed it served. The parameters are
-    frozen, so that timeline is keyed on the seed alone. It also keeps the
-    perceived-risk array of the last (seed, scenario, weights) it served:
-    those are every input of the array besides the index's own.
+    parameters, the profiles, house positions, snapped road nodes, hazard
+    proximity classes, per-household CDM and CRF scores, one shortest-path
+    tree per shelter for routing, and the inform timeline of the last seed
+    it served. The parameters are frozen, so that timeline is keyed on the
+    seed alone. It also keeps the perceived-risk array of the last (seed,
+    scenario, weights) it served: those are every input of the array
+    besides the index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -214,13 +214,13 @@ class WorldIndex:
     edge length, edge candidates) per choice, in adjacency order without
     the way back unless that is the only way.
 
-    For the households' walks it memoises `arrival_offset` per (house
-    node, shelter chain).
+    For the households it holds `shelter_order`: per road node, the
+    shelters it reaches, internal before external, then by distance, then
+    by id; and it memoises `arrival_offset` per (house node, shelter chain).
     """
 
     def __init__(self, world: World, profiles: list[HouseholdProfile],
                  params: EngineParams = EngineParams()):
-        params.validate()
         if params.nb_rescuers > 0 and not world.rescuer_starts:
             raise InputError("nb_rescuers > 0 but the world has no rescuer_start nodes")
         validate_profiles(profiles, world)
@@ -254,15 +254,19 @@ class WorldIndex:
                     (nb, *edge[nb]) for nb, _ in nbrs if not (back and nb == prev))
 
         # One shortest-path tree per shelter: dist and next-hop-toward-shelter
-        # for every road node. Undirected graph, so dist(node, shelter) is
-        # read straight off the tree.
-        self.shelter_dist: dict[int, dict[int, float]] = {}
+        # for every road node it reaches. Undirected graph, so dist(node,
+        # shelter) is read straight off the tree.
         self.shelter_next: dict[int, dict[int, int]] = {}
+        reached: dict[int, list[tuple[bool, float, int]]] = {node: [] for node in world.nodes}
         for s in world.shelters:
             dist, parent = shortest_path_tree(world, s.node)
-            self.shelter_dist[s.id] = dist
             self.shelter_next[s.id] = parent
+            for node, d in dist.items():
+                reached[node].append((s.external, d, s.id))
         self.shelters_by_id: dict[int, Shelter] = {s.id: s for s in world.shelters}
+        self.shelter_order: dict[int, tuple[Shelter, ...]] = {
+            node: tuple(self.shelters_by_id[sid] for _, _, sid in sorted(keys))
+            for node, keys in reached.items()}
         self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
         self._risk_key: tuple[int, Scenario, Weights] | None = None
@@ -421,7 +425,6 @@ class SimulationState:
 def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> SimulationState:
     """Build the tick-0 state of a run with cfg on index's world,
     population and parameters. Identical inputs give bit-identical states."""
-    cfg.validate()
     world = index.world
     timeline = index.inform_timeline(cfg.seed)
     perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
@@ -545,12 +548,6 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                           placed, informs)
 
 
-def _would_fit(state: SimulationState, shelter: Shelter, members: int) -> bool:
-    if shelter.external:
-        return True
-    return state.occupancy[shelter.id] + members <= shelter.capacity
-
-
 def _pick_shelter(state: SimulationState, node: int, members: int,
                   exclude: tuple[int, ...]) -> int | None:
     """Nearest internal shelter that would fit, else nearest external.
@@ -558,19 +555,12 @@ def _pick_shelter(state: SimulationState, node: int, members: int,
     Ties break by shelter id; unreachable shelters are skipped. External
     shelters are unbounded, so exclude and capacity do not apply to them.
     """
-    index = state.index
-    best: tuple[bool, float, int] | None = None
-    for shelter in index.world.shelters:
-        if not shelter.external and (
-                shelter.id in exclude or not _would_fit(state, shelter, members)):
-            continue
-        d = index.shelter_dist[shelter.id].get(node)
-        if d is None:
-            continue
-        key = (shelter.external, d, shelter.id)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[2]
+    occupancy = state.occupancy
+    for shelter in state.index.shelter_order[node]:
+        if shelter.external or (shelter.id not in exclude
+                                and occupancy[shelter.id] + members <= shelter.capacity):
+            return shelter.id
+    return None
 
 
 def _start_evacuation(state: SimulationState, h: HouseholdState, t: int) -> None:
@@ -649,7 +639,7 @@ def _admit_or_redirect(state: SimulationState, h: HouseholdState, decided: int, 
     index = state.index
     shelter = index.shelters_by_id[h.chain[-1]]
     members = index.profiles[h.idx].members
-    if _would_fit(state, shelter, members):
+    if shelter.external or state.occupancy[shelter.id] + members <= shelter.capacity:
         state.occupancy[shelter.id] += members
         state.admitted[shelter.id] += 1
         if not shelter.external and state.occupancy[shelter.id] > shelter.capacity:

@@ -105,7 +105,8 @@ def _parse_bool(token: str) -> bool:
 
 
 def parse_world(text: str) -> World:
-    """Parse the line-oriented world format without validating invariants."""
+    """Parse the line-oriented world format, checking each record on its own;
+    validate_world checks the invariants that span records."""
     nodes: dict[int, Point] = {}
     edges: list[tuple[int, int, float]] = []
     edge_keys: set[tuple[int, int]] = set()
@@ -204,20 +205,13 @@ def parse_world(text: str) -> World:
 
 
 def validate_world(world: World) -> None:
-    """Check structural invariants; raise WorldValidationError naming the first
-    one violated."""
+    """Check the invariants that span records; raise WorldValidationError
+    naming the first one violated. The checks of a single record (edge
+    endpoints and length, waterway points) are parse_world's."""
     if not world.nodes:
         raise WorldValidationError("world has no road nodes")
     if not world.edges and len(world.nodes) > 1:
         raise WorldValidationError("world has road nodes but no edges")
-    for a, b, length in world.edges:
-        if a not in world.nodes or b not in world.nodes:
-            raise WorldValidationError(f"edge ({a},{b}) references an unknown node")
-        euclid = world.nodes[a].distance_to(world.nodes[b])
-        if abs(length - euclid) > EDGE_LENGTH_TOL:
-            raise WorldValidationError(
-                f"edge ({a},{b}) length {length} deviates from endpoint distance {euclid}"
-            )
 
     seen_shelter_ids: set[int] = set()
     for s in world.shelters:
@@ -249,10 +243,6 @@ def validate_world(world: World) -> None:
         for n in world.rescuer_starts:
             if n not in reached:
                 raise WorldValidationError(f"rescuer_start node {n} is disconnected from the road network anchors")
-
-    for w in world.waterways:
-        if len(w.points) < 2:
-            raise WorldValidationError(f"waterway {w.id} needs at least 2 points")
 
 
 def load_world(path: str) -> World:

@@ -184,7 +184,7 @@ class PopulationSpec:
     members_max: int
     members_mean: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.count < 0:
             raise PopulationError(f"count must be >= 0, got {self.count}")
         for name, cats in CODED_FIELDS.items():
@@ -244,7 +244,7 @@ def _sample_category(rng: random.Random, dist: dict[str, float], order: dict[str
             code = order[cat]
         if u < acc and code is not None:
             return code
-    assert code is not None  # validate() guarantees probabilities sum to 1
+    assert code is not None  # a PopulationSpec checks, when built, that they sum to 1
     return code  # numeric slack: u landed beyond the accumulated sum
 
 
@@ -265,7 +265,6 @@ def synthesize(spec: PopulationSpec, world: World, seed: int) -> list[HouseholdP
     household in CODED_FIELDS order, members last, then buildings are
     assigned by one seeded shuffle of the sorted building ids.
     """
-    spec.validate()
     if spec.count > len(world.buildings):
         raise PopulationError(
             f"cannot place {spec.count} households on {len(world.buildings)} buildings"
@@ -380,9 +379,7 @@ def parse_population_spec(text: str) -> PopulationSpec:
             raise PopulationError(f"population spec line {lineno}: bad value {value!r}") from None
     if len(scalars) != len(_SPEC_SCALARS):
         raise PopulationError(f"population spec must define {', '.join(_SPEC_SCALARS)}")
-    spec = PopulationSpec(distributions=distributions, **scalars)  # type: ignore[arg-type]
-    spec.validate()
-    return spec
+    return PopulationSpec(distributions=distributions, **scalars)  # type: ignore[arg-type]
 
 
 def serialize_population_spec(spec: PopulationSpec) -> str:

@@ -82,10 +82,7 @@ class Scenario:
     @property
     def storm_level(self) -> int:
         """The PSWS integer the storm code corresponds to."""
-        for level, code in STORM_CODES.items():
-            if code == self.storm_severity:
-                return level
-        raise InputError(f"no PSWS level for code {self.storm_severity}")
+        return next(level for level, code in STORM_CODES.items() if code == self.storm_severity)
 
     @classmethod
     def from_names(cls, storm_level: int, rainfall: str, time_of_day: str) -> "Scenario":

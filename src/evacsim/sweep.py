@@ -14,6 +14,7 @@ index, which walks the rescuers once for all of them.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
@@ -73,7 +74,7 @@ class SweepSpec:
     base_seed: int = 1
     weight_filter: str = FILTER_EXACT_ONE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for level in self.storm_levels:
             if level not in STORM_CODES:
                 raise InputError(f"sweep storm level {level} outside supported PSWS range")
@@ -181,7 +182,6 @@ def default_sweep_spec(**overrides) -> SweepSpec:
 def enumerate_combos(spec: SweepSpec) -> list[Combo]:
     """Full Cartesian product in a fixed lexicographic axis order:
     storm, rainfall, time of day, threshold, w_cdm, w_hrf, w_crf."""
-    spec.validate()
     combos: list[Combo] = []
     sw_size = len(spec.w_cdm_values) * len(spec.w_hrf_values) * len(spec.w_crf_values)
     n_thresholds = len(spec.thresholds)
@@ -232,7 +232,8 @@ SeedGroup = tuple[int, tuple[tuple[int, RunConfig], ...]]
 
 
 def _seed_groups(spec: SweepSpec) -> list[SeedGroup]:
-    """Every run's config, validated, grouped by seed."""
+    """Every run's config, grouped by seed. Building a config checks its
+    threshold, so a spec threshold outside [0, 1] raises here."""
     by_sw: dict[int, list[Combo]] = {}
     for combo in filter_valid(enumerate_combos(spec), spec.weight_filter):
         by_sw.setdefault(combo.scenario_weight_index, []).append(combo)
@@ -245,8 +246,6 @@ def _seed_groups(spec: SweepSpec) -> list[SeedGroup]:
             seed = replicate_seed(spec.base_seed, first, rep)
             runs = tuple((c.index, RunConfig(scenario, weights, c.threshold, seed))
                          for c in combos)
-            for _, cfg in runs:
-                cfg.validate()
             groups.append((rep, runs))
     return groups
 
@@ -284,14 +283,13 @@ def execute(
     (world, profiles, params), built once per worker process.
 
     A run's config is its combination's scenario, weights and threshold and
-    its replicate seed. Every config is built and validated before the
-    first run, so a spec value a run would reject fails the sweep before
-    any work. Runs execute one seed group at a time; rows come back in
+    its replicate seed. Every config is built, and so checks itself, before
+    the first run, so a spec value a run would reject fails the sweep
+    before any work. Runs execute one seed group at a time; rows come back in
     combo-then-replicate order no matter how many workers executed them. A
     failed run aborts the sweep (runs themselves never fail, truncation is
     recorded per row).
     """
-    spec.validate()
     if workers < 1:
         raise InputError("workers must be >= 1")
     groups = _seed_groups(spec)
@@ -329,6 +327,9 @@ def _read_columns(lines: list[str]) -> list[np.ndarray]:
     for i, (name, parse, dtype) in enumerate(_COLUMNS):
         cells = flat[i::_RESULTS_WIDTH]
         value = {cell: parse(cell) for cell in set(cells)}  # few distinct strings
+        bad = next((c for c, v in value.items() if parse is float and not math.isfinite(v)), None)
+        if bad is not None:
+            raise CellError(name, f"{name} must be finite, got {bad!r}")
         try:
             columns.append(np.fromiter(map(value.__getitem__, cells), dtype, len(cells)))
         except OverflowError:
@@ -412,9 +413,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
                 raise InputError(bad_value.format(key=key)) from None
         elif field not in _OPTIONAL_FIELDS:
             raise InputError(f"sweep spec missing key {key!r}")
-    spec = SweepSpec(**kwargs)
-    spec.validate()
-    return spec
+    return SweepSpec(**kwargs)
 
 
 def _format(value) -> str:

@@ -6,7 +6,7 @@ import math
 import random
 
 from evacsim.errors import InputError
-from evacsim.geo import Point, Shelter, Waterway, World
+from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
 from evacsim.population import CellError, record_parser
 from evacsim.sweep import RESULTS_HEADER, SweepRow
 
@@ -144,6 +144,31 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
         tick += 1
 
 
+def pick_shelter_reference(world: World, occupancy: dict[int, int], node: int, members: int,
+                           exclude: tuple[int, ...]) -> int | None:
+    """The shelter a household of `members` persons at road node `node`
+    heads for: the nearest internal shelter that is not in `exclude` and
+    has room for it, else the nearest external one; ties break by shelter
+    id, unreachable shelters are skipped, and None means there is none.
+
+    The linear-scan oracle of `engine._pick_shelter`, which reads the
+    index's per-node shelter order; distances are read off each shelter's
+    shortest-path tree.
+    """
+    best: tuple[bool, float, int] | None = None
+    for shelter in world.shelters:
+        if not shelter.external and (
+                shelter.id in exclude or occupancy[shelter.id] + members > shelter.capacity):
+            continue
+        d = shortest_path_tree(world, shelter.node)[0].get(node)
+        if d is None:
+            continue
+        key = (shelter.external, d, shelter.id)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[2]
+
+
 def rows_from_csv_reference(text: str) -> list[SweepRow]:
     """The results file read one line at a time: blank lines skipped, each
     other line split into 13 cells and parsed by `record_parser(SweepRow)`,
@@ -151,7 +176,8 @@ def rows_from_csv_reference(text: str) -> list[SweepRow]:
 
     The line-by-line oracle of `sweep.rows_from_csv`, which reads columns.
     Like it, a line whose row parses but holds an int outside its field's
-    range (uint64 for seed, int64 for the other int fields) is refused.
+    range (uint64 for seed, int64 for the other int fields) or a float that
+    is nan or infinite is refused, naming the line's first such field.
     """
     lines = text.splitlines()
     if not lines or lines[0] != RESULTS_HEADER:
@@ -168,9 +194,11 @@ def rows_from_csv_reference(text: str) -> list[SweepRow]:
             rows.append(parse_row(cells))
         except CellError as exc:
             raise InputError(f"results CSV line {lineno}: {exc}") from None
-        for name, value in vars(rows[-1]).items():
+        for (name, value), cell in zip(vars(rows[-1]).items(), cells):
             low, high, dtype = (0, 2**64 - 1, "uint64") if name == "seed" else (
                 -2**63, 2**63 - 1, "int64")
             if type(value) is int and not low <= value <= high:
                 raise InputError(f"results CSV line {lineno}: {name} does not fit in {dtype}")
+            if type(value) is float and not math.isfinite(value):
+                raise InputError(f"results CSV line {lineno}: {name} must be finite, got {cell!r}")
     return rows

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import math
 from dataclasses import asdict
 
 import pytest
@@ -212,8 +213,12 @@ def test_engine_flags_map_one_to_one_onto_run_inputs():
     p = argparse.ArgumentParser()
     cli._add_engine_flags(p)
     dests = [a.dest for a in p._actions if a.dest != "help"]  # noqa: SLF001
-    params = cli._params_from_args(argparse.Namespace(**{d: i for i, d in enumerate(dests)}))
-    assert asdict(params) == {FLAG_FIELD_RENAMES.get(d, d): i for i, d in enumerate(dests)}
+    # Distinct values, each in range for the field its flag sets.
+    values = dict(zip(dests, (7, 51.0, 52.0, 1.3, 3.1, 9.0, 4000, 900, 2900, 0.6, 0.01, 0.04),
+                      strict=True))
+    assert len(set(values.values())) == len(values)
+    params = cli._params_from_args(argparse.Namespace(**values))
+    assert asdict(params) == {FLAG_FIELD_RENAMES.get(d, d): v for d, v in values.items()}
 
 
 @pytest.mark.parametrize("command", [
@@ -281,6 +286,30 @@ def test_sweep_rejects_a_bad_spec_value_before_any_run(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err.startswith("error: rainfall code 0.3 invalid")
     assert started == []
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command, other_fault, other_error", [
+    ("simulate", ["--threshold", "1.5"], "threshold 1.5 outside [0, 1]"),
+    ("sweep", ["--workers", "0"], "workers must be >= 1"),
+    ("sweep", [], "threshold 1.5 outside [0, 1]"),
+], ids=["simulate-threshold", "sweep-workers", "sweep-spec-threshold"])
+def test_a_bad_engine_flag_is_the_first_error_reported(tmp_path, capsys, command, other_fault,
+                                                       other_error):
+    """The engine flags build a checked EngineParams before the run config,
+    the worker count or the spec's run configs are checked."""
+    world_path, pop_path = micro_assets(tmp_path)
+    argv = [command, "--world", str(world_path), "--population", str(pop_path),
+            *MICRO_FLAGS, *other_fault]
+    if command == "sweep":
+        spec_path = sweep_spec_file(tmp_path)
+        if not other_fault:
+            spec_path.write_text(spec_path.read_text().replace("thresholds = 0.7,0.9",
+                                                               "thresholds = 0.7,1.5"))
+        argv += ["--spec", str(spec_path), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv + ["--tick-seconds", "0"]) == 1
+    assert capsys.readouterr().err == "error: tick_seconds must be > 0\n"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {other_error}\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -378,6 +407,21 @@ def test_analyze_refuses_an_int_too_large_for_its_column(tmp_path, capsys):
     assert main(["analyze", "--in", str(results)]) == 1
     assert capsys.readouterr().err == (
         "error: results CSV line 2: evacuated does not fit in int64\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["series", "--storm", "1", "--rain", "yellow", "--time", "day", "--threshold", "0.7"],
+])
+def test_analyze_and_series_refuse_a_nan_weight(tmp_path, capsys, command):
+    rows = [sweep.SweepRow(i, 0, 9, 1, 0.25, 0.5, 0.7, math.nan if i >= 2 else 0.2, 0.2, 0.6,
+                           i, 50, False) for i in range(5)]
+    results = tmp_path / "results.csv"
+    results.write_text(sweep.rows_to_csv(rows))
+    assert main([command[0], "--in", str(results), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: results CSV line 4: w_cdm must be finite, got 'nan'\n"
 
 
 def test_help_lists_table_defaults():

@@ -1,7 +1,9 @@
 import hashlib
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evacsim import engine
 from evacsim.engine import (
@@ -19,10 +21,10 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError
-from evacsim.geo import Point
+from evacsim.geo import Point, Shelter
 from evacsim.population import HouseholdProfile, PopulationError
 from evacsim.risk import Scenario, WarningSource, Weights
-from helpers import line_world
+from helpers import line_world, pick_shelter_reference
 
 
 def profile(i: int, building: int, members: int = 4, **overrides) -> HouseholdProfile:
@@ -473,3 +475,35 @@ def test_run_config_is_the_grid_point_and_seed():
     # Every engine parameter belongs to the index, which fixes it for every
     # run it serves; a run adds only what the experiment varies.
     assert {f.name for f in fields(RunConfig)} == {"scenario", "weights", "threshold", "seed"}
+
+
+def unreachable_shelter_index() -> WorldIndex:
+    """A line world with an external shelter and an internal shelter 3 on
+    road 10-11, which no road joins to the others."""
+    base = line_world(n_nodes=4, shelter_specs=[(0, 3, 8, False), (1, 1, 4, False),
+                                                (2, 0, 1, True)])
+    world = replace(base, nodes={**base.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
+                    edges=[*base.edges, (10, 11, 100.0)],
+                    shelters=[*base.shelters, Shelter(3, 11, 8, False)])
+    return WorldIndex(world, [], EngineParams(nb_rescuers=0))
+
+
+UNREACHABLE_SHELTER_INDEX = unreachable_shelter_index()
+
+
+@settings(max_examples=300, deadline=None)
+@given(on_demo=st.booleans(), data=st.data())
+def test_pick_shelter_matches_the_linear_scan(demo_index, on_demo, data):
+    index = demo_index if on_demo else UNREACHABLE_SHELTER_INDEX
+    world = index.world
+    ids = [s.id for s in world.shelters]
+    # Occupancy empty or within a household of full, so that fit decides.
+    occupancy = {s.id: data.draw(st.one_of(st.just(0), st.integers(max(0, s.capacity - 10),
+                                                                    s.capacity)))
+                 for s in world.shelters}
+    node = data.draw(st.sampled_from(sorted(world.nodes)))
+    members = data.draw(st.integers(1, 10))
+    exclude = tuple(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+    state = SimpleNamespace(index=index, occupancy=occupancy)
+    picked = engine._pick_shelter(state, node, members, exclude)  # noqa: SLF001
+    assert picked == pick_shelter_reference(world, occupancy, node, members, exclude)

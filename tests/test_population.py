@@ -192,7 +192,7 @@ def test_population_spec_validation():
     bad = {k: dict(v) for k, v in spec.distributions.items()}
     bad["head_gender"]["male"] = 0.9  # sums to 1.45
     with pytest.raises(PopulationError, match="sum"):
-        PopulationSpec(10, bad, 1, 10, 4.5).validate()
+        PopulationSpec(10, bad, 1, 10, 4.5)
     with pytest.raises(PopulationError, match="unknown key"):
         parse_population_spec("count = 5\nmembers_min = 1\nmembers_max = 2\nmembers_mean = 1.5\nbogus = 1\n")
     with pytest.raises(PopulationError, match="unknown category"):

@@ -243,7 +243,7 @@ def test_scenario_rejects_unrepresentable_codes():
     with pytest.raises(InputError):
         Scenario(0.3, 0.25, 0.5)
     with pytest.raises(InputError, match="epsilon"):
-        EngineParams(epsilon_max=0.06).validate()
+        EngineParams(epsilon_max=0.06)
 
 
 def test_monotone_in_each_hazard_code():

@@ -1,6 +1,6 @@
 import hashlib
 import itertools
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from unittest import mock
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from evacsim import engine, sweep
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
 from evacsim.errors import InputError
-from evacsim.population import record_fields
+from evacsim.population import PopulationError, default_population_spec, record_fields
 from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
     FILTER_AT_LEAST_ONE,
@@ -375,7 +375,7 @@ def test_sweep_spec_validation():
             storm_levels=(9,), rainfall_codes=(0.25,), time_of_day_codes=(0.5,),
             thresholds=(0.7,), w_cdm_values=(0.1,), w_hrf_values=(0.1,),
             w_crf_values=(0.1,),
-        ).validate()
+        )
     with pytest.raises(InputError, match="replications"):
         parse_sweep_spec(serialize_sweep_spec(default_sweep_spec()).replace(
             "replications = 10", "replications = 0"))
@@ -384,6 +384,50 @@ def test_sweep_spec_validation():
             "weight_filter = exact_one", "weight_filter = sometimes"))
     with pytest.raises(InputError, match="missing key"):
         parse_sweep_spec("storm_levels = 1\n")
+
+
+RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2, 0.2, 0.6), 0.7, 1)
+
+
+@pytest.mark.parametrize("record, change, error, message", [
+    (EngineParams(), {"tick_seconds": 0.0}, InputError, "tick_seconds must be > 0"),
+    (EngineParams(), {"fallback_tick_min": 4000}, InputError,
+     "fallback tick window requires 0 <= min <= max"),
+    (RUN_CONFIG, {"threshold": 1.5}, InputError, "threshold 1.5 outside [0, 1]"),
+    (default_sweep_spec(), {"storm_levels": (4,)}, InputError,
+     "sweep storm level 4 outside supported PSWS range"),
+    (default_sweep_spec(), {"thresholds": (0.7, 0.7)}, InputError,
+     "sweep axis thresholds has duplicate values"),
+    (default_population_spec(), {"count": -1}, PopulationError, "count must be >= 0, got -1"),
+    (default_population_spec(), {"members_mean": 11.0}, PopulationError,
+     "members_mean must lie inside [members_min, members_max]"),
+], ids=["params-tick", "params-fallback", "run-threshold", "spec-storm", "spec-duplicate",
+        "population-count", "population-mean"])
+def test_records_check_themselves_when_built(record, change, error, message):
+    kwargs = {f.name: getattr(record, f.name) for f in fields(record)} | change
+    with pytest.raises(InputError) as built:
+        type(record)(**kwargs)
+    with pytest.raises(InputError) as replaced:
+        replace(record, **change)
+    for exc in (built.value, replaced.value):
+        assert type(exc) is error and str(exc) == message
+
+
+@pytest.mark.parametrize("col, cell", [(7, "nan"), (4, "inf"), (6, "-Infinity")])
+def test_rows_csv_refuses_a_float_that_is_not_finite(col, cell):
+    lines = results_lines(3)
+    cells = lines[2].split(",")
+    cells[col] = cell
+    lines[2] = ",".join(cells)
+    name = RESULTS_HEADER.split(",")[col]
+    with pytest.raises(InputError, match=f"^results CSV line 3: {name} must be finite, "
+                                         f"got '{cell}'$"):
+        rows_from_csv("\n".join(lines) + "\n")
+    # A cell that does not parse, even in a later field, is reported first.
+    cells[10] = "x"
+    lines[2] = ",".join(cells)
+    with pytest.raises(InputError, match="^results CSV line 3: invalid literal for int"):
+        rows_from_csv("\n".join(lines) + "\n")
 
 
 def test_sweep_spec_rejects_unknown_and_repeated_keys():
