@@ -18,7 +18,11 @@ the fallback channel) reads the index and the seed only, never the
 scenario, the weights or the threshold, and cannot see decisions: only
 unaware households are perceived, and they stay at home. It is computed
 once into an `InformTimeline`, which the world index keeps for the next
-run with the same seed. A household's perceived risk depends only on the
+run with the same seed. The walk is event-driven: a rescuer is visited in
+a tick only if it reaches a node then, where it draws its next edge, or if
+the candidate list it walks still holds an unaware household, which it
+scans; it draws what a walk that moves every rescuer every tick draws, in
+the same order. A household's perceived risk depends only on the
 seed (its epsilon draw and the source that informed it), the scenario and
 the weights, so the runs of one seed group, which differ only in
 threshold, share one perceived-risk array: the world index computes it once
@@ -45,10 +49,9 @@ from .errors import InputError, InternalError
 from .geo import (
     Shelter,
     World,
-    classify_proximity,
-    hazard_distance,
     nearest_road_nodes,
     points_near_edges,
+    proximity_classes,
     shortest_path_tree,
 )
 from .population import HouseholdProfile, csv_header, validate_profiles
@@ -209,10 +212,14 @@ class WorldIndex:
     in ascending id per edge (`edge_candidates`, every house within
     rescuer_radius of the segment) and per node (`node_candidates`, the
     union of the incident edges' lists in adjacency order, first occurrence
-    kept), and the walk table `moves`: for a rescuer standing on a node,
-    keyed (node, node it came from, or -1 at its start), one (next node,
-    edge length, edge candidates) per choice, in adjacency order without
-    the way back unless that is the only way.
+    kept). `candidate_lists` numbers those lists: the edge lists in
+    `edge_candidates` order, then the node lists in `node_candidates`
+    order; `node_slot` maps a node to its list's number and `slots_of` a
+    household to the numbers of the lists holding it, so a walk can count
+    the unaware households of each list. The walk table `moves` holds, for
+    a rescuer standing on a node, keyed (node, node it came from, or -1 at
+    its start), one (next node, edge length, edge list number) per choice,
+    in adjacency order without the way back unless that is the only way.
 
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
@@ -233,25 +240,34 @@ class WorldIndex:
         houses = [world.buildings[p.building_id] for p in profiles]
         self.house_pos = [(pos.x, pos.y) for pos in houses]
         self.house_node = nearest_road_nodes(world, houses)
-        self.proximity = [classify_proximity(hazard_distance(world, pos)) for pos in houses]
+        self.proximity = proximity_classes(world, houses)
         self.proximity_code = np.array([c.value for c in self.proximity], dtype=float)
 
         # A superset of anything perceivable from a point on the edge.
         self.edge_candidates = points_near_edges(world, houses, params.rescuer_radius)
+        edge_lists = tuple(self.edge_candidates.values())
+        edge_slot = {key: slot for slot, key in enumerate(self.edge_candidates)}
         self.node_candidates: dict[int, tuple[int, ...]] = {}
-        self.moves: dict[tuple[int, int], tuple[tuple[int, float, tuple[int, ...]], ...]] = {}
+        self.moves: dict[tuple[int, int], tuple[tuple[int, float, int], ...]] = {}
         for node, nbrs in world.adjacency.items():
-            # neighbour -> (length of its first adjacency entry, candidates)
-            edge: dict[int, tuple[float, tuple[int, ...]]] = {}
+            # neighbour -> (length of its first adjacency entry, list number)
+            edge: dict[int, tuple[float, int]] = {}
             for nb, length in nbrs:
-                key = (node, nb) if node < nb else (nb, node)
-                edge.setdefault(nb, (length, self.edge_candidates[key]))
+                edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
             self.node_candidates[node] = tuple(dict.fromkeys(
-                hid for _, cands in edge.values() for hid in cands))
+                hid for _, slot in edge.values() for hid in edge_lists[slot]))
             for prev in (-1, *edge):
                 back = len(nbrs) > 1 and prev >= 0
                 self.moves[(node, prev)] = tuple(
                     (nb, *edge[nb]) for nb, _ in nbrs if not (back and nb == prev))
+        self.candidate_lists = (*edge_lists, *self.node_candidates.values())
+        self.node_slot = {node: slot for slot, node in enumerate(self.node_candidates,
+                                                                 len(self.edge_candidates))}
+        slots_of: list[list[int]] = [[] for _ in range(self.n)]
+        for slot, cands in enumerate(self.candidate_lists):
+            for hid in cands:
+                slots_of[hid].append(slot)
+        self.slots_of = tuple(map(tuple, slots_of))
 
         # One shortest-path tree per shelter: dist and next-hop-toward-shelter
         # for every road node it reaches. Undirected graph, so dist(node,
@@ -453,94 +469,141 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
 def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     """Draw a run's init stream, then walk its rescuers and fire the
     fallback channel until every household is informed or max_ticks is
-    reached."""
+    reached.
+
+    Each tick visits the rescuers in ascending order, as a walk that moves
+    every rescuer every tick would, but a rescuer does work only when it
+    reaches a node (or stands on one) in that tick, or when its current
+    candidate list still holds an unaware household. On entering an edge it
+    computes the tick it reaches the far node and the budget it has left
+    then, by the same float additions the tick-by-tick walk makes; its
+    progress along the edge is advanced by those additions only when it
+    scans. A tick's informs keep their order: rescuers, then the fallback
+    channel."""
     world = index.world
     n = index.n
     p = index.params
     rng_init = random.Random(derive_seed(seed, "init"))
+    rand, rand_init = rng_init.random, rng_init.randrange
+    eps_lo, eps_span = p.epsilon_min, p.epsilon_max - p.epsilon_min
+    friends_prob = p.fallback_friends_prob
+    tick_lo, tick_hi = p.fallback_tick_min, p.fallback_tick_max + 1
     epsilon: list[float] = []
     fallback_source: list[WarningSource] = []
     fallback_tick: list[int] = []
     fallback_schedule: dict[int, list[int]] = {}
     for i in range(n):
-        epsilon.append(rng_init.uniform(p.epsilon_min, p.epsilon_max))
+        # random.uniform and random.randint, spelled as their docs define them
+        epsilon.append(eps_lo + eps_span * rand())
         fallback_source.append(
-            WarningSource.FRIENDS
-            if rng_init.random() < p.fallback_friends_prob
-            else WarningSource.MEDIA
-        )
-        tick = rng_init.randint(p.fallback_tick_min, p.fallback_tick_max)
+            WarningSource.FRIENDS if rand() < friends_prob else WarningSource.MEDIA)
+        tick = rand_init(tick_lo, tick_hi)
         fallback_tick.append(tick)
         fallback_schedule.setdefault(tick, []).append(i)
     starts = world.rescuer_starts
-    placed = tuple(starts[rng_init.randrange(len(starts))] for _ in range(p.nb_rescuers))
+    placed = tuple(starts[rand_init(len(starts))] for _ in range(p.nb_rescuers))
 
-    walk_rng = random.Random(derive_seed(seed, "walk"))
-    randrange = walk_rng.randrange
+    randrange = random.Random(derive_seed(seed, "walk")).randrange
     budget = p.rescuer_speed * p.tick_seconds
     radius = p.rescuer_radius
+    max_ticks = p.max_ticks
     house_pos = index.house_pos
     nodes = world.nodes
     moves = index.moves
-    node_candidates = index.node_candidates
+    lists = index.candidate_lists
+    slots_of = index.slots_of
+    node_slot = index.node_slot
     # The rescuers as parallel lists: the node each last left or stands on,
-    # the node before it, and the edge it walks (its far node, None while
-    # standing on a node, its length, the progress along it and its
-    # candidates).
+    # the node before it, the edge it walks (its far node, None while
+    # standing on a node, and its length), its progress along the edge and
+    # the tick that progress is for, the list number of its candidates, and
+    # the tick it next reaches or stands on a node with the budget it has
+    # left then (NEVER if that is past max_ticks, or if it cannot move: a
+    # start node with no road keeps it there).
+    k = len(placed)
     at = list(placed)
-    came_from = [-1] * len(placed)
-    to: list[int | None] = [None] * len(placed)
-    edge_len = [0.0] * len(placed)
-    progress = [0.0] * len(placed)
-    edge_cands: list[tuple[int, ...]] = [()] * len(placed)
+    came_from = [-1] * k
+    to: list[int | None] = [None] * k
+    edge_len = [0.0] * k
+    progress = [0.0] * k
+    walked = [0] * k
+    slot = [node_slot[node] for node in placed]
+    arrive: list[float] = [1 if budget > 0.0 and moves[(node, -1)] else NEVER
+                           for node in placed]
+    left_then = [budget] * k
     unaware = [True] * n
+    unaware_in = [len(cands) for cands in lists]
     remaining = n
     informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
     t = 0
-    while remaining and t < p.max_ticks:
+    while remaining and t < max_ticks:
         t += 1
         newly: list[tuple[int, WarningSource]] = []
         # (1) rescuers roam; (2) they inform unaware households in range
-        for r in range(len(at)):
-            node, nxt, length, done = at[r], to[r], edge_len[r], progress[r]
-            left = budget
-            while left > 0.0:
-                if nxt is None:  # standing on a node: pick an edge
-                    options = moves[(node, came_from[r])]
-                    if not options:
-                        break  # isolated node: nowhere to go
-                    nxt, length, edge_cands[r] = (
-                        options[randrange(len(options))] if len(options) > 1 else options[0])
-                    done = 0.0
-                if left < length - done:
-                    done += left
-                    left = 0.0
-                else:
-                    left -= length - done
+        for r in range(k):
+            if arrive[r] == t:
+                node, nxt, left = at[r], to[r], left_then[r]
+                if nxt is not None:
                     came_from[r] = node
-                    node, nxt, done = nxt, None, 0.0
-            at[r], to[r], edge_len[r], progress[r] = node, nxt, length, done
+                    node, nxt = nxt, None
+                while left > 0.0:  # standing on a node: pick an edge
+                    options = moves[(node, came_from[r])]
+                    nxt, length, edge_slot = (
+                        options[randrange(len(options))] if len(options) > 1 else options[0])
+                    if left < length:
+                        break
+                    left -= length
+                    came_from[r] = node
+                    node, nxt = nxt, None
+                at[r], to[r] = node, nxt
+                if nxt is None:  # the budget ended exactly on a node
+                    slot[r] = node_slot[node]
+                    arrive[r] = t + 1
+                    left_then[r] = budget
+                else:
+                    slot[r] = edge_slot
+                    edge_len[r] = length
+                    progress[r] = done = left
+                    walked[r] = t
+                    reach = t + 1
+                    while budget < length - done and reach <= max_ticks:
+                        done += budget
+                        reach += 1
+                    if reach > max_ticks:
+                        arrive[r] = NEVER
+                    else:
+                        arrive[r] = reach
+                        left_then[r] = budget - (length - done)
+            if not unaware_in[slot[r]]:
+                continue
+            node, nxt = at[r], to[r]
             pa = nodes[node]
             if nxt is None:
                 rx, ry = pa.x, pa.y
-                candidates = node_candidates[node]
             else:
+                done = progress[r]
+                for _ in range(t - walked[r]):
+                    done += budget
+                progress[r], walked[r] = done, t
                 pb = nodes[nxt]
-                f = done / length if length > 0 else 0.0
+                f = done / edge_len[r]
                 rx = pa.x + (pb.x - pa.x) * f
                 ry = pa.y + (pb.y - pa.y) * f
-                candidates = edge_cands[r]
-            for hid in candidates:
+            for hid in lists[slot[r]]:
                 if unaware[hid]:
                     hx, hy = house_pos[hid]
                     if math.hypot(hx - rx, hy - ry) <= radius:
                         unaware[hid] = False
                         newly.append((hid, WarningSource.AUTHORITIES))
+                        for s in slots_of[hid]:
+                            unaware_in[s] -= 1
         # (3) fallback channel fires on its pre-drawn tick
         for hid in fallback_schedule.pop(t, ()):
             if unaware[hid]:
                 unaware[hid] = False
                 newly.append((hid, fallback_source[hid]))
+                for s in slots_of[hid]:
+                    unaware_in[s] -= 1
         if newly:
             informs[t] = tuple(newly)
             remaining -= len(newly)

@@ -30,8 +30,8 @@ __all__ = [
     "nearest_road_nodes",
     "points_near_edges",
     "shortest_path_tree",
-    "hazard_distance",
     "classify_proximity",
+    "proximity_classes",
     "point_segment_distance",
 ]
 
@@ -327,31 +327,44 @@ def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
 _BOX_SLACK = 1e-6
 
 
+def _points_in_boxes(points: list[Point], segments: list[tuple[Point, Point]],
+                     radius: float) -> list[list[int]]:
+    """For each segment, the indices of the points inside its bounding box
+    padded by radius + _BOX_SLACK, in x order: a superset of the points
+    within radius of it.
+
+    The points are sorted by x once. Each segment bisects out the points in
+    the x range of its padded box and keeps those in its y range.
+    """
+    order = sorted(range(len(points)), key=lambda i: points[i].x)
+    xs = [points[i].x for i in order]
+    pad = radius + _BOX_SLACK
+    out: list[list[int]] = []
+    for pa, pb in segments:
+        lo = bisect.bisect_left(xs, min(pa.x, pb.x) - pad)
+        hi = bisect.bisect_right(xs, max(pa.x, pb.x) + pad)
+        y0 = min(pa.y, pb.y) - pad
+        y1 = max(pa.y, pb.y) + pad
+        out.append([i for i in order[lo:hi] if y0 <= points[i].y <= y1])
+    return out
+
+
 def points_near_edges(world: World, points: list[Point],
                       radius: float) -> dict[tuple[int, int], tuple[int, ...]]:
     """For every road edge, keyed (lower id, higher id) in world.edges
     order, the ascending indices of the points whose point_segment_distance
     to the edge is <= radius.
 
-    The points are sorted by x once. Each edge bisects out the points in
-    the x range of its bounding box padded by radius, keeps those in the
-    padded y range, and passes only them to the kernel. The kernel makes
-    every decision, so the result equals a test of every pair.
+    Only the points inside the edge's padded bounding box reach the kernel.
+    The kernel makes every decision, so the result equals a test of every
+    pair.
     """
-    order = sorted(range(len(points)), key=lambda i: points[i].x)
-    xs = [points[i].x for i in order]
-    pad = radius + _BOX_SLACK
+    segments = [(world.nodes[a], world.nodes[b]) for a, b, _ in world.edges]
     out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a, b, _ in world.edges:
-        pa, pb = world.nodes[a], world.nodes[b]
-        lo = bisect.bisect_left(xs, min(pa.x, pb.x) - pad)
-        hi = bisect.bisect_right(xs, max(pa.x, pb.x) + pad)
-        y0 = min(pa.y, pb.y) - pad
-        y1 = max(pa.y, pb.y) + pad
-        near = [i for i in order[lo:hi]
-                if y0 <= points[i].y <= y1 and point_segment_distance(points[i], pa, pb) <= radius]
-        near.sort()
-        out[(min(a, b), max(a, b))] = tuple(near)
+    for (a, b, _), (pa, pb), boxed in zip(world.edges, segments,
+                                          _points_in_boxes(points, segments, radius)):
+        out[(min(a, b), max(a, b))] = tuple(sorted(
+            i for i in boxed if point_segment_distance(points[i], pa, pb) <= radius))
     return out
 
 
@@ -401,20 +414,6 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
-def hazard_distance(world: World, p: Point) -> float:
-    """Minimum distance from p to any waterway polyline."""
-    if not world.waterways:
-        raise WorldValidationError("world has no waterways; hazard distance is undefined")
-    best = math.inf
-    for w in world.waterways:
-        pts = w.points
-        for i in range(len(pts) - 1):
-            d = point_segment_distance(p, pts[i], pts[i + 1])
-            if d < best:
-                best = d
-    return best
-
-
 class ProximityClass(enum.Enum):
     """Coded distance-to-hazard classes."""
 
@@ -436,3 +435,26 @@ def classify_proximity(d: float) -> ProximityClass:
     if d <= NEAR_CUTOFF_M:
         return ProximityClass.NEAR
     return ProximityClass.FAR
+
+
+def proximity_classes(world: World, points: list[Point]) -> list[ProximityClass]:
+    """The proximity class of each point's minimum distance to the world's
+    waterway polylines.
+
+    Only the points inside a waterway segment's bounding box padded by
+    NEAR_CUTOFF_M reach the kernel for that segment, and a point in no box
+    is FAR. That is exact: a segment within NEAR_CUTOFF_M of a point has the
+    point inside its box, so a point whose minimum is missed is one farther
+    than NEAR_CUTOFF_M from every segment. Raises WorldValidationError for
+    any point in a world with no waterways.
+    """
+    if points and not world.waterways:
+        raise WorldValidationError("world has no waterways; hazard distance is undefined")
+    segments = [seg for w in world.waterways for seg in zip(w.points, w.points[1:])]
+    best = [math.inf] * len(points)
+    for (pa, pb), boxed in zip(segments, _points_in_boxes(points, segments, NEAR_CUTOFF_M)):
+        for i in boxed:
+            d = point_segment_distance(points[i], pa, pb)
+            if d < best[i]:
+                best[i] = d
+    return [classify_proximity(d) if d <= NEAR_CUTOFF_M else ProximityClass.FAR for d in best]

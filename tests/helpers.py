@@ -5,9 +5,12 @@ from __future__ import annotations
 import math
 import random
 
+from evacsim.engine import InformTimeline
 from evacsim.errors import InputError
 from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
 from evacsim.population import CellError, record_parser
+from evacsim.risk import WarningSource
+from evacsim.seeds import derive_seed
 from evacsim.sweep import RESULTS_HEADER, SweepRow
 
 
@@ -142,6 +145,112 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
             route = route[leg:] + index.route_to_shelter(here, chain[len(arrivals)])[1:]
             leg = 0
         tick += 1
+
+
+def walk_rescuers_reference(index, seed: int) -> InformTimeline:
+    """The inform phase of a run with `seed` on `index`, walked one tick at
+    a time. The init stream draws, per household in id order, its epsilon
+    (uniform in the epsilon range), its fallback source (friends if a draw
+    is below fallback_friends_prob, else media) and its fallback tick
+    (randint over the window), then one start node per rescuer. Then every
+    tick moves every rescuer, in ascending order, rescuer_speed *
+    tick_seconds metres: on a node it picks one of its edges, in adjacency
+    order without the way it came unless that is the only way, with the
+    walk stream's randrange when there is more than one; a budget that ends
+    exactly on a node leaves it standing there. At its position it informs
+    every unaware household within rescuer_radius among the index's
+    candidates of its edge (of the node's edges while it stands). Then the
+    fallback channel informs the unaware households drawn for the tick. The
+    walk ends when all are informed or at max_ticks.
+
+    The tick-by-tick oracle of `engine._walk_rescuers`, which visits a
+    rescuer only when it reaches a node or can still inform someone; the
+    choices are read off the world's adjacency, not the index's move table.
+    """
+    world = index.world
+    n = index.n
+    p = index.params
+    rng_init = random.Random(derive_seed(seed, "init"))
+    epsilon: list[float] = []
+    fallback_source: list[WarningSource] = []
+    fallback_tick: list[int] = []
+    fallback_schedule: dict[int, list[int]] = {}
+    for i in range(n):
+        epsilon.append(rng_init.uniform(p.epsilon_min, p.epsilon_max))
+        fallback_source.append(
+            WarningSource.FRIENDS
+            if rng_init.random() < p.fallback_friends_prob
+            else WarningSource.MEDIA
+        )
+        tick = rng_init.randint(p.fallback_tick_min, p.fallback_tick_max)
+        fallback_tick.append(tick)
+        fallback_schedule.setdefault(tick, []).append(i)
+    starts = world.rescuer_starts
+    placed = tuple(starts[rng_init.randrange(len(starts))] for _ in range(p.nb_rescuers))
+
+    walk_rng = random.Random(derive_seed(seed, "walk"))
+    budget = p.rescuer_speed * p.tick_seconds
+    nodes = world.nodes
+    # Per rescuer: the node it last left or stands on, the node before it,
+    # and its edge's far node (None while standing), length and progress.
+    at = list(placed)
+    came_from = [-1] * len(placed)
+    to: list[int | None] = [None] * len(placed)
+    edge_len = [0.0] * len(placed)
+    progress = [0.0] * len(placed)
+    unaware = [True] * n
+    remaining = n
+    informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    t = 0
+    while remaining and t < p.max_ticks:
+        t += 1
+        newly: list[tuple[int, WarningSource]] = []
+        for r in range(len(at)):
+            node, nxt, length, done = at[r], to[r], edge_len[r], progress[r]
+            left = budget
+            while left > 0.0:
+                if nxt is None:
+                    nbrs = world.adjacency[node]
+                    options = [(nb, d) for nb, d in nbrs
+                               if not (len(nbrs) > 1 and nb == came_from[r])]
+                    if not options:
+                        break
+                    nxt, length = (options[walk_rng.randrange(len(options))]
+                                   if len(options) > 1 else options[0])
+                    done = 0.0
+                if left < length - done:
+                    done += left
+                    left = 0.0
+                else:
+                    left -= length - done
+                    came_from[r] = node
+                    node, nxt, done = nxt, None, 0.0
+            at[r], to[r], edge_len[r], progress[r] = node, nxt, length, done
+            pa = nodes[node]
+            if nxt is None:
+                rx, ry = pa.x, pa.y
+                candidates = index.node_candidates[node]
+            else:
+                pb = nodes[nxt]
+                f = done / length
+                rx = pa.x + (pb.x - pa.x) * f
+                ry = pa.y + (pb.y - pa.y) * f
+                candidates = index.edge_candidates[(min(node, nxt), max(node, nxt))]
+            for hid in candidates:
+                if unaware[hid]:
+                    hx, hy = index.house_pos[hid]
+                    if math.hypot(hx - rx, hy - ry) <= p.rescuer_radius:
+                        unaware[hid] = False
+                        newly.append((hid, WarningSource.AUTHORITIES))
+        for hid in fallback_schedule.pop(t, ()):
+            if unaware[hid]:
+                unaware[hid] = False
+                newly.append((hid, fallback_source[hid]))
+        if newly:
+            informs[t] = tuple(newly)
+            remaining -= len(newly)
+    return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick),
+                          placed, informs)
 
 
 def pick_shelter_reference(world: World, occupancy: dict[int, int], node: int, members: int,

@@ -130,6 +130,24 @@ def test_risk_memo_keys_on_seed_scenario_and_weights(demo_world, demo_profiles, 
     assert len({tuple(v) for v in values}) == 3
 
 
+def test_inform_timeline_calls_the_module_walk_once_per_new_seed(demo_world, demo_profiles,
+                                                                 monkeypatch):
+    # The index looks the walk up on the module when it needs one, so a
+    # wrapper put there (a tracer's, say) sees every walk.
+    seeds = []
+    real = engine._walk_rescuers
+    monkeypatch.setattr(engine, "_walk_rescuers",
+                        lambda index, seed: seeds.append(seed) or real(index, seed))
+    index = WorldIndex(demo_world, demo_profiles)
+    first = index.inform_timeline(5)
+    assert index.inform_timeline(5) is first
+    assert seeds == [5]
+    index.inform_timeline(6)
+    init_run(index, config(seed=6))
+    index.inform_timeline(5)
+    assert seeds == [5, 6, 5]
+
+
 def test_demo_inform_timelines_are_pinned(demo_index):
     # Seeds 0-49 as the per-rescuer walk drew them: init draws, placement,
     # and every inform in tick and inform order.

@@ -9,16 +9,19 @@ from evacsim.geo import (
     _BOX_SLACK,
     Point,
     ProximityClass,
+    Waterway,
     World,
     WorldFormatError,
     WorldValidationError,
+    NEAR_CUTOFF_M,
+    WITHIN_CUTOFF_M,
     classify_proximity,
-    hazard_distance,
     load_world,
     nearest_road_nodes,
     parse_world,
     point_segment_distance,
     points_near_edges,
+    proximity_classes,
     serialize_world,
     shortest_path_tree,
     validate_world,
@@ -71,7 +74,7 @@ def test_parse_errors_carry_line_numbers():
 ])
 def test_non_finite_coordinates_rejected_with_line_number(record, kind):
     # A nan waterway vertex would silently drop its segments from
-    # hazard_distance; a nan building has no distance to anything.
+    # proximity_classes; a nan building has no distance to anything.
     with pytest.raises(WorldFormatError, match=f"line 7: {kind} coordinates must be finite"):
         parse_world(MINIMAL + record + "\n")
 
@@ -289,28 +292,66 @@ def test_shortest_path_tree_tie_breaks_to_low_hop_id():
     assert _path_to_root(parent, 3) == [3, 1, 0]
 
 
-def test_hazard_distance_on_vertex_is_zero(demo_world):
+def test_proximity_on_a_waterway_vertex_is_within(demo_world):
     w = demo_world.waterways[0]
-    assert hazard_distance(demo_world, w.points[0]) == 0.0
+    assert proximity_classes(demo_world, [w.points[0]]) == [ProximityClass.WITHIN]
 
 
-def test_hazard_distance_perpendicular_offset():
-    text = "node|0|0|0\nwaterway|0|0|0|100|0\n"
-    world = parse_world(text)
-    assert hazard_distance(world, Point(50.0, 5.0)) == pytest.approx(5.0)
+def test_proximity_classes_at_and_past_the_cutoffs():
+    # Offsets from the segment (0,0)-(100,0): perpendicular, and past its
+    # ends (3-4-5 triangles put (-30, 40) and (130, -40) exactly 50 m away).
+    world = parse_world("node|0|0|0\nwaterway|0|0|0|100|0\n")
+    points = [Point(50.0, 5.0), Point(50.0, 10.0), Point(50.0, -30.0), Point(50.0, 50.0),
+              Point(-30.0, 40.0), Point(130.0, -40.0), Point(150.0, 0.0), Point(50.0, 50.5),
+              Point(-40.0, 40.0), Point(2000.0, 0.0)]
+    assert proximity_classes(world, points) == [
+        ProximityClass.WITHIN, ProximityClass.WITHIN, ProximityClass.NEAR, ProximityClass.NEAR,
+        ProximityClass.NEAR, ProximityClass.NEAR, ProximityClass.NEAR, ProximityClass.FAR,
+        ProximityClass.FAR, ProximityClass.FAR]
 
 
 def test_hazard_distance_requires_waterway():
     world = parse_world("node|0|0|0\n")
     with pytest.raises(WorldValidationError, match="waterway"):
-        hazard_distance(world, Point(0, 0))
+        proximity_classes(world, [Point(0, 0)])
+    assert proximity_classes(world, []) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_proximity_classes_equal_all_segments(seed):
+    # The box prefilter against the class of the minimum over every
+    # segment, on points spread over the demo-sized area and points placed
+    # about the cutoff distances from random waterway vertices.
+    rng = random.Random(seed)
+    coords = [(rng.uniform(-100, 1100), rng.uniform(-100, 1100)) for _ in range(6)]
+    waterways = [Waterway(k, tuple(Point(x + rng.uniform(-300, 300), y + rng.uniform(-300, 300))
+                                   for x, y in coords[:rng.randint(2, 6)]))
+                 for k in range(rng.randint(1, 3))]
+    world = World(nodes={0: Point(0.0, 0.0)}, edges=[], buildings={}, waterways=waterways,
+                  shelters=[], rescuer_starts=[])
+    points = [Point(rng.uniform(-500, 1500), rng.uniform(-500, 1500)) for _ in range(80)]
+    for _ in range(40):
+        v = rng.choice(rng.choice(waterways).points)
+        d = rng.choice([WITHIN_CUTOFF_M, NEAR_CUTOFF_M, NEAR_CUTOFF_M + _BOX_SLACK / 2]) \
+            + rng.choice([0.0, 0.0, rng.uniform(-1, 1)])
+        theta = rng.choice([0.0, math.pi / 2, rng.uniform(0, 2 * math.pi)])
+        points.append(Point(v.x + d * math.cos(theta), v.y + d * math.sin(theta)))
+    want = [classify_proximity(min(point_segment_distance(p, a, b) for w in waterways
+                                   for a, b in zip(w.points, w.points[1:])))
+            for p in points]
+    assert proximity_classes(world, points) == want
 
 
 def test_hazard_distance_matches_dense_sampling_oracle(demo_world):
+    # The classes of points around the river's vertices against the
+    # distance to densely sampled waterway points; a class may differ from
+    # the oracle's only within the sampling step of a cutoff.
     rng = random.Random(11)
-    for _ in range(10):
-        p = Point(rng.uniform(-100, 1200), rng.uniform(-80, 600))
-        fast = hazard_distance(demo_world, p)
+    river = [p for w in demo_world.waterways for p in w.points]
+    points = [Point(v.x + rng.uniform(-70, 70), v.y + rng.uniform(-70, 70))
+              for v in rng.sample(river, 10)]
+    for p, got in zip(points, proximity_classes(demo_world, points)):
         best = math.inf
         for w in demo_world.waterways:
             for a, b in zip(w.points, w.points[1:]):
@@ -320,7 +361,8 @@ def test_hazard_distance_matches_dense_sampling_oracle(demo_world):
                     t = i / steps
                     q = Point(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
                     best = min(best, p.distance_to(q))
-        assert abs(fast - best) <= 0.01
+        if min(abs(best - WITHIN_CUTOFF_M), abs(best - NEAR_CUTOFF_M)) > 0.01:
+            assert got is classify_proximity(best)
 
 
 def test_point_segment_distance_degenerate_segment():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, init_run, step
 from evacsim.errors import InputError
-from evacsim.geo import ProximityClass, classify_proximity, hazard_distance
+from evacsim.geo import ProximityClass, proximity_classes
 from evacsim.population import HouseholdProfile
 from evacsim.risk import (
     CDM_MAX,
@@ -152,11 +152,11 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     decided = [e for e in state.events if e.event == "decided"]
     assert len(decided) == len(demo_profiles)
     assert {e.detail.split()[0] for e in decided} == {"evacuate", "stay"}
+    proximity = proximity_classes(demo_world,
+                                  [demo_world.buildings[p.building_id] for p in demo_profiles])
     for e in decided:
         p = demo_profiles[e.agent_id]
-        house = demo_world.buildings[p.building_id]
-        proximity = classify_proximity(hazard_distance(demo_world, house))
-        oracle = straight_line_risk(p, s, proximity.value, source[e.agent_id].value,
+        oracle = straight_line_risk(p, s, proximity[e.agent_id].value, source[e.agent_id].value,
                                     state.timeline.epsilon[e.agent_id], w)
         decision, perceived, top = e.detail.split()
         assert perceived == f"perceived={oracle:.6f}"
@@ -174,7 +174,7 @@ def test_memoised_risk_matches_straight_line_oracle_on_the_grid(demo_world, demo
     source = {hid: src.value for informs in timeline.informs.values() for hid, src in informs}
     assert len(source) == len(demo_profiles)
     houses = [demo_world.buildings[p.building_id] for p in demo_profiles]
-    proximity = [classify_proximity(hazard_distance(demo_world, h)) for h in houses]
+    proximity = proximity_classes(demo_world, houses)
     spec = default_sweep_spec()
     combos = filter_valid(enumerate_combos(spec), spec.weight_filter)
     assert len(combos) == 1296

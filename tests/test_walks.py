@@ -1,17 +1,24 @@
-"""The world index's walk cache against the tick-by-tick walker.
+"""The engine's event-driven walks against tick-by-tick walkers.
 
 `WorldIndex.arrival_offset` computes a household's walk once per (house
 node, shelter chain) and continues a longer chain from its prefix's state;
 `helpers.walk_arrivals` walks the whole chain one tick at a time.
+
+`WorldIndex.inform_timeline` walks the rescuers event by event, visiting a
+rescuer only when it reaches a node or can still inform someone;
+`helpers.walk_rescuers_reference` moves every rescuer every tick.
 """
 
+import time
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from evacsim.engine import EngineParams, WorldIndex
-from evacsim.geo import Shelter, World
-from helpers import line_world, random_graph_world, walk_arrivals
+from evacsim.geo import Point, Shelter, Waterway, World
+from evacsim.population import HouseholdProfile
+from evacsim.risk import WarningSource
+from helpers import line_world, random_graph_world, walk_arrivals, walk_rescuers_reference
 
 
 def with_shelters(world: World, nodes: list[int]) -> World:
@@ -85,3 +92,104 @@ def test_redirect_starting_mid_leg():
     assert walk_arrivals(index, 0, (0, 1, 2)) == [3, 8, 18]
     # Straight back from shelter 0 instead: x=200 on tick 4, x=40 on tick 8.
     assert index.arrival_offset(0, (0, 2)) == 8 == walk_arrivals(index, 0, (0, 2))[1]
+
+
+def household(i: int) -> HouseholdProfile:
+    """Household i, living in building i; the walk reads nothing else."""
+    codes = dict.fromkeys(
+        ("head_gender", "educ_level", "income_level", "house_ownership", "has_children",
+         "has_elderly", "with_disability", "years_of_residency", "house_quality",
+         "floor_levels", "typhoon_experience"), 1.0)
+    return HouseholdProfile(id=i, **codes, members=1, building_id=i)
+
+
+def inform_index(world: World, houses: list[Point], **overrides) -> WorldIndex:
+    world = replace(world, buildings=dict(enumerate(houses)),
+                    waterways=[Waterway(0, (Point(-5000.0, -5000.0), Point(-4000.0, -5000.0)))])
+    return WorldIndex(world, [household(i) for i in range(len(houses))],
+                      EngineParams(**overrides))
+
+
+@st.composite
+def rescuer_walks(draw):
+    """A world, houses around its roads, rescuer starts (one of them on a
+    node no road reaches, sometimes) and the walk's parameters."""
+    tick_seconds = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from([10.0, 50.0, 100.0, 137.5]))
+        world = line_world(n_nodes=draw(st.integers(2, 8)), spacing=spacing)
+        # Multiples of a quarter edge end exactly on a node.
+        budget = spacing * draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                                          st.floats(0.01, 6.0)))
+    else:
+        world = random_graph_world(draw(st.integers(0, 10**6)), n_nodes=draw(st.integers(2, 30)),
+                                   extra_edges=draw(st.integers(0, 20)))
+        budget = draw(st.floats(1.0, 600.0))
+    nodes = sorted(world.nodes)
+    starts = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        world = replace(world, nodes={**world.nodes, -7: Point(-300.0, -300.0)})
+        starts.append(-7)
+    houses = []
+    for node in draw(st.lists(st.sampled_from(nodes), max_size=40)):
+        p = world.nodes[node]
+        houses.append(Point(p.x + draw(st.floats(-150.0, 150.0)),
+                            p.y + draw(st.floats(-150.0, 150.0))))
+    max_ticks = draw(st.one_of(st.integers(1, 12), st.integers(1, 300)))
+    fallback_min = draw(st.integers(0, max_ticks))
+    params = dict(
+        nb_rescuers=draw(st.integers(0, 20)),
+        rescuer_radius=draw(st.floats(1.0, 200.0)),
+        rescuer_speed=budget / tick_seconds,
+        tick_seconds=tick_seconds,
+        max_ticks=max_ticks,
+        fallback_tick_min=fallback_min,
+        fallback_tick_max=fallback_min + draw(st.integers(0, 30)),
+    )
+    return replace(world, rescuer_starts=starts), houses, params, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rescuer_walks())
+def test_inform_timeline_matches_the_tick_by_tick_walker(case):
+    world, houses, params, seed = case
+    index = inform_index(world, houses, **params)
+    assert index.inform_timeline(seed) == walk_rescuers_reference(index, seed)
+
+
+def test_budgets_ending_on_nodes_inform_from_the_node():
+    # 150 m a tick on 100 m edges from node 0: every second tick ends
+    # exactly on a node (3, 4, 1, 2, 5, ...), where the rescuer stands and
+    # informs the house 30 m off it, and draws its next edge a tick later.
+    # Passing a node inside a tick informs nobody, so house 0 waits for
+    # tick 20, on which the rescuer reaches it before the fallback channel
+    # fires.
+    world = replace(line_world(n_nodes=6), rescuer_starts=[0])
+    houses = [Point(x * 100.0, 30.0) for x in range(6)]
+    index = inform_index(world, houses, nb_rescuers=1, rescuer_speed=15.0, rescuer_radius=31.0,
+                         fallback_tick_min=20, fallback_tick_max=20, max_ticks=60)
+    timeline = index.inform_timeline(0)
+    assert timeline.informs == {t: ((hid, WarningSource.AUTHORITIES),) for t, hid in
+                                ((2, 3), (4, 4), (6, 1), (8, 2), (10, 5), (20, 0))}
+    assert timeline == walk_rescuers_reference(index, 0)
+
+
+def test_a_rescuer_reaching_a_node_on_the_last_tick_informs_from_it():
+    # 50 m a tick ends exactly on node 1 on tick 2, the walk's last.
+    index = inform_index(replace(line_world(), rescuer_starts=[0]), [Point(100.0, 30.0)],
+                         nb_rescuers=1, rescuer_speed=5.0, rescuer_radius=31.0, max_ticks=2)
+    assert index.inform_timeline(0).informs == {2: ((0, WarningSource.AUTHORITIES),)}
+
+
+def test_a_slow_rescuer_looks_no_further_ahead_than_max_ticks():
+    # 1e-8 m a tick on a 100 m edge reaches its far node after 1e10 ticks;
+    # the walk stops at max_ticks, with the house 400 m off the road never
+    # informed, and must not compute the arrival past it.
+    world = line_world(n_nodes=2)
+    index = inform_index(world, [Point(50.0, 400.0)], nb_rescuers=2, rescuer_speed=1e-9,
+                         fallback_tick_min=6000, fallback_tick_max=6000)
+    start = time.process_time()
+    timeline = index.inform_timeline(3)
+    assert time.process_time() - start < 0.5
+    assert timeline.informs == {}
+    assert timeline == walk_rescuers_reference(index, 3)
