@@ -145,7 +145,7 @@ def _cmd_gen_population(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
-    profiles = population.load_population(args.population, world)
+    profiles = population.load_population(args.population)
     scenario = _scenario_from_args(args)
     weights = _weights_from_arg(args.weights)
     index = engine.WorldIndex(world, profiles, _params_from_args(args))
@@ -173,7 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
-    profiles = population.load_population(args.population, world)
+    profiles = population.load_population(args.population)
     spec = sweep_mod.parse_sweep_spec(_read(args.spec, "sweep spec"))
     rows = sweep_mod.execute(spec, world, profiles, _params_from_args(args),
                              workers=args.workers)

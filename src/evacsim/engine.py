@@ -27,8 +27,14 @@ seed (its epsilon draw and the source that informed it), the scenario and
 the weights, so the runs of one seed group, which differ only in
 threshold, share one perceived-risk array: the world index computes it once
 per (seed, scenario, weights) and keeps the last one, and each run compares
-it with its threshold once, in `init_run`. `step` replays the timeline tick
-by tick and applies those decisions to the households it informs. A
+it with its threshold once, in `init_run`. The households a tick informs
+decide in ascending id, and that order, like each household's warning
+source, is fixed by the seed: the world index derives both from the
+timeline once, when it walks the seed. `step` replays the timeline tick by
+tick: it applies a tick's informs in timeline order in one pass, then the
+decisions init_run made in that tick's order in a second, and adds the
+tick's stays to the counters at once; with events off, neither pass calls
+a function per household. A
 household's walk depends only on its house node and the shelters it heads
 for in turn, so the world index computes the tick it reaches each shelter
 once per (house node, shelter chain) and keeps it for every later run.
@@ -42,6 +48,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -101,6 +108,11 @@ STAYING = 4
 # in the admission heap and is never popped.
 NEVER = math.inf
 
+# The enum members and codes the replay reads per household, looked up once.
+_EVACUATE = Decision.EVACUATE
+_STAY = Decision.STAY
+_SOURCE_CODE = {source: source.value for source in WarningSource}
+
 STATUS_NAMES = {
     UNAWARE: "unaware",
     INFORMED: "informed",
@@ -130,8 +142,17 @@ class EngineParams:
     def __post_init__(self) -> None:
         for name in ("rescuer_radius", "shelter_radius", "household_speed", "rescuer_speed",
                      "tick_seconds"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
                 raise InputError(f"{name} must be > 0")
+        # A walk moves speed * tick_seconds metres a tick; an infinite move
+        # never ends its first tick.
+        for name in ("household_speed", "rescuer_speed"):
+            if math.isinf(getattr(self, name) * self.tick_seconds):
+                raise InputError(f"{name} * tick_seconds overflows: the move per tick must be "
+                                 "finite")
         if self.max_ticks < 1:
             raise InputError("max_ticks must be >= 1")
         if self.nb_rescuers < 0:
@@ -199,14 +220,17 @@ class WorldIndex:
 
     Checks, when built, what its parameters cannot check alone: raises
     InputError on rescuers for a world with no rescuer_start nodes, and
-    PopulationError on profiles that do not fit the world. Holds the
+    PopulationError on profiles that do not fit the world; it is the one
+    owner of that check (`population.load_population` only parses). Holds the
     parameters, the profiles, house positions, snapped road nodes, hazard
     proximity classes, per-household CDM and CRF scores, one shortest-path
     tree per shelter for routing, and the inform timeline of the last seed
-    it served. The parameters are frozen, so that timeline is keyed on the
-    seed alone. It also keeps the perceived-risk array of the last (seed,
-    scenario, weights) it served: those are every input of the array
-    besides the index's own.
+    it served, with what every run of that seed reads off it: the order in
+    which each inform tick's households decide (`decide_order`) and each
+    household's warning source code. The parameters are frozen, so these
+    are keyed on the seed alone. It also keeps the perceived-risk array of
+    the last (seed, scenario, weights) it served: those are every input of
+    the array besides the index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -235,6 +259,7 @@ class WorldIndex:
         self.profiles = tuple(profiles)
         self.params = params
         self.n = len(profiles)
+        self.members = tuple(p.members for p in profiles)
         self.cdm = np.array([cdm_score(p) for p in profiles], dtype=float)
         self.crf = np.array([crf_score(p) for p in profiles], dtype=float)
         houses = [world.buildings[p.building_id] for p in profiles]
@@ -285,6 +310,8 @@ class WorldIndex:
             for node, keys in reached.items()}
         self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
+        self._decide_order: dict[int, tuple[int, ...]] = {}
+        self._source: np.ndarray | None = None
         self._risk_key: tuple[int, Scenario, Weights] | None = None
         self._risk: np.ndarray | None = None
         # (house node, shelter chain) -> (arrival offset, route, leg,
@@ -294,11 +321,29 @@ class WorldIndex:
 
     def inform_timeline(self, seed: int) -> InformTimeline:
         """The inform phase of a run with this seed: the one memoised from
-        the last call if it had the same seed, else a fresh walk."""
+        the last call if it had the same seed, else a fresh walk.
+
+        A fresh walk is read once, for what every run of the seed needs
+        besides it: the decision order of each inform tick (see
+        `decide_order`) and each household's warning source code (NaN if it
+        is never informed), which `perceived` reads."""
         if seed != self._timeline_seed:
-            self._timeline = _walk_rescuers(self, seed)
+            timeline = _walk_rescuers(self, seed)
+            source = np.full(self.n, np.nan)
+            order: dict[int, tuple[int, ...]] = {}
+            for t, informs in timeline.informs.items():
+                hids, sources = zip(*informs)
+                source[list(hids)] = list(map(_SOURCE_CODE.__getitem__, sources))
+                order[t] = tuple(sorted(hids))
+            self._timeline, self._decide_order, self._source = timeline, order, source
             self._timeline_seed = seed
         return self._timeline
+
+    def decide_order(self, seed: int) -> dict[int, tuple[int, ...]]:
+        """Per inform tick of this seed's timeline, the households it
+        informs in ascending id: the order in which they decide."""
+        self.inform_timeline(seed)
+        return self._decide_order
 
     def perceived(self, seed: int, scenario: Scenario, weights: Weights) -> np.ndarray:
         """Every household's perceived risk in a run with this seed, scenario
@@ -309,11 +354,7 @@ class WorldIndex:
         key = (seed, scenario, weights)
         if key != self._risk_key:
             timeline = self.inform_timeline(seed)
-            source = np.full(self.n, np.nan)
-            for informs in timeline.informs.values():
-                for hid, src in informs:
-                    source[hid] = src.value
-            hrf = hrf_score(scenario, self.proximity_code, source)
+            hrf = hrf_score(scenario, self.proximity_code, self._source)
             self._risk = perceived_risk(self.cdm, hrf, self.crf,
                                         np.array(timeline.epsilon, dtype=float), weights)
             self._risk.flags.writeable = False  # every run of the key reads it
@@ -420,6 +461,7 @@ class SimulationState:
     cfg: RunConfig
     index: WorldIndex
     timeline: InformTimeline
+    decide_order: dict[int, tuple[int, ...]]  # the index's, for the seed
     perceived: np.ndarray  # per household, shared by the runs of its seed group
     highest: float  # highest possible score under cfg.weights
     evacuate: list[bool]  # per household, perceived > threshold * highest
@@ -443,6 +485,7 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     population and parameters. Identical inputs give bit-identical states."""
     world = index.world
     timeline = index.inform_timeline(cfg.seed)
+    decide_order = index.decide_order(cfg.seed)
     perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
     highest = highest_possible_score(cfg.weights)
     evacuate = decide(perceived, highest, cfg.threshold).tolist()
@@ -456,6 +499,7 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         cfg=cfg,
         index=index,
         timeline=timeline,
+        decide_order=decide_order,
         perceived=perceived,
         highest=highest,
         evacuate=evacuate,
@@ -626,32 +670,6 @@ def _pick_shelter(state: SimulationState, node: int, members: int,
     return None
 
 
-def _start_evacuation(state: SimulationState, h: HouseholdState, t: int) -> None:
-    index = state.index
-    node = index.house_node[h.idx]
-    target = _pick_shelter(state, node, index.profiles[h.idx].members, exclude=())
-    if target is None:
-        h.stranded = True
-        heapq.heappush(state.moving, (NEVER, t, h.idx))
-        if state.events is not None:
-            state.events.append(Event(t, "household", h.idx, "stranded", "no reachable shelter"))
-        return
-    h.chain = (target,)
-    heapq.heappush(state.moving, (t + index.arrival_offset(node, h.chain), t, h.idx))
-    if state.events is not None:
-        state.events.append(Event(t, "household", h.idx, "depart", f"shelter={target}"))
-
-
-def _inform(state: SimulationState, h: HouseholdState, source: WarningSource, t: int,
-            newly: list[int]) -> None:
-    h.status = INFORMED
-    h.source = source
-    state.informed_count += 1
-    newly.append(h.idx)
-    if state.events is not None:
-        state.events.append(Event(t, "household", h.idx, "informed", source.name.lower()))
-
-
 def step(state: SimulationState) -> SimulationState:
     """Advance one tick in place and return the state."""
     index = state.index
@@ -660,36 +678,66 @@ def step(state: SimulationState) -> SimulationState:
     state.tick += 1
     t = state.tick
     households = state.households
-    newly_informed: list[int] = []
+    events = state.events
+    moving = state.moving
 
-    # (1)-(3) the informs of this tick, as the rescuer walk recorded them
-    for hid, source in state.timeline.informs.get(t, ()):
-        _inform(state, households[hid], source, t, newly_informed)
-
-    # (4) newly informed households act on the decision init_run made
-    if newly_informed:
-        newly_informed.sort()
-        evacuate = state.evacuate
-        for hid in newly_informed:
+    informs = state.timeline.informs.get(t)
+    if informs is not None:
+        # (1)-(3) the informs of this tick, as the rescuer walk recorded them
+        for hid, source in informs:
             h = households[hid]
-            h.decision = Decision.EVACUATE if evacuate[hid] else Decision.STAY
-            if state.events is not None:
-                state.events.append(Event(
-                    t, "household", hid, "decided",
-                    f"{h.decision.value} perceived={state.perceived[hid]:.6f} "
-                    f"highest={state.highest:.6f}",
-                ))
-            if h.decision is Decision.EVACUATE:
-                state.evacuate_decisions += 1
-                h.status = EVACUATING
-                _start_evacuation(state, h, t)
-            else:
-                state.stay_decisions += 1
+            h.status = INFORMED
+            h.source = source
+        state.informed_count += len(informs)
+        if events is not None:
+            events += [Event(t, "household", hid, "informed", source.name.lower())
+                       for hid, source in informs]
+
+        # (4) the newly informed, in ascending id, act on the decision
+        # init_run made. An evacuating one heads for the shelter
+        # _pick_shelter would pick with nothing excluded: the first one in
+        # its node's order that is external or would fit.
+        evacuate = state.evacuate
+        occupancy = state.occupancy
+        house_node, members, shelter_order = index.house_node, index.members, index.shelter_order
+        walks = index._walks  # arrival_offset's memo, read directly on a hit
+        order = state.decide_order[t]
+        stays = 0
+        for hid in order:
+            h = households[hid]
+            go = evacuate[hid]
+            h.decision = _EVACUATE if go else _STAY
+            if events is not None:
+                events.append(Event(t, "household", hid, "decided",
+                                    f"{h.decision.value} perceived={state.perceived[hid]:.6f} "
+                                    f"highest={state.highest:.6f}"))
+            if not go:
                 h.status = STAYING
-                state.terminal_count += 1
+                stays += 1
+                continue
+            h.status = EVACUATING
+            node = house_node[hid]
+            size = members[hid]
+            for shelter in shelter_order[node]:
+                if shelter.external or occupancy[shelter.id] + size <= shelter.capacity:
+                    chain = h.chain = (shelter.id,)
+                    walk = walks.get((node, chain))
+                    offset = walk[0] if walk is not None else index.arrival_offset(node, chain)
+                    heapq.heappush(moving, (t + offset, t, hid))
+                    if events is not None:
+                        events.append(Event(t, "household", hid, "depart",
+                                            f"shelter={shelter.id}"))
+                    break
+            else:
+                h.stranded = True
+                heapq.heappush(moving, (NEVER, t, hid))
+                if events is not None:
+                    events.append(Event(t, "household", hid, "stranded", "no reachable shelter"))
+        state.evacuate_decisions += len(order) - stays
+        state.stay_decisions += stays
+        state.terminal_count += stays
 
     # (5) shelter managers admit or redirect the households arriving now
-    moving = state.moving
     while moving and moving[0][0] <= t:
         _, decided, hid = heapq.heappop(moving)
         _admit_or_redirect(state, households[hid], decided, t)
@@ -701,7 +749,7 @@ def step(state: SimulationState) -> SimulationState:
 def _admit_or_redirect(state: SimulationState, h: HouseholdState, decided: int, t: int) -> None:
     index = state.index
     shelter = index.shelters_by_id[h.chain[-1]]
-    members = index.profiles[h.idx].members
+    members = index.members[h.idx]
     if shelter.external or state.occupancy[shelter.id] + members <= shelter.capacity:
         state.occupancy[shelter.id] += members
         state.admitted[shelter.id] += 1
@@ -747,15 +795,15 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
     while state.terminal_count < n and state.tick < max_ticks:
         step(state)
     truncated = state.terminal_count < n
+    households = state.households
     if not truncated:
-        for h in state.households:
-            if h.status not in (SHELTERED, STAYING):
-                raise InternalError(
-                    f"household {h.idx} ended {STATUS_NAMES[h.status]} at natural termination"
-                )
-    if state.evacuate_decisions != sum(
-        1 for h in state.households if h.decision is Decision.EVACUATE
-    ):
+        status = list(map(attrgetter("status"), households))
+        if status.count(SHELTERED) + status.count(STAYING) != n:
+            h = next(h for h in households if h.status not in (SHELTERED, STAYING))
+            raise InternalError(
+                f"household {h.idx} ended {STATUS_NAMES[h.status]} at natural termination"
+            )
+    if state.evacuate_decisions != list(map(attrgetter("decision"), households)).count(_EVACUATE):
         raise InternalError("evacuate decision counter out of sync")
     return RunResult(
         evacuated=state.evacuate_decisions,

@@ -314,17 +314,22 @@ def serialize_population(profiles: list[HouseholdProfile]) -> str:
 
 
 def load_population(path: str, world: World | None = None) -> list[HouseholdProfile]:
-    """Load and validate a population CSV; errors name the offending row and
-    column."""
+    """Load a population CSV; errors name the offending row and column.
+
+    Whether the profiles fit together and fit a world (`validate_profiles`)
+    is checked once, by the `engine.WorldIndex` built on them; `world` is
+    accepted for callers that pass it and is not read."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         raise PopulationError(f"cannot read population file {path}: {exc}") from exc
-    return parse_population(text, world)
+    return parse_population(text)
 
 
-def parse_population(text: str, world: World | None = None) -> list[HouseholdProfile]:
+def parse_population(text: str) -> list[HouseholdProfile]:
+    """The profiles of a population CSV, each cell parsed and each code
+    checked; `validate_profiles` is left to the index built on them."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -348,7 +353,6 @@ def parse_population(text: str, world: World | None = None) -> list[HouseholdPro
             if getattr(profile, name) not in codes:
                 raise PopulationError(f"row {rownum}: {name} code {cells[col]} is invalid")
         profiles.append(profile)
-    validate_profiles(profiles, world)
     return profiles
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from evacsim import cli, engine, sweep
+from evacsim import cli, engine, population, sweep
 from evacsim.cli import build_parser, emit_demo_assets, main
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
@@ -310,6 +310,76 @@ def test_a_bad_engine_flag_is_the_first_error_reported(tmp_path, capsys, command
     assert capsys.readouterr().err == "error: tick_seconds must be > 0\n"
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {other_error}\n"
+
+
+def micro_argv(tmp_path, command: str, thresholds: str = "0.7,0.9") -> list[str]:
+    """A `simulate` or `sweep` call on the micro assets, with its spec."""
+    world_path, pop_path = micro_assets(tmp_path)
+    argv = [command, "--world", str(world_path), "--population", str(pop_path), *MICRO_FLAGS]
+    if command == "sweep":
+        spec_path = sweep_spec_file(tmp_path)
+        spec_path.write_text(spec_path.read_text().replace("thresholds = 0.7,0.9",
+                                                           f"thresholds = {thresholds}"))
+        argv += ["--spec", str(spec_path), "--out", str(tmp_path / "rows.csv")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (["--rescuer-speed", "inf"], "rescuer_speed must be finite, got inf"),
+    (["--tick-seconds", "inf"], "tick_seconds must be finite, got inf"),
+    (["--shelter-radius", "nan"], "shelter_radius must be finite, got nan"),
+    (["--household-speed", "nan"], "household_speed must be finite, got nan"),
+    (["--rescuer-speed", "nan"], "rescuer_speed must be finite, got nan"),
+    (["--rescuer-radius=-inf"], "rescuer_radius must be finite, got -inf"),
+    (["--rescuer-speed", "1e200", "--tick-seconds", "1e200"],
+     "rescuer_speed * tick_seconds overflows: the move per tick must be finite"),
+    (["--household-speed", "1e300", "--tick-seconds", "1e10"],
+     "household_speed * tick_seconds overflows: the move per tick must be finite"),
+], ids=["rescuer-speed-inf", "tick-inf", "shelter-radius-nan", "household-speed-nan",
+        "rescuer-speed-nan", "rescuer-radius-minus-inf", "rescuer-move", "household-move"])
+def test_an_engine_flag_that_is_not_finite_exits_1(tmp_path, capsys, command, flags, message):
+    # Before EngineParams refused them, the infinite ones hung the walks and
+    # the NaN ones ran to the end with rescuers that never moved.
+    assert main(micro_argv(tmp_path, command) + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_command_validates_the_population_once(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    for module in (population, engine):
+        monkeypatch.setattr(module, "validate_profiles",
+                            lambda *args, real=module.validate_profiles:
+                            calls.append(1) or real(*args))
+    assert main(micro_argv(tmp_path, command)) == 0, capsys.readouterr().err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, fault, first_error", [
+    ("simulate", ["--tick-seconds", "0"], "tick_seconds must be > 0"),
+    ("simulate", ["--weights", "0,0.5,0.5"], "w_cdm must be in (0, 1], got 0.0"),
+    ("simulate", ["--threshold", "1.5"], "household 0: unknown building 7"),
+    ("sweep", ["--workers", "0"], "workers must be >= 1"),
+    ("sweep", ["thresholds = 0.7,1.5"], "threshold 1.5 outside [0, 1]"),
+    ("sweep", [], "household 0: unknown building 7"),
+], ids=["simulate-flag", "simulate-weights", "simulate-threshold", "sweep-workers",
+        "sweep-spec-threshold", "sweep"])
+def test_a_population_that_does_not_fit_is_reported_by_the_index(tmp_path, capsys, command,
+                                                                 fault, first_error):
+    """The world index is the one owner of the population check, so a bad
+    flag, spec or spec run config is reported before a population that does
+    not fit the world, and that population before the run config of
+    `simulate`, which is built after the index."""
+    thresholds = "0.7,0.9"
+    if fault and fault[0].startswith("thresholds = "):
+        thresholds, fault = fault[0].removeprefix("thresholds = "), []
+    argv = micro_argv(tmp_path, command, thresholds)
+    pop_path = tmp_path / "pop.csv"
+    pop_path.write_text(pop_path.read_text().replace(",4,0\n", ",4,7\n"))
+    assert main(argv + fault) == 1
+    assert capsys.readouterr().err == f"error: {first_error}\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from evacsim.engine import (
 )
 from evacsim.errors import InputError
 from evacsim.geo import Point, Shelter
-from evacsim.population import HouseholdProfile, PopulationError
+from evacsim.population import CODED_FIELDS, HouseholdProfile, PopulationError
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import line_world, pick_shelter_reference
 
@@ -416,6 +417,26 @@ def test_time_series_is_cumulative_and_monotone(demo_index):
     assert series[-1] == result.evacuated
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["rescuer_radius", "shelter_radius", "household_speed",
+                                  "rescuer_speed", "tick_seconds"])
+def test_engine_params_refuse_a_value_that_is_not_finite(name, value):
+    # An infinite speed or tick length never ends a walk's first tick, and a
+    # NaN passes every comparison the walks make.
+    with pytest.raises(InputError) as refused:
+        EngineParams(**{name: value})
+    assert str(refused.value) == f"{name} must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize("name", ["household_speed", "rescuer_speed"])
+def test_engine_params_refuse_a_move_per_tick_that_overflows(name):
+    with pytest.raises(InputError) as refused:
+        EngineParams(**{name: 1e200, "tick_seconds": 1e200})
+    assert str(refused.value) == (
+        f"{name} * tick_seconds overflows: the move per tick must be finite")
+    assert EngineParams(**{name: 1e150, "tick_seconds": 1e150}).tick_seconds == 1e150
+
+
 def test_rescuers_require_start_nodes():
     world = line_world(n_nodes=3, building_offsets=[(0.0, 20.0)], rescuer_starts=[])
     # line_world defaults rescuer_starts=[0]; force empty
@@ -525,3 +546,76 @@ def test_pick_shelter_matches_the_linear_scan(demo_index, on_demo, data):
     state = SimpleNamespace(index=index, occupancy=occupancy)
     picked = engine._pick_shelter(state, node, members, exclude)  # noqa: SLF001
     assert picked == pick_shelter_reference(world, occupancy, node, members, exclude)
+
+
+def test_runs_call_init_run_and_step_through_the_module(demo_index, monkeypatch):
+    # bench/tracer.py wraps engine.init_run and engine.step where run looks
+    # them up: a run calls init_run once and then step once per tick, with
+    # events on or off and when it is truncated.
+    calls = []
+    real_init, real_step = engine.init_run, engine.step
+    monkeypatch.setattr(engine, "init_run",
+                        lambda *args, **kw: calls.append("init_run") or real_init(*args, **kw))
+    monkeypatch.setattr(engine, "step", lambda state: calls.append("step") or real_step(state))
+    cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
+                    weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
+    truncated = WorldIndex(demo_index.world, list(demo_index.profiles),
+                           EngineParams(max_ticks=40))
+    for index, collect_events in ((demo_index, True), (demo_index, False), (truncated, False)):
+        calls.clear()
+        result = run(index, cfg, collect_events=collect_events)
+        assert calls == ["init_run"] + ["step"] * result.ticks_elapsed
+    assert result.truncated and result.ticks_elapsed == 40
+
+
+@st.composite
+def small_runs(draw):
+    """A line world with a few tight internal shelters, sometimes an
+    external one and sometimes a road no shelter reaches, households of
+    random codes and sizes, engine parameters and a config: runs that
+    redirect, strand households and run out of ticks."""
+    n_nodes = draw(st.integers(2, 6))
+    span = 100.0 * (n_nodes - 1)
+    houses = [(draw(st.floats(0.0, span)), draw(st.sampled_from([-20.0, 20.0])))
+              for _ in range(draw(st.integers(1, 8)))]
+    shelters = [(i, draw(st.integers(0, n_nodes - 1)), draw(st.integers(1, 10)), False)
+                for i in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        shelters.append((len(shelters), draw(st.integers(0, n_nodes - 1)), 1, True))
+    world = line_world(n_nodes=n_nodes, building_offsets=houses, shelter_specs=shelters)
+    if draw(st.booleans()):
+        # Nodes 10-11 are joined to no other road: a house there strands.
+        stranded_houses = draw(st.integers(1, 2))
+        world = replace(
+            world, nodes={**world.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
+            edges=[*world.edges, (10, 11, 100.0)],
+            buildings={**world.buildings, **{len(houses) + i: Point(50.0 * i, 520.0)
+                                             for i in range(stranded_houses)}})
+    profiles = [profile(i, i, members=draw(st.integers(1, 6)),
+                        **{name: draw(st.sampled_from(sorted(codes.values())))
+                           for name, codes in CODED_FIELDS.items()})
+                for i in range(len(world.buildings))]
+    fallback_min = draw(st.integers(1, 10))
+    engine_params = EngineParams(
+        nb_rescuers=draw(st.integers(0, 2)),
+        rescuer_speed=draw(st.sampled_from([0.5, 3.0, 20.0])),
+        household_speed=draw(st.floats(0.5, 20.0)),
+        shelter_radius=draw(st.floats(1.0, 100.0)),
+        fallback_tick_min=fallback_min,
+        fallback_tick_max=fallback_min + draw(st.integers(0, 10)),
+        max_ticks=draw(st.one_of(st.integers(1, 15), st.integers(50, 300))),
+    )
+    cfg = config(threshold=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2**32)),
+                 weights=draw(st.sampled_from([Weights(0.2, 0.3, 0.5), Weights(0.6, 0.2, 0.2)])))
+    return world, profiles, engine_params, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_events_on_and_off_give_the_same_run(case):
+    # Each run on a fresh index, so both walk every household's route cold.
+    world, profiles, engine_params, cfg = case
+    off = run(WorldIndex(world, profiles, engine_params), cfg, collect_events=False)
+    on = run(WorldIndex(world, profiles, engine_params), cfg, collect_events=True)
+    assert off.events is None and on.events is not None
+    assert replace(on, events=None) == off

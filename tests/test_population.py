@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evacsim.engine import WorldIndex
 from evacsim.geo import Point, World
 from evacsim.population import (
     CODED_FIELDS,
@@ -136,14 +137,17 @@ def test_bad_code_names_row_and_column(demo_profiles):
         parse_population("\n".join(lines))
 
 
-def test_duplicate_building_rejected(demo_profiles):
+def test_duplicate_building_rejected(demo_world, demo_profiles):
+    # Parsing reads each row alone; the world index built on the profiles
+    # is the one owner of the check that they fit together.
     text = serialize_population(demo_profiles[:2])
     lines = text.splitlines()
     row2 = lines[2].split(",")
     row2[-1] = lines[1].split(",")[-1]
     lines[2] = ",".join(row2)
+    profiles = parse_population("\n".join(lines))
     with pytest.raises(PopulationError, match="more than one household"):
-        parse_population("\n".join(lines))
+        WorldIndex(demo_world, profiles)
 
 
 def test_header_mismatch_rejected():
