@@ -27,19 +27,17 @@ seed (its epsilon draw and the source that informed it), the scenario and
 the weights, so the runs of one seed group, which differ only in
 threshold, share one perceived-risk array: the world index computes it once
 per (seed, scenario, weights) and keeps the last one, and each run compares
-it with its threshold once, in `init_run`. The households a tick informs
-decide in ascending id, and that order, like each household's warning
-source, is fixed by the seed: the world index derives both from the
-timeline once, when it walks the seed. `step` replays the timeline tick by
-tick: it applies a tick's informs in timeline order in one pass, then the
-decisions init_run made in that tick's order in a second, and adds the
-tick's stays to the counters at once; with events off, neither pass calls
-a function per household. A
-household's walk depends only on its house node and the shelters it heads
-for in turn, so the world index computes the tick it reaches each shelter
-once per (house node, shelter chain) and keeps it for every later run.
-`step` then admits or redirects only the households that arrive in its
-tick, popped from a heap keyed by arrival.
+it with its threshold once, in `init_run`. A household decides in the tick
+it is informed, and a tick's newly informed decide in ascending id; that
+order, like each household's warning source, is fixed by the seed, so the
+world index reads both off the timeline once, when it walks the seed, and
+`step` replays a tick in one pass over its newly informed. A household's
+walk depends only on its house node and the shelters it heads for in turn,
+so the world index computes the tick it reaches each shelter (NEVER past
+max_ticks) once per (house node, shelter chain) and keeps it for every
+later run. `step` then admits the households that arrive in its tick,
+popped from a heap keyed by arrival. One pick sends a household off: from
+its house when it departs, from a full shelter when it is redirected.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -64,7 +62,6 @@ from .geo import (
 from .population import HouseholdProfile, csv_header, validate_profiles
 from .risk import (
     EPSILON_MAX,
-    Decision,
     Scenario,
     WarningSource,
     Weights,
@@ -86,7 +83,6 @@ __all__ = [
     "InformTimeline",
     "HouseholdState",
     "UNAWARE",
-    "INFORMED",
     "EVACUATING",
     "SHELTERED",
     "STAYING",
@@ -96,26 +92,23 @@ __all__ = [
     "event_log_csv",
 ]
 
-# Household status codes. Transitions: UNAWARE -> INFORMED -> {EVACUATING,
-# STAYING}; EVACUATING -> SHELTERED. SHELTERED and STAYING are terminal.
+# Household status codes. Transitions: UNAWARE -> {EVACUATING, STAYING},
+# in the tick it is informed; EVACUATING -> SHELTERED. SHELTERED and
+# STAYING are terminal.
 UNAWARE = 0
-INFORMED = 1
-EVACUATING = 2
-SHELTERED = 3
-STAYING = 4
+EVACUATING = 1
+SHELTERED = 2
+STAYING = 3
 
-# The arrival tick of a stranded household: past any max_ticks, so it stays
-# in the admission heap and is never popped.
+# The arrival tick of a stranded household, and the arrival offset of a walk
+# that would end past max_ticks: past any max_ticks, so it stays in the
+# admission heap and is never popped.
 NEVER = math.inf
 
-# The enum members and codes the replay reads per household, looked up once.
-_EVACUATE = Decision.EVACUATE
-_STAY = Decision.STAY
 _SOURCE_CODE = {source: source.value for source in WarningSource}
 
 STATUS_NAMES = {
     UNAWARE: "unaware",
-    INFORMED: "informed",
     EVACUATING: "evacuating",
     SHELTERED: "sheltered",
     STAYING: "staying",
@@ -219,18 +212,19 @@ class WorldIndex:
     and the precomputation shared by every run on them.
 
     Checks, when built, what its parameters cannot check alone: raises
-    InputError on rescuers for a world with no rescuer_start nodes, and
+    InputError on rescuers for a world with no rescuer_start nodes or with
+    an edge too short to shrink a rescuer's move per tick, and
     PopulationError on profiles that do not fit the world; it is the one
     owner of that check (`population.load_population` only parses). Holds the
     parameters, the profiles, house positions, snapped road nodes, hazard
     proximity classes, per-household CDM and CRF scores, one shortest-path
     tree per shelter for routing, and the inform timeline of the last seed
-    it served, with what every run of that seed reads off it: the order in
-    which each inform tick's households decide (`decide_order`) and each
-    household's warning source code. The parameters are frozen, so these
-    are keyed on the seed alone. It also keeps the perceived-risk array of
-    the last (seed, scenario, weights) it served: those are every input of
-    the array besides the index's own.
+    it served, with what every run of that seed reads off it: each inform
+    tick's households and warning sources in the order they decide
+    (`decide_order`) and each household's warning source code. The
+    parameters are frozen, so these are keyed on the seed alone. It also
+    keeps the perceived-risk array of the last (seed, scenario, weights) it
+    served: those are every input of the array besides the index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -252,8 +246,17 @@ class WorldIndex:
 
     def __init__(self, world: World, profiles: list[HouseholdProfile],
                  params: EngineParams = EngineParams()):
-        if params.nb_rescuers > 0 and not world.rescuer_starts:
-            raise InputError("nb_rescuers > 0 but the world has no rescuer_start nodes")
+        if params.nb_rescuers > 0:
+            if not world.rescuer_starts:
+                raise InputError("nb_rescuers > 0 but the world has no rescuer_start nodes")
+            # A rescuer's tick ends only if each edge it walks shrinks the
+            # move it has left.
+            move = params.rescuer_speed * params.tick_seconds
+            shortest = min((length for _, _, length in world.edges), default=math.inf)
+            if shortest <= math.ulp(move):
+                raise InputError(f"rescuer_speed * tick_seconds ({move!r} m) is too large for "
+                                 f"the shortest edge ({shortest!r} m): walking it would not "
+                                 "shrink the move left in a tick")
         validate_profiles(profiles, world)
         self.world = world
         self.profiles = tuple(profiles)
@@ -310,38 +313,40 @@ class WorldIndex:
             for node, keys in reached.items()}
         self._timeline_seed: int | None = None
         self._timeline: InformTimeline | None = None
-        self._decide_order: dict[int, tuple[int, ...]] = {}
+        self._decide_order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
         self._source: np.ndarray | None = None
         self._risk_key: tuple[int, Scenario, Weights] | None = None
         self._risk: np.ndarray | None = None
         # (house node, shelter chain) -> (arrival offset, route, leg,
         # progress, x, y) of the walk at its arrival tick
         self._walks: dict[tuple[int, tuple[int, ...]],
-                          tuple[int, list[int], int, float, float, float]] = {}
+                          tuple[float, list[int], int, float, float, float]] = {}
 
     def inform_timeline(self, seed: int) -> InformTimeline:
         """The inform phase of a run with this seed: the one memoised from
         the last call if it had the same seed, else a fresh walk.
 
         A fresh walk is read once, for what every run of the seed needs
-        besides it: the decision order of each inform tick (see
+        besides it: each inform tick's households in decision order (see
         `decide_order`) and each household's warning source code (NaN if it
         is never informed), which `perceived` reads."""
         if seed != self._timeline_seed:
             timeline = _walk_rescuers(self, seed)
             source = np.full(self.n, np.nan)
-            order: dict[int, tuple[int, ...]] = {}
+            order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
             for t, informs in timeline.informs.items():
                 hids, sources = zip(*informs)
                 source[list(hids)] = list(map(_SOURCE_CODE.__getitem__, sources))
-                order[t] = tuple(sorted(hids))
+                # A household is informed once, so no two pairs share an id.
+                order[t] = tuple(sorted(informs, key=itemgetter(0)))
             self._timeline, self._decide_order, self._source = timeline, order, source
             self._timeline_seed = seed
         return self._timeline
 
-    def decide_order(self, seed: int) -> dict[int, tuple[int, ...]]:
-        """Per inform tick of this seed's timeline, the households it
-        informs in ascending id: the order in which they decide."""
+    def decide_order(self, seed: int) -> dict[int, tuple[tuple[int, WarningSource], ...]]:
+        """Per inform tick of this seed's timeline, the (household id,
+        warning source) pairs it informs in ascending id: the order in which
+        those households decide."""
         self.inform_timeline(seed)
         return self._decide_order
 
@@ -361,7 +366,7 @@ class WorldIndex:
             self._risk_key = key
         return self._risk
 
-    def arrival_offset(self, node: int, chain: tuple[int, ...]) -> int:
+    def arrival_offset(self, node: int, chain: tuple[int, ...]) -> float:
         """The tick, counted from its decision tick, on which a household
         that departs from road node `node` first comes within shelter_radius
         of chain[-1]. It heads for chain[0] and, on reaching each earlier
@@ -372,9 +377,11 @@ class WorldIndex:
         A household moves in its decision tick, so one whose house node is
         the shelter's arrives at offset 0. The walk advances household_speed
         * tick_seconds metres per tick along the route's legs and tests the
-        distance to the target at the end of each tick. Memoised with the
-        walk's route, leg, progress and position at arrival, so a longer
-        chain continues from the state of its prefix.
+        distance to the target at the end of each tick. A walk that has not
+        arrived by offset max_ticks arrives NEVER, and so does every longer
+        chain that continues it. Memoised with the walk's route, leg,
+        progress and position at arrival, so a longer chain continues from
+        the state of its prefix.
         """
         key = (node, chain)
         walk = self._walks.get(key)
@@ -392,11 +399,12 @@ class WorldIndex:
             self._walks[key] = walk
         return walk[0]
 
-    def _walk(self, shelter_id: int, offset: int, route: list[int], leg: int,
+    def _walk(self, shelter_id: int, offset: float, route: list[int], leg: int,
               progress: float, x: float, y: float
-              ) -> tuple[int, list[int], int, float, float, float]:
+              ) -> tuple[float, list[int], int, float, float, float]:
         """Walk from the state at `offset` one tick at a time until within
-        shelter_radius of the shelter; its end always is."""
+        shelter_radius of the shelter (its end always is), or, as NEVER,
+        past offset max_ticks."""
         p = self.params
         move = p.household_speed * p.tick_seconds
         nodes = self.world.nodes
@@ -405,6 +413,8 @@ class WorldIndex:
         measured = -1  # the leg whose end points and length a, b, leg_len hold
         while True:
             offset += 1
+            if offset > p.max_ticks:
+                return NEVER, route, leg, progress, x, y
             budget = move
             while budget > 0.0 and leg < last:
                 if leg != measured:
@@ -439,13 +449,12 @@ class WorldIndex:
 
 
 class HouseholdState:
-    __slots__ = ("idx", "status", "source", "decision", "chain", "stranded")
+    __slots__ = ("idx", "status", "source", "chain", "stranded")
 
     def __init__(self, idx: int):
         self.idx = idx
         self.status = UNAWARE
         self.source: WarningSource | None = None
-        self.decision: Decision | None = None
         # The shelters it headed for, in order; the last is its target.
         self.chain: tuple[int, ...] = ()
         self.stranded = False
@@ -461,7 +470,7 @@ class SimulationState:
     cfg: RunConfig
     index: WorldIndex
     timeline: InformTimeline
-    decide_order: dict[int, tuple[int, ...]]  # the index's, for the seed
+    decide_order: dict[int, tuple[tuple[int, WarningSource], ...]]  # the index's, for the seed
     perceived: np.ndarray  # per household, shared by the runs of its seed group
     highest: float  # highest possible score under cfg.weights
     evacuate: list[bool]  # per household, perceived > threshold * highest
@@ -670,6 +679,32 @@ def _pick_shelter(state: SimulationState, node: int, members: int,
     return None
 
 
+def _head_out(state: SimulationState, h: HouseholdState, decided: int) -> None:
+    """Send an evacuating household to the shelter _pick_shelter picks:
+    from its house node when it departs, or from the node of the shelter
+    that is full, with its chain excluded, when it is redirected. The
+    household finishes its walk to a full shelter before heading out again.
+    Queue its arrival, or strand it if no shelter is left."""
+    index = state.index
+    hid = h.idx
+    full = h.chain[-1] if h.chain else None
+    node = index.house_node[hid] if full is None else index.shelters_by_id[full].node
+    target = _pick_shelter(state, node, index.members[hid], h.chain)
+    if target is None:
+        h.stranded = True
+        heapq.heappush(state.moving, (NEVER, decided, hid))
+        event = ("stranded", "no reachable shelter" if full is None
+                 else f"no capacity anywhere after shelter={full}")
+    else:
+        h.chain += (target,)
+        arrival = decided + index.arrival_offset(index.house_node[hid], h.chain)
+        heapq.heappush(state.moving, (arrival, decided, hid))
+        event = (("depart", f"shelter={target}") if full is None
+                 else ("redirected", f"from={full} to={target}"))
+    if state.events is not None:
+        state.events.append(Event(state.tick, "household", hid, *event))
+
+
 def step(state: SimulationState) -> SimulationState:
     """Advance one tick in place and return the state."""
     index = state.index
@@ -681,110 +716,61 @@ def step(state: SimulationState) -> SimulationState:
     events = state.events
     moving = state.moving
 
-    informs = state.timeline.informs.get(t)
-    if informs is not None:
+    order = state.decide_order.get(t)
+    if order is not None:
         # (1)-(3) the informs of this tick, as the rescuer walk recorded them
-        for hid, source in informs:
-            h = households[hid]
-            h.status = INFORMED
-            h.source = source
-        state.informed_count += len(informs)
+        state.informed_count += len(order)
         if events is not None:
             events += [Event(t, "household", hid, "informed", source.name.lower())
-                       for hid, source in informs]
-
+                       for hid, source in state.timeline.informs[t]]
         # (4) the newly informed, in ascending id, act on the decision
-        # init_run made. An evacuating one heads for the shelter
-        # _pick_shelter would pick with nothing excluded: the first one in
-        # its node's order that is external or would fit.
+        # init_run made
         evacuate = state.evacuate
-        occupancy = state.occupancy
-        house_node, members, shelter_order = index.house_node, index.members, index.shelter_order
-        walks = index._walks  # arrival_offset's memo, read directly on a hit
-        order = state.decide_order[t]
         stays = 0
-        for hid in order:
+        for hid, source in order:
             h = households[hid]
+            h.source = source
             go = evacuate[hid]
-            h.decision = _EVACUATE if go else _STAY
             if events is not None:
                 events.append(Event(t, "household", hid, "decided",
-                                    f"{h.decision.value} perceived={state.perceived[hid]:.6f} "
+                                    f"{'evacuate' if go else 'stay'} "
+                                    f"perceived={state.perceived[hid]:.6f} "
                                     f"highest={state.highest:.6f}"))
-            if not go:
+            if go:
+                h.status = EVACUATING
+                _head_out(state, h, t)
+            else:
                 h.status = STAYING
                 stays += 1
-                continue
-            h.status = EVACUATING
-            node = house_node[hid]
-            size = members[hid]
-            for shelter in shelter_order[node]:
-                if shelter.external or occupancy[shelter.id] + size <= shelter.capacity:
-                    chain = h.chain = (shelter.id,)
-                    walk = walks.get((node, chain))
-                    offset = walk[0] if walk is not None else index.arrival_offset(node, chain)
-                    heapq.heappush(moving, (t + offset, t, hid))
-                    if events is not None:
-                        events.append(Event(t, "household", hid, "depart",
-                                            f"shelter={shelter.id}"))
-                    break
-            else:
-                h.stranded = True
-                heapq.heappush(moving, (NEVER, t, hid))
-                if events is not None:
-                    events.append(Event(t, "household", hid, "stranded", "no reachable shelter"))
         state.evacuate_decisions += len(order) - stays
         state.stay_decisions += stays
         state.terminal_count += stays
 
-    # (5) shelter managers admit or redirect the households arriving now
+    # (5) shelter managers admit the households arriving now, or redirect them
+    occupancy = state.occupancy
     while moving and moving[0][0] <= t:
         _, decided, hid = heapq.heappop(moving)
-        _admit_or_redirect(state, households[hid], decided, t)
-
-    state.time_series.append(state.evacuate_decisions)
-    return state
-
-
-def _admit_or_redirect(state: SimulationState, h: HouseholdState, decided: int, t: int) -> None:
-    index = state.index
-    shelter = index.shelters_by_id[h.chain[-1]]
-    members = index.members[h.idx]
-    if shelter.external or state.occupancy[shelter.id] + members <= shelter.capacity:
-        state.occupancy[shelter.id] += members
+        h = households[hid]
+        shelter = index.shelters_by_id[h.chain[-1]]
+        members = index.members[hid]
+        if not (shelter.external or occupancy[shelter.id] + members <= shelter.capacity):
+            _head_out(state, h, decided)
+            continue
+        occupancy[shelter.id] += members
         state.admitted[shelter.id] += 1
-        if not shelter.external and state.occupancy[shelter.id] > shelter.capacity:
+        if not shelter.external and occupancy[shelter.id] > shelter.capacity:
             raise InternalError(
                 f"shelter {shelter.id} over capacity: "
-                f"{state.occupancy[shelter.id]} > {shelter.capacity}"
+                f"{occupancy[shelter.id]} > {shelter.capacity}"
             )
         h.status = SHELTERED
         state.terminal_count += 1
-        if state.events is not None:
-            state.events.append(Event(
-                t, "household", h.idx, "admitted",
-                f"shelter={shelter.id} occupancy={state.occupancy[shelter.id]}",
-            ))
-        return
-    # Full: redirect to the next-nearest shelter that would fit, measured
-    # from the full shelter's node; the household finishes the walk there
-    # before heading out again.
-    target = _pick_shelter(state, shelter.node, members, exclude=h.chain)
-    if target is None:
-        h.stranded = True
-        heapq.heappush(state.moving, (NEVER, decided, h.idx))
-        if state.events is not None:
-            state.events.append(Event(
-                t, "household", h.idx, "stranded", f"no capacity anywhere after shelter={shelter.id}",
-            ))
-        return
-    h.chain += (target,)
-    arrival = decided + index.arrival_offset(index.house_node[h.idx], h.chain)
-    heapq.heappush(state.moving, (arrival, decided, h.idx))
-    if state.events is not None:
-        state.events.append(Event(
-            t, "household", h.idx, "redirected", f"from={shelter.id} to={target}",
-        ))
+        if events is not None:
+            events.append(Event(t, "household", hid, "admitted",
+                                f"shelter={shelter.id} occupancy={occupancy[shelter.id]}"))
+
+    state.time_series.append(state.evacuate_decisions)
+    return state
 
 
 def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunResult:
@@ -796,14 +782,13 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
         step(state)
     truncated = state.terminal_count < n
     households = state.households
-    if not truncated:
-        status = list(map(attrgetter("status"), households))
-        if status.count(SHELTERED) + status.count(STAYING) != n:
-            h = next(h for h in households if h.status not in (SHELTERED, STAYING))
-            raise InternalError(
-                f"household {h.idx} ended {STATUS_NAMES[h.status]} at natural termination"
-            )
-    if state.evacuate_decisions != list(map(attrgetter("decision"), households)).count(_EVACUATE):
+    status = list(map(attrgetter("status"), households))
+    if not truncated and status.count(SHELTERED) + status.count(STAYING) != n:
+        h = next(h for h in households if h.status not in (SHELTERED, STAYING))
+        raise InternalError(
+            f"household {h.idx} ended {STATUS_NAMES[h.status]} at natural termination"
+        )
+    if state.evacuate_decisions != status.count(EVACUATING) + status.count(SHELTERED):
         raise InternalError("evacuate decision counter out of sync")
     return RunResult(
         evacuated=state.evacuate_decisions,

@@ -151,6 +151,8 @@ def parse_world(text: str) -> World:
                     fail(lineno, f"duplicate edge {key}")
                 edge_keys.add(key)
                 euclid = nodes[a].distance_to(nodes[b])
+                if euclid == 0.0:
+                    fail(lineno, f"zero-length edge ({a},{b}): its nodes coincide")
                 if len(parts) == 4:
                     stored = float(parts[3])
                     if abs(stored - euclid) > EDGE_LENGTH_TOL:

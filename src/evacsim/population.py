@@ -51,8 +51,8 @@ class PopulationError(InputError):
 
 # A dataclass record is one CSV line: its field names, in order, are the
 # header, and each field's type sets how its cell is written and read.
-_CELL_FORMATS = {int: "%d", bool: "%d", float: "%r"}
-_CELL_PARSERS = {int: int, float: float, bool: {"0": False, "1": True}.__getitem__}
+_CELL_FORMATS = {int: "%d", bool: "%d", float: "%r", str: "%s"}
+_CELL_PARSERS = {int: int, float: float, bool: {"0": False, "1": True}.__getitem__, str: str}
 
 
 class CellError(ValueError):
@@ -77,7 +77,7 @@ def csv_header(record: type) -> str:
 def records_to_csv(record: type, rows: Sequence) -> str:
     """The header line, then one line per row: int and bool fields as %d,
     float fields as the shortest repr that reads back to the same float
-    (an int held in a float field prints as `1.0`)."""
+    (an int held in a float field prints as `1.0`), str fields as they are."""
     columns = record_fields(record)
     template = ",".join(_CELL_FORMATS[kind] for _, kind, _ in columns) + "\n"
     # One lazy column per field, zipped back into rows, so that the per-cell

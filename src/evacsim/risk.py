@@ -24,7 +24,6 @@ __all__ = [
     "TIME_OF_DAY_CODES",
     "Scenario",
     "Weights",
-    "Decision",
     "WarningSource",
     "CDM_MAX",
     "HRF_MAX",
@@ -53,11 +52,6 @@ class WarningSource(enum.Enum):
     FRIENDS = 0.25
     MEDIA = 0.5
     AUTHORITIES = 1.0
-
-
-class Decision(enum.Enum):
-    EVACUATE = "evacuate"
-    STAY = "stay"
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .population import records_to_csv
 from .sweep import SweepTable
 
 __all__ = [
@@ -310,8 +311,10 @@ def report_to_csv(report: RegressionReport) -> str:
 
 @dataclass(frozen=True)
 class SeriesPoint:
-    series: str
+    """One point of a series; its fields, in order, are the CSV's columns."""
+
     x: float
+    series: str
     mean_evacuated: float
     n: int
 
@@ -344,13 +347,9 @@ def series(
         for k, v in enumerate(values.tolist()):
             # Summed as Python ints, so the mean is that of the exact total.
             vals = evacuated[group == k].tolist()
-            out.append(SeriesPoint(kind, v, sum(vals) / len(vals), len(vals)))
+            out.append(SeriesPoint(v, kind, sum(vals) / len(vals), len(vals)))
     return out
 
 
 def series_to_csv(points: list[SeriesPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("x,series,mean_evacuated,n\n")
-    for p in points:
-        buf.write(f"{repr(p.x)},{p.series},{repr(p.mean_evacuated)},{p.n}\n")
-    return buf.getvalue()
+    return records_to_csv(SeriesPoint, points)

@@ -347,6 +347,37 @@ def test_an_engine_flag_that_is_not_finite_exits_1(tmp_path, capsys, command, fl
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_rescuer_move_too_large_for_the_shortest_edge_exits_1(tmp_path, capsys, command):
+    # 1e301 m a tick less a 100 m edge is 1e301 m again: the rescuer's
+    # first tick would never end.
+    assert main(micro_argv(tmp_path, command) + ["--rescuer-speed", "1e300"]) == 1
+    assert capsys.readouterr().err == (
+        "error: rescuer_speed * tick_seconds (1e+301 m) is too large for the shortest edge "
+        "(100.0 m): walking it would not shrink the move left in a tick\n")
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_simulate_on_a_world_with_a_zero_length_edge_exits_1(tmp_path, capsys):
+    # A rescuer can bounce for ever along an edge between coincident nodes,
+    # inside one tick.
+    argv = micro_argv(tmp_path, "simulate")
+    world_path = tmp_path / "w.world"
+    text = world_path.read_text() + "node|9|0.0|0.0\nedge|0|9\n"
+    world_path.write_text(text)
+    assert main(argv) == 1
+    lineno = len(text.splitlines())
+    assert capsys.readouterr().err == (
+        f"error: line {lineno}: zero-length edge (0,9): its nodes coincide\n")
+
+
+def test_simulate_with_households_too_slow_to_arrive_is_truncated(tmp_path, capsys):
+    # 1e-8 m a tick: every household departs and none arrives by max_ticks.
+    argv = micro_argv(tmp_path, "simulate") + ["--household-speed", "1e-9", "--threshold", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("evacuated=3 stayed=0 ticks=400 truncated=true ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_a_command_validates_the_population_once(tmp_path, capsys, monkeypatch, command):
     calls = []
     for module in (population, engine):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from evacsim import engine
 from evacsim.engine import (
     EVACUATING,
-    INFORMED,
     SHELTERED,
     STAYING,
     UNAWARE,
@@ -378,7 +378,7 @@ def test_eventual_information_and_terminal_states(demo_index):
            and state.tick < demo_index.params.max_ticks):
         step(state)
     assert all(h.status in (SHELTERED, STAYING) for h in state.households)
-    assert all(h.status != UNAWARE and h.status != INFORMED and h.status != EVACUATING
+    assert all(h.status != UNAWARE and h.status != EVACUATING
                for h in state.households)
 
 
@@ -546,6 +546,21 @@ def test_pick_shelter_matches_the_linear_scan(demo_index, on_demo, data):
     state = SimpleNamespace(index=index, occupancy=occupancy)
     picked = engine._pick_shelter(state, node, members, exclude)  # noqa: SLF001
     assert picked == pick_shelter_reference(world, occupancy, node, members, exclude)
+
+
+def test_one_pick_serves_departures_and_redirects(demo_index, monkeypatch):
+    # The run of the pinned `simulate` event log: each of its 248 evacuate
+    # decisions and 41 redirects picks through the module's _pick_shelter.
+    calls = []
+    real_pick = engine._pick_shelter  # noqa: SLF001
+    monkeypatch.setattr(engine, "_pick_shelter",
+                        lambda *args: calls.append(args[1:]) or real_pick(*args))
+    cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
+                    weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
+    result = run(demo_index, cfg)
+    kinds = Counter(e.event for e in result.events)
+    assert (result.evacuated, kinds["redirected"], kinds["stranded"]) == (248, 41, 0)
+    assert len(calls) == 289 == kinds["depart"] + kinds["redirected"]
 
 
 def test_runs_call_init_run_and_step_through_the_module(demo_index, monkeypatch):

@@ -12,9 +12,10 @@ rescuer only when it reaches a node or can still inform someone;
 import time
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim.engine import EngineParams, WorldIndex
+from evacsim.engine import NEVER, EngineParams, WorldIndex
 from evacsim.geo import Point, Shelter, Waterway, World
 from evacsim.population import HouseholdProfile
 from evacsim.risk import WarningSource
@@ -55,11 +56,13 @@ def walks(draw):
 def test_arrival_offsets_match_the_tick_by_tick_walker(case):
     world, house, chain, walk = case
     index = walk_index(world, **walk)
-    expected = walk_arrivals(index, house, chain)
+    offsets = walk_arrivals(index, house, chain)
+    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    # A walk that has not arrived by offset max_ticks never arrives.
+    expected = [o if o <= index.params.max_ticks else NEVER for o in offsets]
     # The longest chain first, so its prefixes are walked from inside.
     got = [index.arrival_offset(house, chain[:k]) for k in range(len(chain), 0, -1)]
     assert got[::-1] == expected
-    assert all(a < b for a, b in zip(expected, expected[1:]))
 
 
 def test_house_node_at_the_shelter_arrives_in_its_decision_tick():
@@ -92,6 +95,29 @@ def test_redirect_starting_mid_leg():
     assert walk_arrivals(index, 0, (0, 1, 2)) == [3, 8, 18]
     # Straight back from shelter 0 instead: x=200 on tick 4, x=40 on tick 8.
     assert index.arrival_offset(0, (0, 2)) == 8 == walk_arrivals(index, 0, (0, 2))[1]
+
+
+@pytest.mark.parametrize("max_ticks, offsets", [
+    (18, [3, 8, 18]),
+    (17, [3, 8, NEVER]),
+    (7, [3, NEVER, NEVER]),
+    (2, [NEVER, NEVER, NEVER]),
+])
+def test_a_walk_past_max_ticks_never_arrives(max_ticks, offsets):
+    # The walk of test_redirect_starting_mid_leg, cut at max_ticks: a chain
+    # that continues a walk that never arrives never arrives either.
+    index = walk_index(with_shelters(line_world(n_nodes=5), [2, 4, 0]), household_speed=4.0,
+                       tick_seconds=10.0, shelter_radius=50.0, max_ticks=max_ticks)
+    assert [index.arrival_offset(0, (0, 1, 2)[:k]) for k in (1, 2, 3)] == offsets
+
+
+def test_a_slow_household_looks_no_further_ahead_than_max_ticks():
+    # 1e-8 m a tick comes within 50 m of a shelter 300 m away after 2.5e10
+    # ticks; the walk stops at max_ticks.
+    index = walk_index(with_shelters(line_world(), [3]), household_speed=1e-9)
+    start = time.process_time()
+    assert index.arrival_offset(0, (0,)) == NEVER
+    assert time.process_time() - start < 0.5
 
 
 def household(i: int) -> HouseholdProfile:
