@@ -55,6 +55,7 @@ from .geo import (
     Shelter,
     World,
     nearest_road_nodes,
+    point_segment_distance,
     points_near_edges,
     proximity_classes,
     shortest_path_tree,
@@ -234,10 +235,14 @@ class WorldIndex:
     `edge_candidates` order, then the node lists in `node_candidates`
     order; `node_slot` maps a node to its list's number and `slots_of` a
     household to the numbers of the lists holding it, so a walk can count
-    the unaware households of each list. The walk table `moves` holds, for
-    a rescuer standing on a node, keyed (node, node it came from, or -1 at
-    its start), one (next node, edge length, edge list number) per choice,
-    in adjacency order without the way back unless that is the only way.
+    the unaware households of each list. The linked move table
+    `move_rows` holds one row per (node, node a rescuer came from, or -1 at
+    its start), and `start_row` numbers each node's start row. A row is
+    (choices, choice count, the count's bit length), the choices in
+    adjacency order without the way back unless that is the only way, and
+    a choice is (next node, edge length, edge list number, the row its
+    walker draws from at the next node), so a walk follows row numbers and
+    never looks up where it came from.
 
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
@@ -276,18 +281,26 @@ class WorldIndex:
         edge_lists = tuple(self.edge_candidates.values())
         edge_slot = {key: slot for slot, key in enumerate(self.edge_candidates)}
         self.node_candidates: dict[int, tuple[int, ...]] = {}
-        self.moves: dict[tuple[int, int], tuple[tuple[int, float, int], ...]] = {}
+        # neighbour -> (length of its first adjacency entry, list number), per node
+        edges: dict[int, dict[int, tuple[float, int]]] = {}
+        row_of: dict[tuple[int, int], int] = {}  # (node, came-from) -> row number
         for node, nbrs in world.adjacency.items():
-            # neighbour -> (length of its first adjacency entry, list number)
-            edge: dict[int, tuple[float, int]] = {}
+            edge = edges[node] = {}
             for nb, length in nbrs:
                 edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
             self.node_candidates[node] = tuple(dict.fromkeys(
                 hid for _, slot in edge.values() for hid in edge_lists[slot]))
             for prev in (-1, *edge):
-                back = len(nbrs) > 1 and prev >= 0
-                self.moves[(node, prev)] = tuple(
-                    (nb, *edge[nb]) for nb, _ in nbrs if not (back and nb == prev))
+                row_of[(node, prev)] = len(row_of)
+        self.start_row = {node: row_of[(node, -1)] for node in edges}
+        rows = []
+        for node, prev in row_of:
+            nbrs = world.adjacency[node]
+            back = len(nbrs) > 1 and prev >= 0
+            choices = tuple((nb, *edges[node][nb], row_of[(nb, node)])
+                            for nb, _ in nbrs if not (back and nb == prev))
+            rows.append((choices, len(choices), len(choices).bit_length()))
+        self.move_rows = tuple(rows)
         self.candidate_lists = (*edge_lists, *self.node_candidates.values())
         self.node_slot = {node: slot for slot, node in enumerate(self.node_candidates,
                                                                  len(self.edge_candidates))}
@@ -404,16 +417,26 @@ class WorldIndex:
               ) -> tuple[float, list[int], int, float, float, float]:
         """Walk from the state at `offset` one tick at a time until within
         shelter_radius of the shelter (its end always is), or, as NEVER,
-        past offset max_ticks."""
+        past offset max_ticks.
+
+        A tick ends on a point of the leg it walked last, up to the rounding
+        of the interpolation. On a leg whose segment is farther from the
+        shelter than shelter_radius by more than that rounding (a margin of
+        1e-9 of the coordinates' magnitudes), no tick can end in range: the
+        walk only adds up its progress there, and the position it returns
+        with NEVER may be stale."""
         p = self.params
         move = p.household_speed * p.tick_seconds
+        radius = p.shelter_radius
+        max_ticks = p.max_ticks
         nodes = self.world.nodes
         spos = nodes[self.shelters_by_id[shelter_id].node]
         last = len(route) - 1
-        measured = -1  # the leg whose end points and length a, b, leg_len hold
+        measured = -1  # the leg whose end points, length and farness a, b, leg_len, far hold
+        far = False
         while True:
             offset += 1
-            if offset > p.max_ticks:
+            if offset > max_ticks:
                 return NEVER, route, leg, progress, x, y
             budget = move
             while budget > 0.0 and leg < last:
@@ -421,20 +444,29 @@ class WorldIndex:
                     a = nodes[route[leg]]
                     b = nodes[route[leg + 1]]
                     leg_len = math.hypot(b.x - a.x, b.y - a.y)
+                    slack = 1e-9 * (abs(a.x) + abs(a.y) + abs(b.x) + abs(b.y)
+                                    + abs(spos.x) + abs(spos.y))
+                    far = point_segment_distance(spos, a, b) > radius + slack
                     measured = leg
                 remaining = leg_len - progress
                 if budget < remaining:
                     progress += budget
                     budget = 0.0
-                    f = progress / leg_len
-                    x = a.x + (b.x - a.x) * f
-                    y = a.y + (b.y - a.y) * f
+                    if far:
+                        # and so does every next tick a whole move fits in
+                        while move < leg_len - progress and offset < max_ticks:
+                            offset += 1
+                            progress += move
+                    else:
+                        f = progress / leg_len
+                        x = a.x + (b.x - a.x) * f
+                        y = a.y + (b.y - a.y) * f
                 else:
                     budget -= remaining
                     leg += 1
                     progress = 0.0
                     x, y = b.x, b.y
-            if math.hypot(x - spos.x, y - spos.y) <= p.shelter_radius:
+            if not far and math.hypot(x - spos.x, y - spos.y) <= radius:
                 return offset, route, leg, progress, x, y
 
     def route_to_shelter(self, node: int, shelter_id: int) -> list[int]:
@@ -536,53 +568,68 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     world = index.world
     n = index.n
     p = index.params
+    # Both streams draw an integer below m as CPython's randrange does
+    # (Random._randbelow_with_getrandbits): getrandbits(m.bit_length())
+    # until the value is below m, so a one-wide range still draws.
     rng_init = random.Random(derive_seed(seed, "init"))
-    rand, rand_init = rng_init.random, rng_init.randrange
+    rand, bits_init = rng_init.random, rng_init.getrandbits
     eps_lo, eps_span = p.epsilon_min, p.epsilon_max - p.epsilon_min
     friends_prob = p.fallback_friends_prob
-    tick_lo, tick_hi = p.fallback_tick_min, p.fallback_tick_max + 1
+    tick_lo, ticks = p.fallback_tick_min, p.fallback_tick_max + 1 - p.fallback_tick_min
+    tick_bits = ticks.bit_length()
     epsilon: list[float] = []
     fallback_source: list[WarningSource] = []
     fallback_tick: list[int] = []
     fallback_schedule: dict[int, list[int]] = {}
     for i in range(n):
-        # random.uniform and random.randint, spelled as their docs define them
+        # random.uniform, spelled as its docs define it
         epsilon.append(eps_lo + eps_span * rand())
         fallback_source.append(
             WarningSource.FRIENDS if rand() < friends_prob else WarningSource.MEDIA)
-        tick = rand_init(tick_lo, tick_hi)
+        # random.randint(fallback_tick_min, fallback_tick_max)
+        drawn = bits_init(tick_bits)
+        while drawn >= ticks:
+            drawn = bits_init(tick_bits)
+        tick = tick_lo + drawn
         fallback_tick.append(tick)
         fallback_schedule.setdefault(tick, []).append(i)
     starts = world.rescuer_starts
-    placed = tuple(starts[rand_init(len(starts))] for _ in range(p.nb_rescuers))
+    start_bits = len(starts).bit_length()
+    placed_at: list[int] = []
+    for _ in range(p.nb_rescuers):
+        drawn = bits_init(start_bits)
+        while drawn >= len(starts):
+            drawn = bits_init(start_bits)
+        placed_at.append(starts[drawn])
+    placed = tuple(placed_at)
 
-    randrange = random.Random(derive_seed(seed, "walk")).randrange
+    getrandbits = random.Random(derive_seed(seed, "walk")).getrandbits
     budget = p.rescuer_speed * p.tick_seconds
     radius = p.rescuer_radius
     max_ticks = p.max_ticks
     house_pos = index.house_pos
     nodes = world.nodes
-    moves = index.moves
+    move_rows = index.move_rows
     lists = index.candidate_lists
     slots_of = index.slots_of
     node_slot = index.node_slot
     # The rescuers as parallel lists: the node each last left or stands on,
-    # the node before it, the edge it walks (its far node, None while
-    # standing on a node, and its length), its progress along the edge and
-    # the tick that progress is for, the list number of its candidates, and
-    # the tick it next reaches or stands on a node with the budget it has
-    # left then (NEVER if that is past max_ticks, or if it cannot move: a
-    # start node with no road keeps it there).
+    # the edge it walks (its far node, None while standing on a node, and
+    # its length), the move-table row it draws from at the node it stands
+    # on or walks to, its progress along the edge and the tick that
+    # progress is for, the list number of its candidates, and the tick it
+    # next reaches or stands on a node with the budget it has left then
+    # (NEVER if that is past max_ticks, or if it cannot move: a start node
+    # with no road keeps it there).
     k = len(placed)
     at = list(placed)
-    came_from = [-1] * k
+    row = [index.start_row[node] for node in placed]
     to: list[int | None] = [None] * k
     edge_len = [0.0] * k
     progress = [0.0] * k
     walked = [0] * k
     slot = [node_slot[node] for node in placed]
-    arrive: list[float] = [1 if budget > 0.0 and moves[(node, -1)] else NEVER
-                           for node in placed]
+    arrive: list[float] = [1 if budget > 0.0 and move_rows[here][1] else NEVER for here in row]
     left_then = [budget] * k
     unaware = [True] * n
     unaware_in = [len(cands) for cands in lists]
@@ -595,20 +642,23 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
         # (1) rescuers roam; (2) they inform unaware households in range
         for r in range(k):
             if arrive[r] == t:
-                node, nxt, left = at[r], to[r], left_then[r]
+                node, nxt, left, here = at[r], to[r], left_then[r], row[r]
                 if nxt is not None:
-                    came_from[r] = node
                     node, nxt = nxt, None
                 while left > 0.0:  # standing on a node: pick an edge
-                    options = moves[(node, came_from[r])]
-                    nxt, length, edge_slot = (
-                        options[randrange(len(options))] if len(options) > 1 else options[0])
+                    choices, count, bits = move_rows[here]
+                    if count > 1:
+                        drawn = getrandbits(bits)
+                        while drawn >= count:
+                            drawn = getrandbits(bits)
+                        nxt, length, edge_slot, here = choices[drawn]
+                    else:
+                        nxt, length, edge_slot, here = choices[0]
                     if left < length:
                         break
                     left -= length
-                    came_from[r] = node
                     node, nxt = nxt, None
-                at[r], to[r] = node, nxt
+                at[r], to[r], row[r] = node, nxt, here
                 if nxt is None:  # the budget ended exactly on a node
                     slot[r] = node_slot[node]
                     arrive[r] = t + 1

@@ -142,7 +142,9 @@ def fit_ols(m: DesignMatrix) -> RegressionReport:
         tss = float(y @ y)
     r_squared = 1.0 - rss / tss if tss > 0 else 1.0
 
-    sing = np.linalg.svd(x, compute_uv=False)
+    # X = QR with Q's columns orthonormal, so X and the p x p R have the
+    # same singular values.
+    sing = np.linalg.svd(r, compute_uv=False)
     condition = float(sing[0] / sing[-1]) if sing[-1] > 0 else math.inf
 
     stats: list[PredictorStats] = []

@@ -101,6 +101,18 @@ def test_residuals_orthogonal_to_predictors():
         assert cos < 1e-8
 
 
+def test_condition_number_is_the_full_designs_singular_value_ratio():
+    # Columns on different scales, like the sensitivity design's codes and
+    # weights next to its intercept.
+    rng = np.random.default_rng(23)
+    x = np.column_stack([np.ones(5000), rng.normal(size=(5000, 6)) * [1.0, 0.1, 3.0, 0.02, 10.0,
+                                                                      0.5]])
+    x[:, 2] += 0.9 * x[:, 1] * 10.0  # and two columns far from orthogonal
+    rep = fit_ols(DesignMatrix(tuple("abcdefg"), x, rng.normal(size=5000)))
+    sing = np.linalg.svd(x, compute_uv=False)
+    assert rep.condition_number == pytest.approx(sing[0] / sing[-1], rel=1e-12)
+
+
 def test_needs_more_rows_than_columns():
     with pytest.raises(InputError, match="observations"):
         fit_ols(DesignMatrix(("a", "b"), np.ones((2, 2)), np.ones(2)))

@@ -9,6 +9,7 @@ rescuer only when it reaches a node or can still inform someone;
 `helpers.walk_rescuers_reference` moves every rescuer every tick.
 """
 
+import math
 import time
 from dataclasses import replace
 
@@ -97,6 +98,19 @@ def test_redirect_starting_mid_leg():
     assert index.arrival_offset(0, (0, 2)) == 8 == walk_arrivals(index, 0, (0, 2))[1]
 
 
+@pytest.mark.parametrize("radius, offset", [(30.0, 9), (30.0 - 1e-9, 27)])
+def test_a_leg_grazing_the_radius_ends_a_tick_in_range(radius, offset):
+    # The route to the shelter at (100, 30) runs along y = 0 to (200, 0)
+    # and back up; 10 m a tick ends on (100, 0), exactly 30 m from it, on
+    # tick 9. With a radius just short of that the first leg is out of
+    # range, and the walk arrives 24.4 m short of the shelter on tick 27.
+    world = World(nodes={0: Point(0.0, 0.0), 1: Point(200.0, 0.0), 2: Point(100.0, 30.0)},
+                  edges=[(0, 1, 200.0), (1, 2, math.hypot(100.0, 30.0))], buildings={},
+                  waterways=[], shelters=[Shelter(0, 2, 100, False)], rescuer_starts=[])
+    index = walk_index(world, household_speed=1.0, tick_seconds=10.0, shelter_radius=radius)
+    assert index.arrival_offset(0, (0,)) == offset == walk_arrivals(index, 0, (0,))[0]
+
+
 @pytest.mark.parametrize("max_ticks, offsets", [
     (18, [3, 8, 18]),
     (17, [3, 8, NEVER]),
@@ -181,6 +195,38 @@ def test_inform_timeline_matches_the_tick_by_tick_walker(case):
     world, houses, params, seed = case
     index = inform_index(world, houses, **params)
     assert index.inform_timeline(seed) == walk_rescuers_reference(index, seed)
+
+
+def draw_widths_index(tick_min: int, tick_max: int, starts: list[int]) -> WorldIndex:
+    """Rescuers on a small random graph, houses around it, a fallback window
+    [tick_min, tick_max] and the given rescuer starts."""
+    world = replace(random_graph_world(7, n_nodes=12, extra_edges=8), rescuer_starts=starts)
+    houses = [Point(p.x + 40.0, p.y - 25.0) for p in world.nodes.values()]
+    return inform_index(world, houses, nb_rescuers=6, rescuer_radius=60.0,
+                        fallback_tick_min=tick_min, fallback_tick_max=tick_max, max_ticks=400)
+
+
+# The engine draws its integers through getrandbits, the reference through
+# randint and randrange. Those still draw for a range one wide (one
+# getrandbits(1) or more), and a range 2^k wide takes k + 1 bits, as does
+# one 2^k + 1 wide. A skipped one-wide fallback tick draw shifts every later
+# draw of the init stream; the rescuer placements are its last draws, so
+# with one start only their bit length and bound can show.
+@pytest.mark.parametrize("tick_min, tick_max, starts", [
+    (150, 150, [0, 3, 5]),  # one fallback tick
+    (100, 300, [4]),  # one rescuer start
+    (100, 100 + 2**5 - 1, [0, 3, 5, 8]),  # 2^5 ticks; 4 = 2^2 starts
+    (100, 100 + 2**5, [0, 3, 5, 8, 9]),  # 2^5 + 1 ticks; 2^2 + 1 starts
+    (100, 100 + 2**8 - 1, [0, 3]),
+    (100, 100 + 2**8, [0, 3, 5]),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+def test_one_wide_and_power_of_two_draws_match_randrange(tick_min, tick_max, starts, seed):
+    index = draw_widths_index(tick_min, tick_max, starts)
+    timeline = index.inform_timeline(seed)
+    assert timeline == walk_rescuers_reference(index, seed)
+    assert set(timeline.fallback_tick) <= set(range(tick_min, tick_max + 1))
+    assert set(timeline.placed) <= set(starts)
 
 
 def test_budgets_ending_on_nodes_inform_from_the_node():
