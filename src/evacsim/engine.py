@@ -215,8 +215,9 @@ class WorldIndex:
     Checks, when built, what its parameters cannot check alone: raises
     InputError on rescuers for a world with no rescuer_start nodes or with
     an edge too short to shrink a rescuer's move per tick, and
-    PopulationError on profiles that do not fit the world; it is the one
-    owner of that check (`population.load_population` only parses). Holds the
+    PopulationError on profiles that do not fit together or fit the world
+    (`validate_profiles`); it is the one owner of that check (each profile
+    checks its own codes when built). Holds the
     parameters, the profiles, house positions, snapped road nodes, hazard
     proximity classes, per-household CDM and CRF scores, one shortest-path
     tree per shelter for routing, and the inform timeline of the last seed

@@ -6,19 +6,23 @@ each coded field independently from a configurable categorical
 distribution and assigns households to buildings by a seeded shuffle.
 
 The module also holds the text-format helpers the other files share: the
-CSV codec that derives a record's columns from its dataclass, and the
-`key = value` reader of the spec files.
+CSV codec that derives a record's columns from its dataclass and reads both
+the population and the results file, and the `key = value` reader of the
+spec files.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
+import math
 import random
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
+from functools import cache
 from operator import attrgetter
 from typing import Any, get_type_hints
+
+import numpy as np
 
 from .errors import InputError
 from .geo import World
@@ -39,7 +43,7 @@ __all__ = [
     "csv_header",
     "record_fields",
     "records_to_csv",
-    "record_parser",
+    "read_columns",
 ]
 
 
@@ -63,10 +67,11 @@ class CellError(ValueError):
         self.field = field
 
 
-def record_fields(record: type) -> list[tuple[str, type, Callable[[str], Any]]]:
+@cache
+def record_fields(record: type) -> tuple[tuple[str, type, Callable[[str], Any]], ...]:
     """(name, type, cell parser) of each field of a dataclass record, in order."""
     hints = get_type_hints(record)
-    return [(f.name, hints[f.name], _CELL_PARSERS[hints[f.name]]) for f in fields(record)]
+    return tuple((f.name, hints[f.name], _CELL_PARSERS[hints[f.name]]) for f in fields(record))
 
 
 def csv_header(record: type) -> str:
@@ -87,27 +92,79 @@ def records_to_csv(record: type, rows: Sequence) -> str:
     return csv_header(record) + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
 
-def record_parser(record: type) -> Callable[[list[str]], Any]:
-    """A function from one line's cells, one per field, to a record. Int and
-    float cells read as int() and float() do; a bool cell must be exactly 0
-    or 1. A bad cell raises CellError naming the first bad field."""
-    columns = record_fields(record)
-    parsers = [parse for _, _, parse in columns]
+# Lines read per chunk: a chunk's list of cell strings is freed before the
+# next one is made, which keeps the peak memory of a read near its input's.
+_CHUNK_LINES = 8192
 
-    def parse(cells: list[str]):
+
+def read_columns(record: type, lines: list[str], error: Callable[[int, Exception], Exception],
+                 dtypes: dict[str, type] | None = None, build: bool = False) -> list:
+    """The lines after a CSV file's header (`lines[0]`, checked by the
+    caller) as one array per field of a dataclass record, or with `build` as
+    the records built from them, each checking itself. Lines holding only
+    whitespace are skipped; ints must fit in int64 (or the field's dtype in
+    `dtypes`) and floats be finite. Lines are read 8,192 at a time, each
+    distinct cell of a column parsed once. The first bad line N, found line
+    by line, raises error(N, what is wrong, a CellError if a cell is at
+    fault): a wrong cell count first, then a cell that does not parse, then
+    one that does not fit, then what the record refuses."""
+    columns = [(name, parse, (dtypes or {}).get(name, kind))
+               for name, kind, parse in record_fields(record)]
+
+    def read(part: list[str]) -> list:
+        arrays = _read_chunk(columns, part)
+        return list(map(record, *(array.tolist() for array in arrays))) if build else arrays
+
+    parts = []
+    for start in range(1, len(lines), _CHUNK_LINES):
+        chunk = lines[start:start + _CHUNK_LINES]
         try:
-            return record(*[p(c) for p, c in zip(parsers, cells)])
-        except (ValueError, KeyError):
-            for (name, _, p), cell in zip(columns, cells):
+            parts.append(read(chunk))
+        except (ValueError, InputError):
+            for lineno, line in enumerate(chunk, start=start + 1):
                 try:
-                    p(cell)
-                except KeyError:
-                    raise CellError(name, f"{name} must be 0 or 1, got {cell!r}") from None
-                except ValueError as exc:
-                    raise CellError(name, str(exc)) from None
+                    read([line])
+                except (ValueError, InputError) as exc:
+                    raise error(lineno, exc) from None
             raise
+    if build:
+        return list(itertools.chain.from_iterable(parts))
+    return [np.concatenate(column) for column in zip(_read_chunk(columns, []), *parts)]
 
-    return parse
+
+def _read_chunk(columns: list[tuple[str, Callable[[str], Any], type]],
+                lines: list[str]) -> list[np.ndarray]:
+    """One array per column from the lines that are not blank. A bad line
+    raises ValueError (a CellError if a cell is at fault) without saying
+    where; a cell that does not parse comes before one that does not fit."""
+    lines = list(filter(str.strip, lines))
+    width = len(columns)
+    if not set(map(str.count, lines, itertools.repeat(","))) <= {width - 1}:
+        raise ValueError(f"expected {width} cells")
+    flat = ",".join(lines).split(",") if lines else []
+    arrays = []
+    unfit = None
+    for i, (name, parse, dtype) in enumerate(columns):
+        cells = flat[i::width]
+        try:
+            value = {cell: parse(cell) for cell in set(cells)}  # few distinct strings
+        except KeyError as exc:
+            raise CellError(name, f"{name} must be 0 or 1, got {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise CellError(name, str(exc)) from None
+        if unfit is not None:
+            continue
+        bad = next((c for c, v in value.items() if parse is float and not math.isfinite(v)), None)
+        if bad is not None:
+            unfit = CellError(name, f"{name} must be finite, got {bad!r}")
+            continue
+        try:
+            arrays.append(np.fromiter(map(value.__getitem__, cells), dtype, len(cells)))
+        except OverflowError:
+            unfit = CellError(name, f"{name} does not fit in {np.dtype(dtype).name}")
+    if unfit is not None:
+        raise unfit
+    return arrays
 
 
 def read_key_values(text: str, what: str,
@@ -146,9 +203,13 @@ CODED_FIELDS: dict[str, dict[str, float]] = {
     "floor_levels": {"more_than_one": 0.5, "one": 1.0},
     "typhoon_experience": {"yes": 0.5, "no": 1.0},
 }
+_CODES = {name: frozenset(codes.values()) for name, codes in CODED_FIELDS.items()}
+
 
 @dataclass(frozen=True)
 class HouseholdProfile:
+    """One household; it checks its codes and `members >= 1` when built."""
+
     id: int
     head_gender: float
     educ_level: float
@@ -164,13 +225,16 @@ class HouseholdProfile:
     members: int
     building_id: int
 
+    def __post_init__(self) -> None:
+        for name, codes in _CODES.items():
+            value = getattr(self, name)
+            if value not in codes:
+                raise PopulationError(f"{name} code {value!r} is not one of {sorted(codes)}")
+        if self.members < 1:
+            raise PopulationError("members must be >= 1")
+
 
 CSV_HEADER = csv_header(HouseholdProfile)
-_PROFILE_FIELDS = CSV_HEADER.split(",")
-# (column, field, its codes) of each coded field.
-_CODED_COLUMNS = [(col, name, frozenset(CODED_FIELDS[name].values()))
-                  for col, name in enumerate(_PROFILE_FIELDS) if name in CODED_FIELDS]
-_parse_profile = record_parser(HouseholdProfile)
 
 
 @dataclass(frozen=True)
@@ -286,26 +350,18 @@ def synthesize(spec: PopulationSpec, world: World, seed: int) -> list[HouseholdP
     return profiles
 
 
-def validate_profiles(profiles: list[HouseholdProfile], world: World | None = None) -> None:
-    """Reject invalid codes and non-injective building assignments."""
-    seen_ids: set[int] = set()
+def validate_profiles(profiles: list[HouseholdProfile], world: World) -> None:
+    """Reject what no profile can check alone: ids that are not 0..n-1 in
+    row order, a building assigned twice, and a building not in the world."""
     seen_buildings: set[int] = set()
-    for p in profiles:
-        if p.id in seen_ids:
-            raise PopulationError(f"duplicate household id {p.id}")
-        seen_ids.add(p.id)
-        for name, cats in CODED_FIELDS.items():
-            value = getattr(p, name)
-            if value not in cats.values():
-                raise PopulationError(
-                    f"household {p.id}: {name} code {value!r} is not one of {sorted(cats.values())}"
-                )
-        if p.members < 1:
-            raise PopulationError(f"household {p.id}: members must be >= 1")
+    for row, p in enumerate(profiles):
+        if p.id != row:
+            raise PopulationError(f"household {row} has id {p.id}: ids must be "
+                                  f"0..{len(profiles) - 1} in row order")
         if p.building_id in seen_buildings:
             raise PopulationError(f"building {p.building_id} assigned to more than one household")
         seen_buildings.add(p.building_id)
-        if world is not None and p.building_id not in world.buildings:
+        if p.building_id not in world.buildings:
             raise PopulationError(f"household {p.id}: unknown building {p.building_id}")
 
 
@@ -328,32 +384,17 @@ def load_population(path: str, world: World | None = None) -> list[HouseholdProf
 
 
 def parse_population(text: str) -> list[HouseholdProfile]:
-    """The profiles of a population CSV, each cell parsed and each code
-    checked; `validate_profiles` is left to the index built on them."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PopulationError("population CSV is empty") from None
-    if header != _PROFILE_FIELDS:
-        raise PopulationError(
-            f"population CSV header mismatch: expected {CSV_HEADER!r}"
-        )
-    profiles: list[HouseholdProfile] = []
-    for rownum, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(_PROFILE_FIELDS):
-            raise PopulationError(f"row {rownum}: expected {len(_PROFILE_FIELDS)} cells")
-        try:
-            profile = _parse_profile(cells)
-        except CellError as exc:
-            raise PopulationError(f"row {rownum}: {exc.field}") from None
-        for col, name, codes in _CODED_COLUMNS:
-            if getattr(profile, name) not in codes:
-                raise PopulationError(f"row {rownum}: {name} code {cells[col]} is invalid")
-        profiles.append(profile)
-    return profiles
+    """The profiles of a population CSV, read by `read_columns`, each
+    checking its own codes when built; `validate_profiles` is left to the
+    index built on them."""
+    lines = text.splitlines()
+    if not lines:
+        raise PopulationError("population CSV is empty")
+    if lines[0] != CSV_HEADER:
+        raise PopulationError(f"population CSV header mismatch: expected {CSV_HEADER!r}")
+    # A bad cell is named by its field alone.
+    return read_columns(HouseholdProfile, lines, lambda lineno, error: PopulationError(
+        f"row {lineno}: {error.field if isinstance(error, CellError) else error}"), build=True)
 
 
 # Scalar keys of the population spec, in file order, with their parsers. The

@@ -14,7 +14,6 @@ index, which walks the rescuers once for all of them.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent import futures
 from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
@@ -25,12 +24,11 @@ from .engine import EngineParams, RunConfig, RunResult, WorldIndex, run
 from .errors import InputError
 from .geo import World
 from .population import (
-    CellError,
     HouseholdProfile,
     csv_header,
+    read_columns,
     read_key_values,
     record_fields,
-    record_parser,
     records_to_csv,
 )
 from .risk import STORM_CODES, Scenario, Weights
@@ -126,10 +124,9 @@ class SweepRow:
 
 
 RESULTS_HEADER = csv_header(SweepRow)
-_RESULTS_WIDTH = len(fields(SweepRow))
-# (name, cell parser, array dtype) per field; seeds are unsigned 64-bit.
-_COLUMNS = [(name, parse, np.uint64 if name == "seed" else np.dtype(kind))
-            for name, kind, parse in record_fields(SweepRow)]
+# Seeds are unsigned 64-bit; every other field has its type's array dtype.
+_DTYPES = {name: np.uint64 if name == "seed" else kind
+           for name, kind, _ in record_fields(SweepRow)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +139,7 @@ class SweepTable:
     @classmethod
     def from_rows(cls, rows: list[SweepRow]) -> SweepTable:
         return cls({name: np.fromiter(map(attrgetter(name), rows), dtype, len(rows))
-                    for name, _, dtype in _COLUMNS})
+                    for name, dtype in _DTYPES.items()})
 
     def __len__(self) -> int:
         return len(self.columns["seed"])
@@ -312,62 +309,15 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return records_to_csv(SweepRow, rows)
 
 
-# Lines read per chunk: a chunk's list of cell strings is freed before the
-# next one is made, which keeps the peak memory of a read near its input's.
-_CHUNK_LINES = 8192
-
-
-def _read_columns(lines: list[str]) -> list[np.ndarray]:
-    """One array per SweepRow field from non-blank lines. A bad line raises
-    ValueError or KeyError, which do not say where."""
-    if not set(map(str.count, lines, itertools.repeat(","))) <= {_RESULTS_WIDTH - 1}:
-        raise ValueError("a line has the wrong number of cells")
-    flat = ",".join(lines).split(",") if lines else []
-    columns = []
-    for i, (name, parse, dtype) in enumerate(_COLUMNS):
-        cells = flat[i::_RESULTS_WIDTH]
-        value = {cell: parse(cell) for cell in set(cells)}  # few distinct strings
-        bad = next((c for c, v in value.items() if parse is float and not math.isfinite(v)), None)
-        if bad is not None:
-            raise CellError(name, f"{name} must be finite, got {bad!r}")
-        try:
-            columns.append(np.fromiter(map(value.__getitem__, cells), dtype, len(cells)))
-        except OverflowError:
-            raise CellError(name, f"{name} does not fit in {np.dtype(dtype).name}") from None
-    return columns
-
-
 def rows_from_csv(text: str) -> SweepTable:
-    """Read a results file into columns, skipping blank lines. A bad file
-    raises InputError naming its first bad line, found line by line."""
+    """Read a results file into columns (`population.read_columns`). A bad
+    file raises InputError naming its first bad line."""
     lines = text.splitlines()
     if not lines or lines[0] != RESULTS_HEADER:
         raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
-    parts = [_read_columns([])]
-    for start in range(1, len(lines), _CHUNK_LINES):
-        chunk = lines[start:start + _CHUNK_LINES]
-        try:
-            parts.append(_read_columns(list(filter(str.strip, chunk))))
-        except (ValueError, KeyError):
-            _raise_first_error(chunk, start + 1)
-            raise
-    return SweepTable({name: np.concatenate(column)
-                       for (name, _, _), column in zip(_COLUMNS, zip(*parts))})
-
-
-def _raise_first_error(lines: list[str], first_lineno: int) -> None:
-    parse_row = record_parser(SweepRow)
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != _RESULTS_WIDTH:
-            raise InputError(f"results CSV line {lineno}: expected {_RESULTS_WIDTH} cells")
-        try:
-            parse_row(cells)
-            _read_columns([line])
-        except CellError as exc:
-            raise InputError(f"results CSV line {lineno}: {exc}") from None
+    columns = read_columns(SweepRow, lines, lambda lineno, error: InputError(
+        f"results CSV line {lineno}: {error}"), _DTYPES)
+    return SweepTable(dict(zip(_DTYPES, columns)))
 
 
 # --- sweep spec file (flat key = value text) ---

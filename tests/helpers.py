@@ -8,7 +8,7 @@ import random
 from evacsim.engine import InformTimeline
 from evacsim.errors import InputError
 from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
-from evacsim.population import CellError, record_parser
+from evacsim.population import HouseholdProfile, PopulationError, record_fields
 from evacsim.risk import WarningSource
 from evacsim.seeds import derive_seed
 from evacsim.sweep import RESULTS_HEADER, SweepRow
@@ -278,10 +278,42 @@ def pick_shelter_reference(world: World, occupancy: dict[int, int], node: int, m
     return None if best is None else best[2]
 
 
+def parse_cells(record: type, cells: list[str]) -> list:
+    """The values of one line's cells, one per field of record, read in
+    field order: int and float cells as int() and float() do, bool cells as
+    exactly 0 or 1. The first bad cell raises ValueError(field, why)."""
+    values = []
+    for (name, kind, _), cell in zip(record_fields(record), cells):
+        if kind is bool:
+            if cell not in ("0", "1"):
+                raise ValueError(name, f"{name} must be 0 or 1, got {cell!r}")
+            values.append(cell == "1")
+            continue
+        try:
+            values.append(kind(cell))
+        except ValueError as exc:
+            raise ValueError(name, str(exc)) from None
+    return values
+
+
+def out_of_range(record: type, values: list, cells: list[str],
+                 unsigned: str = "") -> tuple[str, str] | None:
+    """(field, why) of the first value that is an int outside int64 (uint64
+    for the field named `unsigned`) or a float that is not finite, or None."""
+    for (name, _, _), value, cell in zip(record_fields(record), values, cells):
+        low, high, dtype = (0, 2**64 - 1, "uint64") if name == unsigned else (
+            -2**63, 2**63 - 1, "int64")
+        if type(value) is int and not low <= value <= high:
+            return name, f"{name} does not fit in {dtype}"
+        if type(value) is float and not math.isfinite(value):
+            return name, f"{name} must be finite, got {cell!r}"
+    return None
+
+
 def rows_from_csv_reference(text: str) -> list[SweepRow]:
     """The results file read one line at a time: blank lines skipped, each
-    other line split into 13 cells and parsed by `record_parser(SweepRow)`,
-    the first bad line raising InputError.
+    other line split into 13 cells and parsed by `parse_cells`, the first
+    bad line raising InputError.
 
     The line-by-line oracle of `sweep.rows_from_csv`, which reads columns.
     Like it, a line whose row parses but holds an int outside its field's
@@ -291,7 +323,6 @@ def rows_from_csv_reference(text: str) -> list[SweepRow]:
     lines = text.splitlines()
     if not lines or lines[0] != RESULTS_HEADER:
         raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
-    parse_row = record_parser(SweepRow)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -300,14 +331,52 @@ def rows_from_csv_reference(text: str) -> list[SweepRow]:
         if len(cells) != 13:
             raise InputError(f"results CSV line {lineno}: expected 13 cells")
         try:
-            rows.append(parse_row(cells))
-        except CellError as exc:
-            raise InputError(f"results CSV line {lineno}: {exc}") from None
-        for (name, value), cell in zip(vars(rows[-1]).items(), cells):
-            low, high, dtype = (0, 2**64 - 1, "uint64") if name == "seed" else (
-                -2**63, 2**63 - 1, "int64")
-            if type(value) is int and not low <= value <= high:
-                raise InputError(f"results CSV line {lineno}: {name} does not fit in {dtype}")
-            if type(value) is float and not math.isfinite(value):
-                raise InputError(f"results CSV line {lineno}: {name} must be finite, got {cell!r}")
+            values = parse_cells(SweepRow, cells)
+        except ValueError as exc:
+            raise InputError(f"results CSV line {lineno}: {exc.args[1]}") from None
+        bad = out_of_range(SweepRow, values, cells, unsigned="seed")
+        if bad is not None:
+            raise InputError(f"results CSV line {lineno}: {bad[1]}")
+        rows.append(SweepRow(*values))
     return rows
+
+
+POPULATION_HEADER = ",".join(name for name, _, _ in record_fields(HouseholdProfile))
+
+
+def parse_population_reference(text: str) -> list[HouseholdProfile]:
+    """The population file read one line at a time, by the rules of
+    docs/formats.md: the header line exact; blank and whitespace-only lines
+    skipped; each other line split into 14 cells and parsed by
+    `parse_cells`, its ints within int64 and its floats finite, then built
+    as a HouseholdProfile, which checks its codes and members. The first
+    bad line raises PopulationError: "row N: <field>" for a cell at fault,
+    else "row N: <why>".
+
+    The line-by-line oracle of `population.parse_population`, which reads
+    columns.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise PopulationError("population CSV is empty")
+    if lines[0] != POPULATION_HEADER:
+        raise PopulationError(f"population CSV header mismatch: expected {POPULATION_HEADER!r}")
+    profiles = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != 14:
+            raise PopulationError(f"row {lineno}: expected 14 cells")
+        try:
+            values = parse_cells(HouseholdProfile, cells)
+        except ValueError as exc:
+            raise PopulationError(f"row {lineno}: {exc.args[0]}") from None
+        bad = out_of_range(HouseholdProfile, values, cells)
+        if bad is not None:
+            raise PopulationError(f"row {lineno}: {bad[0]}")
+        try:
+            profiles.append(HouseholdProfile(*values))
+        except PopulationError as exc:
+            raise PopulationError(f"row {lineno}: {exc}") from None
+    return profiles

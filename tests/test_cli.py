@@ -413,6 +413,26 @@ def test_a_population_that_does_not_fit_is_reported_by_the_index(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {first_error}\n"
 
 
+def shift_ids(rows: list[str]) -> list[str]:
+    return [f"{int(row.split(',', 1)[0]) + 1000},{row.split(',', 1)[1]}" for row in rows]
+
+
+@pytest.mark.parametrize("edit, first_error", [
+    (shift_ids, "household 0 has id 1000: ids must be 0..2 in row order"),
+    (lambda rows: rows[::-1], "household 0 has id 2: ids must be 0..2 in row order"),
+], ids=["shifted", "reversed"])
+def test_simulate_refuses_ids_that_are_not_row_positions(tmp_path, capsys, edit, first_error):
+    """The engine names households by row position (the event log's
+    agent_id, the decide order, the admission queue), so a file whose ids
+    are not 0..n-1 in row order would run under other names."""
+    argv = micro_argv(tmp_path, "simulate")
+    pop_path = tmp_path / "pop.csv"
+    header, *rows = pop_path.read_text().splitlines()
+    pop_path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {first_error}\n"
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_rejects_rescuers_on_a_world_without_starts(tmp_path, capsys, workers):
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)], rescuer_starts=[])

@@ -1,10 +1,13 @@
 import hashlib
 import itertools
 from collections import Counter
+from dataclasses import astuple, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evacsim import population
 from evacsim.engine import WorldIndex
 from evacsim.geo import Point, World
 from evacsim.population import (
@@ -20,6 +23,7 @@ from evacsim.population import (
     synthesize,
     validate_profiles,
 )
+from helpers import POPULATION_HEADER, parse_population_reference
 
 
 def big_bare_world(n_buildings: int) -> World:
@@ -137,6 +141,45 @@ def test_bad_code_names_row_and_column(demo_profiles):
         parse_population("\n".join(lines))
 
 
+def edited(profiles, row: int, col: int, cell: str | None) -> str:
+    """The population file of profiles with one cell replaced (or, if cell
+    is None, dropped) in file row `row`, counting the header as row 1."""
+    lines = serialize_population(profiles).splitlines()
+    cells = lines[row - 1].split(",")
+    if cell is None:
+        del cells[col]
+    else:
+        cells[col] = cell
+    lines[row - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ps: "", "population CSV is empty"),
+    (lambda ps: "id,foo\n1,2\n",
+     f"population CSV header mismatch: expected {POPULATION_HEADER!r}"),
+    (lambda ps: edited(ps, 3, 13, None), "row 3: expected 14 cells"),
+    (lambda ps: edited(ps, 3, 12, "many"), "row 3: members"),
+    (lambda ps: edited(ps, 2, 2, "0.3"),
+     "row 2: educ_level code 0.3 is not one of [0.25, 0.5, 1.0]"),
+    (lambda ps: edited(ps, 2, 12, "0"), "row 2: members must be >= 1"),
+    (lambda ps: edited(ps, 2, 1, "nan"), "row 2: head_gender"),
+    (lambda ps: edited(ps, 2, 0, '"0"'), "row 2: id"),
+    (lambda ps: serialize_population(ps).replace("\n", "\n \n", 1), None),
+    (lambda ps: edited(ps, 2, 13, str(2**64)), "row 2: building_id"),
+], ids=["empty", "header", "cell-count", "unparseable", "bad-code", "members-0", "nan-code",
+        "quoted-cell", "whitespace-line", "huge-int"])
+def test_population_error_texts(demo_world, demo_profiles, edit, message):
+    """The error a population file gets from parsing and from the check
+    that it fits the world, or None if it is read."""
+    try:
+        validate_profiles(parse_population(edit(demo_profiles[:3])), demo_world)
+    except PopulationError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
+
+
 def test_duplicate_building_rejected(demo_world, demo_profiles):
     # Parsing reads each row alone; the world index built on the profiles
     # is the one owner of the check that they fit together.
@@ -159,6 +202,79 @@ def test_validate_profiles_checks_buildings(demo_world, demo_profiles):
     bad = demo_profiles[0].__class__(**{**demo_profiles[0].__dict__, "building_id": 10_000})
     with pytest.raises(PopulationError, match="unknown building"):
         validate_profiles([bad], demo_world)
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([0, 0, 2], "household 1 has id 0: ids must be 0..2 in row order"),
+    ([1, 0, 2], "household 0 has id 1: ids must be 0..2 in row order"),
+    ([0, 1, 3], "household 2 has id 3: ids must be 0..2 in row order"),
+    ([-1, 0, 1], "household 0 has id -1: ids must be 0..2 in row order"),
+])
+def test_ids_must_be_row_positions(demo_world, demo_profiles, ids, message):
+    profiles = [replace(p, id=i) for p, i in zip(demo_profiles, ids)]
+    with pytest.raises(PopulationError) as refused:
+        validate_profiles(profiles, demo_world)
+    assert str(refused.value) == message
+    validate_profiles(demo_profiles[:3], demo_world)
+
+
+# Ways to write each code that read back as it.
+SPELLINGS = {0.0: ["0.0", "0", "-0.0"], 0.25: ["0.25", "0.250", "2.5e-1"],
+             0.5: ["0.5", ".5", "5e-1"], 1.0: ["1.0", "1", "1e0"]}
+
+
+def population_cell(name):
+    if name in CODED_FIELDS:
+        return st.sampled_from([cell for code in sorted(set(CODED_FIELDS[name].values()))
+                                for cell in SPELLINGS[code]])
+    return st.integers(1, 12).map(str)
+
+
+POPULATION_CELLS = st.tuples(*(population_cell(name) for name in POPULATION_HEADER.split(",")))
+BAD_POPULATION_CELLS = st.sampled_from(
+    ["", "x", "0", "-1", "0.3", "nan", "inf", " 7 ", "+3", "1_000", '"0"', "2", "1e3", str(2**63),
+     str(-2**63 - 1), "\u0661\u0662"])
+
+
+def exactly(profiles):
+    """Each value with its type, so that 1 != 1.0 and -0.0 != 0.0."""
+    return [[(type(v), repr(v)) for v in astuple(p)] for p in profiles]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    body=st.lists(POPULATION_CELLS, max_size=12).map(lambda rows: [",".join(r) for r in rows]),
+    data=st.data(),
+    chunk_lines=st.sampled_from([1, 2, 5, 8192]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_population_csv_matches_the_line_by_line_reader(body, data, chunk_lines, newline):
+    lines = [POPULATION_HEADER] + body
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     data.draw(st.sampled_from(["", " ", "\t"])))
+    if body and data.draw(st.booleans()):
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if i and line.strip()]))
+        cells = lines[i].split(",")
+        how = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if how == "replace":
+            cells[data.draw(st.integers(0, 13))] = data.draw(BAD_POPULATION_CELLS)
+        elif how == "drop":
+            del cells[data.draw(st.integers(0, 13))]
+        else:
+            cells.append(data.draw(BAD_POPULATION_CELLS))
+        lines[i] = ",".join(cells)
+    text = newline.join(lines) + newline
+    try:
+        expected = exactly(parse_population_reference(text))
+    except PopulationError as exc:
+        expected = str(exc)
+    with mock.patch.object(population, "_CHUNK_LINES", chunk_lines):
+        try:
+            got = exactly(parse_population(text))
+        except PopulationError as exc:
+            got = str(exc)
+    assert got == expected
 
 
 def test_population_spec_round_trip():

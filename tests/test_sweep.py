@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim import engine, sweep
+from evacsim import engine, population
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
 from evacsim.errors import InputError
 from evacsim.population import PopulationError, default_population_spec, record_fields
@@ -333,7 +333,7 @@ def test_rows_csv_matches_the_line_by_line_reader(body, data, chunk_lines):
         expected = rows_from_csv_reference(text)
     except InputError as exc:
         expected = str(exc)
-    with mock.patch.object(sweep, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.object(population, "_CHUNK_LINES", chunk_lines):
         try:
             got = exactly(rows_from_csv(text))
         except InputError as exc:
@@ -401,8 +401,14 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
     (default_population_spec(), {"count": -1}, PopulationError, "count must be >= 0, got -1"),
     (default_population_spec(), {"members_mean": 11.0}, PopulationError,
      "members_mean must lie inside [members_min, members_max]"),
+    (profile(0, 0), {"educ_level": 0.3}, PopulationError,
+     "educ_level code 0.3 is not one of [0.25, 0.5, 1.0]"),
+    (profile(0, 0), {"has_children": float("nan")}, PopulationError,
+     "has_children code nan is not one of [0.0, 1.0]"),
+    (profile(0, 0), {"members": 0}, PopulationError, "members must be >= 1"),
 ], ids=["params-tick", "params-fallback", "run-threshold", "spec-storm", "spec-duplicate",
-        "population-count", "population-mean"])
+        "population-count", "population-mean", "household-code", "household-nan",
+        "household-members"])
 def test_records_check_themselves_when_built(record, change, error, message):
     kwargs = {f.name: getattr(record, f.name) for f in fields(record)} | change
     with pytest.raises(InputError) as built:
