@@ -2,7 +2,8 @@
 
 Subpackages map to the pipeline stages: geo (spatial world), population
 (coded households), risk (perceived-risk math), engine (tick simulation),
-sweep (batch experiments), stats (OLS sensitivity), cli (command surface).
+sweep (batch experiments), stats (OLS sensitivity), cli (command surface);
+textfile reads every input file and numbers its lines.
 """
 
 import os

@@ -15,6 +15,7 @@ import traceback
 
 from . import engine, geo, population, risk, stats, sweep as sweep_mod, worldgen
 from .errors import InputError, InternalError
+from .textfile import read_text
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,14 +94,6 @@ def _params_from_args(args: argparse.Namespace) -> engine.EngineParams:
                                   for field, _ in _ENGINE_FLAGS.values()})
 
 
-def _read(path: str, what: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _write(path: str, text: str) -> None:
     """Write text to a temporary file next to path, then rename it over path,
     so a write that fails partway leaves path as it was."""
@@ -134,7 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_gen_population(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
     if args.spec:
-        spec = population.parse_population_spec(_read(args.spec, "population spec"))
+        spec = population.parse_population_spec(read_text(args.spec, "population spec"))
     else:
         spec = population.default_population_spec(count=args.count)
     profiles = population.synthesize(spec, world, args.seed)
@@ -174,7 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
     profiles = population.load_population(args.population)
-    spec = sweep_mod.parse_sweep_spec(_read(args.spec, "sweep spec"))
+    spec = sweep_mod.parse_sweep_spec(read_text(args.spec, "sweep spec"))
     rows = sweep_mod.execute(spec, world, profiles, _params_from_args(args),
                              workers=args.workers)
     _write(args.out, sweep_mod.rows_to_csv(rows))
@@ -184,7 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_rows(path: str) -> sweep_mod.SweepTable:
-    return sweep_mod.rows_from_csv(_read(path, "results file"))
+    return sweep_mod.rows_from_csv(read_text(path, "results file"))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

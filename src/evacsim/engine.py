@@ -38,6 +38,13 @@ max_ticks) once per (house node, shelter chain) and keeps it for every
 later run. `step` then admits the households that arrive in its tick,
 popped from a heap keyed by arrival. One pick sends a household off: from
 its house when it departs, from a full shelter when it is redirected.
+
+A household's state in a run is kept once, by the fact that makes it so:
+it is unaware while no warning source has informed it; informed, it stays
+unless its `evacuate` flag is set; evacuating, it is in the admission heap,
+where a stranded household stays for good; sheltered, it is counted in its
+shelter's admissions. A run ends when every household is informed and the
+heap is empty, or at max_ticks, truncated.
 """
 
 from __future__ import annotations
@@ -83,23 +90,11 @@ __all__ = [
     "WorldIndex",
     "InformTimeline",
     "HouseholdState",
-    "UNAWARE",
-    "EVACUATING",
-    "SHELTERED",
-    "STAYING",
     "init_run",
     "step",
     "run",
     "event_log_csv",
 ]
-
-# Household status codes. Transitions: UNAWARE -> {EVACUATING, STAYING},
-# in the tick it is informed; EVACUATING -> SHELTERED. SHELTERED and
-# STAYING are terminal.
-UNAWARE = 0
-EVACUATING = 1
-SHELTERED = 2
-STAYING = 3
 
 # The arrival tick of a stranded household, and the arrival offset of a walk
 # that would end past max_ticks: past any max_ticks, so it stays in the
@@ -107,13 +102,6 @@ STAYING = 3
 NEVER = math.inf
 
 _SOURCE_CODE = {source: source.value for source in WarningSource}
-
-STATUS_NAMES = {
-    UNAWARE: "unaware",
-    EVACUATING: "evacuating",
-    SHELTERED: "sheltered",
-    STAYING: "staying",
-}
 
 
 @dataclass(frozen=True)
@@ -482,11 +470,18 @@ class WorldIndex:
 
 
 class HouseholdState:
-    __slots__ = ("idx", "status", "source", "chain", "stranded")
+    """What a run learns of one household beyond its decision: the source
+    that informed it, the shelters it headed for and whether it stranded.
 
-    def __init__(self, idx: int):
-        self.idx = idx
-        self.status = UNAWARE
+    Its state in the run is held once, by the run: it is unaware while its
+    source is None; once informed it stays if `SimulationState.evacuate`
+    says so, and otherwise evacuates, in the admission heap until it is
+    admitted (a stranded household never leaves the heap). The admitted
+    are counted per shelter in `SimulationState.admitted`."""
+
+    __slots__ = ("source", "chain", "stranded")
+
+    def __init__(self) -> None:
         self.source: WarningSource | None = None
         # The shelters it headed for, in order; the last is its target.
         self.chain: tuple[int, ...] = ()
@@ -512,9 +507,7 @@ class SimulationState:
     admitted: dict[int, int]  # shelter id -> households
     tick: int = 0
     informed_count: int = 0
-    terminal_count: int = 0
     evacuate_decisions: int = 0
-    stay_decisions: int = 0
     time_series: list[int] = field(default_factory=list)
     events: list[Event] | None = None
     # The admission heap: one (arrival tick, decision tick, household id)
@@ -531,7 +524,7 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
     highest = highest_possible_score(cfg.weights)
     evacuate = decide(perceived, highest, cfg.threshold).tolist()
-    households = [HouseholdState(i) for i in range(index.n)]
+    households = [HouseholdState() for _ in range(index.n)]
 
     events: list[Event] | None = None
     if collect_events:
@@ -730,14 +723,14 @@ def _pick_shelter(state: SimulationState, node: int, members: int,
     return None
 
 
-def _head_out(state: SimulationState, h: HouseholdState, decided: int) -> None:
+def _head_out(state: SimulationState, hid: int, decided: int) -> None:
     """Send an evacuating household to the shelter _pick_shelter picks:
     from its house node when it departs, or from the node of the shelter
     that is full, with its chain excluded, when it is redirected. The
     household finishes its walk to a full shelter before heading out again.
     Queue its arrival, or strand it if no shelter is left."""
     index = state.index
-    hid = h.idx
+    h = state.households[hid]
     full = h.chain[-1] if h.chain else None
     node = index.house_node[hid] if full is None else index.shelters_by_id[full].node
     target = _pick_shelter(state, node, index.members[hid], h.chain)
@@ -777,10 +770,8 @@ def step(state: SimulationState) -> SimulationState:
         # (4) the newly informed, in ascending id, act on the decision
         # init_run made
         evacuate = state.evacuate
-        stays = 0
         for hid, source in order:
-            h = households[hid]
-            h.source = source
+            households[hid].source = source
             go = evacuate[hid]
             if events is not None:
                 events.append(Event(t, "household", hid, "decided",
@@ -788,24 +779,17 @@ def step(state: SimulationState) -> SimulationState:
                                     f"perceived={state.perceived[hid]:.6f} "
                                     f"highest={state.highest:.6f}"))
             if go:
-                h.status = EVACUATING
-                _head_out(state, h, t)
-            else:
-                h.status = STAYING
-                stays += 1
-        state.evacuate_decisions += len(order) - stays
-        state.stay_decisions += stays
-        state.terminal_count += stays
+                state.evacuate_decisions += 1
+                _head_out(state, hid, t)
 
     # (5) shelter managers admit the households arriving now, or redirect them
     occupancy = state.occupancy
     while moving and moving[0][0] <= t:
         _, decided, hid = heapq.heappop(moving)
-        h = households[hid]
-        shelter = index.shelters_by_id[h.chain[-1]]
+        shelter = index.shelters_by_id[households[hid].chain[-1]]
         members = index.members[hid]
         if not (shelter.external or occupancy[shelter.id] + members <= shelter.capacity):
-            _head_out(state, h, decided)
+            _head_out(state, hid, decided)
             continue
         occupancy[shelter.id] += members
         state.admitted[shelter.id] += 1
@@ -814,8 +798,6 @@ def step(state: SimulationState) -> SimulationState:
                 f"shelter {shelter.id} over capacity: "
                 f"{occupancy[shelter.id]} > {shelter.capacity}"
             )
-        h.status = SHELTERED
-        state.terminal_count += 1
         if events is not None:
             events.append(Event(t, "household", hid, "admitted",
                                 f"shelter={shelter.id} occupancy={occupancy[shelter.id]}"))
@@ -825,21 +807,21 @@ def step(state: SimulationState) -> SimulationState:
 
 
 def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunResult:
-    """Step until every household is terminal or max_ticks is reached."""
+    """Step until every household is informed and the admission heap is
+    empty, or max_ticks is reached; a run that stops with a household
+    unaware or in the heap (a stranded one, say) is truncated."""
     state = init_run(index, cfg, collect_events=collect_events)
-    n = len(state.households)
+    n = index.n
     max_ticks = index.params.max_ticks
-    while state.terminal_count < n and state.tick < max_ticks:
+    while (state.informed_count < n or state.moving) and state.tick < max_ticks:
         step(state)
-    truncated = state.terminal_count < n
-    households = state.households
-    status = list(map(attrgetter("status"), households))
-    if not truncated and status.count(SHELTERED) + status.count(STAYING) != n:
-        h = next(h for h in households if h.status not in (SHELTERED, STAYING))
-        raise InternalError(
-            f"household {h.idx} ended {STATUS_NAMES[h.status]} at natural termination"
-        )
-    if state.evacuate_decisions != status.count(EVACUATING) + status.count(SHELTERED):
+    truncated = state.informed_count < n or bool(state.moving)
+    if not truncated:
+        sources = list(map(attrgetter("source"), state.households))
+        if None in sources:
+            raise InternalError(
+                f"household {sources.index(None)} ended unaware at natural termination")
+    if state.evacuate_decisions != len(state.moving) + sum(state.admitted.values()):
         raise InternalError("evacuate decision counter out of sync")
     return RunResult(
         evacuated=state.evacuate_decisions,
@@ -848,7 +830,7 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
         time_series=state.time_series,
         sheltered_by_shelter=dict(state.admitted),
         shelter_occupancy=dict(state.occupancy),
-        stayed=state.stay_decisions,
+        stayed=state.informed_count - state.evacuate_decisions,
         events=state.events,
     )
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
+from .textfile import read_text, split_lines
 
 __all__ = [
     "Point",
@@ -124,7 +125,7 @@ def parse_world(text: str) -> World:
             fail(lineno, f"{kind} coordinates must be finite")
         return [Point(values[i], values[i + 1]) for i in range(0, len(values), 2)]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -249,12 +250,7 @@ def validate_world(world: World) -> None:
 
 def load_world(path: str) -> World:
     """Read, parse, and validate a world file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read world file {path}: {exc}") from exc
-    world = parse_world(text)
+    world = parse_world(read_text(path, "world file"))
     validate_world(world)
     return world
 

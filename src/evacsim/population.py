@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .geo import World
+from .textfile import read_text, split_lines
 
 __all__ = [
     "HouseholdProfile",
@@ -173,7 +174,7 @@ def read_key_values(text: str, what: str,
     file, skipping blank and `#` lines. A line without `=` or a key seen
     before raises error, its message prefixed with "<what> line <n>:"."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -375,19 +376,14 @@ def load_population(path: str, world: World | None = None) -> list[HouseholdProf
     Whether the profiles fit together and fit a world (`validate_profiles`)
     is checked once, by the `engine.WorldIndex` built on them; `world` is
     accepted for callers that pass it and is not read."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise PopulationError(f"cannot read population file {path}: {exc}") from exc
-    return parse_population(text)
+    return parse_population(read_text(path, "population file", PopulationError))
 
 
 def parse_population(text: str) -> list[HouseholdProfile]:
     """The profiles of a population CSV, read by `read_columns`, each
     checking its own codes when built; `validate_profiles` is left to the
     index built on them."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines:
         raise PopulationError("population CSV is empty")
     if lines[0] != CSV_HEADER:

@@ -33,6 +33,7 @@ from .population import (
 )
 from .risk import STORM_CODES, Scenario, Weights
 from .seeds import derive_seed
+from .textfile import split_lines
 
 __all__ = [
     "SweepSpec",
@@ -312,7 +313,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 def rows_from_csv(text: str) -> SweepTable:
     """Read a results file into columns (`population.read_columns`). A bad
     file raises InputError naming its first bad line."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or lines[0] != RESULTS_HEADER:
         raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
     columns = read_columns(SweepRow, lines, lambda lineno, error: InputError(

@@ -1,0 +1,34 @@
+"""The one way from an input file to numbered lines.
+
+Every reader of a world, population, results or spec file reads it with
+`read_text` and numbers its lines by `split_lines`: only `\\n` ends a line,
+and one `\\r` before it is dropped, so CRLF reads like LF and a line number
+is the one an editor shows. `str.splitlines` would also break at form
+feeds, vertical tabs and other control characters. The module imports
+nothing of evacsim but its errors, so every reader can import it.
+"""
+
+from __future__ import annotations
+
+from .errors import InputError
+
+
+def read_text(path: str, what: str, error: type[InputError] = InputError) -> str:
+    """The text of a UTF-8 file, its line ends untranslated. A file that
+    cannot be read raises error("cannot read <what> <path>: <reason>")."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of text, split at each `\\n`, each without one trailing
+    `\\r`. A final `\\n` ends the last line and starts no empty one."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import random
 
-from evacsim.engine import InformTimeline
+from evacsim import engine
+from evacsim.engine import InformTimeline, RunConfig, RunResult, SimulationState, WorldIndex
 from evacsim.errors import InputError
 from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
 from evacsim.population import HouseholdProfile, PopulationError, record_fields
@@ -310,6 +311,43 @@ def out_of_range(record: type, values: list, cells: list[str],
     return None
 
 
+def run_with_final_state(index: WorldIndex, cfg: RunConfig, collect_events: bool = True
+                         ) -> tuple[RunResult, SimulationState]:
+    """The result of `engine.run` and the state that run ended on, kept by
+    wrapping `engine.init_run` where `run` looks it up, as the benchmark's
+    tracer does."""
+    states = []
+    real_init = engine.init_run
+
+    def init_run(*args, **kwargs):
+        states.append(real_init(*args, **kwargs))
+        return states[-1]
+
+    engine.init_run = init_run
+    try:
+        result = engine.run(index, cfg, collect_events=collect_events)
+    finally:
+        engine.init_run = real_init
+    [state] = states
+    return result, state
+
+
+def split_lines_reference(text: str) -> list[str]:
+    """The lines of a file by the rule of docs/formats.md, found one `\\n`
+    at a time: only `\\n` ends a line, one `\\r` before it is dropped, and
+    a final `\\n` starts no empty line."""
+    lines = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end]
+        lines.append(line[:-1] if line[-1:] == "\r" else line)
+        start = end + 1
+    return lines
+
+
 def rows_from_csv_reference(text: str) -> list[SweepRow]:
     """The results file read one line at a time: blank lines skipped, each
     other line split into 13 cells and parsed by `parse_cells`, the first
@@ -320,7 +358,7 @@ def rows_from_csv_reference(text: str) -> list[SweepRow]:
     range (uint64 for seed, int64 for the other int fields) or a float that
     is nan or infinite is refused, naming the line's first such field.
     """
-    lines = text.splitlines()
+    lines = split_lines_reference(text)
     if not lines or lines[0] != RESULTS_HEADER:
         raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
     rows = []
@@ -356,7 +394,7 @@ def parse_population_reference(text: str) -> list[HouseholdProfile]:
     The line-by-line oracle of `population.parse_population`, which reads
     columns.
     """
-    lines = text.splitlines()
+    lines = split_lines_reference(text)
     if not lines:
         raise PopulationError("population CSV is empty")
     if lines[0] != POPULATION_HEADER:

@@ -9,10 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from evacsim import engine
 from evacsim.engine import (
-    EVACUATING,
-    SHELTERED,
-    STAYING,
-    UNAWARE,
     EngineParams,
     RunConfig,
     WorldIndex,
@@ -21,11 +17,11 @@ from evacsim.engine import (
     run,
     step,
 )
-from evacsim.errors import InputError
+from evacsim.errors import InputError, InternalError
 from evacsim.geo import Point, Shelter
 from evacsim.population import CODED_FIELDS, HouseholdProfile, PopulationError
 from evacsim.risk import Scenario, WarningSource, Weights
-from helpers import line_world, pick_shelter_reference
+from helpers import line_world, pick_shelter_reference, run_with_final_state
 
 
 def profile(i: int, building: int, members: int = 4, **overrides) -> HouseholdProfile:
@@ -187,9 +183,8 @@ def test_rescuer_informs_within_radius_only():
                                                fallback_tick_max=60, max_ticks=50))
     state = init_run(index, config())
     step(state)
-    assert state.households[0].status != UNAWARE
     assert state.households[0].source is WarningSource.AUTHORITIES
-    assert state.households[1].status == UNAWARE
+    assert state.households[1].source is None
 
 
 def test_rescuer_ending_its_tick_on_a_node_informs_from_there():
@@ -234,14 +229,6 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
     assert "from=0" in redirects[0].detail and "to=1" in redirects[0].detail
 
 
-def _run_and_final_state(index: WorldIndex, cfg: RunConfig):
-    """The run's result and the state `run` would end on."""
-    state = init_run(index, cfg)
-    while state.terminal_count < len(state.households) and state.tick < index.params.max_ticks:
-        step(state)
-    return run(index, cfg), state
-
-
 def test_stranded_when_no_shelter_is_reachable():
     # Household 1's house snaps to road 10-11, which no road joins to the
     # shelter; it strands on deciding and stays in the admission heap.
@@ -251,7 +238,7 @@ def test_stranded_when_no_shelter_is_reachable():
     index = WorldIndex(world, [profile(0, 0), profile(1, 1)],
                        params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=3,
                               max_ticks=40))
-    result, state = _run_and_final_state(index, config())
+    result, state = run_with_final_state(index, config())
     assert event_log_csv(result.events) == (
         "tick,agent_kind,agent_id,event,detail\n"
         "2,household,0,informed,media\n"
@@ -265,8 +252,9 @@ def test_stranded_when_no_shelter_is_reachable():
     assert result.truncated and result.ticks_elapsed == 40
     assert result.time_series == [0] + [2] * 39
     assert len(state.moving) == 1
+    assert state.moving[0][2] == 1
     stranded = state.households[1]
-    assert stranded.stranded and stranded.status == EVACUATING and stranded.tried_shelters == ()
+    assert stranded.stranded and stranded.tried_shelters == ()
 
 
 def test_stranded_when_no_capacity_is_left_after_a_full_shelter():
@@ -278,7 +266,7 @@ def test_stranded_when_no_capacity_is_left_after_a_full_shelter():
     index = WorldIndex(world, [profile(0, 0, members=4), profile(1, 1, members=4)],
                        params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=1,
                               max_ticks=40))
-    result, state = _run_and_final_state(index, config())
+    result, state = run_with_final_state(index, config())
     assert event_log_csv(result.events) == (
         "tick,agent_kind,agent_id,event,detail\n"
         "1,household,0,informed,media\n"
@@ -294,8 +282,9 @@ def test_stranded_when_no_capacity_is_left_after_a_full_shelter():
     assert result.time_series == [2] * 40
     assert result.shelter_occupancy == {0: 4}
     assert len(state.moving) == 1
+    assert state.moving[0][2] == 1
     stranded = state.households[1]
-    assert stranded.stranded and stranded.status == EVACUATING and stranded.tried_shelters == (0,)
+    assert stranded.stranded and stranded.tried_shelters == (0,)
 
 
 def test_threshold_zero_everyone_evacuates(demo_index):
@@ -373,13 +362,13 @@ def test_eventual_information_and_terminal_states(demo_index):
         scenario=Scenario.from_names(1, "orange", "daytime"),
         weights=Weights(0.3, 0.3, 0.4), threshold=0.8, seed=31,
     )
-    state = init_run(demo_index, cfg, collect_events=False)
-    while (state.terminal_count < len(state.households)
-           and state.tick < demo_index.params.max_ticks):
-        step(state)
-    assert all(h.status in (SHELTERED, STAYING) for h in state.households)
-    assert all(h.status != UNAWARE and h.status != EVACUATING
-               for h in state.households)
+    result, state = run_with_final_state(demo_index, cfg, collect_events=False)
+    # Every household informed, none left in the admission heap: each one
+    # stayed or was admitted.
+    assert not result.truncated
+    assert all(h.source is not None for h in state.households)
+    assert state.moving == []
+    assert result.stayed + sum(result.sheltered_by_shelter.values()) == len(state.households)
 
 
 def test_truncation_flag_when_out_of_ticks():
@@ -634,3 +623,65 @@ def test_events_on_and_off_give_the_same_run(case):
     on = run(WorldIndex(world, profiles, engine_params), cfg, collect_events=True)
     assert off.events is None and on.events is not None
     assert replace(on, events=None) == off
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_household_states_are_derived_from_the_runs_facts(case):
+    # Each household is in exactly one state, each read off one fact the
+    # run keeps: unaware (no source), staying (informed, no evacuate flag),
+    # evacuating (in the admission heap, stranded or not) or sheltered
+    # (admitted, counted per shelter).
+    world, profiles, engine_params, cfg = case
+    result, state = run_with_final_state(WorldIndex(world, profiles, engine_params), cfg)
+    unaware = {hid for hid, h in enumerate(state.households) if h.source is None}
+    staying = {hid for hid, h in enumerate(state.households)
+               if h.source is not None and not state.evacuate[hid]}
+    in_heap = [hid for _, _, hid in state.moving]
+    admitted = [e.agent_id for e in result.events if e.event == "admitted"]
+    assert len(set(in_heap)) == len(in_heap) and len(set(admitted)) == len(admitted)
+    assert len(admitted) == sum(state.admitted.values())
+    parts = [unaware, staying, set(in_heap), set(admitted)]
+    assert sum(map(len, parts)) == len(profiles)
+    assert set().union(*parts) == set(range(len(profiles)))
+    assert state.evacuate_decisions == result.evacuated == len(in_heap) + len(admitted)
+    assert result.stayed == len(staying)
+    assert result.truncated == bool(unaware or in_heap)
+    # A stranded household stays in the heap, never to arrive.
+    stranded = {hid for hid, h in enumerate(state.households) if h.stranded}
+    assert stranded == {hid for arrival, _, hid in state.moving
+                        if state.households[hid].stranded and arrival == math.inf}
+
+
+def _one_household_index() -> WorldIndex:
+    # Informed by the fallback channel on tick 5, then it walks to shelter 0.
+    world = line_world(n_nodes=4, building_offsets=[(100.0, 20.0)])
+    return WorldIndex(world, [profile(0, 0)], params(nb_rescuers=0, fallback_tick_min=5,
+                                                     fallback_tick_max=5))
+
+
+@pytest.mark.parametrize("counter,corrupt,message", [
+    ("evacuate_decisions", lambda state: state.evacuate_decisions + 1,
+     "evacuate decision counter out of sync"),
+    # Counting everyone informed on tick 1 ends the run before household 0
+    # is informed on tick 5.
+    ("informed_count", lambda state: len(state.households),
+     "household 0 ended unaware at natural termination"),
+])
+def test_run_refuses_a_state_out_of_sync(monkeypatch, counter, corrupt, message):
+    assert not run(_one_household_index(), config()).truncated
+    real_step = engine.step
+    corrupted = []
+
+    def step(state):
+        real_step(state)
+        if not corrupted:
+            setattr(state, counter, corrupt(state))
+            corrupted.append(state.tick)
+        return state
+
+    monkeypatch.setattr(engine, "step", step)
+    with pytest.raises(InternalError) as refused:
+        run(_one_household_index(), config())
+    assert str(refused.value) == message
+    assert corrupted == [1]

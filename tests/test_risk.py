@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim.engine import EngineParams, RunConfig, WorldIndex, init_run, step
+from evacsim.engine import EngineParams, RunConfig, WorldIndex
 from evacsim.errors import InputError
 from evacsim.geo import ProximityClass, proximity_classes
 from evacsim.population import HouseholdProfile
@@ -25,6 +25,7 @@ from evacsim.risk import (
     perceived_risk,
 )
 from evacsim.sweep import default_sweep_spec, enumerate_combos, filter_valid
+from helpers import run_with_final_state
 
 
 def make_profile(gender=0.5, educ=0.25, income=0.25, own=0.5, child=0.0, eld=0.0,
@@ -144,9 +145,7 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     w = Weights(0.3, 0.4, 0.3)
     s = Scenario.from_names(2, "orange", "nighttime")
     cfg = RunConfig(scenario=s, weights=w, threshold=0.7, seed=11)
-    state = init_run(demo_index, cfg)
-    while state.terminal_count < len(demo_profiles) and state.tick < demo_index.params.max_ticks:
-        step(state)
+    _, state = run_with_final_state(demo_index, cfg)
     source = {hid: src for informs in state.timeline.informs.values() for hid, src in informs}
     highest = 8.0 * w.w_cdm + 3.0 * w.w_crf + 5.0 * w.w_hrf
     decided = [e for e in state.events if e.event == "decided"]

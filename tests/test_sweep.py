@@ -316,7 +316,8 @@ def exactly(rows):
 def test_rows_csv_matches_the_line_by_line_reader(body, data, chunk_lines):
     lines = [RESULTS_HEADER] + body
     for _ in range(data.draw(st.integers(0, 2))):
-        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["", " ", "\t"])))
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     data.draw(st.sampled_from(["", " ", "\t", "\x0c"])))
     if body and data.draw(st.booleans()):
         i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if i and line.strip()]))
         cells = lines[i].split(",")

@@ -1,0 +1,85 @@
+"""Every input file is read by `textfile.read_text` and numbered by
+`textfile.split_lines`: only `\\n` ends a line, so a form feed or another
+control character inside a line does not shift the line numbers of the
+errors after it."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from evacsim import geo, population, sweep
+from evacsim.cli import main
+from evacsim.population import PopulationError
+from evacsim.textfile import read_text, split_lines
+from helpers import line_world, split_lines_reference
+from test_engine import profile
+
+
+def write_lines(path, lines: list[str]) -> str:
+    # Bytes, so that no line end is translated on the way to the file.
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    return str(path)
+
+
+@given(st.text(alphabet="a \t\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=30))
+def test_split_lines_matches_the_reference(text):
+    assert split_lines(text) == split_lines_reference(text)
+
+
+def test_split_lines_breaks_only_at_newlines():
+    assert split_lines("") == []
+    assert split_lines("a") == split_lines("a\n") == split_lines("a\r\n") == ["a"]
+    assert split_lines("a\x0cb\r\n\rc\r\r\n\n") == ["a\x0cb", "\rc\r", ""]
+    assert split_lines("a\x0b\x85 b\nc") == ["a\x0b\x85 b", "c"]
+
+
+def test_read_text_keeps_line_ends_and_names_the_file(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\nb\rc\n")
+    assert read_text(str(path), "spec") == "a\r\nb\rc\n"
+    missing = str(tmp_path / "missing")
+    with pytest.raises(PopulationError, match=f"^cannot read population file {missing}: "):
+        read_text(missing, "population file", PopulationError)
+
+
+def test_world_file_numbers_lines_past_a_form_feed(tmp_path):
+    lines = geo.serialize_world(line_world(n_nodes=3)).splitlines()
+    assert lines[1] == "node|0|0.0|0.0"
+    lines[1] = "node|0|0.0|\x0c0.0"
+    lines[3] = "node|2|200.0"
+    with pytest.raises(geo.WorldFormatError) as refused:
+        geo.load_world(write_lines(tmp_path / "village.world", lines))
+    assert str(refused.value) == "line 4: node expects node|id|x|y"
+
+
+def test_population_file_numbers_lines_past_a_form_feed(tmp_path):
+    lines = population.serialize_population([profile(i, i) for i in range(4)]).splitlines()
+    lines[1] = lines[1].replace(",1.0,", ",1.0\x0c,", 1)
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    with pytest.raises(PopulationError, match="^row 4: expected 14 cells$"):
+        population.load_population(write_lines(tmp_path / "population.csv", lines))
+
+
+def test_results_file_numbers_lines_past_a_form_feed(tmp_path, capsys):
+    rows = [sweep.SweepRow(i, 0, i, 1, 0.25, 0.5, 0.7, 0.2, 0.2, 0.6, 3, 50, False)
+            for i in range(4)]
+    lines = sweep.rows_to_csv(rows).splitlines()
+    lines[1] = lines[1].replace(",0.25,", ",0.25\x0c,", 1)
+    lines[3] += ",1"
+    results = write_lines(tmp_path / "results.csv", lines)
+    assert main(["analyze", "--in", results]) == 1
+    assert capsys.readouterr().err == "error: results CSV line 4: expected 13 cells\n"
+
+
+def test_spec_file_numbers_lines_past_a_form_feed(tmp_path, capsys):
+    world = write_lines(tmp_path / "village.world",
+                        geo.serialize_world(line_world(n_nodes=3)).splitlines())
+    lines = population.serialize_population_spec(
+        population.default_population_spec()).splitlines()
+    lines[1] = lines[1].replace(" = ", "\x0c = ", 1)
+    lines[3] = "members_mean 3"
+    spec = write_lines(tmp_path / "population.spec", lines)
+    out = str(tmp_path / "population.csv")
+    assert main(["gen-population", "--world", world, "--spec", spec, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: population spec line 4: expected key = value\n")
+
