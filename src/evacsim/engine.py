@@ -30,12 +30,11 @@ per (seed, scenario, weights) and keeps the last one, and each run compares
 it with its threshold once, in `init_run`. A household decides in the tick
 it is informed, and a tick's newly informed decide in ascending id; that
 order, like each household's warning source, is fixed by the seed, so the
-world index reads both off the timeline once, when it walks the seed, and
-`step` replays a tick in one pass over its newly informed. A household's
-walk depends only on its house node and the shelters it heads for in turn,
-so the world index computes the tick it reaches each shelter (NEVER past
-max_ticks) once per (house node, shelter chain) and keeps it for every
-later run. `step` then admits the households that arrive in its tick,
+walk records both in the timeline as it informs, and `step` replays a tick
+in one pass over its newly informed. A household's walk depends only on
+its house node and the shelters it heads for in turn, so the world index
+computes the tick it reaches each shelter (NEVER past max_ticks) once per
+(house node, shelter chain) and keeps it for every later run. `step` then admits the households that arrive in its tick,
 popped from a heap keyed by arrival. One pick sends a household off: from
 its house when it departs, from a full shelter when it is redirected.
 
@@ -53,7 +52,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -100,9 +99,6 @@ __all__ = [
 # that would end past max_ticks: past any max_ticks, so it stays in the
 # admission heap and is never popped.
 NEVER = math.inf
-
-_SOURCE_CODE = {source: source.value for source in WarningSource}
-
 
 @dataclass(frozen=True)
 class EngineParams:
@@ -184,16 +180,21 @@ class RunResult:
 
 @dataclass(frozen=True)
 class InformTimeline:
-    """The inform phase of a run: its init-stream draws and, for every tick
-    the rescuers walked, the households informed in that tick with their
-    warning source, in inform order (rescuers first, then the fallback
-    channel). Ticks that inform nobody are absent from `informs`."""
+    """The inform phase of a run, with everything the runs of its seed read
+    off it: its init-stream draws; for every tick the rescuers walked, the
+    households informed in that tick with their warning source, in inform
+    order (rescuers first, then the fallback channel, `informs`) and in
+    ascending id, the order in which they decide (`decide_order`); and each
+    household's warning source, None if it is never informed. Ticks that
+    inform nobody are absent from `informs` and `decide_order`."""
 
     epsilon: tuple[float, ...]
     fallback_source: tuple[WarningSource, ...]
     fallback_tick: tuple[int, ...]
     placed: tuple[int, ...]  # start node of each rescuer
     informs: dict[int, tuple[tuple[int, WarningSource], ...]]
+    decide_order: dict[int, tuple[tuple[int, WarningSource], ...]]
+    source: tuple[WarningSource | None, ...]
 
 
 class WorldIndex:
@@ -209,12 +210,11 @@ class WorldIndex:
     parameters, the profiles, house positions, snapped road nodes, hazard
     proximity classes, per-household CDM and CRF scores, one shortest-path
     tree per shelter for routing, and the inform timeline of the last seed
-    it served, with what every run of that seed reads off it: each inform
-    tick's households and warning sources in the order they decide
-    (`decide_order`) and each household's warning source code. The
-    parameters are frozen, so these are keyed on the seed alone. It also
-    keeps the perceived-risk array of the last (seed, scenario, weights) it
-    served: those are every input of the array besides the index's own.
+    it served, which holds what every run of that seed reads. The
+    parameters are frozen, so the timeline is keyed on the seed alone. It
+    also keeps the perceived-risk array of the last (seed, scenario,
+    weights) it served: those are every input of the array besides the
+    index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -313,10 +313,7 @@ class WorldIndex:
         self.shelter_order: dict[int, tuple[Shelter, ...]] = {
             node: tuple(self.shelters_by_id[sid] for _, _, sid in sorted(keys))
             for node, keys in reached.items()}
-        self._timeline_seed: int | None = None
-        self._timeline: InformTimeline | None = None
-        self._decide_order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
-        self._source: np.ndarray | None = None
+        self._timeline: tuple[int, InformTimeline] | None = None  # (seed, its timeline)
         self._risk_key: tuple[int, Scenario, Weights] | None = None
         self._risk: np.ndarray | None = None
         # (house node, shelter chain) -> (arrival offset, route, leg,
@@ -326,42 +323,26 @@ class WorldIndex:
 
     def inform_timeline(self, seed: int) -> InformTimeline:
         """The inform phase of a run with this seed: the one memoised from
-        the last call if it had the same seed, else a fresh walk.
-
-        A fresh walk is read once, for what every run of the seed needs
-        besides it: each inform tick's households in decision order (see
-        `decide_order`) and each household's warning source code (NaN if it
-        is never informed), which `perceived` reads."""
-        if seed != self._timeline_seed:
-            timeline = _walk_rescuers(self, seed)
-            source = np.full(self.n, np.nan)
-            order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
-            for t, informs in timeline.informs.items():
-                hids, sources = zip(*informs)
-                source[list(hids)] = list(map(_SOURCE_CODE.__getitem__, sources))
-                # A household is informed once, so no two pairs share an id.
-                order[t] = tuple(sorted(informs, key=itemgetter(0)))
-            self._timeline, self._decide_order, self._source = timeline, order, source
-            self._timeline_seed = seed
-        return self._timeline
-
-    def decide_order(self, seed: int) -> dict[int, tuple[tuple[int, WarningSource], ...]]:
-        """Per inform tick of this seed's timeline, the (household id,
-        warning source) pairs it informs in ascending id: the order in which
-        those households decide."""
-        self.inform_timeline(seed)
-        return self._decide_order
+        the last call if it had the same seed, else a fresh walk."""
+        memo = self._timeline
+        if memo is None or memo[0] != seed:
+            memo = self._timeline = (seed, _walk_rescuers(self, seed))
+        return memo[1]
 
     def perceived(self, seed: int, scenario: Scenario, weights: Weights) -> np.ndarray:
         """Every household's perceived risk in a run with this seed, scenario
         and weights, whatever its threshold: the one memoised from the last
         call if it had the same three, else a fresh array. A household's
-        source is the one the seed's inform timeline informs it by (NaN if
-        it is never informed) and its epsilon the timeline's draw."""
+        source is the one the seed's inform timeline informs it by (its code
+        NaN if it is never informed) and its epsilon the timeline's draw."""
         key = (seed, scenario, weights)
         if key != self._risk_key:
             timeline = self.inform_timeline(seed)
-            hrf = hrf_score(scenario, self.proximity_code, self._source)
+            # `_value_` is the member's value, read without the descriptor
+            # call of `.value`.
+            source = np.array([math.nan if s is None else s._value_ for s in timeline.source],
+                              dtype=float)
+            hrf = hrf_score(scenario, self.proximity_code, source)
             self._risk = perceived_risk(self.cdm, hrf, self.crf,
                                         np.array(timeline.epsilon, dtype=float), weights)
             self._risk.flags.writeable = False  # every run of the key reads it
@@ -498,7 +479,6 @@ class SimulationState:
     cfg: RunConfig
     index: WorldIndex
     timeline: InformTimeline
-    decide_order: dict[int, tuple[tuple[int, WarningSource], ...]]  # the index's, for the seed
     perceived: np.ndarray  # per household, shared by the runs of its seed group
     highest: float  # highest possible score under cfg.weights
     evacuate: list[bool]  # per household, perceived > threshold * highest
@@ -520,7 +500,6 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     population and parameters. Identical inputs give bit-identical states."""
     world = index.world
     timeline = index.inform_timeline(cfg.seed)
-    decide_order = index.decide_order(cfg.seed)
     perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
     highest = highest_possible_score(cfg.weights)
     evacuate = decide(perceived, highest, cfg.threshold).tolist()
@@ -534,7 +513,6 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         cfg=cfg,
         index=index,
         timeline=timeline,
-        decide_order=decide_order,
         perceived=perceived,
         highest=highest,
         evacuate=evacuate,
@@ -558,7 +536,13 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     then, by the same float additions the tick-by-tick walk makes; its
     progress along the edge is advanced by those additions only when it
     scans. A tick's informs keep their order: rescuers, then the fallback
-    channel."""
+    channel. The walk records each household's source as it informs it, and
+    each inform tick's pairs in ascending id.
+
+    Every fallback tick is drawn in stream order, but the schedule of the
+    fallback channel is built only when the walk reaches
+    fallback_tick_min, and only from the households still unaware then: a
+    walk that ends sooner never reads it."""
     world = index.world
     n = index.n
     p = index.params
@@ -574,8 +558,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     epsilon: list[float] = []
     fallback_source: list[WarningSource] = []
     fallback_tick: list[int] = []
-    fallback_schedule: dict[int, list[int]] = {}
-    for i in range(n):
+    for _ in range(n):
         # random.uniform, spelled as its docs define it
         epsilon.append(eps_lo + eps_span * rand())
         fallback_source.append(
@@ -584,9 +567,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
         drawn = bits_init(tick_bits)
         while drawn >= ticks:
             drawn = bits_init(tick_bits)
-        tick = tick_lo + drawn
-        fallback_tick.append(tick)
-        fallback_schedule.setdefault(tick, []).append(i)
+        fallback_tick.append(tick_lo + drawn)
     starts = world.rescuer_starts
     start_bits = len(starts).bit_length()
     placed_at: list[int] = []
@@ -601,6 +582,8 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     budget = p.rescuer_speed * p.tick_seconds
     radius = p.rescuer_radius
     max_ticks = p.max_ticks
+    hypot = math.hypot
+    authorities = WarningSource.AUTHORITIES
     house_pos = index.house_pos
     nodes = world.nodes
     move_rows = index.move_rows
@@ -625,10 +608,15 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     slot = [node_slot[node] for node in placed]
     arrive: list[float] = [1 if budget > 0.0 and move_rows[here][1] else NEVER for here in row]
     left_then = [budget] * k
-    unaware = [True] * n
+    source: list[WarningSource | None] = [None] * n  # None while unaware
     unaware_in = [len(cands) for cands in lists]
     remaining = n
     informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    decide_order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    # The walk's first tick is 1, so the channel's window opens then at the
+    # earliest (a household drawn for tick 0 is never informed by it).
+    window_opens = max(tick_lo, 1)
+    fallback_schedule: dict[int, list[int]] = {}
     t = 0
     while remaining and t < max_ticks:
         t += 1
@@ -687,25 +675,31 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                 rx = pa.x + (pb.x - pa.x) * f
                 ry = pa.y + (pb.y - pa.y) * f
             for hid in lists[slot[r]]:
-                if unaware[hid]:
+                if source[hid] is None:
                     hx, hy = house_pos[hid]
-                    if math.hypot(hx - rx, hy - ry) <= radius:
-                        unaware[hid] = False
-                        newly.append((hid, WarningSource.AUTHORITIES))
+                    if hypot(hx - rx, hy - ry) <= radius:
+                        source[hid] = authorities
+                        newly.append((hid, authorities))
                         for s in slots_of[hid]:
                             unaware_in[s] -= 1
         # (3) fallback channel fires on its pre-drawn tick
+        if t == window_opens:
+            for hid, tick in enumerate(fallback_tick):
+                if source[hid] is None:
+                    fallback_schedule.setdefault(tick, []).append(hid)
         for hid in fallback_schedule.pop(t, ()):
-            if unaware[hid]:
-                unaware[hid] = False
-                newly.append((hid, fallback_source[hid]))
+            if source[hid] is None:
+                source[hid] = fallback = fallback_source[hid]
+                newly.append((hid, fallback))
                 for s in slots_of[hid]:
                     unaware_in[s] -= 1
         if newly:
             informs[t] = tuple(newly)
+            # A household is informed once, so no two pairs share an id.
+            decide_order[t] = tuple(sorted(newly))
             remaining -= len(newly)
     return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick),
-                          placed, informs)
+                          placed, informs, decide_order, tuple(source))
 
 
 def _pick_shelter(state: SimulationState, node: int, members: int,
@@ -760,7 +754,7 @@ def step(state: SimulationState) -> SimulationState:
     events = state.events
     moving = state.moving
 
-    order = state.decide_order.get(t)
+    order = state.timeline.decide_order.get(t)
     if order is not None:
         # (1)-(3) the informs of this tick, as the rescuer walk recorded them
         state.informed_count += len(order)

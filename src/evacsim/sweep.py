@@ -1,14 +1,15 @@
 """Batch experiment harness: grid enumeration, weight filtering, execution.
 
 The default grid is 2 storm levels x 3 rainfall codes x 2 times of day x
-3 thresholds x 8x8x8 weight steps = 18,432 combinations. Combinations
-whose weights do not satisfy the filter rule are skipped. Each surviving
-combination runs `replications` times; the replicate seed is derived by a
-stable hash of (base seed, threshold-free combination index, replicate),
-so combinations that differ only in threshold share their random draws
-and threshold effects are exactly paired. They also share the run's
-inform phase: the runs of one seed execute back to back on one world
-index, which walks the rescuers once for all of them.
+3 thresholds x 8x8x8 weight steps = 18,432 combinations. Only those
+whose weights satisfy the filter rule are enumerated: the weight triples
+are filtered once, and the 1,296 valid grid points are their product with
+the other axes. Each combination runs `replications` times; the replicate
+seed is derived by a stable hash of (base seed, threshold-free combination
+index, replicate), so combinations that differ only in threshold share
+their random draws and threshold effects are exactly paired. They also
+share the run's inform phase: the runs of one seed execute back to back
+on one world index, which walks the rescuers once for all of them.
 """
 
 from __future__ import annotations
@@ -177,44 +178,42 @@ def default_sweep_spec(**overrides) -> SweepSpec:
     ), **overrides)
 
 
+def _weights_pass(total: float, mode: str) -> bool:
+    """Whether weights summing to `total` pass the weight filter `mode`."""
+    if mode == FILTER_EXACT_ONE:
+        return abs(total - 1.0) <= WEIGHT_SUM_TOL
+    if mode == FILTER_AT_LEAST_ONE:
+        return total >= 1.0 - WEIGHT_SUM_TOL
+    raise InputError(f"unknown weight filter {mode!r}")
+
+
 def enumerate_combos(spec: SweepSpec) -> list[Combo]:
-    """Full Cartesian product in a fixed lexicographic axis order:
-    storm, rainfall, time of day, threshold, w_cdm, w_hrf, w_crf."""
-    combos: list[Combo] = []
-    sw_size = len(spec.w_cdm_values) * len(spec.w_hrf_values) * len(spec.w_crf_values)
-    n_thresholds = len(spec.thresholds)
-    idx = 0
-    for si, storm in enumerate(spec.storm_levels):
-        for ri, rain in enumerate(spec.rainfall_codes):
-            for ti, tod in enumerate(spec.time_of_day_codes):
-                scen_base = (si * len(spec.rainfall_codes) + ri) * len(spec.time_of_day_codes) + ti
-                for th in spec.thresholds:
-                    for wi, (w1, w2, w3) in enumerate(
-                        itertools.product(spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values)
-                    ):
-                        combos.append(Combo(
-                            index=idx,
-                            scenario_weight_index=scen_base * sw_size + wi,
-                            storm_level=storm,
-                            rainfall=rain,
-                            time_of_day=tod,
-                            threshold=th,
-                            w_cdm=w1,
-                            w_hrf=w2,
-                            w_crf=w3,
-                        ))
-                        idx += 1
-    assert idx == (len(spec.storm_levels) * len(spec.rainfall_codes)
-                   * len(spec.time_of_day_codes) * n_thresholds * sw_size)
-    return combos
+    """The combinations whose weights pass spec.weight_filter, in the fixed
+    lexicographic axis order of the full Cartesian product: storm,
+    rainfall, time of day, threshold, w_cdm, w_hrf, w_crf. Each keeps its
+    position in the full product (`index`) and in the product without the
+    threshold axis (`scenario_weight_index`). The weight triples are
+    filtered once, then crossed with the other axes."""
+    triples = list(itertools.product(spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values))
+    # Summed in Combo.weight_sum's order, so a triple passes exactly when its
+    # combinations do.
+    valid = [(wi, w) for wi, w in enumerate(triples)
+             if _weights_pass(w[0] + w[1] + w[2], spec.weight_filter)]
+    n_triples, n_thresholds = len(triples), len(spec.thresholds)
+    scenarios = itertools.product(spec.storm_levels, spec.rainfall_codes, spec.time_of_day_codes)
+    return [Combo(index=(si * n_thresholds + ti) * n_triples + wi,
+                  scenario_weight_index=si * n_triples + wi,
+                  storm_level=storm, rainfall=rain, time_of_day=tod, threshold=th,
+                  w_cdm=w1, w_hrf=w2, w_crf=w3)
+            for si, (storm, rain, tod) in enumerate(scenarios)
+            for ti, th in enumerate(spec.thresholds)
+            for wi, (w1, w2, w3) in valid]
 
 
 def filter_valid(combos: list[Combo], mode: str) -> list[Combo]:
-    if mode == FILTER_EXACT_ONE:
-        return [c for c in combos if abs(c.weight_sum - 1.0) <= WEIGHT_SUM_TOL]
-    if mode == FILTER_AT_LEAST_ONE:
-        return [c for c in combos if c.weight_sum >= 1.0 - WEIGHT_SUM_TOL]
-    raise InputError(f"unknown weight filter {mode!r}")
+    """The combos whose weights pass `mode`; every combo `enumerate_combos`
+    yields for a spec with that filter does."""
+    return [c for c in combos if _weights_pass(c.weight_sum, mode)]
 
 
 def replicate_seed(base_seed: int, combo: Combo, replicate: int) -> int:
@@ -233,7 +232,7 @@ def _seed_groups(spec: SweepSpec) -> list[SeedGroup]:
     """Every run's config, grouped by seed. Building a config checks its
     threshold, so a spec threshold outside [0, 1] raises here."""
     by_sw: dict[int, list[Combo]] = {}
-    for combo in filter_valid(enumerate_combos(spec), spec.weight_filter):
+    for combo in enumerate_combos(spec):
         by_sw.setdefault(combo.scenario_weight_index, []).append(combo)
     groups: list[SeedGroup] = []
     for combos in by_sw.values():

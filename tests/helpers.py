@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -12,7 +13,7 @@ from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
 from evacsim.population import HouseholdProfile, PopulationError, record_fields
 from evacsim.risk import WarningSource
 from evacsim.seeds import derive_seed
-from evacsim.sweep import RESULTS_HEADER, SweepRow
+from evacsim.sweep import FILTER_EXACT_ONE, RESULTS_HEADER, Combo, SweepRow, SweepSpec
 
 
 def line_world(
@@ -162,7 +163,9 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     every unaware household within rescuer_radius among the index's
     candidates of its edge (of the node's edges while it stands). Then the
     fallback channel informs the unaware households drawn for the tick. The
-    walk ends when all are informed or at max_ticks.
+    walk ends when all are informed or at max_ticks. Each tick's informs,
+    ordered by household id, are its decide order, and a household's source
+    is the one its inform names (None if it has none).
 
     The tick-by-tick oracle of `engine._walk_rescuers`, which visits a
     rescuer only when it reaches a node or can still inform someone; the
@@ -250,8 +253,14 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
         if newly:
             informs[t] = tuple(newly)
             remaining -= len(newly)
+    decide_order = {t: tuple(sorted(pairs, key=lambda pair: pair[0]))
+                    for t, pairs in informs.items()}
+    source: list[WarningSource | None] = [None] * n
+    for pairs in informs.values():
+        for hid, by in pairs:
+            source[hid] = by
     return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick),
-                          placed, informs)
+                          placed, informs, decide_order, tuple(source))
 
 
 def pick_shelter_reference(world: World, occupancy: dict[int, int], node: int, members: int,
@@ -277,6 +286,31 @@ def pick_shelter_reference(world: World, occupancy: dict[int, int], node: int, m
         if best is None or key < best:
             best = key
     return None if best is None else best[2]
+
+
+def enumerate_combos_reference(spec: SweepSpec) -> list[Combo]:
+    """Every point of the spec's full Cartesian product, in axis order
+    (storm, rainfall, time of day, threshold, w_cdm, w_hrf, w_crf),
+    numbered by its position in that product (`index`) and in the product
+    without the threshold axis (`scenario_weight_index`), and kept if its
+    weights pass the spec's filter: w_cdm + w_hrf + w_crf within 1e-9 of 1
+    (exact_one) or at least 1 - 1e-9 (at_least_one).
+
+    The brute-force oracle of `sweep.enumerate_combos`, which filters the
+    weight triples once and never builds the points they rule out.
+    """
+    weights = (spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values)
+    scenarios = (spec.storm_levels, spec.rainfall_codes, spec.time_of_day_codes)
+    no_threshold = {point: i for i, point in enumerate(itertools.product(*scenarios, *weights))}
+    combos = []
+    for index, point in enumerate(itertools.product(*scenarios, spec.thresholds, *weights)):
+        storm, rain, tod, threshold, w_cdm, w_hrf, w_crf = point
+        total = w_cdm + w_hrf + w_crf
+        if (abs(total - 1.0) <= 1e-9 if spec.weight_filter == FILTER_EXACT_ONE
+                else total >= 1.0 - 1e-9):
+            combos.append(Combo(index, no_threshold[(storm, rain, tod, w_cdm, w_hrf, w_crf)],
+                                storm, rain, tod, threshold, w_cdm, w_hrf, w_crf))
+    return combos
 
 
 def parse_cells(record: type, cells: list[str]) -> list:

@@ -87,8 +87,12 @@ def threshold_trend_violations(rows):
 
 def test_criterion_1_grid_reproduction_and_runtime(full_sweep):
     spec = default_sweep_spec()
-    combos = enumerate_combos(spec)
-    assert len(combos) == 18_432
+    axes = (spec.storm_levels, spec.rainfall_codes, spec.time_of_day_codes, spec.thresholds,
+            spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values)
+    assert np.prod([len(axis) for axis in axes]) == 18_432
+    # The sweep enumerates the valid points only, numbered among all 18,432.
+    valid = enumerate_combos(spec)
+    assert max(c.index for c in valid) < 18_432
 
     # independent brute-force triple enumerator
     triples = sum(
@@ -96,7 +100,7 @@ def test_criterion_1_grid_reproduction_and_runtime(full_sweep):
         if abs(sum(t) - 1.0) <= 1e-9
     )
     assert triples == 36
-    valid = filter_valid(combos, FILTER_EXACT_ONE)
+    assert filter_valid(valid, FILTER_EXACT_ONE) == valid
     assert len(valid) == triples * 36 == 1_296
     assert len(full_sweep["rows"]) == 1_296 * 10 == 12_960
 

@@ -24,7 +24,7 @@ from evacsim.risk import (
     highest_possible_score,
     perceived_risk,
 )
-from evacsim.sweep import default_sweep_spec, enumerate_combos, filter_valid
+from evacsim.sweep import default_sweep_spec, enumerate_combos
 from helpers import run_with_final_state
 
 
@@ -174,8 +174,7 @@ def test_memoised_risk_matches_straight_line_oracle_on_the_grid(demo_world, demo
     assert len(source) == len(demo_profiles)
     houses = [demo_world.buildings[p.building_id] for p in demo_profiles]
     proximity = proximity_classes(demo_world, houses)
-    spec = default_sweep_spec()
-    combos = filter_valid(enumerate_combos(spec), spec.weight_filter)
+    combos = enumerate_combos(default_sweep_spec())
     assert len(combos) == 1296
     for c in combos:
         s = Scenario(STORM_CODES[c.storm_level], c.rainfall, c.time_of_day)

@@ -28,7 +28,7 @@ from evacsim.sweep import (
     rows_to_csv,
     serialize_sweep_spec,
 )
-from helpers import line_world, rows_from_csv_reference
+from helpers import enumerate_combos_reference, line_world, rows_from_csv_reference
 from test_engine import profile
 
 
@@ -45,9 +45,13 @@ def brute_force_weight_triples(values, rule) -> int:
 
 
 def test_default_grid_enumerates_18432():
+    # The paper's grid has 18,432 points; the 1,296 whose weights sum to one
+    # are enumerated, each numbered by its place among all 18,432.
     combos = enumerate_combos(default_sweep_spec())
-    assert len(combos) == 18_432
-    assert [c.index for c in combos] == list(range(18_432))
+    assert len(combos) == 1_296
+    indexes = [c.index for c in combos]
+    assert indexes == sorted(set(indexes))
+    assert 0 <= indexes[0] and indexes[-1] < 18_432
 
 
 def test_enumeration_is_stable():
@@ -67,38 +71,50 @@ def test_single_value_axes_give_one_combo():
 
 def test_exact_one_filter_matches_brute_force():
     spec = default_sweep_spec()
-    combos = enumerate_combos(spec)
-    valid = filter_valid(combos, FILTER_EXACT_ONE)
+    valid = enumerate_combos(spec)
     triples = brute_force_weight_triples(spec.w_cdm_values, "exact")
     assert triples == 36
     assert len(valid) == triples * 36  # 36 scenario x threshold combinations
     assert len(valid) == 1_296
+    assert max(c.index for c in valid) < 18_432
 
 
 def test_at_least_one_filter_matches_brute_force():
-    spec = default_sweep_spec()
-    combos = enumerate_combos(spec)
-    valid = filter_valid(combos, FILTER_AT_LEAST_ONE)
+    spec = default_sweep_spec(weight_filter=FILTER_AT_LEAST_ONE)
+    valid = enumerate_combos(spec)
     triples = brute_force_weight_triples(spec.w_cdm_values, "at_least")
     assert len(valid) == triples * 36
     assert len(valid) == 15_408
+    assert max(c.index for c in valid) < 18_432
+
+
+@pytest.mark.parametrize("mode", [FILTER_EXACT_ONE, FILTER_AT_LEAST_ONE])
+@pytest.mark.parametrize("grid", ["default", "micro"])
+def test_enumeration_is_the_full_product_filtered(grid, mode):
+    spec = replace(default_sweep_spec() if grid == "default" else micro_setup()[3],
+                   weight_filter=mode)
+    combos = enumerate_combos(spec)
+    assert combos == enumerate_combos_reference(spec)
+    assert filter_valid(combos, mode) == combos
 
 
 def test_filter_examples():
-    spec = default_sweep_spec()
-    combos = enumerate_combos(spec)
-    low = [c for c in combos if (c.w_cdm, c.w_hrf, c.w_crf) == (0.1, 0.1, 0.1)]
-    edge = [c for c in combos if (c.w_cdm, c.w_hrf, c.w_crf) == (0.8, 0.1, 0.1)]
-    assert low and edge
-    assert not filter_valid(low, FILTER_EXACT_ONE)
-    assert not filter_valid(low, FILTER_AT_LEAST_ONE)
-    assert filter_valid(edge, FILTER_EXACT_ONE)
-    assert filter_valid(edge, FILTER_AT_LEAST_ONE)
+    def combos(mode, w_cdm, w_hrf, w_crf):
+        return enumerate_combos(default_sweep_spec(
+            w_cdm_values=(w_cdm,), w_hrf_values=(w_hrf,), w_crf_values=(w_crf,),
+            weight_filter=mode))
+
+    for mode in (FILTER_EXACT_ONE, FILTER_AT_LEAST_ONE):
+        assert combos(mode, 0.1, 0.1, 0.1) == []
+        edge = combos(mode, 0.8, 0.1, 0.1)
+        assert len(edge) == 36  # one per scenario and threshold
+        low = [replace(c, w_cdm=0.1) for c in edge]
+        assert filter_valid(edge + low, mode) == edge
 
 
 def test_seeds_pair_across_thresholds():
     spec = default_sweep_spec()
-    combos = filter_valid(enumerate_combos(spec), FILTER_EXACT_ONE)
+    combos = enumerate_combos(spec)
     by_key = {}
     for c in combos:
         key = (c.storm_level, c.rainfall, c.time_of_day, c.w_cdm, c.w_hrf, c.w_crf)
@@ -133,7 +149,7 @@ def micro_setup():
 def test_execute_row_shape_and_determinism():
     world, profiles, params, spec = micro_setup()
     rows = execute(spec, world, profiles, params, workers=1)
-    valid = filter_valid(enumerate_combos(spec), FILTER_EXACT_ONE)
+    valid = enumerate_combos(spec)
     assert len(rows) == len(valid) * spec.replications
     # combo-then-replicate order
     expected_order = [(c.index, rep) for c in valid for rep in range(spec.replications)]
@@ -463,7 +479,7 @@ def combo_config(c, seed: int) -> RunConfig:
 def test_sweep_rows_equal_fresh_index_runs(demo_world, demo_profiles, demo_index):
     spec = demo_grid_spec()
     rows = execute(spec, demo_world, demo_profiles, workers=1)
-    valid = filter_valid(enumerate_combos(spec), FILTER_EXACT_ONE)
+    valid = enumerate_combos(spec)
     assert len(valid) == 24
     assert [(r.combo_index, r.replicate) for r in rows] == [
         (c.index, rep) for c in valid for rep in range(spec.replications)]

@@ -5,8 +5,10 @@ node, shelter chain) and continues a longer chain from its prefix's state;
 `helpers.walk_arrivals` walks the whole chain one tick at a time.
 
 `WorldIndex.inform_timeline` walks the rescuers event by event, visiting a
-rescuer only when it reaches a node or can still inform someone;
-`helpers.walk_rescuers_reference` moves every rescuer every tick.
+rescuer only when it reaches a node or can still inform someone, and
+records each household's source and each tick's decide order as it
+informs; `helpers.walk_rescuers_reference` moves every rescuer every tick
+and derives both from its informs afterwards.
 """
 
 import math
@@ -195,6 +197,37 @@ def test_inform_timeline_matches_the_tick_by_tick_walker(case):
     world, houses, params, seed = case
     index = inform_index(world, houses, **params)
     assert index.inform_timeline(seed) == walk_rescuers_reference(index, seed)
+
+
+@st.composite
+def walks_into_the_fallback_window(draw):
+    """A walk of `rescuer_walks` plus houses beyond every rescuer's reach,
+    which only the fallback channel informs, with a window of one to five
+    ticks that opens by max_ticks."""
+    world, houses, params, seed = draw(rescuer_walks())
+    far = [Point(20_000.0 + 10.0 * i, 20_000.0) for i in range(draw(st.integers(8, 16)))]
+    tick_min = draw(st.integers(1, params["max_ticks"]))
+    params = dict(params, fallback_tick_min=tick_min,
+                  fallback_tick_max=tick_min + draw(st.integers(0, 4)))
+    return world, houses + far, params, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks_into_the_fallback_window())
+def test_a_walk_into_the_fallback_window_matches_the_tick_by_tick_walker(case):
+    # The fallback schedule is built when the window opens, from the
+    # households still unaware then. Walk from the drawn seed up to the
+    # first one whose channel informs on the window's first tick.
+    world, houses, params, seed = case
+    index = inform_index(world, houses, **params)
+    opens = params["fallback_tick_min"]
+    for seed in range(seed, seed + 100):
+        timeline = index.inform_timeline(seed)
+        if any(by is not WarningSource.AUTHORITIES for _, by in timeline.informs.get(opens, ())):
+            break
+    else:
+        pytest.fail(f"no walk informed by the fallback channel on tick {opens}")
+    assert timeline == walk_rescuers_reference(index, seed)
 
 
 def draw_widths_index(tick_min: int, tick_max: int, starts: list[int]) -> WorldIndex:
