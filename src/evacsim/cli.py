@@ -43,7 +43,7 @@ _ENGINE_FLAGS = {
     "--tick-seconds": ("tick_seconds", "simulated seconds per tick"),
     "--max-ticks": ("max_ticks", "hard stop for a run"),
     "--fallback-min": ("fallback_tick_min",
-                       "earliest tick for the non-rescuer information channel"),
+                       "earliest tick (>= 1) for the non-rescuer information channel"),
     "--fallback-max": ("fallback_tick_max",
                        "latest tick for the non-rescuer information channel"),
     "--fallback-friends-prob": ("fallback_friends_prob",

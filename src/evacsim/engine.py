@@ -126,17 +126,22 @@ class EngineParams:
             if value <= 0:
                 raise InputError(f"{name} must be > 0")
         # A walk moves speed * tick_seconds metres a tick; an infinite move
-        # never ends its first tick.
+        # never ends its first tick, and a move of 0 never leaves its start.
         for name in ("household_speed", "rescuer_speed"):
-            if math.isinf(getattr(self, name) * self.tick_seconds):
+            move = getattr(self, name) * self.tick_seconds
+            if math.isinf(move):
                 raise InputError(f"{name} * tick_seconds overflows: the move per tick must be "
                                  "finite")
+            if move == 0.0:
+                raise InputError(f"{name} * tick_seconds underflows to 0: the move per tick "
+                                 "must be > 0")
         if self.max_ticks < 1:
             raise InputError("max_ticks must be >= 1")
         if self.nb_rescuers < 0:
             raise InputError("nb_rescuers must be >= 0")
-        if not 0 <= self.fallback_tick_min <= self.fallback_tick_max:
-            raise InputError("fallback tick window requires 0 <= min <= max")
+        # A run's first tick is 1: no fallback inform could happen earlier.
+        if not 1 <= self.fallback_tick_min <= self.fallback_tick_max:
+            raise InputError("fallback tick window requires 1 <= min <= max")
         if not 0.0 <= self.fallback_friends_prob <= 1.0:
             raise InputError("fallback_friends_prob outside [0, 1]")
         if not 0.0 <= self.epsilon_min <= self.epsilon_max <= EPSILON_MAX:
@@ -596,8 +601,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     # on or walks to, its progress along the edge and the tick that
     # progress is for, the list number of its candidates, and the tick it
     # next reaches or stands on a node with the budget it has left then
-    # (NEVER if that is past max_ticks, or if it cannot move: a start node
-    # with no road keeps it there).
+    # (NEVER if that is past max_ticks, or if its start node has no road).
     k = len(placed)
     at = list(placed)
     row = [index.start_row[node] for node in placed]
@@ -606,16 +610,13 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     progress = [0.0] * k
     walked = [0] * k
     slot = [node_slot[node] for node in placed]
-    arrive: list[float] = [1 if budget > 0.0 and move_rows[here][1] else NEVER for here in row]
+    arrive: list[float] = [1 if move_rows[here][1] else NEVER for here in row]
     left_then = [budget] * k
     source: list[WarningSource | None] = [None] * n  # None while unaware
     unaware_in = [len(cands) for cands in lists]
     remaining = n
     informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
     decide_order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
-    # The walk's first tick is 1, so the channel's window opens then at the
-    # earliest (a household drawn for tick 0 is never informed by it).
-    window_opens = max(tick_lo, 1)
     fallback_schedule: dict[int, list[int]] = {}
     t = 0
     while remaining and t < max_ticks:
@@ -683,7 +684,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                         for s in slots_of[hid]:
                             unaware_in[s] -= 1
         # (3) fallback channel fires on its pre-drawn tick
-        if t == window_opens:
+        if t == tick_lo:
             for hid, tick in enumerate(fallback_tick):
                 if source[hid] is None:
                     fallback_schedule.setdefault(tick, []).append(hid)

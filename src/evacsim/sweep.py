@@ -253,20 +253,17 @@ def _run_group(group: SeedGroup, index: WorldIndex) -> list[SweepRow]:
             for combo_index, cfg in runs]
 
 
-# Worker-process globals, set once per worker by _worker_init.
-_WORKER_CTX: dict = {}
+# The world index of a worker process, set once by _worker_init.
+_worker_index: WorldIndex | None = None
 
 
-def _worker_init(world: World, profiles: list[HouseholdProfile], params: EngineParams) -> None:
-    _WORKER_CTX["index_args"] = (world, profiles, params)
+def _worker_init(index: WorldIndex) -> None:
+    global _worker_index
+    _worker_index = index
 
 
 def _worker_run(group: SeedGroup) -> list[SweepRow]:
-    # The index is built by the first task, not by the initializer, so that
-    # an InputError it raises reaches the caller instead of breaking the pool.
-    if "index" not in _WORKER_CTX:
-        _WORKER_CTX["index"] = WorldIndex(*_WORKER_CTX["index_args"])
-    return _run_group(group, _WORKER_CTX["index"])
+    return _run_group(group, _worker_index)
 
 
 def execute(
@@ -277,28 +274,27 @@ def execute(
     workers: int = 1,
 ) -> list[SweepRow]:
     """Run every valid combination x replications on the world index of
-    (world, profiles, params), built once per worker process.
+    (world, profiles, params). The index is built once, in the caller, and
+    the worker processes inherit it.
 
     A run's config is its combination's scenario, weights and threshold and
-    its replicate seed. Every config is built, and so checks itself, before
-    the first run, so a spec value a run would reject fails the sweep
-    before any work. Runs execute one seed group at a time; rows come back in
-    combo-then-replicate order no matter how many workers executed them. A
-    failed run aborts the sweep (runs themselves never fail, truncation is
-    recorded per row).
+    its replicate seed. Every config and the index are built, and so check
+    themselves, before the first run, so a spec value a run would reject or
+    an input the index refuses fails the sweep before any work, and before
+    any worker process starts. Runs execute one seed group at a time; rows
+    come back in combo-then-replicate order no matter how many workers
+    executed them. A failed run aborts the sweep (runs themselves never
+    fail, truncation is recorded per row).
     """
     if workers < 1:
         raise InputError("workers must be >= 1")
     groups = _seed_groups(spec)
+    index = WorldIndex(world, profiles, params)
     if workers == 1:
-        index = WorldIndex(world, profiles, params)
         batches = [_run_group(g, index) for g in groups]
     else:
-        with futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(world, profiles, params),
-        ) as pool:
+        with futures.ProcessPoolExecutor(workers, initializer=_worker_init,
+                                         initargs=(index,)) as pool:
             batches = list(pool.map(_worker_run, groups, chunksize=3))
     rows = [row for batch in batches for row in batch]
     rows.sort(key=lambda r: (r.combo_index, r.replicate))

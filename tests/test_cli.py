@@ -349,6 +349,22 @@ def test_an_engine_flag_that_is_not_finite_exits_1(tmp_path, capsys, command, fl
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (["--fallback-min", "0"], "fallback tick window requires 1 <= min <= max"),
+    (["--rescuer-speed", "1e-200", "--tick-seconds", "1e-200"],
+     "rescuer_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
+    (["--household-speed", "1e-200", "--tick-seconds", "1e-200"],
+     "household_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
+], ids=["fallback-min-0", "rescuer-move", "household-move"])
+def test_an_engine_flag_no_walk_can_honour_exits_1(tmp_path, capsys, command, flags, message):
+    # Before EngineParams refused them, a household drawn for fallback tick 0
+    # was never informed by that channel, and a move of 0 never left its start.
+    assert main(micro_argv(tmp_path, command) + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_a_rescuer_move_too_large_for_the_shortest_edge_exits_1(tmp_path, capsys, command):
     # 1e301 m a tick less a 100 m edge is 1e301 m again: the rescuer's
     # first tick would never end.
@@ -436,7 +452,13 @@ def test_simulate_refuses_ids_that_are_not_row_positions(tmp_path, capsys, edit,
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_rejects_rescuers_on_a_world_without_starts(tmp_path, capsys, workers):
+def test_sweep_rejects_rescuers_on_a_world_without_starts(tmp_path, capsys, monkeypatch,
+                                                          workers):
+    # The world index refuses the rescuers in the caller, before any pool.
+    started = []
+    real_pool = sweep.futures.ProcessPoolExecutor
+    monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor",
+                        lambda *a, **kw: started.append("pool") or real_pool(*a, **kw))
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)], rescuer_starts=[])
     world_path = tmp_path / "w.world"
     world_path.write_text(serialize_world(world))
@@ -452,6 +474,7 @@ def test_sweep_rejects_rescuers_on_a_world_without_starts(tmp_path, capsys, work
                "--workers", workers, *MICRO_FLAGS, "--rescuers", "2"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: nb_rescuers > 0 but the world has no")
+    assert started == []
 
 
 def test_failed_write_keeps_old_bytes_and_leaves_no_temp_file(tmp_path):

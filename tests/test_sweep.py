@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import multiprocessing
+from concurrent import futures
 from dataclasses import astuple, fields, replace
 from unittest import mock
 
@@ -409,7 +411,17 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
 @pytest.mark.parametrize("record, change, error, message", [
     (EngineParams(), {"tick_seconds": 0.0}, InputError, "tick_seconds must be > 0"),
     (EngineParams(), {"fallback_tick_min": 4000}, InputError,
-     "fallback tick window requires 0 <= min <= max"),
+     "fallback tick window requires 1 <= min <= max"),
+    # A run's first tick is 1: a household drawn for tick 0 was never informed.
+    (EngineParams(), {"fallback_tick_min": 0, "fallback_tick_max": 0}, InputError,
+     "fallback tick window requires 1 <= min <= max"),
+    (EngineParams(), {"fallback_tick_min": 0, "fallback_tick_max": 5}, InputError,
+     "fallback tick window requires 1 <= min <= max"),
+    # Each factor is > 0, but the move per tick is 0.0: nobody would move.
+    (EngineParams(), {"household_speed": 1e-200, "tick_seconds": 1e-200}, InputError,
+     "household_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
+    (EngineParams(), {"rescuer_speed": 1e-200, "tick_seconds": 1e-200}, InputError,
+     "rescuer_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
     (RUN_CONFIG, {"threshold": 1.5}, InputError, "threshold 1.5 outside [0, 1]"),
     (default_sweep_spec(), {"storm_levels": (4,)}, InputError,
      "sweep storm level 4 outside supported PSWS range"),
@@ -423,7 +435,8 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
     (profile(0, 0), {"has_children": float("nan")}, PopulationError,
      "has_children code nan is not one of [0.0, 1.0]"),
     (profile(0, 0), {"members": 0}, PopulationError, "members must be >= 1"),
-], ids=["params-tick", "params-fallback", "run-threshold", "spec-storm", "spec-duplicate",
+], ids=["params-tick", "params-fallback", "params-fallback-0-0", "params-fallback-0-5",
+        "params-household-move-0", "params-rescuer-move-0", "run-threshold", "spec-storm", "spec-duplicate",
         "population-count", "population-mean", "household-code", "household-nan",
         "household-members"])
 def test_records_check_themselves_when_built(record, change, error, message):
@@ -503,14 +516,30 @@ def test_execute_bytes_identical_across_worker_counts(demo_world, demo_profiles)
     assert texts[1] == texts[2] == texts[3]
 
 
-def test_sweep_validates_population_once(demo_world, demo_profiles, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_validates_population_once(demo_world, demo_profiles, monkeypatch, workers):
+    # The sweep builds its one world index in the caller, so a worker
+    # process never validates the population again.
     calls = []
     real = engine.validate_profiles
     monkeypatch.setattr(engine, "validate_profiles",
                         lambda *args: calls.append(1) or real(*args))
-    rows = execute(demo_grid_spec(), demo_world, demo_profiles, workers=1)
+    rows = execute(demo_grid_spec(), demo_world, demo_profiles, workers=workers)
     assert len(rows) == 48
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_execute_bytes_identical_when_workers_unpickle_the_index(method, monkeypatch):
+    # Under forkserver (Python 3.14's default on Linux) and spawn, each
+    # worker gets the caller's world index pickled, not forked.
+    world, profiles, params, spec = micro_setup()
+    serial = rows_to_csv(execute(spec, world, profiles, params, workers=1))
+    context = multiprocessing.get_context(method)
+    real_pool = futures.ProcessPoolExecutor
+    monkeypatch.setattr(futures, "ProcessPoolExecutor",
+                        lambda *a, **kw: real_pool(*a, mp_context=context, **kw))
+    assert rows_to_csv(execute(spec, world, profiles, params, workers=2)) == serial
 
 
 def test_sweep_computes_one_risk_array_per_seed_group(demo_world, demo_profiles, monkeypatch):

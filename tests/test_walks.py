@@ -178,7 +178,7 @@ def rescuer_walks(draw):
         houses.append(Point(p.x + draw(st.floats(-150.0, 150.0)),
                             p.y + draw(st.floats(-150.0, 150.0))))
     max_ticks = draw(st.one_of(st.integers(1, 12), st.integers(1, 300)))
-    fallback_min = draw(st.integers(0, max_ticks))
+    fallback_min = draw(st.integers(1, max_ticks))
     params = dict(
         nb_rescuers=draw(st.integers(0, 20)),
         rescuer_radius=draw(st.floats(1.0, 200.0)),
