@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .textfile import read_text, split_lines
+from .textfile import content_lines, read_text
 
 __all__ = [
     "Point",
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 EDGE_LENGTH_TOL = 1e-6
+# The largest |coordinate| a world file may hold. Any planar projection of
+# the Earth fits within +-2.1e7 m, and squared distances between points this
+# far out stay far below float overflow, which coordinates near 1e154 reach.
+MAX_COORDINATE_M = 1e9
 
 
 class WorldFormatError(InputError):
@@ -121,14 +125,11 @@ def parse_world(text: str) -> World:
 
     def points(lineno: int, kind: str, coords: list[str]) -> list[Point]:
         values = [float(v) for v in coords]
-        if not all(math.isfinite(v) for v in values):
-            fail(lineno, f"{kind} coordinates must be finite")
+        if not all(abs(v) <= MAX_COORDINATE_M for v in values):  # False for nan
+            fail(lineno, f"{kind} coordinates must be finite and within +-{MAX_COORDINATE_M:g} m")
         return [Point(values[i], values[i + 1]) for i in range(0, len(values), 2)]
 
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split("|")
         kind = parts[0]
         try:
@@ -232,14 +233,7 @@ def validate_world(world: World) -> None:
     # Shelters and rescuer starts must be mutually reachable on the road graph.
     anchors = [s.node for s in world.shelters] + list(world.rescuer_starts)
     if anchors:
-        reached = {anchors[0]}
-        frontier = [anchors[0]]
-        while frontier:
-            cur = frontier.pop()
-            for nbr, _ in world.adjacency[cur]:
-                if nbr not in reached:
-                    reached.add(nbr)
-                    frontier.append(nbr)
+        reached = shortest_path_tree(world, anchors[0])[0]
         for s in world.shelters:
             if s.node not in reached:
                 raise WorldValidationError(f"shelter {s.id} (node {s.node}) is disconnected from the road network anchors")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .geo import World
-from .textfile import read_text, split_lines
+from .textfile import content_lines, read_text, split_lines
 
 __all__ = [
     "HouseholdProfile",
@@ -174,10 +174,7 @@ def read_key_values(text: str, what: str,
     file, skipping blank and `#` lines. A line without `=` or a key seen
     before raises error, its message prefixed with "<what> line <n>:"."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise error(f"{what} line {lineno}: expected key = value")
         key, _, value = line.partition("=")

@@ -150,7 +150,6 @@ def decide(perceived: float | np.ndarray, highest: float,
            threshold: float) -> bool | np.ndarray:
     """True (evacuate) only where perceived risk strictly exceeds threshold x
     highest possible score; ties mean stay. `perceived` is a float, giving a
-    bool, or a numpy array, giving a bool array."""
-    if not 0.0 <= threshold <= 1.0:
-        raise InputError(f"threshold {threshold!r} outside [0, 1]")
+    bool, or a numpy array, giving a bool array. RunConfig checks that
+    threshold lies in [0, 1]."""
     return perceived > threshold * highest

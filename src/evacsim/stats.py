@@ -189,8 +189,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 500, eps: float = 1e-16) -> float:
-    # Modified Lentz continued-fraction evaluation.
+def _beta_cf(a: float, b: float, x: float) -> float:
+    # Modified Lentz continued-fraction evaluation, two coefficients (the
+    # even and the odd one) per iteration, at most 500 iterations.
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -201,28 +202,19 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 500, eps: float = 1e-
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 501):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
             return h
     raise InputError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
 

@@ -4,11 +4,15 @@ Every reader of a world, population, results or spec file reads it with
 `read_text` and numbers its lines by `split_lines`: only `\\n` ends a line,
 and one `\\r` before it is dropped, so CRLF reads like LF and a line number
 is the one an editor shows. `str.splitlines` would also break at form
-feeds, vertical tabs and other control characters. The module imports
+feeds, vertical tabs and other control characters. World and spec files
+read their records through `content_lines`, the one place that skips
+blank lines and whole-line `#` comments. The module imports
 nothing of evacsim but its errors, so every reader can import it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .errors import InputError
 
@@ -32,3 +36,12 @@ def split_lines(text: str) -> list[str]:
     if "\r" in text:
         lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     return lines
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number from 1, stripped line) for each line of text that
+    is neither blank nor a `#` comment. A `#` after a value is part of it."""
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line

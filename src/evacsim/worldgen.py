@@ -13,11 +13,9 @@ import random
 
 from .geo import Point, Shelter, Waterway, World
 
-__all__ = ["build_demo_world", "DEMO_BUILDINGS", "DEMO_INTERNAL_SHELTERS", "DEMO_RESCUER_STARTS"]
+__all__ = ["build_demo_world", "DEMO_BUILDINGS"]
 
 DEMO_BUILDINGS = 570
-DEMO_INTERNAL_SHELTERS = 4
-DEMO_RESCUER_STARTS = 15
 
 _GRID_COLS = 13
 _GRID_ROWS = 7

@@ -106,6 +106,52 @@ def test_validate_broken_world_names_invariant(tmp_path, capsys):
     assert "capacity" in err
 
 
+THREE_NODES = "node|0|0|0\nnode|1|100|0\nnode|2|200|0\nedge|0|1\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("building|0|0|0\n", "world has no road nodes"),
+    ("node|0|0|0\nnode|1|100|0\n", "world has road nodes but no edges"),
+    (THREE_NODES + "shelter|4|1|10|0\nshelter|4|0|10|0\n", "duplicate shelter id 4"),
+    (THREE_NODES + "shelter|4|9|10|0\n", "shelter 4 references unknown node 9"),
+    (THREE_NODES + "shelter|4|1|0|0\n", "shelter 4 capacity must be > 0, got 0"),
+    (THREE_NODES + "shelter|4|1|10|0\nrescuer_start|9\n", "rescuer_start references unknown node 9"),
+    (THREE_NODES + "shelter|4|1|10|0\nshelter|5|2|10|0\n",
+     "shelter 5 (node 2) is disconnected from the road network anchors"),
+    (THREE_NODES + "shelter|4|1|10|0\nrescuer_start|2\n",
+     "rescuer_start node 2 is disconnected from the road network anchors"),
+], ids=["no-nodes", "no-edges", "duplicate-shelter", "shelter-node", "capacity",
+        "rescuer-start-node", "disconnected-shelter", "disconnected-rescuer-start"])
+def test_validate_names_each_world_invariant(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.world"
+    path.write_text(text)
+    assert main(["validate", "--world", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("record", ["node|99|{v}|0.0", "building|99|0.0|{v}",
+                                    "waterway|99|0.0|5.0|{v}|5.0"])
+@pytest.mark.parametrize("value, rc", [("1e9", 0), ("-1e9", 0), ("1.000000001e9", 1),
+                                       ("-1e200", 1)])
+def test_world_coordinates_are_bounded(tmp_path, capsys, record, value, rc):
+    # Past the bound a squared distance can overflow: a node at 1e200 used to
+    # crash simulate with OverflowError, and a waterway vertex there made a
+    # house next to the river FAR.
+    world_path, pop_path = micro_assets(tmp_path)
+    with world_path.open("a") as fh:
+        fh.write(record.format(v=value) + "\n")
+    lineno = len(world_path.read_text().splitlines())
+    for argv in (["validate", "--world", str(world_path)],
+                 ["simulate", "--world", str(world_path), "--population", str(pop_path),
+                  *MICRO_FLAGS]):
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        if rc:
+            kind = record.split("|")[0]
+            assert err == (f"error: line {lineno}: {kind} coordinates must be finite "
+                           f"and within +-1e+09 m\n")
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["simulate", "--frobnicate"]) == 1
 

@@ -75,7 +75,8 @@ def test_parse_errors_carry_line_numbers():
 def test_non_finite_coordinates_rejected_with_line_number(record, kind):
     # A nan waterway vertex would silently drop its segments from
     # proximity_classes; a nan building has no distance to anything.
-    with pytest.raises(WorldFormatError, match=f"line 7: {kind} coordinates must be finite"):
+    with pytest.raises(WorldFormatError,
+                       match=f"line 7: {kind} coordinates must be finite and within"):
         parse_world(MINIMAL + record + "\n")
 
 

@@ -3,6 +3,7 @@ import itertools
 import multiprocessing
 from concurrent import futures
 from dataclasses import astuple, fields, replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -363,6 +364,12 @@ def test_rows_csv_matches_the_line_by_line_reader(body, data, chunk_lines):
 def test_sweep_spec_round_trip():
     spec = default_sweep_spec()
     assert parse_sweep_spec(serialize_sweep_spec(spec)) == spec
+
+
+def test_the_documented_sweep_spec_is_the_demo_spec():
+    formats = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    example = formats.split("## Sweep spec", 1)[1].split("```\n")[1]
+    assert parse_sweep_spec(example) == default_sweep_spec()
 
 
 def axis(elements):

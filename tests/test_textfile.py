@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from evacsim import geo, population, sweep
 from evacsim.cli import main
 from evacsim.population import PopulationError
-from evacsim.textfile import read_text, split_lines
+from evacsim.textfile import content_lines, read_text, split_lines
 from helpers import line_world, split_lines_reference
 from test_engine import profile
 
@@ -30,6 +30,11 @@ def test_split_lines_breaks_only_at_newlines():
     assert split_lines("a") == split_lines("a\n") == split_lines("a\r\n") == ["a"]
     assert split_lines("a\x0cb\r\n\rc\r\r\n\n") == ["a\x0cb", "\rc\r", ""]
     assert split_lines("a\x0b\x85 b\nc") == ["a\x0b\x85 b", "c"]
+
+
+def test_content_lines_skips_blank_and_comment_lines_only():
+    text = "\n  # note\r\n a = 1  # kept\n\t\nb|2\n#\n"
+    assert list(content_lines(text)) == [(3, "a = 1  # kept"), (5, "b|2")]
 
 
 def test_read_text_keeps_line_ends_and_names_the_file(tmp_path):
