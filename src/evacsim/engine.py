@@ -43,7 +43,12 @@ it is unaware while no warning source has informed it; informed, it stays
 unless its `evacuate` flag is set; evacuating, it is in the admission heap,
 where a stranded household stays for good; sheltered, it is counted in its
 shelter's admissions. A run ends when every household is informed and the
-heap is empty, or at max_ticks, truncated.
+heap is empty, or at max_ticks, truncated. What a run learns of a household
+beyond that (its source, the shelters it headed for, whether it stranded)
+is a `HouseholdState` value, replaced and never changed: every household
+starts on the one shared `UNAWARE` record and, once informed, takes the one
+shared record of its source, so a run builds a record only for a household
+that heads out or strands.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -89,6 +93,8 @@ __all__ = [
     "WorldIndex",
     "InformTimeline",
     "HouseholdState",
+    "UNAWARE",
+    "INFORMED_BY",
     "init_run",
     "step",
     "run",
@@ -162,7 +168,7 @@ class RunConfig:
             raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
     tick: int
     agent_kind: str
@@ -225,11 +231,13 @@ class WorldIndex:
     in ascending id per edge (`edge_candidates`, every house within
     rescuer_radius of the segment) and per node (`node_candidates`, the
     union of the incident edges' lists in adjacency order, first occurrence
-    kept). `candidate_lists` numbers those lists: the edge lists in
-    `edge_candidates` order, then the node lists in `node_candidates`
-    order; `node_slot` maps a node to its list's number and `slots_of` a
-    household to the numbers of the lists holding it, so a walk can count
-    the unaware households of each list. The linked move table
+    kept). `candidate_lists` numbers the edge lists, in `edge_candidates`
+    order, and `slots_of` maps a household to the numbers of the edge lists
+    holding it, so a walk can count the unaware households of each edge
+    list. A node list is read only while a rescuer stands on its node: for
+    the one tick its move ends exactly there, or for the whole walk at a
+    start node with no road, whose list is empty; so it is scanned whole,
+    and no count is kept for it. The linked move table
     `move_rows` holds one row per (node, node a rescuer came from, or -1 at
     its start), and `start_row` numbers each node's start row. A row is
     (choices, choice count, the count's bit length), the choices in
@@ -295,9 +303,7 @@ class WorldIndex:
                             for nb, _ in nbrs if not (back and nb == prev))
             rows.append((choices, len(choices), len(choices).bit_length()))
         self.move_rows = tuple(rows)
-        self.candidate_lists = (*edge_lists, *self.node_candidates.values())
-        self.node_slot = {node: slot for slot, node in enumerate(self.node_candidates,
-                                                                 len(self.edge_candidates))}
+        self.candidate_lists = edge_lists
         slots_of: list[list[int]] = [[] for _ in range(self.n)]
         for slot, cands in enumerate(self.candidate_lists):
             for hid in cands:
@@ -459,6 +465,13 @@ class HouseholdState:
     """What a run learns of one household beyond its decision: the source
     that informed it, the shelters it headed for and whether it stranded.
 
+    A value, shared until it changes: a run replaces a household's record
+    and never changes one. Every household starts on the one `UNAWARE`
+    record and, when informed, takes the one record of its source
+    (`INFORMED_BY`, keyed by the source's value); a record of its own is
+    built only when it heads out, is redirected or strands. Two records are
+    equal only if they are one object.
+
     Its state in the run is held once, by the run: it is unaware while its
     source is None; once informed it stays if `SimulationState.evacuate`
     says so, and otherwise evacuates, in the admission heap until it is
@@ -467,16 +480,23 @@ class HouseholdState:
 
     __slots__ = ("source", "chain", "stranded")
 
-    def __init__(self) -> None:
-        self.source: WarningSource | None = None
+    def __init__(self, source: WarningSource | None = None, chain: tuple[int, ...] = (),
+                 stranded: bool = False) -> None:
+        self.source = source
         # The shelters it headed for, in order; the last is its target.
-        self.chain: tuple[int, ...] = ()
-        self.stranded = False
+        self.chain = chain
+        self.stranded = stranded
 
     @property
     def tried_shelters(self) -> tuple[int, ...]:
         """The shelters this household found full."""
         return self.chain if self.stranded else self.chain[:-1]
+
+
+# The record of every unaware household, and of every informed one that has
+# not headed out, per warning source value.
+UNAWARE = HouseholdState()
+INFORMED_BY = {source._value_: HouseholdState(source) for source in WarningSource}
 
 
 @dataclass
@@ -487,7 +507,7 @@ class SimulationState:
     perceived: np.ndarray  # per household, shared by the runs of its seed group
     highest: float  # highest possible score under cfg.weights
     evacuate: list[bool]  # per household, perceived > threshold * highest
-    households: list[HouseholdState]
+    households: list[HouseholdState]  # per household, shared until it heads out
     occupancy: dict[int, int]  # shelter id -> persons
     admitted: dict[int, int]  # shelter id -> households
     tick: int = 0
@@ -508,7 +528,7 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
     highest = highest_possible_score(cfg.weights)
     evacuate = decide(perceived, highest, cfg.threshold).tolist()
-    households = [HouseholdState() for _ in range(index.n)]
+    households = [UNAWARE] * index.n
 
     events: list[Event] | None = None
     if collect_events:
@@ -535,8 +555,10 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
 
     Each tick visits the rescuers in ascending order, as a walk that moves
     every rescuer every tick would, but a rescuer does work only when it
-    reaches a node (or stands on one) in that tick, or when its current
-    candidate list still holds an unaware household. On entering an edge it
+    reaches a node (or stands on one) in that tick, or when the candidate
+    list of the edge it walks still holds an unaware household; the walk
+    counts those per edge list only, and a rescuer standing on a node scans
+    the node's list whole. On entering an edge it
     computes the tick it reaches the far node and the budget it has left
     then, by the same float additions the tick-by-tick walk makes; its
     progress along the edge is advanced by those additions only when it
@@ -593,8 +615,14 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     nodes = world.nodes
     move_rows = index.move_rows
     lists = index.candidate_lists
+    node_candidates = index.node_candidates
     slots_of = index.slots_of
-    node_slot = index.node_slot
+    # The unaware households of each edge list, and past them the count of
+    # `standing`, the list number of a rescuer standing on a node: no
+    # household lowers it, so a standing rescuer always scans its node's
+    # list.
+    standing = len(lists)
+    unaware_in = [len(cands) for cands in lists] + [1]
     # The rescuers as parallel lists: the node each last left or stands on,
     # the edge it walks (its far node, None while standing on a node, and
     # its length), the move-table row it draws from at the node it stands
@@ -609,11 +637,10 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     edge_len = [0.0] * k
     progress = [0.0] * k
     walked = [0] * k
-    slot = [node_slot[node] for node in placed]
+    slot = [standing] * k
     arrive: list[float] = [1 if move_rows[here][1] else NEVER for here in row]
     left_then = [budget] * k
     source: list[WarningSource | None] = [None] * n  # None while unaware
-    unaware_in = [len(cands) for cands in lists]
     remaining = n
     informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
     decide_order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
@@ -643,7 +670,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                     node, nxt = nxt, None
                 at[r], to[r], row[r] = node, nxt, here
                 if nxt is None:  # the budget ended exactly on a node
-                    slot[r] = node_slot[node]
+                    slot[r] = standing
                     arrive[r] = t + 1
                     left_then[r] = budget
                 else:
@@ -666,6 +693,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
             pa = nodes[node]
             if nxt is None:
                 rx, ry = pa.x, pa.y
+                candidates = node_candidates[node]
             else:
                 done = progress[r]
                 for _ in range(t - walked[r]):
@@ -675,7 +703,8 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                 f = done / edge_len[r]
                 rx = pa.x + (pb.x - pa.x) * f
                 ry = pa.y + (pb.y - pa.y) * f
-            for hid in lists[slot[r]]:
+                candidates = lists[slot[r]]
+            for hid in candidates:
                 if source[hid] is None:
                     hx, hy = house_pos[hid]
                     if hypot(hx - rx, hy - ry) <= radius:
@@ -726,22 +755,26 @@ def _head_out(state: SimulationState, hid: int, decided: int) -> None:
     Queue its arrival, or strand it if no shelter is left."""
     index = state.index
     h = state.households[hid]
-    full = h.chain[-1] if h.chain else None
+    chain = h.chain
+    full = chain[-1] if chain else None
     node = index.house_node[hid] if full is None else index.shelters_by_id[full].node
-    target = _pick_shelter(state, node, index.members[hid], h.chain)
+    target = _pick_shelter(state, node, index.members[hid], chain)
     if target is None:
-        h.stranded = True
+        state.households[hid] = HouseholdState(h.source, chain, True)
         heapq.heappush(state.moving, (NEVER, decided, hid))
-        event = ("stranded", "no reachable shelter" if full is None
-                 else f"no capacity anywhere after shelter={full}")
+        if state.events is not None:
+            detail = ("no reachable shelter" if full is None
+                      else f"no capacity anywhere after shelter={full}")
+            state.events.append(Event(state.tick, "household", hid, "stranded", detail))
     else:
-        h.chain += (target,)
-        arrival = decided + index.arrival_offset(index.house_node[hid], h.chain)
+        chain += (target,)
+        state.households[hid] = HouseholdState(h.source, chain)
+        arrival = decided + index.arrival_offset(index.house_node[hid], chain)
         heapq.heappush(state.moving, (arrival, decided, hid))
-        event = (("depart", f"shelter={target}") if full is None
-                 else ("redirected", f"from={full} to={target}"))
-    if state.events is not None:
-        state.events.append(Event(state.tick, "household", hid, *event))
+        if state.events is not None:
+            kind, detail = (("depart", f"shelter={target}") if full is None
+                            else ("redirected", f"from={full} to={target}"))
+            state.events.append(Event(state.tick, "household", hid, kind, detail))
 
 
 def step(state: SimulationState) -> SimulationState:
@@ -765,8 +798,9 @@ def step(state: SimulationState) -> SimulationState:
         # (4) the newly informed, in ascending id, act on the decision
         # init_run made
         evacuate = state.evacuate
+        informed_by = INFORMED_BY
         for hid, source in order:
-            households[hid].source = source
+            households[hid] = informed_by[source._value_]
             go = evacuate[hid]
             if events is not None:
                 events.append(Event(t, "household", hid, "decided",
@@ -811,11 +845,9 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
     while (state.informed_count < n or state.moving) and state.tick < max_ticks:
         step(state)
     truncated = state.informed_count < n or bool(state.moving)
-    if not truncated:
-        sources = list(map(attrgetter("source"), state.households))
-        if None in sources:
-            raise InternalError(
-                f"household {sources.index(None)} ended unaware at natural termination")
+    if not truncated and UNAWARE in state.households:
+        raise InternalError(f"household {state.households.index(UNAWARE)} ended unaware at "
+                            "natural termination")
     if state.evacuate_decisions != len(state.moving) + sum(state.admitted.values()):
         raise InternalError("evacuate decision counter out of sync")
     return RunResult(

@@ -257,16 +257,19 @@ def test_stranded_when_no_shelter_is_reachable():
     assert stranded.stranded and stranded.tried_shelters == ()
 
 
-def test_stranded_when_no_capacity_is_left_after_a_full_shelter():
+def _no_capacity_after_a_full_shelter_index() -> WorldIndex:
     # One internal shelter for four persons and no external one: household 0
     # lives at it and fills it in its decision tick; household 1 arrives to
     # find it full and has nowhere left to go.
     world = line_world(n_nodes=4, building_offsets=[(300.0, 20.0), (0.0, 20.0)],
                        shelter_specs=[(0, 3, 4, False)])
-    index = WorldIndex(world, [profile(0, 0, members=4), profile(1, 1, members=4)],
-                       params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=1,
-                              max_ticks=40))
-    result, state = run_with_final_state(index, config())
+    return WorldIndex(world, [profile(0, 0, members=4), profile(1, 1, members=4)],
+                      params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=1,
+                             max_ticks=40))
+
+
+def test_stranded_when_no_capacity_is_left_after_a_full_shelter():
+    result, state = run_with_final_state(_no_capacity_after_a_full_shelter_index(), config())
     assert event_log_csv(result.events) == (
         "tick,agent_kind,agent_id,event,detail\n"
         "1,household,0,informed,media\n"
@@ -550,6 +553,47 @@ def test_one_pick_serves_departures_and_redirects(demo_index, monkeypatch):
     kinds = Counter(e.event for e in result.events)
     assert (result.evacuated, kinds["redirected"], kinds["stranded"]) == (248, 41, 0)
     assert len(calls) == 289 == kinds["depart"] + kinds["redirected"]
+
+
+def test_a_run_starts_every_household_on_the_one_unaware_record(demo_index):
+    state = init_run(demo_index, config(seed=99))
+    assert len(state.households) == 570
+    assert all(h is engine.UNAWARE for h in state.households)
+
+
+def _records(state) -> list[tuple]:
+    return [(h.source, h.tried_shelters, h.stranded) for h in state.households]
+
+
+def test_households_that_stay_hold_their_sources_shared_record(demo_index):
+    # The run of the pinned `simulate` event log (41 redirects). A household
+    # that never heads out holds the one record of its source; one that does
+    # holds a record of its own.
+    cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
+                    weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
+    result, state = run_with_final_state(demo_index, cfg)
+    assert not result.truncated
+    stayed = [hid for hid, go in enumerate(state.evacuate) if not go]
+    left = [hid for hid, go in enumerate(state.evacuate) if go]
+    assert len(stayed) == result.stayed and len(left) == result.evacuated == 248
+    for hid in stayed:
+        h = state.households[hid]
+        assert h is engine.INFORMED_BY[h.source.value]
+    own = [state.households[hid] for hid in left]
+    assert len(set(map(id, own))) == len(own)
+    assert not set(map(id, own)) & set(map(id, engine.INFORMED_BY.values()))
+    first = _records(state)
+
+    # A run that strands a household, then the same run again on the same
+    # index: no run changes a record another run reads.
+    _, stranding = run_with_final_state(_no_capacity_after_a_full_shelter_index(), config())
+    assert stranding.households[1].stranded
+    _, again = run_with_final_state(demo_index, cfg)
+    assert _records(again) == first
+    assert (engine.UNAWARE.source, engine.UNAWARE.tried_shelters,
+            engine.UNAWARE.stranded) == (None, (), False)
+    for value, h in engine.INFORMED_BY.items():
+        assert (h.source.value, h.tried_shelters, h.stranded) == (value, (), False)
 
 
 def test_runs_call_init_run_and_step_through_the_module(demo_index, monkeypatch):
