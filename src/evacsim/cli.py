@@ -60,6 +60,17 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, dest=field, type=type(default), default=default, help=help_text)
 
 
+def _add_scenario_flags(p: argparse.ArgumentParser, storm: str, rain: str, time: str,
+                        threshold: float) -> None:
+    p.add_argument("--storm", default=storm, help="PSWS level 1-3 (or raw code with --raw)")
+    p.add_argument("--rain", default=rain, help="rainfall advisory: yellow/orange/red")
+    p.add_argument("--time", default=time, help="day/daytime or night/nighttime")
+    p.add_argument("--raw", action="store_true",
+                   help="interpret --storm/--rain/--time as raw numeric codes")
+    p.add_argument("--threshold", type=float, default=threshold,
+                   help="evacuation decision threshold")
+
+
 def _scenario_from_args(args: argparse.Namespace) -> risk.Scenario:
     if args.raw:
         try:
@@ -257,12 +268,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run one simulation", formatter_class=fmt)
     p.add_argument("--world", required=True)
     p.add_argument("--population", required=True, help="population CSV")
-    p.add_argument("--storm", default="1", help="PSWS level 1-3 (or raw code with --raw)")
-    p.add_argument("--rain", default="yellow", help="rainfall advisory: yellow/orange/red")
-    p.add_argument("--time", default="daytime", help="day/daytime or night/nighttime")
-    p.add_argument("--raw", action="store_true",
-                   help="interpret --storm/--rain/--time as raw numeric codes")
-    p.add_argument("--threshold", type=float, default=0.7, help="evacuation decision threshold")
+    _add_scenario_flags(p, "1", "yellow", "daytime", 0.7)
     p.add_argument("--weights", default="0.1,0.1,0.1", help="w_cdm,w_hrf,w_crf")
     p.add_argument("--seed", type=int, default=1, help="run seed")
     p.add_argument("--out-summary", default=None, help="write a one-row summary CSV here")
@@ -292,11 +298,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("series", help="plot-data extraction for one scenario+threshold slice",
                        formatter_class=fmt)
     p.add_argument("--in", dest="infile", required=True, help="sweep results CSV")
-    p.add_argument("--storm", default="2", help="PSWS level (or raw code with --raw)")
-    p.add_argument("--rain", default="orange")
-    p.add_argument("--time", default="nighttime")
-    p.add_argument("--raw", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.8)
+    _add_scenario_flags(p, "2", "orange", "nighttime", 0.8)
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_series)
 

@@ -214,18 +214,17 @@ class WorldIndex:
 
     Checks, when built, what its parameters cannot check alone: raises
     InputError on rescuers for a world with no rescuer_start nodes or with
-    an edge too short to shrink a rescuer's move per tick, and
-    PopulationError on profiles that do not fit together or fit the world
-    (`validate_profiles`); it is the one owner of that check (each profile
-    checks its own codes when built). Holds the
-    parameters, the profiles, house positions, snapped road nodes, hazard
-    proximity classes, per-household CDM and CRF scores, one shortest-path
-    tree per shelter for routing, and the inform timeline of the last seed
-    it served, which holds what every run of that seed reads. The
-    parameters are frozen, so the timeline is keyed on the seed alone. It
-    also keeps the perceived-risk array of the last (seed, scenario,
-    weights) it served: those are every input of the array besides the
-    index's own.
+    an edge too short to shrink a rescuer's move per tick, and on profiles
+    that do not fit together or fit the world (`validate_profiles`); it is
+    the one owner of that check (each profile checks its own codes when
+    built). Holds the parameters, the profiles, house positions, snapped
+    road nodes, hazard proximity classes, per-household CDM and CRF scores,
+    one shortest-path tree per shelter for routing, and the inform timeline
+    of the last seed it served, which holds what every run of that seed
+    reads. The parameters are frozen, so the timeline is keyed on the seed
+    alone. It also keeps the perceived-risk array of the last (seed,
+    scenario, weights) it served: those are every input of the array besides
+    the index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -380,25 +379,23 @@ class WorldIndex:
         key = (node, chain)
         walk = self._walks.get(key)
         if walk is None:
-            target = chain[-1]
             if len(chain) == 1:
                 p = self.world.nodes[node]
-                walk = self._walk(target, -1, self.route_to_shelter(node, target), 0, 0.0,
-                                  p.x, p.y)
+                start, offset, route, leg, progress, x, y = node, -1, [node], 0, 0.0, p.x, p.y
             else:
                 self.arrival_offset(node, chain[:-1])
+                start = self.shelters_by_id[chain[-2]].node
                 offset, route, leg, progress, x, y = self._walks[(node, chain[:-1])]
-                tail = self.route_to_shelter(self.shelters_by_id[chain[-2]].node, target)
-                walk = self._walk(target, offset, route[leg:] + tail[1:], 0, progress, x, y)
+            tail = self.route_to_shelter(start, chain[-1])
+            walk = self._walk(chain[-1], offset, route[leg:] + tail[1:], progress, x, y)
             self._walks[key] = walk
         return walk[0]
 
-    def _walk(self, shelter_id: int, offset: float, route: list[int], leg: int,
-              progress: float, x: float, y: float
-              ) -> tuple[float, list[int], int, float, float, float]:
-        """Walk from the state at `offset` one tick at a time until within
-        shelter_radius of the shelter (its end always is), or, as NEVER,
-        past offset max_ticks.
+    def _walk(self, shelter_id: int, offset: float, route: list[int], progress: float,
+              x: float, y: float) -> tuple[float, list[int], int, float, float, float]:
+        """Walk from the state at `offset`, `progress` metres along the first
+        leg of `route`, one tick at a time until within shelter_radius of the
+        shelter (its end always is), or, as NEVER, past offset max_ticks.
 
         A tick ends on a point of the leg it walked last, up to the rounding
         of the interpolation. On a leg whose segment is farther from the
@@ -413,6 +410,7 @@ class WorldIndex:
         nodes = self.world.nodes
         spos = nodes[self.shelters_by_id[shelter_id].node]
         last = len(route) - 1
+        leg = 0
         measured = -1  # the leg whose end points, length and farness a, b, leg_len, far hold
         far = False
         while True:
@@ -865,6 +863,5 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
 def event_log_csv(events: list[Event]) -> str:
     lines = [csv_header(Event)]
     for e in events:
-        detail = e.detail.replace(",", ";")
-        lines.append(f"{e.tick},{e.agent_kind},{e.agent_id},{e.event},{detail}")
+        lines.append(f"{e.tick},{e.agent_kind},{e.agent_id},{e.event},{e.detail}")
     return "\n".join(lines) + "\n"

@@ -5,13 +5,9 @@ internal invariants (CLI exit code 2).
 """
 
 
-class EvacsimError(Exception):
-    pass
-
-
-class InputError(EvacsimError):
+class InputError(Exception):
     """The user gave us something unusable: bad file, bad flag, bad value."""
 
 
-class InternalError(EvacsimError):
+class InternalError(Exception):
     """An invariant the simulator guarantees was violated. Always a bug."""

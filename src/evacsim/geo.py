@@ -22,8 +22,6 @@ __all__ = [
     "Waterway",
     "World",
     "ProximityClass",
-    "WorldFormatError",
-    "WorldValidationError",
     "load_world",
     "parse_world",
     "validate_world",
@@ -41,14 +39,6 @@ EDGE_LENGTH_TOL = 1e-6
 # the Earth fits within +-2.1e7 m, and squared distances between points this
 # far out stay far below float overflow, which coordinates near 1e154 reach.
 MAX_COORDINATE_M = 1e9
-
-
-class WorldFormatError(InputError):
-    """Raised on unparseable world files; message carries the line number."""
-
-
-class WorldValidationError(InputError):
-    """Raised when a parsed world violates a structural invariant."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,7 @@ def parse_world(text: str) -> World:
     rescuer_starts: list[int] = []
 
     def fail(lineno: int, why: str) -> None:
-        raise WorldFormatError(f"line {lineno}: {why}")
+        raise InputError(f"line {lineno}: {why}")
 
     def points(lineno: int, kind: str, coords: list[str]) -> list[Point]:
         values = [float(v) for v in coords]
@@ -193,8 +183,6 @@ def parse_world(text: str) -> World:
                 rescuer_starts.append(int(parts[1]))
             else:
                 fail(lineno, f"unknown record kind {kind!r}")
-        except WorldFormatError:
-            raise
         except ValueError as exc:
             fail(lineno, str(exc))
 
@@ -209,26 +197,26 @@ def parse_world(text: str) -> World:
 
 
 def validate_world(world: World) -> None:
-    """Check the invariants that span records; raise WorldValidationError
-    naming the first one violated. The checks of a single record (edge
-    endpoints and length, waterway points) are parse_world's."""
+    """Check the invariants that span records; raise InputError naming the
+    first one violated. The checks of a single record (edge endpoints and
+    length, waterway points) are parse_world's."""
     if not world.nodes:
-        raise WorldValidationError("world has no road nodes")
+        raise InputError("world has no road nodes")
     if not world.edges and len(world.nodes) > 1:
-        raise WorldValidationError("world has road nodes but no edges")
+        raise InputError("world has road nodes but no edges")
 
     seen_shelter_ids: set[int] = set()
     for s in world.shelters:
         if s.id in seen_shelter_ids:
-            raise WorldValidationError(f"duplicate shelter id {s.id}")
+            raise InputError(f"duplicate shelter id {s.id}")
         seen_shelter_ids.add(s.id)
         if s.node not in world.nodes:
-            raise WorldValidationError(f"shelter {s.id} references unknown node {s.node}")
+            raise InputError(f"shelter {s.id} references unknown node {s.node}")
         if s.capacity <= 0:
-            raise WorldValidationError(f"shelter {s.id} capacity must be > 0, got {s.capacity}")
+            raise InputError(f"shelter {s.id} capacity must be > 0, got {s.capacity}")
     for n in world.rescuer_starts:
         if n not in world.nodes:
-            raise WorldValidationError(f"rescuer_start references unknown node {n}")
+            raise InputError(f"rescuer_start references unknown node {n}")
 
     # Shelters and rescuer starts must be mutually reachable on the road graph.
     anchors = [s.node for s in world.shelters] + list(world.rescuer_starts)
@@ -236,10 +224,10 @@ def validate_world(world: World) -> None:
         reached = shortest_path_tree(world, anchors[0])[0]
         for s in world.shelters:
             if s.node not in reached:
-                raise WorldValidationError(f"shelter {s.id} (node {s.node}) is disconnected from the road network anchors")
+                raise InputError(f"shelter {s.id} (node {s.node}) is disconnected from the road network anchors")
         for n in world.rescuer_starts:
             if n not in reached:
-                raise WorldValidationError(f"rescuer_start node {n} is disconnected from the road network anchors")
+                raise InputError(f"rescuer_start node {n} is disconnected from the road network anchors")
 
 
 def load_world(path: str) -> World:
@@ -290,7 +278,7 @@ def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
     ties resolve as in a scan of every node.
     """
     if not world.nodes:
-        raise WorldValidationError("world has no road nodes")
+        raise InputError("world has no road nodes")
     ranked = sorted(world.nodes.items(), key=lambda item: (item[1].x, item[0]))
     xs = [q.x for _, q in ranked]
     out: list[int] = []
@@ -437,11 +425,11 @@ def proximity_classes(world: World, points: list[Point]) -> list[ProximityClass]
     NEAR_CUTOFF_M reach the kernel for that segment, and a point in no box
     is FAR. That is exact: a segment within NEAR_CUTOFF_M of a point has the
     point inside its box, so a point whose minimum is missed is one farther
-    than NEAR_CUTOFF_M from every segment. Raises WorldValidationError for
-    any point in a world with no waterways.
+    than NEAR_CUTOFF_M from every segment. Raises InputError for any point
+    in a world with no waterways.
     """
     if points and not world.waterways:
-        raise WorldValidationError("world has no waterways; hazard distance is undefined")
+        raise InputError("world has no waterways; hazard distance is undefined")
     segments = [seg for w in world.waterways for seg in zip(w.points, w.points[1:])]
     best = [math.inf] * len(points)
     for (pa, pb), boxed in zip(segments, _points_in_boxes(points, segments, NEAR_CUTOFF_M)):

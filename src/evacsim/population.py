@@ -31,7 +31,6 @@ from .textfile import content_lines, read_text, split_lines
 __all__ = [
     "HouseholdProfile",
     "PopulationSpec",
-    "PopulationError",
     "CODED_FIELDS",
     "synthesize",
     "load_population",
@@ -46,10 +45,6 @@ __all__ = [
     "records_to_csv",
     "read_columns",
 ]
-
-
-class PopulationError(InputError):
-    pass
 
 
 # --- text formats shared by the CSV and spec files ---
@@ -168,19 +163,18 @@ def _read_chunk(columns: list[tuple[str, Callable[[str], Any], type]],
     return arrays
 
 
-def read_key_values(text: str, what: str,
-                    error: type[InputError] = InputError) -> Iterator[tuple[int, str, str]]:
+def read_key_values(text: str, what: str) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, key, value) for each `key = value` line of a spec
     file, skipping blank and `#` lines. A line without `=` or a key seen
-    before raises error, its message prefixed with "<what> line <n>:"."""
+    before raises InputError, its message prefixed with "<what> line <n>:"."""
     seen: set[str] = set()
     for lineno, line in content_lines(text):
         if "=" not in line:
-            raise error(f"{what} line {lineno}: expected key = value")
+            raise InputError(f"{what} line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in seen:
-            raise error(f"{what} line {lineno}: repeated key {key!r}")
+            raise InputError(f"{what} line {lineno}: repeated key {key!r}")
         seen.add(key)
         yield lineno, key, value.strip()
 
@@ -227,9 +221,9 @@ class HouseholdProfile:
         for name, codes in _CODES.items():
             value = getattr(self, name)
             if value not in codes:
-                raise PopulationError(f"{name} code {value!r} is not one of {sorted(codes)}")
+                raise InputError(f"{name} code {value!r} is not one of {sorted(codes)}")
         if self.members < 1:
-            raise PopulationError("members must be >= 1")
+            raise InputError("members must be >= 1")
 
 
 CSV_HEADER = csv_header(HouseholdProfile)
@@ -248,23 +242,23 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         if self.count < 0:
-            raise PopulationError(f"count must be >= 0, got {self.count}")
+            raise InputError(f"count must be >= 0, got {self.count}")
         for name, cats in CODED_FIELDS.items():
             if name not in self.distributions:
-                raise PopulationError(f"missing distribution for field {name!r}")
+                raise InputError(f"missing distribution for field {name!r}")
             dist = self.distributions[name]
             for cat, prob in dist.items():
                 if cat not in cats:
-                    raise PopulationError(f"unknown category {cat!r} for field {name!r}")
+                    raise InputError(f"unknown category {cat!r} for field {name!r}")
                 if not 0.0 <= prob <= 1.0:
-                    raise PopulationError(f"{name}.{cat} probability {prob} outside [0, 1]")
+                    raise InputError(f"{name}.{cat} probability {prob} outside [0, 1]")
             total = sum(dist.values())
             if abs(total - 1.0) > 1e-9:
-                raise PopulationError(f"{name} probabilities sum to {total!r}, expected 1.0")
+                raise InputError(f"{name} probabilities sum to {total!r}, expected 1.0")
         if not 1 <= self.members_min <= self.members_max:
-            raise PopulationError("members range requires 1 <= min <= max")
+            raise InputError("members range requires 1 <= min <= max")
         if not self.members_min <= self.members_mean <= self.members_max:
-            raise PopulationError("members_mean must lie inside [members_min, members_max]")
+            raise InputError("members_mean must lie inside [members_min, members_max]")
 
 
 def default_population_spec(count: int = 570) -> PopulationSpec:
@@ -328,7 +322,7 @@ def synthesize(spec: PopulationSpec, world: World, seed: int) -> list[HouseholdP
     assigned by one seeded shuffle of the sorted building ids.
     """
     if spec.count > len(world.buildings):
-        raise PopulationError(
+        raise InputError(
             f"cannot place {spec.count} households on {len(world.buildings)} buildings"
         )
     rng = random.Random(seed)
@@ -354,13 +348,13 @@ def validate_profiles(profiles: list[HouseholdProfile], world: World) -> None:
     seen_buildings: set[int] = set()
     for row, p in enumerate(profiles):
         if p.id != row:
-            raise PopulationError(f"household {row} has id {p.id}: ids must be "
-                                  f"0..{len(profiles) - 1} in row order")
+            raise InputError(f"household {row} has id {p.id}: ids must be "
+                             f"0..{len(profiles) - 1} in row order")
         if p.building_id in seen_buildings:
-            raise PopulationError(f"building {p.building_id} assigned to more than one household")
+            raise InputError(f"building {p.building_id} assigned to more than one household")
         seen_buildings.add(p.building_id)
         if p.building_id not in world.buildings:
-            raise PopulationError(f"household {p.id}: unknown building {p.building_id}")
+            raise InputError(f"household {p.id}: unknown building {p.building_id}")
 
 
 def serialize_population(profiles: list[HouseholdProfile]) -> str:
@@ -373,7 +367,7 @@ def load_population(path: str, world: World | None = None) -> list[HouseholdProf
     Whether the profiles fit together and fit a world (`validate_profiles`)
     is checked once, by the `engine.WorldIndex` built on them; `world` is
     accepted for callers that pass it and is not read."""
-    return parse_population(read_text(path, "population file", PopulationError))
+    return parse_population(read_text(path, "population file"))
 
 
 def parse_population(text: str) -> list[HouseholdProfile]:
@@ -382,11 +376,11 @@ def parse_population(text: str) -> list[HouseholdProfile]:
     index built on them."""
     lines = split_lines(text)
     if not lines:
-        raise PopulationError("population CSV is empty")
+        raise InputError("population CSV is empty")
     if lines[0] != CSV_HEADER:
-        raise PopulationError(f"population CSV header mismatch: expected {CSV_HEADER!r}")
+        raise InputError(f"population CSV header mismatch: expected {CSV_HEADER!r}")
     # A bad cell is named by its field alone.
-    return read_columns(HouseholdProfile, lines, lambda lineno, error: PopulationError(
+    return read_columns(HouseholdProfile, lines, lambda lineno, error: InputError(
         f"row {lineno}: {error.field if isinstance(error, CellError) else error}"), build=True)
 
 
@@ -398,25 +392,25 @@ _SPEC_SCALARS = {"count": int, "members_min": int, "members_max": int, "members_
 def parse_population_spec(text: str) -> PopulationSpec:
     scalars: dict[str, int | float] = {}
     distributions: dict[str, dict[str, float]] = {name: {} for name in CODED_FIELDS}
-    for lineno, key, value in read_key_values(text, "population spec", PopulationError):
+    for lineno, key, value in read_key_values(text, "population spec"):
         try:
             if key in _SPEC_SCALARS:
                 scalars[key] = _SPEC_SCALARS[key](value)
             elif "." in key:
                 fname, _, cat = key.partition(".")
                 if fname not in CODED_FIELDS:
-                    raise PopulationError(f"population spec line {lineno}: unknown field {fname!r}")
+                    raise InputError(f"population spec line {lineno}: unknown field {fname!r}")
                 if cat not in CODED_FIELDS[fname]:
-                    raise PopulationError(
+                    raise InputError(
                         f"population spec line {lineno}: unknown category {cat!r} for {fname}"
                     )
                 distributions[fname][cat] = float(value)
             else:
-                raise PopulationError(f"population spec line {lineno}: unknown key {key!r}")
+                raise InputError(f"population spec line {lineno}: unknown key {key!r}")
         except ValueError:
-            raise PopulationError(f"population spec line {lineno}: bad value {value!r}") from None
+            raise InputError(f"population spec line {lineno}: bad value {value!r}") from None
     if len(scalars) != len(_SPEC_SCALARS):
-        raise PopulationError(f"population spec must define {', '.join(_SPEC_SCALARS)}")
+        raise InputError(f"population spec must define {', '.join(_SPEC_SCALARS)}")
     return PopulationSpec(distributions=distributions, **scalars)  # type: ignore[arg-type]
 
 

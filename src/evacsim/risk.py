@@ -10,7 +10,6 @@ exceeds a threshold fraction of the highest score the weights allow.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,7 @@ class Weights:
 
     def __post_init__(self) -> None:
         for name, w in (("w_cdm", self.w_cdm), ("w_hrf", self.w_hrf), ("w_crf", self.w_crf)):
-            if not (0.0 < w <= 1.0) or not math.isfinite(w):
+            if not 0.0 < w <= 1.0:  # False for nan
                 raise InputError(f"{name} must be in (0, 1], got {w!r}")
 
 

@@ -17,14 +17,14 @@ from collections.abc import Iterator
 from .errors import InputError
 
 
-def read_text(path: str, what: str, error: type[InputError] = InputError) -> str:
+def read_text(path: str, what: str) -> str:
     """The text of a UTF-8 file, its line ends untranslated. A file that
-    cannot be read raises error("cannot read <what> <path>: <reason>")."""
+    cannot be read raises InputError("cannot read <what> <path>: <reason>")."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def split_lines(text: str) -> list[str]:

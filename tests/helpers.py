@@ -10,7 +10,7 @@ from evacsim import engine
 from evacsim.engine import InformTimeline, RunConfig, RunResult, SimulationState, WorldIndex
 from evacsim.errors import InputError
 from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
-from evacsim.population import HouseholdProfile, PopulationError, record_fields
+from evacsim.population import HouseholdProfile, record_fields
 from evacsim.risk import WarningSource
 from evacsim.seeds import derive_seed
 from evacsim.sweep import FILTER_EXACT_ONE, RESULTS_HEADER, Combo, SweepRow, SweepSpec
@@ -422,7 +422,7 @@ def parse_population_reference(text: str) -> list[HouseholdProfile]:
     skipped; each other line split into 14 cells and parsed by
     `parse_cells`, its ints within int64 and its floats finite, then built
     as a HouseholdProfile, which checks its codes and members. The first
-    bad line raises PopulationError: "row N: <field>" for a cell at fault,
+    bad line raises InputError: "row N: <field>" for a cell at fault,
     else "row N: <why>".
 
     The line-by-line oracle of `population.parse_population`, which reads
@@ -430,25 +430,25 @@ def parse_population_reference(text: str) -> list[HouseholdProfile]:
     """
     lines = split_lines_reference(text)
     if not lines:
-        raise PopulationError("population CSV is empty")
+        raise InputError("population CSV is empty")
     if lines[0] != POPULATION_HEADER:
-        raise PopulationError(f"population CSV header mismatch: expected {POPULATION_HEADER!r}")
+        raise InputError(f"population CSV header mismatch: expected {POPULATION_HEADER!r}")
     profiles = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
         if len(cells) != 14:
-            raise PopulationError(f"row {lineno}: expected 14 cells")
+            raise InputError(f"row {lineno}: expected 14 cells")
         try:
             values = parse_cells(HouseholdProfile, cells)
         except ValueError as exc:
-            raise PopulationError(f"row {lineno}: {exc.args[0]}") from None
+            raise InputError(f"row {lineno}: {exc.args[0]}") from None
         bad = out_of_range(HouseholdProfile, values, cells)
         if bad is not None:
-            raise PopulationError(f"row {lineno}: {bad[0]}")
+            raise InputError(f"row {lineno}: {bad[0]}")
         try:
             profiles.append(HouseholdProfile(*values))
-        except PopulationError as exc:
-            raise PopulationError(f"row {lineno}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"row {lineno}: {exc}") from None
     return profiles

@@ -19,7 +19,7 @@ from evacsim.engine import (
 )
 from evacsim.errors import InputError, InternalError
 from evacsim.geo import Point, Shelter
-from evacsim.population import CODED_FIELDS, HouseholdProfile, PopulationError
+from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import line_world, pick_shelter_reference, run_with_final_state
 
@@ -450,11 +450,21 @@ def test_event_log_csv_shape(demo_index):
     kinds = {line.split(",")[3] for line in lines[1:]}
     assert {"placed", "informed", "decided"} <= kinds
     assert len(lines) >= 570 * 2  # every household informs and decides
+    # No detail holds a comma, so every line has five cells: here, in the
+    # log of the pinned `simulate` run (41 redirects) and in that of a run
+    # that strands a household after a full shelter.
+    pinned = RunConfig(Scenario.from_names(2, "orange", "nighttime"), Weights(0.1, 0.1, 0.8),
+                       threshold=0.8, seed=99)
+    redirects = event_log_csv(run(demo_index, pinned).events)
+    strands = event_log_csv(run(_no_capacity_after_a_full_shelter_index(), config()).events)
+    assert ",redirected," in redirects and ",stranded," in strands
+    for log in (text, redirects, strands):
+        assert all(line.count(",") == 4 for line in log.splitlines())
 
 
 def test_run_without_index_validates_profiles():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
-    with pytest.raises(PopulationError, match="unknown building"):
+    with pytest.raises(InputError, match="unknown building"):
         run(WorldIndex(world, [profile(0, 7)]), config())
 
 

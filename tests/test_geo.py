@@ -11,8 +11,6 @@ from evacsim.geo import (
     ProximityClass,
     Waterway,
     World,
-    WorldFormatError,
-    WorldValidationError,
     NEAR_CUTOFF_M,
     WITHIN_CUTOFF_M,
     classify_proximity,
@@ -48,23 +46,23 @@ def test_minimal_world_parses():
 
 def test_shelter_capacity_zero_rejected():
     world = parse_world(MINIMAL.replace("shelter|0|1|20|0", "shelter|0|1|0|0"))
-    with pytest.raises(WorldValidationError, match="capacity"):
+    with pytest.raises(InputError, match="capacity"):
         validate_world(world)
 
 
 def test_disconnected_shelter_rejected():
     text = MINIMAL + "node|2|500.0|500.0\nshelter|1|2|10|0\n"
     world = parse_world(text)
-    with pytest.raises(WorldValidationError, match="shelter 1"):
+    with pytest.raises(InputError, match="shelter 1"):
         validate_world(world)
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(WorldFormatError, match="line 1"):
+    with pytest.raises(InputError, match="line 1"):
         parse_world("frobnicate|1|2")
-    with pytest.raises(WorldFormatError, match="line 3"):
+    with pytest.raises(InputError, match="line 3"):
         parse_world("node|0|0|0\nnode|1|1|0\nedge|0|7")
-    with pytest.raises(WorldFormatError, match="line 2"):
+    with pytest.raises(InputError, match="line 2"):
         parse_world("node|0|0|0\nnode|0|1|0")
 
 
@@ -75,7 +73,7 @@ def test_parse_errors_carry_line_numbers():
 def test_non_finite_coordinates_rejected_with_line_number(record, kind):
     # A nan waterway vertex would silently drop its segments from
     # proximity_classes; a nan building has no distance to anything.
-    with pytest.raises(WorldFormatError,
+    with pytest.raises(InputError,
                        match=f"line 7: {kind} coordinates must be finite and within"):
         parse_world(MINIMAL + record + "\n")
 
@@ -83,7 +81,7 @@ def test_non_finite_coordinates_rejected_with_line_number(record, kind):
 def test_edge_length_field_checked_against_geometry():
     ok = "node|0|0|0\nnode|1|100|0\nedge|0|1|100.0\n"
     parse_world(ok)
-    with pytest.raises(WorldFormatError, match="differs"):
+    with pytest.raises(InputError, match="differs"):
         parse_world("node|0|0|0\nnode|1|100|0\nedge|0|1|99.0\n")
 
 
@@ -313,7 +311,7 @@ def test_proximity_classes_at_and_past_the_cutoffs():
 
 def test_hazard_distance_requires_waterway():
     world = parse_world("node|0|0|0\n")
-    with pytest.raises(WorldValidationError, match="waterway"):
+    with pytest.raises(InputError, match="waterway"):
         proximity_classes(world, [Point(0, 0)])
     assert proximity_classes(world, []) == []
 

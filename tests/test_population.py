@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from evacsim import population
 from evacsim.engine import WorldIndex
+from evacsim.errors import InputError
 from evacsim.geo import Point, World
 from evacsim.population import (
     CODED_FIELDS,
-    PopulationError,
     PopulationSpec,
     default_population_spec,
     load_population,
@@ -48,7 +48,7 @@ def test_synthesize_is_deterministic(demo_world):
 
 def test_synthesize_rejects_count_over_buildings():
     spec = default_population_spec(count=11)
-    with pytest.raises(PopulationError, match="11 households on 10 buildings"):
+    with pytest.raises(InputError, match="11 households on 10 buildings"):
         synthesize(spec, big_bare_world(10), seed=0)
 
 
@@ -127,7 +127,7 @@ def test_unparseable_cell_names_row_and_field(demo_profiles, col, field):
     cells = lines[2].split(",")
     cells[col] = "many"
     lines[2] = ",".join(cells)
-    with pytest.raises(PopulationError, match=f"row 3: {field}$"):
+    with pytest.raises(InputError, match=f"row 3: {field}$"):
         parse_population("\n".join(lines))
 
 
@@ -137,7 +137,7 @@ def test_bad_code_names_row_and_column(demo_profiles):
     cells = lines[1].split(",")
     cells[2] = "0.3"  # educ_level column
     lines[1] = ",".join(cells)
-    with pytest.raises(PopulationError, match="row 2: educ_level"):
+    with pytest.raises(InputError, match="row 2: educ_level"):
         parse_population("\n".join(lines))
 
 
@@ -174,7 +174,7 @@ def test_population_error_texts(demo_world, demo_profiles, edit, message):
     that it fits the world, or None if it is read."""
     try:
         validate_profiles(parse_population(edit(demo_profiles[:3])), demo_world)
-    except PopulationError as exc:
+    except InputError as exc:
         assert str(exc) == message
     else:
         assert message is None
@@ -189,18 +189,18 @@ def test_duplicate_building_rejected(demo_world, demo_profiles):
     row2[-1] = lines[1].split(",")[-1]
     lines[2] = ",".join(row2)
     profiles = parse_population("\n".join(lines))
-    with pytest.raises(PopulationError, match="more than one household"):
+    with pytest.raises(InputError, match="more than one household"):
         WorldIndex(demo_world, profiles)
 
 
 def test_header_mismatch_rejected():
-    with pytest.raises(PopulationError, match="header"):
+    with pytest.raises(InputError, match="header"):
         parse_population("id,foo\n1,2\n")
 
 
 def test_validate_profiles_checks_buildings(demo_world, demo_profiles):
     bad = demo_profiles[0].__class__(**{**demo_profiles[0].__dict__, "building_id": 10_000})
-    with pytest.raises(PopulationError, match="unknown building"):
+    with pytest.raises(InputError, match="unknown building"):
         validate_profiles([bad], demo_world)
 
 
@@ -212,7 +212,7 @@ def test_validate_profiles_checks_buildings(demo_world, demo_profiles):
 ])
 def test_ids_must_be_row_positions(demo_world, demo_profiles, ids, message):
     profiles = [replace(p, id=i) for p, i in zip(demo_profiles, ids)]
-    with pytest.raises(PopulationError) as refused:
+    with pytest.raises(InputError) as refused:
         validate_profiles(profiles, demo_world)
     assert str(refused.value) == message
     validate_profiles(demo_profiles[:3], demo_world)
@@ -267,12 +267,12 @@ def test_population_csv_matches_the_line_by_line_reader(body, data, chunk_lines,
     text = newline.join(lines) + newline
     try:
         expected = exactly(parse_population_reference(text))
-    except PopulationError as exc:
+    except InputError as exc:
         expected = str(exc)
     with mock.patch.object(population, "_CHUNK_LINES", chunk_lines):
         try:
             got = exactly(parse_population(text))
-        except PopulationError as exc:
+        except InputError as exc:
             got = str(exc)
     assert got == expected
 
@@ -311,18 +311,18 @@ def test_population_spec_validation():
     spec = default_population_spec()
     bad = {k: dict(v) for k, v in spec.distributions.items()}
     bad["head_gender"]["male"] = 0.9  # sums to 1.45
-    with pytest.raises(PopulationError, match="sum"):
+    with pytest.raises(InputError, match="sum"):
         PopulationSpec(10, bad, 1, 10, 4.5)
-    with pytest.raises(PopulationError, match="unknown key"):
+    with pytest.raises(InputError, match="unknown key"):
         parse_population_spec("count = 5\nmembers_min = 1\nmembers_max = 2\nmembers_mean = 1.5\nbogus = 1\n")
-    with pytest.raises(PopulationError, match="unknown category"):
+    with pytest.raises(InputError, match="unknown category"):
         parse_population_spec("count = 5\nhead_gender.alien = 0.5\n")
 
 
 def test_population_spec_rejects_repeated_keys():
     text = serialize_population_spec(default_population_spec())
     lines = len(text.splitlines())
-    with pytest.raises(PopulationError, match=f"line {lines + 1}: repeated key 'count'"):
+    with pytest.raises(InputError, match=f"line {lines + 1}: repeated key 'count'"):
         parse_population_spec(text + "count = 3\n")
-    with pytest.raises(PopulationError, match=f"line {lines + 1}: repeated key 'head_gender.male'"):
+    with pytest.raises(InputError, match=f"line {lines + 1}: repeated key 'head_gender.male'"):
         parse_population_spec(text + "head_gender.male = 0.5\n")

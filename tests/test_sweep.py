@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from evacsim import engine, population
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
 from evacsim.errors import InputError
-from evacsim.population import PopulationError, default_population_spec, record_fields
+from evacsim.population import default_population_spec, record_fields
 from evacsim.risk import STORM_CODES, Scenario, Weights
 from evacsim.sweep import (
     FILTER_AT_LEAST_ONE,
@@ -434,18 +434,23 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
      "sweep storm level 4 outside supported PSWS range"),
     (default_sweep_spec(), {"thresholds": (0.7, 0.7)}, InputError,
      "sweep axis thresholds has duplicate values"),
-    (default_population_spec(), {"count": -1}, PopulationError, "count must be >= 0, got -1"),
-    (default_population_spec(), {"members_mean": 11.0}, PopulationError,
+    (default_population_spec(), {"count": -1}, InputError, "count must be >= 0, got -1"),
+    (default_population_spec(), {"members_mean": 11.0}, InputError,
      "members_mean must lie inside [members_min, members_max]"),
-    (profile(0, 0), {"educ_level": 0.3}, PopulationError,
+    (profile(0, 0), {"educ_level": 0.3}, InputError,
      "educ_level code 0.3 is not one of [0.25, 0.5, 1.0]"),
-    (profile(0, 0), {"has_children": float("nan")}, PopulationError,
+    (profile(0, 0), {"has_children": float("nan")}, InputError,
      "has_children code nan is not one of [0.0, 1.0]"),
-    (profile(0, 0), {"members": 0}, PopulationError, "members must be >= 1"),
+    (profile(0, 0), {"members": 0}, InputError, "members must be >= 1"),
+    # The range test alone refuses a weight that is not finite.
+    (RUN_CONFIG.weights, {"w_cdm": float("nan")}, InputError, "w_cdm must be in (0, 1], got nan"),
+    (RUN_CONFIG.weights, {"w_hrf": float("inf")}, InputError, "w_hrf must be in (0, 1], got inf"),
+    (RUN_CONFIG.weights, {"w_crf": float("-inf")}, InputError,
+     "w_crf must be in (0, 1], got -inf"),
 ], ids=["params-tick", "params-fallback", "params-fallback-0-0", "params-fallback-0-5",
         "params-household-move-0", "params-rescuer-move-0", "run-threshold", "spec-storm", "spec-duplicate",
         "population-count", "population-mean", "household-code", "household-nan",
-        "household-members"])
+        "household-members", "weights-nan", "weights-inf", "weights-minus-inf"])
 def test_records_check_themselves_when_built(record, change, error, message):
     kwargs = {f.name: getattr(record, f.name) for f in fields(record)} | change
     with pytest.raises(InputError) as built:

@@ -3,12 +3,15 @@
 control character inside a line does not shift the line numbers of the
 errors after it."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from evacsim import geo, population, sweep
 from evacsim.cli import main
-from evacsim.population import PopulationError
+from evacsim.errors import InputError
+from evacsim.geo import Point
 from evacsim.textfile import content_lines, read_text, split_lines
 from helpers import line_world, split_lines_reference
 from test_engine import profile
@@ -42,8 +45,8 @@ def test_read_text_keeps_line_ends_and_names_the_file(tmp_path):
     path.write_bytes(b"a\r\nb\rc\n")
     assert read_text(str(path), "spec") == "a\r\nb\rc\n"
     missing = str(tmp_path / "missing")
-    with pytest.raises(PopulationError, match=f"^cannot read population file {missing}: "):
-        read_text(missing, "population file", PopulationError)
+    with pytest.raises(InputError, match=f"^cannot read population file {missing}: "):
+        read_text(missing, "population file")
 
 
 def test_world_file_numbers_lines_past_a_form_feed(tmp_path):
@@ -51,7 +54,7 @@ def test_world_file_numbers_lines_past_a_form_feed(tmp_path):
     assert lines[1] == "node|0|0.0|0.0"
     lines[1] = "node|0|0.0|\x0c0.0"
     lines[3] = "node|2|200.0"
-    with pytest.raises(geo.WorldFormatError) as refused:
+    with pytest.raises(InputError) as refused:
         geo.load_world(write_lines(tmp_path / "village.world", lines))
     assert str(refused.value) == "line 4: node expects node|id|x|y"
 
@@ -60,7 +63,7 @@ def test_population_file_numbers_lines_past_a_form_feed(tmp_path):
     lines = population.serialize_population([profile(i, i) for i in range(4)]).splitlines()
     lines[1] = lines[1].replace(",1.0,", ",1.0\x0c,", 1)
     lines[3] = lines[3].rsplit(",", 1)[0]
-    with pytest.raises(PopulationError, match="^row 4: expected 14 cells$"):
+    with pytest.raises(InputError, match="^row 4: expected 14 cells$"):
         population.load_population(write_lines(tmp_path / "population.csv", lines))
 
 
@@ -88,3 +91,25 @@ def test_spec_file_numbers_lines_past_a_form_feed(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: population spec line 4: expected key = value\n")
 
+
+
+def _bad_population_code() -> str:
+    # The header holds no `,1.0,`: the first one is a code of row 2.
+    return population.serialize_population([profile(0, 0)]).replace(",1.0,", ",0.3,", 1)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda tmp_path: geo.parse_world("volcano|1\n"),
+    lambda tmp_path: geo.validate_world(line_world(shelter_specs=[(0, 3, 0, False)])),
+    lambda tmp_path: population.parse_population(_bad_population_code()),
+    lambda tmp_path: population.parse_population_spec("colour = red\n"),
+    lambda tmp_path: sweep.parse_sweep_spec("colour = red\n"),
+    lambda tmp_path: sweep.rows_from_csv("tick\n"),
+    lambda tmp_path: population.load_population(str(tmp_path / "missing.csv")),
+    lambda tmp_path: geo.proximity_classes(replace(line_world(), waterways=[]), [Point(0.0, 0.0)]),
+], ids=["world-format", "world-invariant", "population-cell", "population-spec-key",
+        "sweep-spec-key", "results-header", "unreadable-file", "no-waterways"])
+def test_every_reader_refuses_bad_input_as_input_error(refuse, tmp_path):
+    with pytest.raises(InputError) as refused:
+        refuse(tmp_path)
+    assert type(refused.value) is InputError
