@@ -241,13 +241,24 @@ def _cmd_emit_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each flag's default in its help, except a None default: a
+    required flag has none, and an optional one's help says what leaving
+    it out does."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="evacsim",
         description="Typhoon preemptive-evacuation simulator, sweep harness, and sensitivity analysis.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("validate", help="check a world file", formatter_class=fmt)
     p.add_argument("--world", required=True, help="world file to validate")

@@ -56,7 +56,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -65,9 +67,9 @@ from .geo import (
     Shelter,
     World,
     nearest_road_nodes,
-    point_segment_distance,
     points_near_edges,
     proximity_classes,
+    segment_offsets,
     shortest_path_tree,
 )
 from .population import HouseholdProfile, csv_header, validate_profiles
@@ -248,6 +250,10 @@ class WorldIndex:
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
     by id; and it memoises `arrival_offset` per (house node, shelter chain).
+    Their walks read the leg table `legs`, built once with the index: per
+    directed road leg (a, b), its length, math.hypot(b.x - a.x, b.y - a.y),
+    and the ids of the shelters the leg is not provably out of reach of
+    (see `_walk`), so no walk measures a leg again.
     """
 
     def __init__(self, world: World, profiles: list[HouseholdProfile],
@@ -281,7 +287,6 @@ class WorldIndex:
         self.edge_candidates = points_near_edges(world, houses, params.rescuer_radius)
         edge_lists = tuple(self.edge_candidates.values())
         edge_slot = {key: slot for slot, key in enumerate(self.edge_candidates)}
-        self.node_candidates: dict[int, tuple[int, ...]] = {}
         # neighbour -> (length of its first adjacency entry, list number), per node
         edges: dict[int, dict[int, tuple[float, int]]] = {}
         row_of: dict[tuple[int, int], int] = {}  # (node, came-from) -> row number
@@ -289,17 +294,23 @@ class WorldIndex:
             edge = edges[node] = {}
             for nb, length in nbrs:
                 edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
-            self.node_candidates[node] = tuple(dict.fromkeys(
-                hid for _, slot in edge.values() for hid in edge_lists[slot]))
             for prev in (-1, *edge):
                 row_of[(node, prev)] = len(row_of)
+        self.node_candidates: dict[int, tuple[int, ...]] = {
+            node: tuple(dict.fromkeys(chain.from_iterable(edge_lists[slot]
+                                                          for _, slot in edge.values())))
+            for node, edge in edges.items()}
         self.start_row = {node: row_of[(node, -1)] for node in edges}
+        # Every choice of a node, in adjacency order; a row drops the way
+        # back unless that is the only way.
+        choices_of = {node: tuple((nb, *edge[nb], row_of[(nb, node)])
+                                  for nb, _ in world.adjacency[node])
+                      for node, edge in edges.items()}
         rows = []
         for node, prev in row_of:
-            nbrs = world.adjacency[node]
-            back = len(nbrs) > 1 and prev >= 0
-            choices = tuple((nb, *edges[node][nb], row_of[(nb, node)])
-                            for nb, _ in nbrs if not (back and nb == prev))
+            choices = choices_of[node]
+            if prev >= 0 and len(choices) > 1:
+                choices = tuple(c for c in choices if c[0] != prev)
             rows.append((choices, len(choices), len(choices).bit_length()))
         self.move_rows = tuple(rows)
         self.candidate_lists = edge_lists
@@ -323,6 +334,35 @@ class WorldIndex:
         self.shelter_order: dict[int, tuple[Shelter, ...]] = {
             node: tuple(self.shelters_by_id[sid] for _, _, sid in sorted(keys))
             for node, keys in reached.items()}
+
+        # The leg table. A leg is far from a shelter, and leaves its near
+        # set, only when its squared offset exceeds the square of the
+        # walk's margin, (shelter_radius + slack) * (1 + 1e-9): an error of
+        # the squares can only say "not far", which costs a walk one
+        # distance test and moves no arrival tick.
+        nodes = world.nodes
+        ends = [(a, b) for a, b, _ in world.edges]
+        ends += [(b, a) for a, b in ends]
+        # one row per leg, one column per shelter
+        ax, ay, bx, by = (np.array(c, dtype=float).reshape(-1, 1) for c in (
+            [nodes[a].x for a, _ in ends], [nodes[a].y for a, _ in ends],
+            [nodes[b].x for _, b in ends], [nodes[b].y for _, b in ends]))
+        sx = np.array([nodes[s.node].x for s in world.shelters], dtype=float)
+        sy = np.array([nodes[s.node].y for s in world.shelters], dtype=float)
+        ex, ey = segment_offsets(sx, sy, ax, ay, bx, by)
+        slack = 1e-9 * (abs(ax) + abs(ay) + abs(bx) + abs(by) + abs(sx) + abs(sy))
+        reach = (params.shelter_radius + slack) * (1 + 1e-9)
+        with np.errstate(over="ignore"):  # a reach past float range is never exceeded
+            reach2 = reach * reach
+        far = (reach2 >= sys.float_info.min) & (ex * ex + ey * ey > reach2)
+        near: list[list[int]] = [[] for _ in ends]
+        legs, columns = np.nonzero(~far)
+        for leg, k in zip(legs.tolist(), columns.tolist()):
+            near[leg].append(world.shelters[k].id)
+        self.legs: dict[tuple[int, int], tuple[float, frozenset[int]]] = {
+            (a, b): (math.hypot(nodes[b].x - nodes[a].x, nodes[b].y - nodes[a].y),
+                     frozenset(ids))
+            for (a, b), ids in zip(ends, near)}
         self._timeline: tuple[int, InformTimeline] | None = None  # (seed, its timeline)
         self._risk_key: tuple[int, Scenario, Weights] | None = None
         self._risk: np.ndarray | None = None
@@ -402,12 +442,14 @@ class WorldIndex:
         shelter than shelter_radius by more than that rounding (a margin of
         1e-9 of the coordinates' magnitudes), no tick can end in range: the
         walk only adds up its progress there, and the position it returns
-        with NEVER may be stale."""
+        with NEVER may be stale. Each leg's length and whether it is that
+        far from the shelter are read off the index's leg table `legs`."""
         p = self.params
         move = p.household_speed * p.tick_seconds
         radius = p.shelter_radius
         max_ticks = p.max_ticks
         nodes = self.world.nodes
+        legs = self.legs
         spos = nodes[self.shelters_by_id[shelter_id].node]
         last = len(route) - 1
         leg = 0
@@ -422,10 +464,8 @@ class WorldIndex:
                 if leg != measured:
                     a = nodes[route[leg]]
                     b = nodes[route[leg + 1]]
-                    leg_len = math.hypot(b.x - a.x, b.y - a.y)
-                    slack = 1e-9 * (abs(a.x) + abs(a.y) + abs(b.x) + abs(b.y)
-                                    + abs(spos.x) + abs(spos.y))
-                    far = point_segment_distance(spos, a, b) > radius + slack
+                    leg_len, near = legs[route[leg], route[leg + 1]]
+                    far = shelter_id not in near
                     measured = leg
                 remaining = leg_len - progress
                 if budget < remaining:
@@ -495,6 +535,8 @@ class HouseholdState:
 # not headed out, per warning source value.
 UNAWARE = HouseholdState()
 INFORMED_BY = {source._value_: HouseholdState(source) for source in WarningSource}
+# The detail of an `informed` event, per warning source value.
+SOURCE_NAME = {source._value_: source.name.lower() for source in WarningSource}
 
 
 @dataclass
@@ -513,6 +555,10 @@ class SimulationState:
     evacuate_decisions: int = 0
     time_series: list[int] = field(default_factory=list)
     events: list[Event] | None = None
+    # While events are collected: `perceived` as Python floats, and the
+    # `highest=` part of every `decided` detail, formatted once per run.
+    event_perceived: list[float] | None = None
+    event_highest: str = ""
     # The admission heap: one (arrival tick, decision tick, household id)
     # per evacuating household, NEVER as the arrival of a stranded one.
     moving: list[tuple[float, int, int]] = field(default_factory=list)
@@ -529,9 +575,13 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     households = [UNAWARE] * index.n
 
     events: list[Event] | None = None
+    event_perceived: list[float] | None = None
+    event_highest = ""
     if collect_events:
         events = [Event(0, "rescuer", i, "placed", f"node={node}")
                   for i, node in enumerate(timeline.placed)]
+        event_perceived = perceived.tolist()
+        event_highest = f"highest={highest:.6f}"
     return SimulationState(
         cfg=cfg,
         index=index,
@@ -543,6 +593,8 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         occupancy={s.id: 0 for s in world.shelters},
         admitted={s.id: 0 for s in world.shelters},
         events=events,
+        event_perceived=event_perceived,
+        event_highest=event_highest,
     )
 
 
@@ -791,8 +843,9 @@ def step(state: SimulationState) -> SimulationState:
         # (1)-(3) the informs of this tick, as the rescuer walk recorded them
         state.informed_count += len(order)
         if events is not None:
-            events += [Event(t, "household", hid, "informed", source.name.lower())
+            events += [Event(t, "household", hid, "informed", SOURCE_NAME[source._value_])
                        for hid, source in state.timeline.informs[t]]
+            perceived, highest = state.event_perceived, state.event_highest
         # (4) the newly informed, in ascending id, act on the decision
         # init_run made
         evacuate = state.evacuate
@@ -803,8 +856,7 @@ def step(state: SimulationState) -> SimulationState:
             if events is not None:
                 events.append(Event(t, "household", hid, "decided",
                                     f"{'evacuate' if go else 'stay'} "
-                                    f"perceived={state.perceived[hid]:.6f} "
-                                    f"highest={state.highest:.6f}"))
+                                    f"perceived={perceived[hid]:.6f} {highest}"))
             if go:
                 state.evacuate_decisions += 1
                 _head_out(state, hid, t)

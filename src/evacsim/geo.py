@@ -3,15 +3,30 @@
 The world is loaded once from a plain-text file (grammar in
 docs/formats.md), validated, and then treated as immutable. All distances
 are planar meters.
+
+The geometry tables of a world index (which houses lie near each road
+edge, each house's hazard-proximity class, which walk legs are out of a
+shelter's reach) are built on numpy arrays by one point-to-segment kernel, `segment_offsets`, whose offsets are
+bit-identical to the scalar arithmetic in the same order. `within` decides
+`math.hypot(ex, ey) <= radius` on them exactly, by a band rule on the
+squared offset d2: it accepts when d2 <= r2 * (1 - 1e-9), rejects when
+d2 > r2 * (1 + 1e-9), and calls `math.hypot` on every pair in between, and
+on every pair when r2 = radius * radius is not a normal float. The squared
+offset is within a few ulps of the true square (a few subnormal steps
+below the normal range, which the band of a normal r2 dwarfs), so neither
+bound can decide against `math.hypot`; `np.hypot`, which rounds
+differently, decides nothing.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InputError
 from .textfile import content_lines, read_text
@@ -31,7 +46,8 @@ __all__ = [
     "shortest_path_tree",
     "classify_proximity",
     "proximity_classes",
-    "point_segment_distance",
+    "segment_offsets",
+    "within",
 ]
 
 EDGE_LENGTH_TOL = 1e-6
@@ -265,87 +281,155 @@ def serialize_world(world: World) -> str:
     return "\n".join(out) + "\n"
 
 
+# At most this many (point, node) squared distances are held at once.
+_BLOCK_PAIRS = 4096
+# The relative margin of the band rules: far above the few ulps by which a
+# squared distance computed two ways can differ, far below any distance
+# the world's geometry tells apart.
+_BAND = 1e-9
+_TINY = sys.float_info.min  # the smallest normal float
+
+
+def _coords(points: list[Point]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.fromiter((p.x for p in points), float, len(points)),
+            np.fromiter((p.y for p in points), float, len(points)))
+
+
 def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
     """For each point, the node minimizing Euclidean distance to it; ties
     break to the lowest id.
 
-    Compares squared distances, so no square root is taken per node. The
-    nodes are sorted by x once, and each point sweeps outward from its own
-    x on both sides. A side stops at the first node whose squared x offset
-    alone exceeds the best distance so far: rounding is monotone, so in
-    floating point dx**2 <= dx**2 + dy**2, and neither that node nor any
-    farther one can be nearer or tie. Equal offsets are still visited, so
-    ties resolve as in a scan of every node.
+    The decision is the squared distance (q.x - p.x) ** 2 + (q.y - p.y) ** 2.
+    A numpy prefilter computes the squared distances with x * x, which
+    rounds differently from x ** 2, in blocks of at most _BLOCK_PAIRS pairs
+    (one point's row when the world has more nodes), and keeps the nodes
+    within a relative _BAND of each row's minimum, plus _TINY for squares
+    below the normal range: the two squares differ by a few ulps, so the
+    node the decision picks is always kept. A row with one candidate is
+    decided; among several, the decision's own expression picks, ties to
+    the lowest id.
     """
     if not world.nodes:
         raise InputError("world has no road nodes")
-    ranked = sorted(world.nodes.items(), key=lambda item: (item[1].x, item[0]))
-    xs = [q.x for _, q in ranked]
+    ids = list(world.nodes)
+    qs = list(world.nodes.values())
+    qx, qy = _coords(qs)
+    px, py = _coords(points)
+    rows = max(1, _BLOCK_PAIRS // len(ids))
     out: list[int] = []
-    for p in points:
-        px, py = p.x, p.y
-        best_id = -1
-        best_d = math.inf
-        start = bisect.bisect_left(xs, px)
-        for side in (range(start, len(ranked)), range(start - 1, -1, -1)):
-            for k in side:
-                nid, q = ranked[k]
-                dx2 = (q.x - px) ** 2
-                if dx2 > best_d:
-                    break
-                d = dx2 + (q.y - py) ** 2
-                if d < best_d or (d == best_d and nid < best_id):
-                    best_d = d
-                    best_id = nid
-        out.append(best_id)
+    for lo in range(0, len(points), rows):
+        dx = qx - px[lo:lo + rows, None]
+        dy = qy - py[lo:lo + rows, None]
+        d2 = dx * dx + dy * dy
+        limit = d2.min(axis=1) * (1 + _BAND) + _TINY
+        row, col = np.nonzero(d2 <= limit[:, None])
+        first = np.searchsorted(row, np.arange(len(d2) + 1))
+        picked = [ids[k] for k in col[first[:-1]].tolist()]
+        for r in np.flatnonzero(np.diff(first) > 1).tolist():
+            p = points[lo + r]
+            picked[r] = min(((qs[k].x - p.x) ** 2 + (qs[k].y - p.y) ** 2, ids[k])
+                            for k in col[first[r]:first[r + 1]].tolist())[1]
+        out += picked
     return out
 
 
-# Padding of the prefilter box beyond the radius. point_segment_distance
-# rounds its projection by about 1e-13 m at village coordinates, far below
-# this, so every pair the kernel accepts lies inside the padded box.
+def segment_offsets(px: np.ndarray, py: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                    bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offset (ex, ey) from the nearest point of the closed segment ab
+    to p, on arrays broadcast together.
+
+    The arithmetic is the scalar kernel's, in its order: v = b - a,
+    w = p - a, t = (w . v) / (v . v) clipped to [0, 1], then w - t * v.
+    numpy's + - * / and clip round as Python floats do, so each offset is
+    bit-identical to the scalar one. A zero-length segment (a repeated
+    waterway vertex) takes t = 0, so its offset is p - a, with no division.
+    """
+    vx = bx - ax
+    vy = by - ay
+    wx = px - ax
+    wy = py - ay
+    seg_len2 = vx * vx + vy * vy
+    dot = wx * vx + wy * vy
+    t = np.divide(dot, seg_len2, out=np.zeros(np.shape(dot)), where=seg_len2 != 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    return wx - t * vx, wy - t * vy
+
+
+def within(ex: np.ndarray, ey: np.ndarray, radius: float) -> np.ndarray:
+    """Per offset, math.hypot(ex, ey) <= radius, decided exactly by the band
+    rule of the module docstring on 1-D arrays."""
+    d2 = ex * ex + ey * ey
+    r2 = radius * radius
+    if _TINY <= r2 < math.inf:
+        inside = d2 <= r2 * (1 - _BAND)
+        band = np.flatnonzero(~inside & (d2 <= r2 * (1 + _BAND)))
+    else:
+        inside = np.zeros(len(d2), dtype=bool)
+        band = np.arange(len(d2))
+    for i, x, y in zip(band.tolist(), ex[band].tolist(), ey[band].tolist()):
+        inside[i] = math.hypot(x, y) <= radius
+    return inside
+
+
+# Padding of the prefilter box beyond the radius. segment_offsets rounds
+# its projection by about 1e-13 m at village coordinates, far below this,
+# so every pair `within` accepts lies inside the padded box.
 _BOX_SLACK = 1e-6
 
 
-def _points_in_boxes(points: list[Point], segments: list[tuple[Point, Point]],
-                     radius: float) -> list[list[int]]:
-    """For each segment, the indices of the points inside its bounding box
-    padded by radius + _BOX_SLACK, in x order: a superset of the points
-    within radius of it.
+def _segment_coords(segments: list[tuple[Point, Point]]) -> tuple[np.ndarray, ...]:
+    ax, ay = _coords([a for a, _ in segments])
+    bx, by = _coords([b for _, b in segments])
+    return ax, ay, bx, by
 
-    The points are sorted by x once. Each segment bisects out the points in
-    the x range of its padded box and keeps those in its y range.
+
+def _boxed_pairs(px: np.ndarray, py: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                 bx: np.ndarray, by: np.ndarray,
+                 radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (segment, point) index pairs with the point inside the segment's
+    bounding box padded by radius + _BOX_SLACK, sorted by segment, then
+    point: a superset of the pairs within radius.
+
+    The points are sorted by x once; each segment takes the range of them
+    in the x span of its padded box, and keeps those in its y span.
     """
-    order = sorted(range(len(points)), key=lambda i: points[i].x)
-    xs = [points[i].x for i in order]
     pad = radius + _BOX_SLACK
-    out: list[list[int]] = []
-    for pa, pb in segments:
-        lo = bisect.bisect_left(xs, min(pa.x, pb.x) - pad)
-        hi = bisect.bisect_right(xs, max(pa.x, pb.x) + pad)
-        y0 = min(pa.y, pb.y) - pad
-        y1 = max(pa.y, pb.y) + pad
-        out.append([i for i in order[lo:hi] if y0 <= points[i].y <= y1])
-    return out
+    order = np.argsort(px, kind="stable")
+    xs = px[order]
+    lo = np.searchsorted(xs, np.minimum(ax, bx) - pad, side="left")
+    hi = np.searchsorted(xs, np.maximum(ax, bx) + pad, side="right")
+    counts = hi - lo
+    seg = np.repeat(np.arange(len(ax)), counts)
+    # the k-th pair of a segment is the point at xs position lo + k
+    pos = np.arange(len(seg)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    pt = order[pos]
+    y = py[pt]
+    keep = ((np.minimum(ay, by) - pad)[seg] <= y) & (y <= (np.maximum(ay, by) + pad)[seg])
+    seg, pt = seg[keep], pt[keep]
+    ranked = np.lexsort((pt, seg))
+    return seg[ranked], pt[ranked]
 
 
 def points_near_edges(world: World, points: list[Point],
                       radius: float) -> dict[tuple[int, int], tuple[int, ...]]:
     """For every road edge, keyed (lower id, higher id) in world.edges
-    order, the ascending indices of the points whose point_segment_distance
-    to the edge is <= radius.
+    order, the ascending indices of the points within radius of the edge:
+    `within` on the `segment_offsets` of point and segment.
 
     Only the points inside the edge's padded bounding box reach the kernel.
     The kernel makes every decision, so the result equals a test of every
     pair.
     """
-    segments = [(world.nodes[a], world.nodes[b]) for a, b, _ in world.edges]
-    out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (a, b, _), (pa, pb), boxed in zip(world.edges, segments,
-                                          _points_in_boxes(points, segments, radius)):
-        out[(min(a, b), max(a, b))] = tuple(sorted(
-            i for i in boxed if point_segment_distance(points[i], pa, pb) <= radius))
-    return out
+    px, py = _coords(points)
+    ax, ay, bx, by = _segment_coords([(world.nodes[a], world.nodes[b])
+                                      for a, b, _ in world.edges])
+    seg, pt = _boxed_pairs(px, py, ax, ay, bx, by, radius)
+    ex, ey = segment_offsets(px[pt], py[pt], ax[seg], ay[seg], bx[seg], by[seg])
+    keep = within(ex, ey, radius)
+    bounds = np.searchsorted(seg[keep], np.arange(len(world.edges) + 1)).tolist()
+    near = pt[keep].tolist()
+    return {(min(a, b), max(a, b)): tuple(near[bounds[k]:bounds[k + 1]])
+            for k, (a, b, _) in enumerate(world.edges)}
 
 
 def shortest_path_tree(world: World, root: int) -> tuple[dict[int, float], dict[int, int]]:
@@ -378,22 +462,6 @@ def shortest_path_tree(world: World, root: int) -> tuple[dict[int, float], dict[
     return dist, parent
 
 
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Distance from p to the closed segment ab."""
-    ax, ay = a.x, a.y
-    vx, vy = b.x - ax, b.y - ay
-    wx, wy = p.x - ax, p.y - ay
-    seg_len2 = vx * vx + vy * vy
-    if seg_len2 == 0.0:
-        return math.hypot(wx, wy)
-    t = (wx * vx + wy * vy) / seg_len2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(wx - t * vx, wy - t * vy)
-
-
 class ProximityClass(enum.Enum):
     """Coded distance-to-hazard classes."""
 
@@ -421,20 +489,24 @@ def proximity_classes(world: World, points: list[Point]) -> list[ProximityClass]
     """The proximity class of each point's minimum distance to the world's
     waterway polylines.
 
-    Only the points inside a waterway segment's bounding box padded by
-    NEAR_CUTOFF_M reach the kernel for that segment, and a point in no box
-    is FAR. That is exact: a segment within NEAR_CUTOFF_M of a point has the
-    point inside its box, so a point whose minimum is missed is one farther
-    than NEAR_CUTOFF_M from every segment. Raises InputError for any point
-    in a world with no waterways.
+    A point is WITHIN if some segment passes `within` at WITHIN_CUTOFF_M,
+    else NEAR if one passes at NEAR_CUTOFF_M, else FAR: the class of the
+    minimum is monotone in distance, so no minimum is taken. Only the
+    points inside a segment's bounding box padded by NEAR_CUTOFF_M reach
+    the kernel for that segment, and a point in no box is FAR. That is
+    exact: a segment within NEAR_CUTOFF_M of a point has the point inside
+    its box. Raises InputError for any point in a world with no waterways.
     """
     if points and not world.waterways:
         raise InputError("world has no waterways; hazard distance is undefined")
-    segments = [seg for w in world.waterways for seg in zip(w.points, w.points[1:])]
-    best = [math.inf] * len(points)
-    for (pa, pb), boxed in zip(segments, _points_in_boxes(points, segments, NEAR_CUTOFF_M)):
-        for i in boxed:
-            d = point_segment_distance(points[i], pa, pb)
-            if d < best[i]:
-                best[i] = d
-    return [classify_proximity(d) if d <= NEAR_CUTOFF_M else ProximityClass.FAR for d in best]
+    px, py = _coords(points)
+    ax, ay, bx, by = _segment_coords([seg for w in world.waterways
+                                      for seg in zip(w.points, w.points[1:])])
+    seg, pt = _boxed_pairs(px, py, ax, ay, bx, by, NEAR_CUTOFF_M)
+    ex, ey = segment_offsets(px[pt], py[pt], ax[seg], ay[seg], bx[seg], by[seg])
+    inside = np.zeros(len(points), dtype=bool)
+    inside[pt[within(ex, ey, WITHIN_CUTOFF_M)]] = True
+    near = np.zeros(len(points), dtype=bool)
+    near[pt[within(ex, ey, NEAR_CUTOFF_M)]] = True
+    return [ProximityClass.WITHIN if i else ProximityClass.NEAR if n else ProximityClass.FAR
+            for i, n in zip(inside.tolist(), near.tolist())]

@@ -97,6 +97,23 @@ def bellman_ford_distances(world: World, src: int) -> dict[int, float]:
     return dist
 
 
+def point_segment_distance_reference(p: Point, a: Point, b: Point) -> float:
+    """Distance from p to the closed segment ab, one pair at a time: the
+    all-pairs oracle of `geo.segment_offsets` with `geo.within`."""
+    ax, ay = a.x, a.y
+    vx, vy = b.x - ax, b.y - ay
+    wx, wy = p.x - ax, p.y - ay
+    seg_len2 = vx * vx + vy * vy
+    if seg_len2 == 0.0:
+        return math.hypot(wx, wy)
+    t = (wx * vx + wy * vy) / seg_len2
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return math.hypot(wx - t * vx, wy - t * vy)
+
+
 def bellman_ford_distance(world: World, src: int, dst: int) -> float:
     """The relaxation oracle's distance from src to dst."""
     return bellman_ford_distances(world, src)[dst]

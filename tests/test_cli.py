@@ -629,6 +629,16 @@ def test_help_lists_table_defaults():
         assert needle in help_text, needle
 
 
+def test_help_states_each_default_once():
+    helps = {name: " ".join(sub.format_help().split())
+             for name, sub in build_parser()._subparsers._group_actions[0].choices.items()}  # noqa: SLF001
+    for name, text in helps.items():
+        assert "(default: None)" not in text, name
+    assert helps["series"].count("(default: stdout)") == 1
+    assert "evacuation decision threshold (default: 0.8)" in helps["series"]
+    assert "population spec file (default: built-in spec) --count" in helps["gen-population"]
+
+
 def test_demo_pop_csv_has_570_rows(demo_pop_csv):
     assert len(demo_pop_csv.read_text().splitlines()) == 571
 

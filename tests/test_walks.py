@@ -2,7 +2,9 @@
 
 `WorldIndex.arrival_offset` computes a household's walk once per (house
 node, shelter chain) and continues a longer chain from its prefix's state;
-`helpers.walk_arrivals` walks the whole chain one tick at a time.
+`helpers.walk_arrivals` walks the whole chain one tick at a time. The walk
+reads each leg's length and farness from the index's leg table, which
+`helpers.point_segment_distance_reference` checks pair by pair.
 
 `WorldIndex.inform_timeline` walks the rescuers event by event, visiting a
 rescuer only when it reaches a node or can still inform someone, and
@@ -12,9 +14,11 @@ and derives both from its informs afterwards.
 """
 
 import math
+import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +26,13 @@ from evacsim.engine import NEVER, EngineParams, WorldIndex
 from evacsim.geo import Point, Shelter, Waterway, World
 from evacsim.population import HouseholdProfile
 from evacsim.risk import WarningSource
-from helpers import line_world, random_graph_world, walk_arrivals, walk_rescuers_reference
+from helpers import (
+    line_world,
+    point_segment_distance_reference,
+    random_graph_world,
+    walk_arrivals,
+    walk_rescuers_reference,
+)
 
 
 def with_shelters(world: World, nodes: list[int]) -> World:
@@ -134,6 +144,53 @@ def test_a_slow_household_looks_no_further_ahead_than_max_ticks():
     start = time.process_time()
     assert index.arrival_offset(0, (0,)) == NEVER
     assert time.process_time() - start < 0.5
+
+
+def assert_leg_table_is_sound(index: WorldIndex) -> None:
+    """Each directed leg's length is the walk's math.hypot, and no leg is
+    far from a shelter whose reference distance is within shelter_radius
+    plus the walk's slack."""
+    nodes = index.world.nodes
+    radius = index.params.shelter_radius
+    assert len(index.legs) == 2 * len(index.world.edges)
+    for (a_id, b_id), (length, near) in index.legs.items():
+        a, b = nodes[a_id], nodes[b_id]
+        assert length == math.hypot(b.x - a.x, b.y - a.y)
+        for shelter in index.world.shelters:
+            s = nodes[shelter.node]
+            slack = 1e-9 * (abs(a.x) + abs(a.y) + abs(b.x) + abs(b.y) + abs(s.x) + abs(s.y))
+            if point_segment_distance_reference(s, a, b) <= radius + slack:
+                assert shelter.id in near, ((a_id, b_id), shelter.id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n_nodes=st.integers(2, 30),
+       radius=st.one_of(st.floats(0.5, 300.0), st.sampled_from([1e-200, 1e300])))
+def test_the_leg_table_is_never_far_within_reach(seed, n_nodes, radius):
+    world = random_graph_world(seed, n_nodes=n_nodes, extra_edges=10)
+    shelters = random.Random(seed).sample(sorted(world.nodes), min(3, n_nodes))
+    assert_leg_table_is_sound(walk_index(with_shelters(world, shelters), shelter_radius=radius))
+
+
+def test_the_leg_table_keeps_a_leg_whose_distance_is_exactly_in_reach():
+    # The shelter lies just past the end (0, 0) of the leg to (-100, 0), at
+    # an offset whose math.hypot is exactly 10.0 and whose np.hypot is one
+    # ulp above; the radius puts 10.0 exactly at radius + slack.
+    shelter = Point(9.691840329203234, 2.463377972059862)
+    assert math.hypot(shelter.x, shelter.y) == 10.0 < np.hypot(shelter.x, shelter.y)
+    world = World(nodes={0: Point(0.0, 0.0), 1: Point(-100.0, 0.0), 2: shelter},
+                  edges=[(0, 1, 100.0), (0, 2, 10.0)], buildings={}, waterways=[],
+                  shelters=[Shelter(0, 2, 100, False)], rescuer_starts=[])
+    slack = 1e-9 * (100.0 + shelter.x + shelter.y)
+    radius = 10.0 - slack
+    while radius + slack < 10.0:
+        radius = math.nextafter(radius, math.inf)
+    while radius + slack > 10.0:
+        radius = math.nextafter(radius, -math.inf)
+    assert radius + slack == 10.0
+    index = walk_index(world, shelter_radius=radius)
+    assert 0 in index.legs[(0, 1)][1]
+    assert_leg_table_is_sound(index)
 
 
 def household(i: int) -> HouseholdProfile:
