@@ -238,14 +238,14 @@ class WorldIndex:
     list. A node list is read only while a rescuer stands on its node: for
     the one tick its move ends exactly there, or for the whole walk at a
     start node with no road, whose list is empty; so it is scanned whole,
-    and no count is kept for it. The linked move table
-    `move_rows` holds one row per (node, node a rescuer came from, or -1 at
-    its start), and `start_row` numbers each node's start row. A row is
-    (choices, choice count, the count's bit length), the choices in
-    adjacency order without the way back unless that is the only way, and
-    a choice is (next node, edge length, edge list number, the row its
-    walker draws from at the next node), so a walk follows row numbers and
-    never looks up where it came from.
+    and no count is kept for it. The linked move table `move_rows` holds
+    one row per (node, node a rescuer came from, or None at its start, so
+    that no node id can be taken for a start), and `start_row` numbers each
+    node's start row. A row is (choices, choice count, the count's bit
+    length), the choices in adjacency order without the way back unless
+    that is the only way, and a choice is (next node, edge length, edge list
+    number, the row its walker draws from at the next node), so a walk
+    follows row numbers and never looks up where it came from.
 
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
@@ -289,18 +289,18 @@ class WorldIndex:
         edge_slot = {key: slot for slot, key in enumerate(self.edge_candidates)}
         # neighbour -> (length of its first adjacency entry, list number), per node
         edges: dict[int, dict[int, tuple[float, int]]] = {}
-        row_of: dict[tuple[int, int], int] = {}  # (node, came-from) -> row number
+        row_of: dict[tuple[int, int | None], int] = {}  # (node, came-from) -> row number
         for node, nbrs in world.adjacency.items():
             edge = edges[node] = {}
             for nb, length in nbrs:
                 edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
-            for prev in (-1, *edge):
+            for prev in (None, *edge):
                 row_of[(node, prev)] = len(row_of)
         self.node_candidates: dict[int, tuple[int, ...]] = {
             node: tuple(dict.fromkeys(chain.from_iterable(edge_lists[slot]
                                                           for _, slot in edge.values())))
             for node, edge in edges.items()}
-        self.start_row = {node: row_of[(node, -1)] for node in edges}
+        self.start_row = {node: row_of[(node, None)] for node in edges}
         # Every choice of a node, in adjacency order; a row drops the way
         # back unless that is the only way.
         choices_of = {node: tuple((nb, *edge[nb], row_of[(nb, node)])
@@ -309,7 +309,7 @@ class WorldIndex:
         rows = []
         for node, prev in row_of:
             choices = choices_of[node]
-            if prev >= 0 and len(choices) > 1:
+            if prev is not None and len(choices) > 1:
                 choices = tuple(c for c in choices if c[0] != prev)
             rows.append((choices, len(choices), len(choices).bit_length()))
         self.move_rows = tuple(rows)

@@ -44,7 +44,6 @@ __all__ = [
     "nearest_road_nodes",
     "points_near_edges",
     "shortest_path_tree",
-    "classify_proximity",
     "proximity_classes",
     "segment_offsets",
     "within",
@@ -472,17 +471,6 @@ class ProximityClass(enum.Enum):
 
 WITHIN_CUTOFF_M = 10.0
 NEAR_CUTOFF_M = 50.0
-
-
-def classify_proximity(d: float) -> ProximityClass:
-    """Within <= 10 m < Near <= 50 m < Far."""
-    if d < 0 or not math.isfinite(d):
-        raise InputError(f"hazard distance must be finite and >= 0, got {d}")
-    if d <= WITHIN_CUTOFF_M:
-        return ProximityClass.WITHIN
-    if d <= NEAR_CUTOFF_M:
-        return ProximityClass.NEAR
-    return ProximityClass.FAR
 
 
 def proximity_classes(world: World, points: list[Point]) -> list[ProximityClass]:

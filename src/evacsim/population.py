@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import warnings
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from functools import cache
@@ -52,7 +53,8 @@ __all__ = [
 # A dataclass record is one CSV line: its field names, in order, are the
 # header, and each field's type sets how its cell is written and read.
 _CELL_FORMATS = {int: "%d", bool: "%d", float: "%r", str: "%s"}
-_CELL_PARSERS = {int: int, float: float, bool: {"0": False, "1": True}.__getitem__, str: str}
+_read_bool = {"0": False, "1": True}.__getitem__
+_CELL_PARSERS = {int: int, float: float, bool: _read_bool, str: str}
 
 
 class CellError(ValueError):
@@ -91,6 +93,11 @@ def records_to_csv(record: type, rows: Sequence) -> str:
 # Lines read per chunk: a chunk's list of cell strings is freed before the
 # next one is made, which keeps the peak memory of a read near its input's.
 _CHUNK_LINES = 8192
+# The only characters of a chunk `_read_plain` hands to `np.loadtxt`. Within
+# them loadtxt reads a cell as int() or float() would; outside them it does
+# not: it strips whitespace and \x1c-\x1f around a number, which int() and
+# float() refuse, and a text cell drops a trailing NUL or \r.
+_PLAIN_CHARS = b"0123456789,.eE+-"
 
 
 def read_columns(record: type, lines: list[str], error: Callable[[int, Exception], Exception],
@@ -99,33 +106,72 @@ def read_columns(record: type, lines: list[str], error: Callable[[int, Exception
     caller) as one array per field of a dataclass record, or with `build` as
     the records built from them, each checking itself. Lines holding only
     whitespace are skipped; ints must fit in int64 (or the field's dtype in
-    `dtypes`) and floats be finite. Lines are read 8,192 at a time, each
-    distinct cell of a column parsed once. The first bad line N, found line
-    by line, raises error(N, what is wrong, a CellError if a cell is at
-    fault): a wrong cell count first, then a cell that does not parse, then
-    one that does not fit, then what the record refuses."""
+    `dtypes`) and floats be finite. Lines are read 8,192 at a time. A chunk
+    of plain cells (digits, signs, points and exponents only) is parsed by
+    numpy's C parser (`_read_plain`); every other chunk, and one that
+    parser cannot vouch for, by the per-cell reader (`_read_chunk`), which
+    alone decides what is accepted and every error. The first bad line N,
+    found line by line, raises error(N, what is wrong, a CellError if a
+    cell is at fault): a wrong cell count first, then a cell that does not
+    parse, then one that does not fit, then what the record refuses."""
     columns = [(name, parse, (dtypes or {}).get(name, kind))
                for name, kind, parse in record_fields(record)]
 
-    def read(part: list[str]) -> list:
-        arrays = _read_chunk(columns, part)
+    def finish(arrays: list[np.ndarray]) -> list:
         return list(map(record, *(array.tolist() for array in arrays))) if build else arrays
 
     parts = []
     for start in range(1, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
         try:
-            parts.append(read(chunk))
+            parts.append(finish(_read_plain(columns, chunk) or _read_chunk(columns, chunk)))
         except (ValueError, InputError):
             for lineno, line in enumerate(chunk, start=start + 1):
                 try:
-                    read([line])
+                    finish(_read_chunk(columns, [line]))
                 except (ValueError, InputError) as exc:
                     raise error(lineno, exc) from None
             raise
     if build:
         return list(itertools.chain.from_iterable(parts))
-    return [np.concatenate(column) for column in zip(_read_chunk(columns, []), *parts)]
+    empty = [np.empty(0, dtype) for _, _, dtype in columns]
+    return [np.concatenate(column) for column in zip(empty, *parts)]
+
+
+def _read_plain(columns: list[tuple[str, Callable[[str], Any], type]],
+                lines: list[str]) -> list[np.ndarray] | None:
+    """What `_read_chunk` returns for the lines, parsed by `np.loadtxt`, or
+    None where it cannot vouch for that: a line holding a character outside
+    `_PLAIN_CHARS`, a cell loadtxt refuses or warns about, a float that is
+    not finite, or a bool cell other than `0` or `1`."""
+    lines = list(filter(None, lines))
+    text = "".join(lines)
+    if not text or not text.isascii() or text.encode("ascii").translate(None, _PLAIN_CHARS):
+        return None
+    # A bool cell is read as text two wide, so that `01` or `10` is not cut
+    # to one valid character.
+    row = [(name, "U2" if parse is _read_bool else dtype) for name, parse, dtype in columns]
+    with warnings.catch_warnings():
+        # Older numpy reads `1.0` or an int out of range through a float,
+        # with only a warning.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=row, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if len(table) != len(lines):
+        return None
+    arrays = []
+    for name, parse, _ in columns:
+        column = table[name]
+        if parse is _read_bool:
+            if not ((column == "0") | (column == "1")).all():
+                return None
+            column = column == "1"
+        elif parse is float and not np.isfinite(column).all():
+            return None
+        arrays.append(np.ascontiguousarray(column))
+    return arrays
 
 
 def _read_chunk(columns: list[tuple[str, Callable[[str], Any], type]],

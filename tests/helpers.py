@@ -9,7 +9,16 @@ import random
 from evacsim import engine
 from evacsim.engine import InformTimeline, RunConfig, RunResult, SimulationState, WorldIndex
 from evacsim.errors import InputError
-from evacsim.geo import Point, Shelter, Waterway, World, shortest_path_tree
+from evacsim.geo import (
+    NEAR_CUTOFF_M,
+    WITHIN_CUTOFF_M,
+    Point,
+    ProximityClass,
+    Shelter,
+    Waterway,
+    World,
+    shortest_path_tree,
+)
 from evacsim.population import HouseholdProfile, record_fields
 from evacsim.risk import WarningSource
 from evacsim.seeds import derive_seed
@@ -114,6 +123,17 @@ def point_segment_distance_reference(p: Point, a: Point, b: Point) -> float:
     return math.hypot(wx - t * vx, wy - t * vy)
 
 
+def classify_proximity(d: float) -> ProximityClass:
+    """The proximity class of a distance to the waterway: WITHIN up to
+    WITHIN_CUTOFF_M, NEAR up to NEAR_CUTOFF_M, both inclusive, else FAR.
+    The scalar oracle of `geo.proximity_classes`."""
+    if d <= WITHIN_CUTOFF_M:
+        return ProximityClass.WITHIN
+    if d <= NEAR_CUTOFF_M:
+        return ProximityClass.NEAR
+    return ProximityClass.FAR
+
+
 def bellman_ford_distance(world: World, src: int, dst: int) -> float:
     """The relaxation oracle's distance from src to dst."""
     return bellman_ford_distances(world, src)[dst]
@@ -212,10 +232,11 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     walk_rng = random.Random(derive_seed(seed, "walk"))
     budget = p.rescuer_speed * p.tick_seconds
     nodes = world.nodes
-    # Per rescuer: the node it last left or stands on, the node before it,
-    # and its edge's far node (None while standing), length and progress.
+    # Per rescuer: the node it last left or stands on, the node before it
+    # (None before its first move: no node id may stand for "none"), and its
+    # edge's far node (None while standing), length and progress.
     at = list(placed)
-    came_from = [-1] * len(placed)
+    came_from: list[int | None] = [None] * len(placed)
     to: list[int | None] = [None] * len(placed)
     edge_len = [0.0] * len(placed)
     progress = [0.0] * len(placed)
@@ -429,6 +450,13 @@ def rows_from_csv_reference(text: str) -> list[SweepRow]:
         rows.append(SweepRow(*values))
     return rows
 
+
+# Cells that numpy's text parser reads otherwise than int(), float() and a
+# bool cell's exact 0 or 1: it strips whitespace and \x1c-\x1f around a
+# number, a text cell drops a trailing NUL or \r, and `#` starts a comment
+# unless told otherwise. Each character before, inside and after a number.
+ODD_CELLS = tuple(form.format(c) for c in "\x00\x0b\x0c\r\x1c\x1d\x1e\x1f#\"'\u0663"
+                  for form in ("{}1", "1{}0", "1{}"))
 
 POPULATION_HEADER = ",".join(name for name, _, _ in record_fields(HouseholdProfile))
 

@@ -15,7 +15,6 @@ from evacsim.geo import (
     World,
     NEAR_CUTOFF_M,
     WITHIN_CUTOFF_M,
-    classify_proximity,
     load_world,
     nearest_road_nodes,
     parse_world,
@@ -27,7 +26,12 @@ from evacsim.geo import (
     validate_world,
     within,
 )
-from helpers import bellman_ford_distances, point_segment_distance_reference, random_graph_world
+from helpers import (
+    bellman_ford_distances,
+    classify_proximity,
+    point_segment_distance_reference,
+    random_graph_world,
+)
 
 MINIMAL = """
 node|0|0.0|0.0
@@ -465,25 +469,16 @@ def test_nearest_nodes_hold_a_bounded_block_of_distances():
     [
         (5.0, ProximityClass.WITHIN),
         (10.0, ProximityClass.WITHIN),
+        (math.nextafter(10.0, math.inf), ProximityClass.NEAR),
         (30.0, ProximityClass.NEAR),
         (50.0, ProximityClass.NEAR),
+        (math.nextafter(50.0, math.inf), ProximityClass.FAR),
         (120.0, ProximityClass.FAR),
     ],
 )
 def test_classify_proximity(d, expected):
-    assert classify_proximity(d) is expected
-
-
-def test_classify_proximity_rejects_negative():
-    with pytest.raises(InputError):
-        classify_proximity(-1.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    d1=st.floats(min_value=0, max_value=500),
-    d2=st.floats(min_value=0, max_value=500),
-)
-def test_classify_proximity_monotone(d1, d2):
-    lo, hi = sorted((d1, d2))
-    assert classify_proximity(lo).value >= classify_proximity(hi).value
+    # A point exactly d from a straight waterway, both cutoffs inclusive.
+    world = World(nodes={0: Point(0.0, 0.0)}, edges=[], buildings={},
+                  waterways=[Waterway(0, (Point(-200.0, 0.0), Point(200.0, 0.0)))],
+                  shelters=[], rescuer_starts=[])
+    assert proximity_classes(world, [Point(0.0, d)]) == [expected] == [classify_proximity(d)]

@@ -23,7 +23,7 @@ from evacsim.population import (
     synthesize,
     validate_profiles,
 )
-from helpers import POPULATION_HEADER, parse_population_reference
+from helpers import ODD_CELLS, POPULATION_HEADER, parse_population_reference
 
 
 def big_bare_world(n_buildings: int) -> World:
@@ -232,13 +232,21 @@ def population_cell(name):
 
 POPULATION_CELLS = st.tuples(*(population_cell(name) for name in POPULATION_HEADER.split(",")))
 BAD_POPULATION_CELLS = st.sampled_from(
-    ["", "x", "0", "-1", "0.3", "nan", "inf", " 7 ", "+3", "1_000", '"0"', "2", "1e3", str(2**63),
-     str(-2**63 - 1), "\u0661\u0662"])
+    ["", "x", "0", "-1", "0.3", "nan", "inf", " 7 ", "+3", "1_000", '"0"', "2", "1e3", "1.0",
+     "1e999", str(2**63), str(-2**63 - 1), "\u0661\u0662", *ODD_CELLS])
 
 
 def exactly(profiles):
     """Each value with its type, so that 1 != 1.0 and -0.0 != 0.0."""
     return [[(type(v), repr(v)) for v in astuple(p)] for p in profiles]
+
+
+def read_or_refuse(read, text):
+    """exactly() the profiles read(text) returns, or its InputError's text."""
+    try:
+        return exactly(read(text))
+    except InputError as exc:
+        return str(exc)
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,16 +273,19 @@ def test_population_csv_matches_the_line_by_line_reader(body, data, chunk_lines,
             cells.append(data.draw(BAD_POPULATION_CELLS))
         lines[i] = ",".join(cells)
     text = newline.join(lines) + newline
-    try:
-        expected = exactly(parse_population_reference(text))
-    except InputError as exc:
-        expected = str(exc)
     with mock.patch.object(population, "_CHUNK_LINES", chunk_lines):
-        try:
-            got = exactly(parse_population(text))
-        except InputError as exc:
-            got = str(exc)
-    assert got == expected
+        assert read_or_refuse(parse_population, text) == read_or_refuse(
+            parse_population_reference, text)
+
+
+@pytest.mark.parametrize("col", [0, 1, 12])
+def test_cells_numpy_reads_otherwise_read_like_the_line_by_line_reader(demo_profiles, col):
+    # Each cell alone in an otherwise plain file, so that only the cell
+    # decides which reader takes the chunk.
+    for cell in (*ODD_CELLS, "1.0", "1e3", "1e999", "+1", "01"):
+        text = edited(demo_profiles[:3], 3, col, cell)
+        assert read_or_refuse(parse_population, text) == read_or_refuse(
+            parse_population_reference, text), cell
 
 
 def test_population_spec_round_trip():

@@ -31,7 +31,7 @@ from evacsim.sweep import (
     rows_to_csv,
     serialize_sweep_spec,
 )
-from helpers import enumerate_combos_reference, line_world, rows_from_csv_reference
+from helpers import ODD_CELLS, enumerate_combos_reference, line_world, rows_from_csv_reference
 from test_engine import profile
 
 
@@ -316,14 +316,23 @@ RESULTS_CELLS = st.tuples(*(cell_strategy(name, kind)
                             for name, kind, _ in record_fields(SweepRow)))
 BAD_CELLS = st.one_of(
     st.sampled_from(["", "x", "1.5", "nan", "-inf", " 7 ", "+3", "1_000", "0x1f", "yes", "2",
-                     "-1", "1e3", str(2**63), str(2**64), str(-2**63 - 1), "\u0661\u0662"]),
-    st.text(alphabet="0123456789.-+eEx _", max_size=6),
+                     "-1", "1e3", "1.0", "1e999", " 1", "1 ", "01", "-0", str(2**63), str(2**64),
+                     str(-2**63 - 1), "\u0661\u0662", *ODD_CELLS]),
+    st.text(alphabet="0123456789.-+eEx _\x00\x0b\x0c\r\x1c\x1d\x1e\x1f#\"'\u0663", max_size=6),
 )
 
 
 def exactly(rows):
     """Each value with its type, so that True != 1 and -0.0 != 0.0."""
     return [[(type(v), repr(v)) for v in astuple(r)] for r in rows]
+
+
+def read_or_refuse(read, text):
+    """exactly() the rows read(text) returns, or the text of its InputError."""
+    try:
+        return exactly(read(text))
+    except InputError as exc:
+        return str(exc)
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,16 +358,43 @@ def test_rows_csv_matches_the_line_by_line_reader(body, data, chunk_lines):
             cells.append(data.draw(BAD_CELLS))
         lines[i] = ",".join(cells)
     text = "\n".join(lines) + "\n"
-    try:
-        expected = rows_from_csv_reference(text)
-    except InputError as exc:
-        expected = str(exc)
     with mock.patch.object(population, "_CHUNK_LINES", chunk_lines):
-        try:
-            got = exactly(rows_from_csv(text))
-        except InputError as exc:
-            got = str(exc)
-    assert got == (expected if isinstance(expected, str) else exactly(expected))
+        assert read_or_refuse(rows_from_csv, text) == read_or_refuse(rows_from_csv_reference, text)
+
+
+@pytest.mark.parametrize("field", ["combo_index", "seed", "rainfall", "evacuated", "truncated"])
+def test_cells_numpy_reads_otherwise_read_like_the_line_by_line_reader(field):
+    # Each cell alone on an otherwise plain line, so that only the cell
+    # decides which reader takes the chunk.
+    col = RESULTS_HEADER.split(",").index(field)
+    for cell in (*ODD_CELLS, "1.0", "1e3", "1e999", "-1e999", " 1", "1 ", "01", "+1",
+                 "-0"):
+        lines = results_lines(3)
+        cells = lines[2].split(",")
+        cells[col] = cell
+        lines[2] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+        assert read_or_refuse(rows_from_csv, text) == read_or_refuse(
+            rows_from_csv_reference, text), cell
+
+
+def test_only_a_chunk_with_an_odd_cell_goes_to_the_cell_reader():
+    # 20,000 rows are chunks of 8,192, 8,192 and 3,616 lines. numpy's parser
+    # reads every plain one; a ` 7 `, which int() reads as 7, sends the
+    # second chunk, and only it, to the per-cell reader.
+    lines = results_lines(20_000)
+    with mock.patch.object(population, "_read_chunk", wraps=population._read_chunk) as cells:
+        assert len(rows_from_csv("\n".join(lines) + "\n")) == 20_000
+        assert cells.call_count == 0
+        row = lines[10_000].split(",")
+        row[10] = " 7 "
+        lines[10_000] = ",".join(row)
+        text = "\n".join(lines) + "\n"
+        got = read_or_refuse(rows_from_csv, text)
+        assert cells.call_count == 1
+        assert cells.call_args.args[1] == lines[8_193:16_385]
+    assert got == read_or_refuse(rows_from_csv_reference, text)
+    assert got[9_999][10] == (int, "7")
 
 
 def test_sweep_spec_round_trip():

@@ -209,10 +209,19 @@ def inform_index(world: World, houses: list[Point], **overrides) -> WorldIndex:
                       EngineParams(**overrides))
 
 
+def shifted(world: World, by: int) -> World:
+    """world with every node id moved by `by`."""
+    return replace(world, nodes={node + by: p for node, p in world.nodes.items()},
+                   edges=[(a + by, b + by, length) for a, b, length in world.edges],
+                   shelters=[replace(s, node=s.node + by) for s in world.shelters],
+                   rescuer_starts=[node + by for node in world.rescuer_starts])
+
+
 @st.composite
 def rescuer_walks(draw):
-    """A world, houses around its roads, rescuer starts (one of them on a
-    node no road reaches, sometimes) and the walk's parameters."""
+    """A world (its node ids from 0, or from -1 or -2), houses around its
+    roads, rescuer starts (one of them on a node no road reaches,
+    sometimes) and the walk's parameters."""
     tick_seconds = draw(st.sampled_from([1.0, 2.0, 4.0]))
     if draw(st.booleans()):
         spacing = draw(st.sampled_from([10.0, 50.0, 100.0, 137.5]))
@@ -224,6 +233,7 @@ def rescuer_walks(draw):
         world = random_graph_world(draw(st.integers(0, 10**6)), n_nodes=draw(st.integers(2, 30)),
                                    extra_edges=draw(st.integers(0, 20)))
         budget = draw(st.floats(1.0, 600.0))
+    world = shifted(world, draw(st.sampled_from([0, -1, -2])))
     nodes = sorted(world.nodes)
     starts = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
     if draw(st.booleans()):
@@ -254,6 +264,26 @@ def test_inform_timeline_matches_the_tick_by_tick_walker(case):
     world, houses, params, seed = case
     index = inform_index(world, houses, **params)
     assert index.inform_timeline(seed) == walk_rescuers_reference(index, seed)
+
+
+def test_a_road_node_with_id_minus_one_is_a_node_like_any_other():
+    # On the line -1 - 0 - 1 a rescuer starting at 0 may head for -1 or for
+    # 1, and one arriving at 0 from -1 goes on to 1.
+    world = World(nodes={-1: Point(-100.0, 0.0), 0: Point(0.0, 0.0), 1: Point(100.0, 0.0)},
+                  edges=[(-1, 0, 100.0), (0, 1, 100.0)], buildings={}, waterways=[],
+                  shelters=[], rescuer_starts=[0])
+    index = inform_index(world, [Point(-100.0, 10.0), Point(100.0, 10.0)], nb_rescuers=1,
+                         rescuer_speed=5.0, rescuer_radius=15.0)
+    rows = index.move_rows
+    assert [nb for nb, *_ in rows[index.start_row[0]][0]] == [-1, 1]
+    ((to, _, _, row),) = rows[index.start_row[-1]][0]
+    assert to == 0 and [nb for nb, *_ in rows[row][0]] == [1]
+    first_informed = set()
+    for seed in range(20):
+        timeline = index.inform_timeline(seed)
+        assert timeline == walk_rescuers_reference(index, seed)
+        first_informed.add(timeline.informs[min(timeline.informs)][0][0])
+    assert first_informed == {0, 1}
 
 
 @st.composite
