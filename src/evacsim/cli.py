@@ -141,18 +141,18 @@ def _cmd_gen_population(args: argparse.Namespace) -> int:
         spec = population.parse_population_spec(read_text(args.spec, "population spec"))
     else:
         spec = population.default_population_spec(count=args.count)
-    profiles = population.synthesize(spec, world, args.seed)
-    _write(args.out, population.serialize_population(profiles))
-    print(f"wrote {len(profiles)} households to {args.out}")
+    households = population.synthesize(spec, world, args.seed)
+    _write(args.out, population.serialize_population(households))
+    print(f"wrote {len(households['id'])} households to {args.out}")
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
-    profiles = population.load_population(args.population)
+    households = population.load_population(args.population)
     scenario = _scenario_from_args(args)
     weights = _weights_from_arg(args.weights)
-    index = engine.WorldIndex(world, profiles, _params_from_args(args))
+    index = engine.WorldIndex(world, households, _params_from_args(args))
     cfg = engine.RunConfig(scenario, weights, args.threshold, args.seed)
     result = engine.run(index, cfg, collect_events=bool(args.out_events))
     if args.out_summary:
@@ -177,9 +177,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     world = geo.load_world(args.world)
-    profiles = population.load_population(args.population)
+    households = population.load_population(args.population)
     spec = sweep_mod.parse_sweep_spec(read_text(args.spec, "sweep spec"))
-    rows = sweep_mod.execute(spec, world, profiles, _params_from_args(args),
+    rows = sweep_mod.execute(spec, world, households, _params_from_args(args),
                              workers=args.workers)
     _write(args.out, sweep_mod.rows_to_csv(rows))
     truncated = sum(1 for r in rows if r.truncated)

@@ -4,10 +4,10 @@ One run: rescuers roam the road network informing households, informed
 households score their perceived risk and either stay or walk to the
 nearest shelter with room, shelter managers admit or redirect arrivals.
 Every run is a pure function of (index, config). The `WorldIndex` owns the
-world, the profiles and the `EngineParams` (rescuers, speeds, radii, tick
+world, the population and the `EngineParams` (rescuers, speeds, radii, tick
 length, tick limit, fallback channel and epsilon range), the fixed model
 parameters of an experiment; the household and shelter counts are those of
-its world and profiles. The `RunConfig` is one grid point of the
+its world and population. The `RunConfig` is one grid point of the
 experiment (scenario, weights, threshold) plus the replicate seed. All
 randomness flows from config.seed through two named streams, one consumed
 in a fixed order at initialization (epsilon draws, fallback channel and
@@ -72,7 +72,7 @@ from .geo import (
     segment_offsets,
     shortest_path_tree,
 )
-from .population import HouseholdProfile, csv_header, validate_profiles
+from .population import csv_header, validate_profiles
 from .risk import (
     EPSILON_MAX,
     Scenario,
@@ -216,17 +216,18 @@ class WorldIndex:
 
     Checks, when built, what its parameters cannot check alone: raises
     InputError on rescuers for a world with no rescuer_start nodes or with
-    an edge too short to shrink a rescuer's move per tick, and on profiles
-    that do not fit together or fit the world (`validate_profiles`); it is
-    the one owner of that check (each profile checks its own codes when
-    built). Holds the parameters, the profiles, house positions, snapped
-    road nodes, hazard proximity classes, per-household CDM and CRF scores,
-    one shortest-path tree per shelter for routing, and the inform timeline
-    of the last seed it served, which holds what every run of that seed
-    reads. The parameters are frozen, so the timeline is keyed on the seed
-    alone. It also keeps the perceived-risk array of the last (seed,
-    scenario, weights) it served: those are every input of the array besides
-    the index's own.
+    an edge too short to shrink a rescuer's move per tick, and on a
+    population, one array per HouseholdProfile field, that
+    `validate_profiles` refuses (`check_codes`, then the households' fit
+    together and to the world); it is the one owner of that check. Holds
+    the parameters, house positions, snapped road nodes, hazard proximity
+    classes, per-household CDM and CRF scores (`cdm_score` and `crf_score`
+    of the columns), one shortest-path tree per shelter for routing, and
+    the inform timeline of the last seed it served, which holds what every
+    run of that seed reads. The parameters are frozen, so the timeline is
+    keyed on the seed alone. It also keeps the perceived-risk array of the
+    last (seed, scenario, weights) it served: those are every input of the
+    array besides the index's own.
 
     For the rescuer walk it holds the households a rescuer could perceive,
     in ascending id per edge (`edge_candidates`, every house within
@@ -256,7 +257,7 @@ class WorldIndex:
     (see `_walk`), so no walk measures a leg again.
     """
 
-    def __init__(self, world: World, profiles: list[HouseholdProfile],
+    def __init__(self, world: World, population: dict[str, np.ndarray],
                  params: EngineParams = EngineParams()):
         if params.nb_rescuers > 0:
             if not world.rescuer_starts:
@@ -269,15 +270,14 @@ class WorldIndex:
                 raise InputError(f"rescuer_speed * tick_seconds ({move!r} m) is too large for "
                                  f"the shortest edge ({shortest!r} m): walking it would not "
                                  "shrink the move left in a tick")
-        validate_profiles(profiles, world)
+        validate_profiles(population, world)
         self.world = world
-        self.profiles = tuple(profiles)
         self.params = params
-        self.n = len(profiles)
-        self.members = tuple(p.members for p in profiles)
-        self.cdm = np.array([cdm_score(p) for p in profiles], dtype=float)
-        self.crf = np.array([crf_score(p) for p in profiles], dtype=float)
-        houses = [world.buildings[p.building_id] for p in profiles]
+        self.n = len(population["id"])
+        self.members = tuple(population["members"].tolist())
+        self.cdm = cdm_score(population)
+        self.crf = crf_score(population)
+        houses = [world.buildings[b] for b in population["building_id"].tolist()]
         self.house_pos = [(pos.x, pos.y) for pos in houses]
         self.house_node = nearest_road_nodes(world, houses)
         self.proximity = proximity_classes(world, houses)
@@ -545,8 +545,7 @@ class SimulationState:
     index: WorldIndex
     timeline: InformTimeline
     perceived: np.ndarray  # per household, shared by the runs of its seed group
-    highest: float  # highest possible score under cfg.weights
-    evacuate: list[bool]  # per household, perceived > threshold * highest
+    evacuate: list[bool]  # per household, perceived > threshold * highest possible score
     households: list[HouseholdState]  # per household, shared until it heads out
     occupancy: dict[int, int]  # shelter id -> persons
     admitted: dict[int, int]  # shelter id -> households
@@ -587,7 +586,6 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         index=index,
         timeline=timeline,
         perceived=perceived,
-        highest=highest,
         evacuate=evacuate,
         households=households,
         occupancy={s.id: 0 for s in world.shelters},

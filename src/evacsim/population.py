@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import attrgetter
@@ -38,6 +38,7 @@ __all__ = [
     "parse_population_spec",
     "serialize_population_spec",
     "default_population_spec",
+    "check_codes",
     "validate_profiles",
     "read_key_values",
     "CellError",
@@ -77,15 +78,17 @@ def csv_header(record: type) -> str:
     return ",".join(f.name for f in fields(record))
 
 
-def records_to_csv(record: type, rows: Sequence) -> str:
-    """The header line, then one line per row: int and bool fields as %d,
-    float fields as the shortest repr that reads back to the same float
-    (an int held in a float field prints as `1.0`), str fields as they are."""
+def records_to_csv(record: type, rows: Sequence | Mapping[str, np.ndarray]) -> str:
+    """The header line, then one line per row, the rows given as records or
+    as their columns keyed by field: int and bool fields as %d, float
+    fields as the shortest repr that reads back to the same float (an int
+    held in a float field prints as `1.0`), str fields as they are."""
     columns = record_fields(record)
     template = ",".join(_CELL_FORMATS[kind] for _, kind, _ in columns) + "\n"
     # One lazy column per field, zipped back into rows, so that the per-cell
     # work runs in C: a Python loop over each row's cells writes slower.
-    cells = [map(attrgetter(name), rows) for name, _, _ in columns]
+    cells = [rows[name].tolist() if isinstance(rows, Mapping) else map(attrgetter(name), rows)
+             for name, _, _ in columns]
     cells = [map(float, col) if kind is float else col for col, (_, kind, _) in zip(cells, columns)]
     return csv_header(record) + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
@@ -101,45 +104,42 @@ _PLAIN_CHARS = b"0123456789,.eE+-"
 
 
 def read_columns(record: type, lines: list[str], error: Callable[[int, Exception], Exception],
-                 dtypes: dict[str, type] | None = None, build: bool = False) -> list:
+                 dtypes: dict[str, type] | None = None,
+                 check: Callable[[dict], None] = lambda columns: None) -> dict[str, np.ndarray]:
     """The lines after a CSV file's header (`lines[0]`, checked by the
-    caller) as one array per field of a dataclass record, or with `build` as
-    the records built from them, each checking itself. Lines holding only
-    whitespace are skipped; ints must fit in int64 (or the field's dtype in
-    `dtypes`) and floats be finite. Lines are read 8,192 at a time. A chunk
-    of plain cells (digits, signs, points and exponents only) is parsed by
-    numpy's C parser (`_read_plain`); every other chunk, and one that
-    parser cannot vouch for, by the per-cell reader (`_read_chunk`), which
-    alone decides what is accepted and every error. The first bad line N,
-    found line by line, raises error(N, what is wrong, a CellError if a
-    cell is at fault): a wrong cell count first, then a cell that does not
-    parse, then one that does not fit, then what the record refuses."""
+    caller) as one array per field of a dataclass record, keyed by field in
+    order. Lines holding only whitespace are skipped; ints must fit in
+    int64 (or the field's dtype in `dtypes`), floats be finite, and each
+    chunk's columns pass `check` (`check_codes` for a population). Lines
+    are read 8,192 at a time. A chunk of plain cells (digits, signs, points
+    and exponents only) is parsed by numpy's C parser (`_read_plain`);
+    every other chunk, and one that parser cannot vouch for, by the
+    per-cell reader (`_read_chunk`), which alone decides what is accepted
+    and every error. The first bad line N, found line by line, raises
+    error(N, what is wrong, a CellError if a cell is at fault): a wrong
+    cell count, then a cell that does not parse, then one that does not
+    fit, then what `check` refuses."""
     columns = [(name, parse, (dtypes or {}).get(name, kind))
                for name, kind, parse in record_fields(record)]
-
-    def finish(arrays: list[np.ndarray]) -> list:
-        return list(map(record, *(array.tolist() for array in arrays))) if build else arrays
-
     parts = []
     for start in range(1, len(lines), _CHUNK_LINES):
         chunk = lines[start:start + _CHUNK_LINES]
         try:
-            parts.append(finish(_read_plain(columns, chunk) or _read_chunk(columns, chunk)))
+            parts.append(_read_plain(columns, chunk) or _read_chunk(columns, chunk))
+            check(parts[-1])
         except (ValueError, InputError):
             for lineno, line in enumerate(chunk, start=start + 1):
                 try:
-                    finish(_read_chunk(columns, [line]))
+                    check(_read_chunk(columns, [line]))
                 except (ValueError, InputError) as exc:
                     raise error(lineno, exc) from None
             raise
-    if build:
-        return list(itertools.chain.from_iterable(parts))
-    empty = [np.empty(0, dtype) for _, _, dtype in columns]
-    return [np.concatenate(column) for column in zip(empty, *parts)]
+    return {name: np.concatenate([np.empty(0, dtype), *(part[name] for part in parts)])
+            for name, _, dtype in columns}
 
 
 def _read_plain(columns: list[tuple[str, Callable[[str], Any], type]],
-                lines: list[str]) -> list[np.ndarray] | None:
+                lines: list[str]) -> dict[str, np.ndarray] | None:
     """What `_read_chunk` returns for the lines, parsed by `np.loadtxt`, or
     None where it cannot vouch for that: a line holding a character outside
     `_PLAIN_CHARS`, a cell loadtxt refuses or warns about, a float that is
@@ -161,7 +161,7 @@ def _read_plain(columns: list[tuple[str, Callable[[str], Any], type]],
             return None
     if len(table) != len(lines):
         return None
-    arrays = []
+    arrays = {}
     for name, parse, _ in columns:
         column = table[name]
         if parse is _read_bool:
@@ -170,13 +170,14 @@ def _read_plain(columns: list[tuple[str, Callable[[str], Any], type]],
             column = column == "1"
         elif parse is float and not np.isfinite(column).all():
             return None
-        arrays.append(np.ascontiguousarray(column))
+        arrays[name] = np.ascontiguousarray(column)
     return arrays
 
 
 def _read_chunk(columns: list[tuple[str, Callable[[str], Any], type]],
-                lines: list[str]) -> list[np.ndarray]:
-    """One array per column from the lines that are not blank. A bad line
+                lines: list[str]) -> dict[str, np.ndarray]:
+    """One array per column, keyed by name, from the lines that are not
+    blank. A bad line
     raises ValueError (a CellError if a cell is at fault) without saying
     where; a cell that does not parse comes before one that does not fit."""
     lines = list(filter(str.strip, lines))
@@ -184,7 +185,7 @@ def _read_chunk(columns: list[tuple[str, Callable[[str], Any], type]],
     if not set(map(str.count, lines, itertools.repeat(","))) <= {width - 1}:
         raise ValueError(f"expected {width} cells")
     flat = ",".join(lines).split(",") if lines else []
-    arrays = []
+    arrays = {}
     unfit = None
     for i, (name, parse, dtype) in enumerate(columns):
         cells = flat[i::width]
@@ -201,7 +202,7 @@ def _read_chunk(columns: list[tuple[str, Callable[[str], Any], type]],
             unfit = CellError(name, f"{name} must be finite, got {bad!r}")
             continue
         try:
-            arrays.append(np.fromiter(map(value.__getitem__, cells), dtype, len(cells)))
+            arrays[name] = np.fromiter(map(value.__getitem__, cells), dtype, len(cells))
         except OverflowError:
             unfit = CellError(name, f"{name} does not fit in {np.dtype(dtype).name}")
     if unfit is not None:
@@ -241,12 +242,12 @@ CODED_FIELDS: dict[str, dict[str, float]] = {
     "floor_levels": {"more_than_one": 0.5, "one": 1.0},
     "typhoon_experience": {"yes": 0.5, "no": 1.0},
 }
-_CODES = {name: frozenset(codes.values()) for name, codes in CODED_FIELDS.items()}
+_CODES = {name: sorted(set(codes.values())) for name, codes in CODED_FIELDS.items()}
 
 
 @dataclass(frozen=True)
 class HouseholdProfile:
-    """One household; it checks its codes and `members >= 1` when built."""
+    """One household; its fields, in order, are the population CSV's columns."""
 
     id: int
     head_gender: float
@@ -263,13 +264,16 @@ class HouseholdProfile:
     members: int
     building_id: int
 
-    def __post_init__(self) -> None:
-        for name, codes in _CODES.items():
-            value = getattr(self, name)
-            if value not in codes:
-                raise InputError(f"{name} code {value!r} is not one of {sorted(codes)}")
-        if self.members < 1:
-            raise InputError("members must be >= 1")
+
+def check_codes(population: Mapping[str, np.ndarray]) -> None:
+    """Raise InputError at the first household with a code not in its
+    field's table or fewer than one member, naming its first such field."""
+    faults = np.column_stack([~np.isin(population[name], codes) for name, codes in _CODES.items()]
+                             + [population["members"] < 1])
+    for row, k in zip(*np.nonzero(faults)):
+        name = [*_CODES, "members"][k]
+        raise InputError(f"{name} code {population[name][row].item()!r} is not one of "
+                         f"{_CODES[name]}" if name in _CODES else "members must be >= 1")
 
 
 CSV_HEADER = csv_header(HouseholdProfile)
@@ -360,8 +364,8 @@ def _sample_members(rng: random.Random, lo: int, hi: int, mean: float) -> int:
     return lo + hits
 
 
-def synthesize(spec: PopulationSpec, world: World, seed: int) -> list[HouseholdProfile]:
-    """Draw spec.count households and assign them to distinct buildings.
+def synthesize(spec: PopulationSpec, world: World, seed: int) -> dict[str, np.ndarray]:
+    """Draw spec.count households onto distinct buildings, as columns.
 
     Deterministic in (spec, world, seed): fields are sampled household by
     household in CODED_FIELDS order, members last, then buildings are
@@ -372,54 +376,53 @@ def synthesize(spec: PopulationSpec, world: World, seed: int) -> list[HouseholdP
             f"cannot place {spec.count} households on {len(world.buildings)} buildings"
         )
     rng = random.Random(seed)
-    drawn: list[dict[str, float | int]] = []
+    drawn: dict[str, list] = {name: [] for name in ("id", *CODED_FIELDS, "members")}
     for i in range(spec.count):
-        row: dict[str, float | int] = {"id": i}
+        drawn["id"].append(i)
         for name, order in CODED_FIELDS.items():
-            row[name] = _sample_category(rng, spec.distributions[name], order)
-        row["members"] = _sample_members(rng, spec.members_min, spec.members_max, spec.members_mean)
-        drawn.append(row)
+            drawn[name].append(_sample_category(rng, spec.distributions[name], order))
+        drawn["members"].append(
+            _sample_members(rng, spec.members_min, spec.members_max, spec.members_mean))
     building_ids = sorted(world.buildings)
     rng.shuffle(building_ids)
-    profiles = []
-    for i, row in enumerate(drawn):
-        row["building_id"] = building_ids[i]
-        profiles.append(HouseholdProfile(**row))  # type: ignore[arg-type]
-    return profiles
+    drawn["building_id"] = building_ids[:spec.count]
+    return {name: np.array(drawn[name], kind) for name, kind, _ in record_fields(HouseholdProfile)}
 
 
-def validate_profiles(profiles: list[HouseholdProfile], world: World) -> None:
-    """Reject what no profile can check alone: ids that are not 0..n-1 in
-    row order, a building assigned twice, and a building not in the world."""
+def validate_profiles(population: Mapping[str, np.ndarray], world: World) -> None:
+    """Reject what `check_codes` refuses, ids that are not 0..n-1 in row
+    order, a building assigned twice, and a building not in the world."""
+    check_codes(population)
+    ids = population["id"].tolist()
     seen_buildings: set[int] = set()
-    for row, p in enumerate(profiles):
-        if p.id != row:
-            raise InputError(f"household {row} has id {p.id}: ids must be "
-                             f"0..{len(profiles) - 1} in row order")
-        if p.building_id in seen_buildings:
-            raise InputError(f"building {p.building_id} assigned to more than one household")
-        seen_buildings.add(p.building_id)
-        if p.building_id not in world.buildings:
-            raise InputError(f"household {p.id}: unknown building {p.building_id}")
+    for row, (hid, building) in enumerate(zip(ids, population["building_id"].tolist())):
+        if hid != row:
+            raise InputError(f"household {row} has id {hid}: ids must be "
+                             f"0..{len(ids) - 1} in row order")
+        if building in seen_buildings:
+            raise InputError(f"building {building} assigned to more than one household")
+        seen_buildings.add(building)
+        if building not in world.buildings:
+            raise InputError(f"household {hid}: unknown building {building}")
 
 
-def serialize_population(profiles: list[HouseholdProfile]) -> str:
-    return records_to_csv(HouseholdProfile, profiles)
+def serialize_population(population: Mapping[str, np.ndarray]) -> str:
+    return records_to_csv(HouseholdProfile, population)
 
 
-def load_population(path: str, world: World | None = None) -> list[HouseholdProfile]:
-    """Load a population CSV; errors name the offending row and column.
-
-    Whether the profiles fit together and fit a world (`validate_profiles`)
-    is checked once, by the `engine.WorldIndex` built on them; `world` is
+def load_population(path: str, world: World | None = None) -> dict[str, np.ndarray]:
+    """The columns of a population CSV file (`parse_population`, which runs
+    `check_codes`); errors name the offending row and column. Whether the
+    households fit together and fit a world (`validate_profiles`) is
+    checked once, by the `engine.WorldIndex` built on them; `world` is
     accepted for callers that pass it and is not read."""
     return parse_population(read_text(path, "population file"))
 
 
-def parse_population(text: str) -> list[HouseholdProfile]:
-    """The profiles of a population CSV, read by `read_columns`, each
-    checking its own codes when built; `validate_profiles` is left to the
-    index built on them."""
+def parse_population(text: str) -> dict[str, np.ndarray]:
+    """The columns of a population CSV, keyed by HouseholdProfile field in
+    order, read by `read_columns`, which runs `check_codes` on each chunk;
+    `validate_profiles` is left to the index built on them."""
     lines = split_lines(text)
     if not lines:
         raise InputError("population CSV is empty")
@@ -427,7 +430,8 @@ def parse_population(text: str) -> list[HouseholdProfile]:
         raise InputError(f"population CSV header mismatch: expected {CSV_HEADER!r}")
     # A bad cell is named by its field alone.
     return read_columns(HouseholdProfile, lines, lambda lineno, error: InputError(
-        f"row {lineno}: {error.field if isinstance(error, CellError) else error}"), build=True)
+        f"row {lineno}: {error.field if isinstance(error, CellError) else error}"),
+        check=check_codes)
 
 
 # Scalar keys of the population spec, in file order, with their parsers. The

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .population import HouseholdProfile
 
 __all__ = [
     "STORM_CODES",
@@ -100,17 +99,18 @@ class Weights:
                 raise InputError(f"{name} must be in (0, 1], got {w!r}")
 
 
-def cdm_score(p: HouseholdProfile) -> float:
-    """Sum of the eight decision-maker codes; computed once per index build."""
+def cdm_score(p: dict[str, float | np.ndarray]) -> float | np.ndarray:
+    """Sum of the eight decision-maker codes of one household, or of each
+    over a population's columns; computed once per index build."""
     return (
-        p.head_gender
-        + p.income_level
-        + p.educ_level
-        + p.has_children
-        + p.has_elderly
-        + p.with_disability
-        + p.house_ownership
-        + p.years_of_residency
+        p["head_gender"]
+        + p["income_level"]
+        + p["educ_level"]
+        + p["has_children"]
+        + p["has_elderly"]
+        + p["with_disability"]
+        + p["house_ownership"]
+        + p["years_of_residency"]
     )
 
 
@@ -129,9 +129,9 @@ def hrf_score(s: Scenario, proximity: float | np.ndarray,
     )
 
 
-def crf_score(p: HouseholdProfile) -> float:
-    """Sum of the three capacity codes."""
-    return p.house_quality + p.floor_levels + p.typhoon_experience
+def crf_score(p: dict[str, float | np.ndarray]) -> float | np.ndarray:
+    """Sum of the three capacity codes, keyed by field, as `cdm_score`."""
+    return p["house_quality"] + p["floor_levels"] + p["typhoon_experience"]
 
 
 def highest_possible_score(w: Weights) -> float:

@@ -25,7 +25,6 @@ from .engine import EngineParams, RunConfig, RunResult, WorldIndex, run
 from .errors import InputError
 from .geo import World
 from .population import (
-    HouseholdProfile,
     csv_header,
     read_columns,
     read_key_values,
@@ -269,12 +268,12 @@ def _worker_run(group: SeedGroup) -> list[SweepRow]:
 def execute(
     spec: SweepSpec,
     world: World,
-    profiles: list[HouseholdProfile],
+    population: dict[str, np.ndarray],
     params: EngineParams = EngineParams(),
     workers: int = 1,
 ) -> list[SweepRow]:
     """Run every valid combination x replications on the world index of
-    (world, profiles, params). The index is built once, in the caller, and
+    (world, population, params). The index is built once, in the caller, and
     the worker processes inherit it.
 
     A run's config is its combination's scenario, weights and threshold and
@@ -289,7 +288,7 @@ def execute(
     if workers < 1:
         raise InputError("workers must be >= 1")
     groups = _seed_groups(spec)
-    index = WorldIndex(world, profiles, params)
+    index = WorldIndex(world, population, params)
     if workers == 1:
         batches = [_run_group(g, index) for g in groups]
     else:
@@ -311,9 +310,8 @@ def rows_from_csv(text: str) -> SweepTable:
     lines = split_lines(text)
     if not lines or lines[0] != RESULTS_HEADER:
         raise InputError(f"results CSV header mismatch: expected {RESULTS_HEADER!r}")
-    columns = read_columns(SweepRow, lines, lambda lineno, error: InputError(
-        f"results CSV line {lineno}: {error}"), _DTYPES)
-    return SweepTable(dict(zip(_DTYPES, columns)))
+    return SweepTable(read_columns(SweepRow, lines, lambda lineno, error: InputError(
+        f"results CSV line {lineno}: {error}"), _DTYPES))
 
 
 # --- sweep spec file (flat key = value text) ---

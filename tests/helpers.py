@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from evacsim import engine
 from evacsim.engine import InformTimeline, RunConfig, RunResult, SimulationState, WorldIndex
 from evacsim.errors import InputError
@@ -19,10 +21,37 @@ from evacsim.geo import (
     World,
     shortest_path_tree,
 )
-from evacsim.population import HouseholdProfile, record_fields
+from evacsim.population import CODED_FIELDS, HouseholdProfile, record_fields
 from evacsim.risk import WarningSource
 from evacsim.seeds import derive_seed
 from evacsim.sweep import FILTER_EXACT_ONE, RESULTS_HEADER, Combo, SweepRow, SweepSpec
+
+
+def population_of(households: list[HouseholdProfile]) -> dict[str, np.ndarray]:
+    """The columns of the households, one array per HouseholdProfile field
+    keyed by field in order, with the dtypes `population.parse_population`
+    reads: the one way a test turns household rows into a population."""
+    return {name: np.array([getattr(h, name) for h in households], kind)
+            for name, kind, _ in record_fields(HouseholdProfile)}
+
+
+def households_of(population: dict[str, np.ndarray]) -> list[HouseholdProfile]:
+    """The rows of a population's columns, one HouseholdProfile each, in
+    order: the inverse of `population_of`."""
+    return list(map(HouseholdProfile, *(population[name].tolist()
+                                        for name, _, _ in record_fields(HouseholdProfile))))
+
+
+def cdm_reference(h: HouseholdProfile) -> float:
+    """A household's CDM score, summed one code at a time in Python: the
+    per-household oracle of `WorldIndex.cdm`."""
+    return (h.head_gender + h.income_level + h.educ_level + h.has_children + h.has_elderly
+            + h.with_disability + h.house_ownership + h.years_of_residency)
+
+
+def crf_reference(h: HouseholdProfile) -> float:
+    """A household's CRF score, the oracle of `WorldIndex.crf`."""
+    return h.house_quality + h.floor_levels + h.typhoon_experience
 
 
 def line_world(
@@ -465,10 +494,10 @@ def parse_population_reference(text: str) -> list[HouseholdProfile]:
     """The population file read one line at a time, by the rules of
     docs/formats.md: the header line exact; blank and whitespace-only lines
     skipped; each other line split into 14 cells and parsed by
-    `parse_cells`, its ints within int64 and its floats finite, then built
-    as a HouseholdProfile, which checks its codes and members. The first
-    bad line raises InputError: "row N: <field>" for a cell at fault,
-    else "row N: <why>".
+    `parse_cells`, its ints within int64 and its floats finite, each coded
+    field one of its field's codes in CODED_FIELDS (tried in field order)
+    and members at least 1. The first bad line raises InputError: "row N:
+    <field>" for a cell at fault, else "row N: <why>".
 
     The line-by-line oracle of `population.parse_population`, which reads
     columns.
@@ -492,8 +521,13 @@ def parse_population_reference(text: str) -> list[HouseholdProfile]:
         bad = out_of_range(HouseholdProfile, values, cells)
         if bad is not None:
             raise InputError(f"row {lineno}: {bad[0]}")
-        try:
-            profiles.append(HouseholdProfile(*values))
-        except InputError as exc:
-            raise InputError(f"row {lineno}: {exc}") from None
+        household = HouseholdProfile(*values)
+        for name, codes in CODED_FIELDS.items():
+            value = getattr(household, name)
+            if value not in codes.values():
+                raise InputError(f"row {lineno}: {name} code {value!r} is not one of "
+                                 f"{sorted(set(codes.values()))}")
+        if household.members < 1:
+            raise InputError(f"row {lineno}: members must be >= 1")
+        profiles.append(household)
     return profiles

@@ -10,7 +10,7 @@ from evacsim.cli import build_parser, emit_demo_assets, main
 from evacsim.geo import load_world
 from evacsim.population import parse_population_spec
 from evacsim.sweep import enumerate_combos, parse_sweep_spec
-from helpers import line_world
+from helpers import line_world, population_of
 from evacsim.geo import serialize_world
 from evacsim.population import HouseholdProfile, serialize_population
 
@@ -49,7 +49,7 @@ def micro_assets(tmp_path):
         for i in range(3)
     ]
     pop_path = tmp_path / "pop.csv"
-    pop_path.write_text(serialize_population(profiles))
+    pop_path.write_text(serialize_population(population_of(profiles)))
     return world_path, pop_path
 
 
@@ -509,12 +509,12 @@ def test_sweep_rejects_rescuers_on_a_world_without_starts(tmp_path, capsys, monk
     world_path = tmp_path / "w.world"
     world_path.write_text(serialize_world(world))
     pop_path = tmp_path / "pop.csv"
-    pop_path.write_text(serialize_population([
+    pop_path.write_text(serialize_population(population_of([
         HouseholdProfile(id=0, head_gender=1.0, educ_level=1.0, income_level=1.0,
                          house_ownership=1.0, has_children=1.0, has_elderly=1.0,
                          with_disability=1.0, years_of_residency=1.0, house_quality=1.0,
                          floor_levels=1.0, typhoon_experience=1.0, members=4, building_id=0)
-    ]))
+    ])))
     rc = main(["sweep", "--spec", str(sweep_spec_file(tmp_path)), "--world", str(world_path),
                "--population", str(pop_path), "--out", str(tmp_path / "rows.csv"),
                "--workers", workers, *MICRO_FLAGS, "--rescuers", "2"])

@@ -21,7 +21,7 @@ from evacsim.errors import InputError, InternalError
 from evacsim.geo import Point, Shelter
 from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
-from helpers import line_world, pick_shelter_reference, run_with_final_state
+from helpers import line_world, pick_shelter_reference, population_of, run_with_final_state
 
 
 def profile(i: int, building: int, members: int = 4, **overrides) -> HouseholdProfile:
@@ -178,7 +178,7 @@ def test_rescuer_informs_within_radius_only():
         building_offsets=[(0.0, 40.0), (0.0, 60.0)],
         shelter_specs=[(0, 3, 1000, False)],
     )
-    profiles = [profile(0, 0), profile(1, 1)]
+    profiles = population_of([profile(0, 0), profile(1, 1)])
     index = WorldIndex(world, profiles, params(rescuer_speed=0.001, fallback_tick_min=50,
                                                fallback_tick_max=60, max_ticks=50))
     state = init_run(index, config())
@@ -196,7 +196,7 @@ def test_rescuer_ending_its_tick_on_a_node_informs_from_there():
         building_offsets=[(200.0, 40.0), (100.0, 40.0)],
         shelter_specs=[(0, 3, 1000, False)],
     )
-    profiles = [profile(0, 0), profile(1, 1)]
+    profiles = population_of([profile(0, 0), profile(1, 1)])
     index = WorldIndex(world, profiles, params(rescuer_speed=10.0, fallback_tick_min=50,
                                                fallback_tick_max=60, max_ticks=50))
     informs = index.inform_timeline(11).informs
@@ -215,7 +215,7 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
         shelter_specs=[(0, 3, 10, False), (1, 5, 1000, False)],
         rescuer_starts=[5],
     )
-    profiles = [profile(0, 0, members=10), profile(1, 1, members=4)]
+    profiles = population_of([profile(0, 0, members=10), profile(1, 1, members=4)])
     index = WorldIndex(world, profiles, params(rescuer_speed=0.001, fallback_tick_min=1,
                                                fallback_tick_max=1, household_speed=10.0,
                                                max_ticks=200))
@@ -235,7 +235,7 @@ def test_stranded_when_no_shelter_is_reachable():
     base = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (0.0, 520.0)])
     world = replace(base, nodes={**base.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
                     edges=[*base.edges, (10, 11, 100.0)])
-    index = WorldIndex(world, [profile(0, 0), profile(1, 1)],
+    index = WorldIndex(world, population_of([profile(0, 0), profile(1, 1)]),
                        params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=3,
                               max_ticks=40))
     result, state = run_with_final_state(index, config())
@@ -263,7 +263,7 @@ def _no_capacity_after_a_full_shelter_index() -> WorldIndex:
     # find it full and has nowhere left to go.
     world = line_world(n_nodes=4, building_offsets=[(300.0, 20.0), (0.0, 20.0)],
                        shelter_specs=[(0, 3, 4, False)])
-    return WorldIndex(world, [profile(0, 0, members=4), profile(1, 1, members=4)],
+    return WorldIndex(world, population_of([profile(0, 0, members=4), profile(1, 1, members=4)]),
                       params(nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=1,
                              max_ticks=40))
 
@@ -351,7 +351,7 @@ def test_threshold_monotonicity(demo_index):
 
 def test_fallback_informs_without_rescuers():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0), (200.0, 20.0)])
-    profiles = [profile(i, i) for i in range(3)]
+    profiles = population_of([profile(i, i) for i in range(3)])
     result = run(WorldIndex(world, profiles, params(nb_rescuers=0, max_ticks=300)),
                  config(threshold=0.5))
     assert not result.truncated
@@ -376,7 +376,7 @@ def test_eventual_information_and_terminal_states(demo_index):
 
 def test_truncation_flag_when_out_of_ticks():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
-    profiles = [profile(0, 0)]
+    profiles = population_of([profile(0, 0)])
     index = WorldIndex(world, profiles, params(nb_rescuers=0, fallback_tick_min=50,
                                                fallback_tick_max=50, max_ticks=3))
     result = run(index, config())
@@ -387,7 +387,7 @@ def test_truncation_flag_when_out_of_ticks():
 
 def test_step_past_max_ticks_rejected():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
-    profiles = [profile(0, 0)]
+    profiles = population_of([profile(0, 0)])
     index = WorldIndex(world, profiles, params(nb_rescuers=0, fallback_tick_min=50,
                                                fallback_tick_max=50, max_ticks=2))
     state = init_run(index, config())
@@ -433,7 +433,7 @@ def test_rescuers_require_start_nodes():
     world = line_world(n_nodes=3, building_offsets=[(0.0, 20.0)], rescuer_starts=[])
     # line_world defaults rescuer_starts=[0]; force empty
     world.rescuer_starts.clear()
-    profiles = [profile(0, 0)]
+    profiles = population_of([profile(0, 0)])
     with pytest.raises(InputError, match="rescuer"):
         WorldIndex(world, profiles, params(nb_rescuers=2))
 
@@ -465,7 +465,7 @@ def test_event_log_csv_shape(demo_index):
 def test_run_without_index_validates_profiles():
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0)])
     with pytest.raises(InputError, match="unknown building"):
-        run(WorldIndex(world, [profile(0, 7)]), config())
+        run(WorldIndex(world, population_of([profile(0, 7)])), config())
 
 
 def test_timeline_memo_hit_and_rebuild_give_identical_runs(demo_world, demo_profiles):
@@ -501,7 +501,7 @@ def test_timeline_rebuilt_when_an_inform_field_changes(name, value):
     # informs, and its window reaches past max_ticks=400.
     world = line_world(n_nodes=4, building_offsets=[(0.0, 20.0), (100.0, 20.0), (150.0, 400.0),
                                                      (250.0, 400.0), (50.0, -400.0)])
-    profiles = [profile(i, i) for i in range(5)]
+    profiles = population_of([profile(i, i) for i in range(5)])
     base = params(fallback_tick_max=500)
     index = WorldIndex(world, profiles, base)
     before = index.inform_timeline(11)
@@ -526,7 +526,7 @@ def unreachable_shelter_index() -> WorldIndex:
     world = replace(base, nodes={**base.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
                     edges=[*base.edges, (10, 11, 100.0)],
                     shelters=[*base.shelters, Shelter(3, 11, 8, False)])
-    return WorldIndex(world, [], EngineParams(nb_rescuers=0))
+    return WorldIndex(world, population_of([]), EngineParams(nb_rescuers=0))
 
 
 UNREACHABLE_SHELTER_INDEX = unreachable_shelter_index()
@@ -606,7 +606,7 @@ def test_households_that_stay_hold_their_sources_shared_record(demo_index):
         assert (h.source.value, h.tried_shelters, h.stranded) == (value, (), False)
 
 
-def test_runs_call_init_run_and_step_through_the_module(demo_index, monkeypatch):
+def test_runs_call_init_run_and_step_through_the_module(demo_index, demo_profiles, monkeypatch):
     # bench/tracer.py wraps engine.init_run and engine.step where run looks
     # them up: a run calls init_run once and then step once per tick, with
     # events on or off and when it is truncated.
@@ -617,8 +617,7 @@ def test_runs_call_init_run_and_step_through_the_module(demo_index, monkeypatch)
     monkeypatch.setattr(engine, "step", lambda state: calls.append("step") or real_step(state))
     cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
                     weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
-    truncated = WorldIndex(demo_index.world, list(demo_index.profiles),
-                           EngineParams(max_ticks=40))
+    truncated = WorldIndex(demo_index.world, demo_profiles, EngineParams(max_ticks=40))
     for index, collect_events in ((demo_index, True), (demo_index, False), (truncated, False)):
         calls.clear()
         result = run(index, cfg, collect_events=collect_events)
@@ -649,10 +648,10 @@ def small_runs(draw):
             edges=[*world.edges, (10, 11, 100.0)],
             buildings={**world.buildings, **{len(houses) + i: Point(50.0 * i, 520.0)
                                              for i in range(stranded_houses)}})
-    profiles = [profile(i, i, members=draw(st.integers(1, 6)),
-                        **{name: draw(st.sampled_from(sorted(codes.values())))
-                           for name, codes in CODED_FIELDS.items()})
-                for i in range(len(world.buildings))]
+    profiles = population_of([profile(i, i, members=draw(st.integers(1, 6)),
+                                      **{name: draw(st.sampled_from(sorted(codes.values())))
+                                         for name, codes in CODED_FIELDS.items()})
+                              for i in range(len(world.buildings))])
     fallback_min = draw(st.integers(1, 10))
     engine_params = EngineParams(
         nb_rescuers=draw(st.integers(0, 2)),
@@ -696,8 +695,8 @@ def test_household_states_are_derived_from_the_runs_facts(case):
     assert len(set(in_heap)) == len(in_heap) and len(set(admitted)) == len(admitted)
     assert len(admitted) == sum(state.admitted.values())
     parts = [unaware, staying, set(in_heap), set(admitted)]
-    assert sum(map(len, parts)) == len(profiles)
-    assert set().union(*parts) == set(range(len(profiles)))
+    assert sum(map(len, parts)) == len(profiles["id"])
+    assert set().union(*parts) == set(range(len(profiles["id"])))
     assert state.evacuate_decisions == result.evacuated == len(in_heap) + len(admitted)
     assert result.stayed == len(staying)
     assert result.truncated == bool(unaware or in_heap)
@@ -710,7 +709,7 @@ def test_household_states_are_derived_from_the_runs_facts(case):
 def _one_household_index() -> WorldIndex:
     # Informed by the fallback channel on tick 5, then it walks to shelter 0.
     world = line_world(n_nodes=4, building_offsets=[(100.0, 20.0)])
-    return WorldIndex(world, [profile(0, 0)], params(nb_rescuers=0, fallback_tick_min=5,
+    return WorldIndex(world, population_of([profile(0, 0)]), params(nb_rescuers=0, fallback_tick_min=5,
                                                      fallback_tick_max=5))
 
 

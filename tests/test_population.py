@@ -4,11 +4,12 @@ from collections import Counter
 from dataclasses import astuple, replace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evacsim import population
-from evacsim.engine import WorldIndex
+from evacsim.engine import EngineParams, WorldIndex
 from evacsim.errors import InputError
 from evacsim.geo import Point, World
 from evacsim.population import (
@@ -23,7 +24,16 @@ from evacsim.population import (
     synthesize,
     validate_profiles,
 )
-from helpers import ODD_CELLS, POPULATION_HEADER, parse_population_reference
+from helpers import (
+    ODD_CELLS,
+    POPULATION_HEADER,
+    cdm_reference,
+    crf_reference,
+    households_of,
+    line_world,
+    parse_population_reference,
+    population_of,
+)
 
 
 def big_bare_world(n_buildings: int) -> World:
@@ -33,16 +43,24 @@ def big_bare_world(n_buildings: int) -> World:
                  waterways=[], shelters=[], rescuer_starts=[])
 
 
+@pytest.fixture(scope="module")
+def demo_households(demo_profiles):
+    """The demo population's households, as rows."""
+    return households_of(demo_profiles)
+
+
 def test_demo_population_count(demo_profiles):
-    assert len(demo_profiles) == 570
+    # One column per HouseholdProfile field, in field order.
+    assert list(demo_profiles) == POPULATION_HEADER.split(",")
+    assert {len(column) for column in demo_profiles.values()} == {570}
 
 
 def test_synthesize_is_deterministic(demo_world):
     spec = default_population_spec()
-    a = synthesize(spec, demo_world, seed=9)
-    b = synthesize(spec, demo_world, seed=9)
+    a = households_of(synthesize(spec, demo_world, seed=9))
+    b = households_of(synthesize(spec, demo_world, seed=9))
     assert a == b
-    c = synthesize(spec, demo_world, seed=10)
+    c = households_of(synthesize(spec, demo_world, seed=10))
     assert a != c
 
 
@@ -59,7 +77,7 @@ def test_degenerate_spec_gives_identical_codes():
     }
     spec = PopulationSpec(count=50, distributions=dists,
                           members_min=3, members_max=3, members_mean=3)
-    profiles = synthesize(spec, big_bare_world(60), seed=4)
+    profiles = households_of(synthesize(spec, big_bare_world(60), seed=4))
     first = profiles[0]
     for p in profiles:
         for name in CODED_FIELDS:
@@ -69,7 +87,7 @@ def test_degenerate_spec_gives_identical_codes():
 
 def test_field_frequencies_match_spec_within_two_percent():
     spec = default_population_spec(count=10_000)
-    profiles = synthesize(spec, big_bare_world(10_500), seed=123)
+    profiles = households_of(synthesize(spec, big_bare_world(10_500), seed=123))
     for name, cats in CODED_FIELDS.items():
         counts = Counter(getattr(p, name) for p in profiles)
         for cat, code in cats.items():
@@ -82,7 +100,7 @@ def test_field_frequencies_match_spec_within_two_percent():
 
 
 def test_building_assignment_is_injective(demo_profiles):
-    buildings = [p.building_id for p in demo_profiles]
+    buildings = demo_profiles["building_id"].tolist()
     assert len(set(buildings)) == len(buildings)
 
 
@@ -100,13 +118,15 @@ def test_csv_round_trip(tmp_path, demo_world, demo_profiles):
     path = tmp_path / "pop.csv"
     path.write_text(serialize_population(demo_profiles), encoding="utf-8")
     again = load_population(str(path), demo_world)
-    assert again == demo_profiles
+    assert exactly(households_of(again)) == exactly(households_of(demo_profiles))
+    assert {name: column.dtype for name, column in again.items()} == {
+        name: column.dtype for name, column in demo_profiles.items()}
 
 
 def test_csv_line_count(demo_profiles):
     text = serialize_population(demo_profiles)
     assert len(text.splitlines()) == 571
-    assert serialize_population([]).splitlines() == [
+    assert serialize_population(population_of([])).splitlines() == [
         "id,head_gender,educ_level,income_level,house_ownership,has_children,"
         "has_elderly,with_disability,years_of_residency,house_quality,"
         "floor_levels,typhoon_experience,members,building_id"
@@ -122,8 +142,8 @@ def test_csv_bytes_are_pinned(demo_profiles):
 
 @pytest.mark.parametrize("col, field", [(0, "id"), (5, "has_children"), (12, "members"),
                                         (13, "building_id")])
-def test_unparseable_cell_names_row_and_field(demo_profiles, col, field):
-    lines = serialize_population(demo_profiles[:3]).splitlines()
+def test_unparseable_cell_names_row_and_field(demo_households, col, field):
+    lines = serialize_population(population_of(demo_households[:3])).splitlines()
     cells = lines[2].split(",")
     cells[col] = "many"
     lines[2] = ",".join(cells)
@@ -131,8 +151,8 @@ def test_unparseable_cell_names_row_and_field(demo_profiles, col, field):
         parse_population("\n".join(lines))
 
 
-def test_bad_code_names_row_and_column(demo_profiles):
-    text = serialize_population(demo_profiles[:3])
+def test_bad_code_names_row_and_column(demo_households):
+    text = serialize_population(population_of(demo_households[:3]))
     lines = text.splitlines()
     cells = lines[1].split(",")
     cells[2] = "0.3"  # educ_level column
@@ -169,21 +189,21 @@ def edited(profiles, row: int, col: int, cell: str | None) -> str:
     (lambda ps: edited(ps, 2, 13, str(2**64)), "row 2: building_id"),
 ], ids=["empty", "header", "cell-count", "unparseable", "bad-code", "members-0", "nan-code",
         "quoted-cell", "whitespace-line", "huge-int"])
-def test_population_error_texts(demo_world, demo_profiles, edit, message):
+def test_population_error_texts(demo_world, demo_households, edit, message):
     """The error a population file gets from parsing and from the check
     that it fits the world, or None if it is read."""
     try:
-        validate_profiles(parse_population(edit(demo_profiles[:3])), demo_world)
+        validate_profiles(parse_population(edit(population_of(demo_households[:3]))), demo_world)
     except InputError as exc:
         assert str(exc) == message
     else:
         assert message is None
 
 
-def test_duplicate_building_rejected(demo_world, demo_profiles):
-    # Parsing reads each row alone; the world index built on the profiles
-    # is the one owner of the check that they fit together.
-    text = serialize_population(demo_profiles[:2])
+def test_duplicate_building_rejected(demo_world, demo_households):
+    # Parsing reads each row alone; the world index built on the population
+    # is the one owner of the check that its households fit together.
+    text = serialize_population(population_of(demo_households[:2]))
     lines = text.splitlines()
     row2 = lines[2].split(",")
     row2[-1] = lines[1].split(",")[-1]
@@ -198,10 +218,10 @@ def test_header_mismatch_rejected():
         parse_population("id,foo\n1,2\n")
 
 
-def test_validate_profiles_checks_buildings(demo_world, demo_profiles):
-    bad = demo_profiles[0].__class__(**{**demo_profiles[0].__dict__, "building_id": 10_000})
+def test_validate_profiles_checks_buildings(demo_world, demo_households):
+    bad = replace(demo_households[0], building_id=10_000)
     with pytest.raises(InputError, match="unknown building"):
-        validate_profiles([bad], demo_world)
+        validate_profiles(population_of([bad]), demo_world)
 
 
 @pytest.mark.parametrize("ids, message", [
@@ -210,12 +230,12 @@ def test_validate_profiles_checks_buildings(demo_world, demo_profiles):
     ([0, 1, 3], "household 2 has id 3: ids must be 0..2 in row order"),
     ([-1, 0, 1], "household 0 has id -1: ids must be 0..2 in row order"),
 ])
-def test_ids_must_be_row_positions(demo_world, demo_profiles, ids, message):
-    profiles = [replace(p, id=i) for p, i in zip(demo_profiles, ids)]
+def test_ids_must_be_row_positions(demo_world, demo_households, ids, message):
+    profiles = [replace(p, id=i) for p, i in zip(demo_households, ids)]
     with pytest.raises(InputError) as refused:
-        validate_profiles(profiles, demo_world)
+        validate_profiles(population_of(profiles), demo_world)
     assert str(refused.value) == message
-    validate_profiles(demo_profiles[:3], demo_world)
+    validate_profiles(population_of(demo_households[:3]), demo_world)
 
 
 # Ways to write each code that read back as it.
@@ -242,11 +262,13 @@ def exactly(profiles):
 
 
 def read_or_refuse(read, text):
-    """exactly() the profiles read(text) returns, or its InputError's text."""
+    """exactly() the households read(text) returns, as rows or as columns,
+    or its InputError's text."""
     try:
-        return exactly(read(text))
+        households = read(text)
     except InputError as exc:
         return str(exc)
+    return exactly(households_of(households) if isinstance(households, dict) else households)
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,13 +301,62 @@ def test_population_csv_matches_the_line_by_line_reader(body, data, chunk_lines,
 
 
 @pytest.mark.parametrize("col", [0, 1, 12])
-def test_cells_numpy_reads_otherwise_read_like_the_line_by_line_reader(demo_profiles, col):
+def test_cells_numpy_reads_otherwise_read_like_the_line_by_line_reader(demo_households, col):
     # Each cell alone in an otherwise plain file, so that only the cell
     # decides which reader takes the chunk.
     for cell in (*ODD_CELLS, "1.0", "1e3", "1e999", "+1", "01"):
-        text = edited(demo_profiles[:3], 3, col, cell)
+        text = edited(population_of(demo_households[:3]), 3, col, cell)
         assert read_or_refuse(parse_population, text) == read_or_refuse(
             parse_population_reference, text), cell
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 8192])
+@pytest.mark.parametrize("rows", [(3, 4), (4, 5)], ids=["rows-3-4", "rows-4-5"])
+@pytest.mark.parametrize("code_first", [True, False], ids=["code-first", "cell-first"])
+def test_of_two_bad_rows_the_earlier_is_reported(demo_households, chunk_lines, rows, code_first):
+    # A bad code and a cell that does not parse, in either order, in rows
+    # that share a chunk or not. Codes are checked on a chunk's columns once
+    # all its cells parse; the earlier row's error must still be the one.
+    bad_code, unparseable = (2, "0.3"), (12, "many")
+    edits = (bad_code, unparseable) if code_first else (unparseable, bad_code)
+    lines = serialize_population(population_of(demo_households[:6])).splitlines()
+    for row, (col, cell) in zip(rows, edits):
+        cells = lines[row - 1].split(",")
+        cells[col] = cell
+        lines[row - 1] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    message = (f"row {rows[0]}: educ_level code 0.3 is not one of [0.25, 0.5, 1.0]" if code_first
+               else f"row {rows[0]}: members")
+    with mock.patch.object(population, "_CHUNK_LINES", chunk_lines):
+        assert read_or_refuse(parse_population, text) == message
+    assert read_or_refuse(parse_population_reference, text) == message
+
+
+def assert_scores_are_the_per_household_sums(index, households):
+    for got, reference in ((index.cdm, cdm_reference), (index.crf, crf_reference)):
+        want = np.array([reference(h) for h in households], dtype=float)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_index_scores_are_the_per_household_sums_on_the_demo(demo_index, demo_households):
+    assert_scores_are_the_per_household_sums(demo_index, demo_households)
+
+
+# One row of the smallest code of every coded field, each in the last of its
+# spellings: `-0.0` for a binary field.
+SMALLEST_LAST = tuple(SPELLINGS[min(codes.values())][-1] for codes in CODED_FIELDS.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*(population_cell(name) for name in CODED_FIELDS)), max_size=8))
+@example([SMALLEST_LAST])
+def test_index_scores_are_the_per_household_sums_for_every_code_spelling(codes):
+    lines = [POPULATION_HEADER] + [",".join([str(i), *row, "1", str(i)])
+                                   for i, row in enumerate(codes)]
+    read = parse_population("\n".join(lines) + "\n")
+    world = line_world(n_nodes=2, building_offsets=[(10.0 * i, 20.0) for i in range(len(codes))])
+    index = WorldIndex(world, read, EngineParams(nb_rescuers=0))
+    assert_scores_are_the_per_household_sums(index, households_of(read))
 
 
 def test_population_spec_round_trip():

@@ -25,17 +25,19 @@ from evacsim.risk import (
     perceived_risk,
 )
 from evacsim.sweep import default_sweep_spec, enumerate_combos
-from helpers import run_with_final_state
+from helpers import cdm_reference, crf_reference, households_of, run_with_final_state
 
 
 def make_profile(gender=0.5, educ=0.25, income=0.25, own=0.5, child=0.0, eld=0.0,
                  dis=0.0, years=0.5, quality=0.25, floors=0.5, exp=0.5):
-    return HouseholdProfile(
+    """One household's fields, keyed by name: what `cdm_score` and
+    `crf_score` read of a household."""
+    return vars(HouseholdProfile(
         id=0, head_gender=gender, educ_level=educ, income_level=income,
         house_ownership=own, has_children=child, has_elderly=eld,
         with_disability=dis, years_of_residency=years, house_quality=quality,
         floor_levels=floors, typhoon_experience=exp, members=4, building_id=0,
-    )
+    ))
 
 
 MIN_PROFILE = make_profile()
@@ -44,12 +46,10 @@ MAX_PROFILE = make_profile(gender=1.0, educ=1.0, income=1.0, own=1.0, child=1.0,
 
 
 def straight_line_risk(p, s, proximity_code, source_code, epsilon, w):
-    """Independent recomputation of perceived risk straight from the raw codes."""
-    cdm = (p.head_gender + p.income_level + p.educ_level + p.has_children
-           + p.has_elderly + p.with_disability + p.house_ownership + p.years_of_residency)
+    """Independent recomputation of perceived risk straight from the raw
+    codes of household p, a HouseholdProfile."""
     hrf = s.storm_severity + s.rainfall_severity + proximity_code + source_code + s.time_of_day
-    crf = p.house_quality + p.floor_levels + p.typhoon_experience
-    return cdm * w.w_cdm + hrf * w.w_hrf + crf * w.w_crf + epsilon
+    return cdm_reference(p) * w.w_cdm + hrf * w.w_hrf + crf_reference(p) * w.w_crf + epsilon
 
 
 def max_factor_risk(w, epsilon):
@@ -134,7 +134,8 @@ def test_perceived_risk_matches_straight_line_oracle():
         w = Weights(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
         hrf = hrf_score(s, proximity.value, source.value)
         got = perceived_risk(cdm_score(p), hrf, crf_score(p), epsilon, w)
-        expected = straight_line_risk(p, s, proximity.value, source.value, epsilon, w)
+        expected = straight_line_risk(HouseholdProfile(**p), s, proximity.value, source.value,
+                                      epsilon, w)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -142,6 +143,7 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     # One demo run with events on: every decided event's perceived risk is
     # the straight-line sum of that household's codes, its hazard proximity,
     # the source that informed it and its epsilon.
+    households = households_of(demo_profiles)
     w = Weights(0.3, 0.4, 0.3)
     s = Scenario.from_names(2, "orange", "nighttime")
     cfg = RunConfig(scenario=s, weights=w, threshold=0.7, seed=11)
@@ -149,12 +151,12 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     source = {hid: src for informs in state.timeline.informs.values() for hid, src in informs}
     highest = 8.0 * w.w_cdm + 3.0 * w.w_crf + 5.0 * w.w_hrf
     decided = [e for e in state.events if e.event == "decided"]
-    assert len(decided) == len(demo_profiles)
+    assert len(decided) == len(households)
     assert {e.detail.split()[0] for e in decided} == {"evacuate", "stay"}
     proximity = proximity_classes(demo_world,
-                                  [demo_world.buildings[p.building_id] for p in demo_profiles])
+                                  [demo_world.buildings[p.building_id] for p in households])
     for e in decided:
-        p = demo_profiles[e.agent_id]
+        p = households[e.agent_id]
         oracle = straight_line_risk(p, s, proximity[e.agent_id].value, source[e.agent_id].value,
                                     state.timeline.epsilon[e.agent_id], w)
         decision, perceived, top = e.detail.split()
@@ -169,10 +171,11 @@ def test_memoised_risk_matches_straight_line_oracle_on_the_grid(demo_world, demo
     # (scenario, weights) pair of the paper grid's 1,296 combinations, is
     # the straight-line sum of the raw codes, bit for bit.
     seed = 11
+    households = households_of(demo_profiles)
     timeline = demo_index.inform_timeline(seed)
     source = {hid: src.value for informs in timeline.informs.values() for hid, src in informs}
-    assert len(source) == len(demo_profiles)
-    houses = [demo_world.buildings[p.building_id] for p in demo_profiles]
+    assert len(source) == len(households)
+    houses = [demo_world.buildings[p.building_id] for p in households]
     proximity = proximity_classes(demo_world, houses)
     combos = enumerate_combos(default_sweep_spec())
     assert len(combos) == 1296
@@ -180,7 +183,7 @@ def test_memoised_risk_matches_straight_line_oracle_on_the_grid(demo_world, demo
         s = Scenario(STORM_CODES[c.storm_level], c.rainfall, c.time_of_day)
         w = Weights(c.w_cdm, c.w_hrf, c.w_crf)
         oracle = [straight_line_risk(p, s, proximity[i].value, source[i], timeline.epsilon[i], w)
-                  for i, p in enumerate(demo_profiles)]
+                  for i, p in enumerate(households)]
         assert demo_index.perceived(seed, s, w).tolist() == oracle
 
 
@@ -195,11 +198,11 @@ def test_memoised_risk_reads_each_households_source(demo_world, demo_profiles):
     timeline = index.inform_timeline(seed)
     source = {hid: src for informs in timeline.informs.values() for hid, src in informs}
     assert set(source.values()) == {WarningSource.FRIENDS, WarningSource.MEDIA}
-    assert 0 < len(source) < len(demo_profiles)
+    assert 0 < len(source) < len(demo_profiles["id"])
     s = Scenario.from_names(2, "orange", "nighttime")
     w = Weights(0.3, 0.4, 0.3)
     got = index.perceived(seed, s, w)
-    for i, p in enumerate(demo_profiles):
+    for i, p in enumerate(households_of(demo_profiles)):
         if i in source:
             assert got[i] == straight_line_risk(p, s, index.proximity[i].value, source[i].value,
                                                 timeline.epsilon[i], w)

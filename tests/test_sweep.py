@@ -31,7 +31,13 @@ from evacsim.sweep import (
     rows_to_csv,
     serialize_sweep_spec,
 )
-from helpers import ODD_CELLS, enumerate_combos_reference, line_world, rows_from_csv_reference
+from helpers import (
+    ODD_CELLS,
+    enumerate_combos_reference,
+    line_world,
+    population_of,
+    rows_from_csv_reference,
+)
 from test_engine import profile
 
 
@@ -139,7 +145,7 @@ def micro_setup():
         building_offsets=[(0.0, 20.0), (100.0, 20.0), (200.0, 20.0)],
         shelter_specs=[(0, 3, 1000, False)],
     )
-    profiles = [profile(i, i) for i in range(3)]
+    profiles = population_of([profile(i, i) for i in range(3)])
     params = EngineParams(nb_rescuers=1, fallback_tick_min=5, fallback_tick_max=20, max_ticks=400)
     spec = SweepSpec(
         storm_levels=(1, 2), rainfall_codes=(0.25, 1.0), time_of_day_codes=(0.5,),
@@ -473,11 +479,6 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
     (default_population_spec(), {"count": -1}, InputError, "count must be >= 0, got -1"),
     (default_population_spec(), {"members_mean": 11.0}, InputError,
      "members_mean must lie inside [members_min, members_max]"),
-    (profile(0, 0), {"educ_level": 0.3}, InputError,
-     "educ_level code 0.3 is not one of [0.25, 0.5, 1.0]"),
-    (profile(0, 0), {"has_children": float("nan")}, InputError,
-     "has_children code nan is not one of [0.0, 1.0]"),
-    (profile(0, 0), {"members": 0}, InputError, "members must be >= 1"),
     # The range test alone refuses a weight that is not finite.
     (RUN_CONFIG.weights, {"w_cdm": float("nan")}, InputError, "w_cdm must be in (0, 1], got nan"),
     (RUN_CONFIG.weights, {"w_hrf": float("inf")}, InputError, "w_hrf must be in (0, 1], got inf"),
@@ -485,8 +486,8 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
      "w_crf must be in (0, 1], got -inf"),
 ], ids=["params-tick", "params-fallback", "params-fallback-0-0", "params-fallback-0-5",
         "params-household-move-0", "params-rescuer-move-0", "run-threshold", "spec-storm", "spec-duplicate",
-        "population-count", "population-mean", "household-code", "household-nan",
-        "household-members", "weights-nan", "weights-inf", "weights-minus-inf"])
+        "population-count", "population-mean", "weights-nan", "weights-inf",
+        "weights-minus-inf"])
 def test_records_check_themselves_when_built(record, change, error, message):
     kwargs = {f.name: getattr(record, f.name) for f in fields(record)} | change
     with pytest.raises(InputError) as built:
@@ -495,6 +496,21 @@ def test_records_check_themselves_when_built(record, change, error, message):
         replace(record, **change)
     for exc in (built.value, replaced.value):
         assert type(exc) is error and str(exc) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"educ_level": 0.3}, "educ_level code 0.3 is not one of [0.25, 0.5, 1.0]"),
+    ({"has_children": float("nan")}, "has_children code nan is not one of [0.0, 1.0]"),
+    ({"members": 0}, "members must be >= 1"),
+], ids=["household-code", "household-nan", "household-members"])
+def test_world_index_checks_each_households_codes(change, message):
+    # A population built in memory is checked by the index built on it, as
+    # a population file is by its reader; the second household is at fault.
+    world, _, params, _ = micro_setup()
+    households = [profile(0, 0), replace(profile(1, 1), **change), profile(2, 2)]
+    with pytest.raises(InputError) as refused:
+        WorldIndex(world, population_of(households), params)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("col, cell", [(7, "nan"), (4, "inf"), (6, "-Infinity")])

@@ -13,7 +13,7 @@ from evacsim.cli import main
 from evacsim.errors import InputError
 from evacsim.geo import Point
 from evacsim.textfile import content_lines, read_text, split_lines
-from helpers import line_world, split_lines_reference
+from helpers import line_world, population_of, split_lines_reference
 from test_engine import profile
 
 
@@ -60,7 +60,8 @@ def test_world_file_numbers_lines_past_a_form_feed(tmp_path):
 
 
 def test_population_file_numbers_lines_past_a_form_feed(tmp_path):
-    lines = population.serialize_population([profile(i, i) for i in range(4)]).splitlines()
+    lines = population.serialize_population(
+        population_of([profile(i, i) for i in range(4)])).splitlines()
     lines[1] = lines[1].replace(",1.0,", ",1.0\x0c,", 1)
     lines[3] = lines[3].rsplit(",", 1)[0]
     with pytest.raises(InputError, match="^row 4: expected 14 cells$"):
@@ -95,7 +96,8 @@ def test_spec_file_numbers_lines_past_a_form_feed(tmp_path, capsys):
 
 def _bad_population_code() -> str:
     # The header holds no `,1.0,`: the first one is a code of row 2.
-    return population.serialize_population([profile(0, 0)]).replace(",1.0,", ",0.3,", 1)
+    return population.serialize_population(
+        population_of([profile(0, 0)])).replace(",1.0,", ",0.3,", 1)
 
 
 @pytest.mark.parametrize("refuse", [

@@ -29,6 +29,7 @@ from evacsim.risk import WarningSource
 from helpers import (
     line_world,
     point_segment_distance_reference,
+    population_of,
     random_graph_world,
     walk_arrivals,
     walk_rescuers_reference,
@@ -41,7 +42,7 @@ def with_shelters(world: World, nodes: list[int]) -> World:
 
 
 def walk_index(world: World, **overrides) -> WorldIndex:
-    return WorldIndex(world, [], EngineParams(nb_rescuers=0, **overrides))
+    return WorldIndex(world, population_of([]), EngineParams(nb_rescuers=0, **overrides))
 
 
 @st.composite
@@ -205,7 +206,7 @@ def household(i: int) -> HouseholdProfile:
 def inform_index(world: World, houses: list[Point], **overrides) -> WorldIndex:
     world = replace(world, buildings=dict(enumerate(houses)),
                     waterways=[Waterway(0, (Point(-5000.0, -5000.0), Point(-4000.0, -5000.0)))])
-    return WorldIndex(world, [household(i) for i in range(len(houses))],
+    return WorldIndex(world, population_of([household(i) for i in range(len(houses))]),
                       EngineParams(**overrides))
 
 
