@@ -252,20 +252,11 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="evacsim",
-        description="Typhoon preemptive-evacuation simulator, sweep harness, and sensitivity analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    fmt = _HelpFormatter
-
-    p = sub.add_parser("validate", help="check a world file", formatter_class=fmt)
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--world", required=True, help="world file to validate")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("gen-population", help="synthesize a coded population CSV",
-                       formatter_class=fmt)
+
+def _gen_population_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--world", required=True, help="world file (buildings to assign)")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--spec", default=None,
@@ -274,9 +265,9 @@ def build_parser() -> _Parser:
                         help="household count when no spec file is given")
     p.add_argument("--seed", type=int, default=42, help="sampling seed")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_gen_population)
 
-    p = sub.add_parser("simulate", help="run one simulation", formatter_class=fmt)
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--world", required=True)
     p.add_argument("--population", required=True, help="population CSV")
     _add_scenario_flags(p, "1", "yellow", "daytime", 0.7)
@@ -286,9 +277,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out-events", default=None, help="write the event log CSV here")
     p.add_argument("--out-series", default=None, help="write the per-tick series CSV here")
     _add_engine_flags(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run the batch experiment grid", formatter_class=fmt)
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="sweep spec file")
     p.add_argument("--world", required=True)
     p.add_argument("--population", required=True)
@@ -296,34 +287,63 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (output is identical for any count)")
     _add_engine_flags(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("analyze", help="OLS sensitivity report from sweep results",
-                       formatter_class=fmt)
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="sweep results CSV")
     p.add_argument("--mode", default="drop-one-weight", choices=list(stats.SENSITIVITY_MODES),
                    help="collinearity handling for the weight columns")
     p.add_argument("--csv", default=None, help="also write the report as CSV here")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("series", help="plot-data extraction for one scenario+threshold slice",
-                       formatter_class=fmt)
+
+def _series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="sweep results CSV")
     _add_scenario_flags(p, "2", "orange", "nighttime", 0.8)
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("emit-demo", help="write demo world and default spec files",
-                       formatter_class=fmt)
+
+def _emit_demo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", default=os.environ.get(ASSET_DIR_ENV, "assets"),
                    help=f"target directory (env {ASSET_DIR_ENV} overrides)")
-    p.set_defaults(func=_cmd_emit_demo)
 
+
+# command -> (help line, adds its arguments, runs it), in help order
+_COMMANDS = {
+    "validate": ("check a world file", _validate_args, _cmd_validate),
+    "gen-population": ("synthesize a coded population CSV", _gen_population_args,
+                       _cmd_gen_population),
+    "simulate": ("run one simulation", _simulate_args, _cmd_simulate),
+    "sweep": ("run the batch experiment grid", _sweep_args, _cmd_sweep),
+    "analyze": ("OLS sensitivity report from sweep results", _analyze_args, _cmd_analyze),
+    "series": ("plot-data extraction for one scenario+threshold slice", _series_args,
+               _cmd_series),
+    "emit-demo": ("write demo world and default spec files", _emit_demo_args, _cmd_emit_demo),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The evacsim parser. It registers every subcommand with its help
+    line, but builds the arguments of `command` only, the one a call runs,
+    when that names a subcommand; otherwise (None, `--help`, a typo) it
+    builds them all."""
+    parser = _Parser(
+        prog="evacsim",
+        description="Typhoon preemptive-evacuation simulator, sweep harness, and sensitivity analysis.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    build_all = command not in _COMMANDS
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+        if build_all or name == command:
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -210,6 +210,24 @@ class InformTimeline:
     source: tuple[WarningSource | None, ...]
 
 
+class _NodeCandidates(dict):
+    """node -> the households a rescuer standing on it could perceive: the
+    union of its incident edges' candidate lists in adjacency order, first
+    occurrence kept. A node's list is built on its first read and kept."""
+
+    def __init__(self, edge_lists: tuple[tuple[int, ...], ...],
+                 edges: dict[int, dict[int, tuple[float, int]]]):
+        super().__init__()
+        self.edge_lists = edge_lists
+        self.edges = edges  # node -> neighbour -> (edge length, edge list number)
+
+    def __missing__(self, node: int) -> tuple[int, ...]:
+        lists = self.edge_lists
+        got = self[node] = tuple(dict.fromkeys(chain.from_iterable(
+            lists[slot] for _, slot in self.edges[node].values())))
+        return got
+
+
 class WorldIndex:
     """The one owner of a run's world, population and engine parameters,
     and the precomputation shared by every run on them.
@@ -233,20 +251,22 @@ class WorldIndex:
     in ascending id per edge (`edge_candidates`, every house within
     rescuer_radius of the segment) and per node (`node_candidates`, the
     union of the incident edges' lists in adjacency order, first occurrence
-    kept). `candidate_lists` numbers the edge lists, in `edge_candidates`
-    order, and `slots_of` maps a household to the numbers of the edge lists
-    holding it, so a walk can count the unaware households of each edge
-    list. A node list is read only while a rescuer stands on its node: for
-    the one tick its move ends exactly there, or for the whole walk at a
-    start node with no road, whose list is empty; so it is scanned whole,
-    and no count is kept for it. The linked move table `move_rows` holds
-    one row per (node, node a rescuer came from, or None at its start, so
-    that no node id can be taken for a start), and `start_row` numbers each
-    node's start row. A row is (choices, choice count, the count's bit
-    length), the choices in adjacency order without the way back unless
-    that is the only way, and a choice is (next node, edge length, edge list
-    number, the row its walker draws from at the next node), so a walk
-    follows row numbers and never looks up where it came from.
+    kept, built on the first read of its node and kept, since a move rarely
+    ends exactly on a node and most runs read none). `candidate_lists`
+    numbers the edge lists, in `edge_candidates` order, and `slots_of` maps
+    a household to the numbers of the edge lists holding it, so a walk can
+    count the unaware households of each edge list. A node list is read only
+    while a rescuer stands on its node: for the one tick its move ends
+    exactly there, or for the whole walk at a start node with no road, whose
+    list is empty; so it is scanned whole, and no count is kept for it. The
+    linked move table `move_rows` holds one row per (node, node a rescuer
+    came from, or None at its start, so that no node id can be taken for a
+    start), and `start_row` numbers each node's start row. A row is
+    (choices, choice count, the count's bit length), the choices in
+    adjacency order without the way back unless that is the only way, and a
+    choice is (next node, edge length, edge list number, the row its walker
+    draws from at the next node), so a walk follows row numbers and never
+    looks up where it came from.
 
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
@@ -296,10 +316,7 @@ class WorldIndex:
                 edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
             for prev in (None, *edge):
                 row_of[(node, prev)] = len(row_of)
-        self.node_candidates: dict[int, tuple[int, ...]] = {
-            node: tuple(dict.fromkeys(chain.from_iterable(edge_lists[slot]
-                                                          for _, slot in edge.values())))
-            for node, edge in edges.items()}
+        self.node_candidates = _NodeCandidates(edge_lists, edges)
         self.start_row = {node: row_of[(node, None)] for node in edges}
         # Every choice of a node, in adjacency order; a row drops the way
         # back unless that is the only way.

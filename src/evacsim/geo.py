@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .textfile import content_lines, read_text
+from .textfile import read_text, split_lines
 
 __all__ = [
     "Point",
@@ -114,9 +114,24 @@ def _parse_bool(token: str) -> bool:
     raise ValueError(f"not a boolean: {token!r}")
 
 
+def _bad_line(lineno: int, why: str) -> InputError:
+    return InputError(f"line {lineno}: {why}")
+
+
+def _coordinates_error(lineno: int, kind: str) -> InputError:
+    return _bad_line(lineno,
+                     f"{kind} coordinates must be finite and within +-{MAX_COORDINATE_M:g} m")
+
+
 def parse_world(text: str) -> World:
     """Parse the line-oriented world format, checking each record on its own;
-    validate_world checks the invariants that span records."""
+    validate_world checks the invariants that span records.
+
+    One pass over the lines of `textfile.split_lines`, skipping what
+    `textfile.content_lines` skips. A record's checks run in a fixed order,
+    the first that fails names the line: field count, ids, duplicate,
+    every coordinate parsed as a float, then their range (a nan is out of
+    range)."""
     nodes: dict[int, Point] = {}
     edges: list[tuple[int, int, float]] = []
     edge_keys: set[tuple[int, int]] = set()
@@ -124,66 +139,65 @@ def parse_world(text: str) -> World:
     waterways: list[Waterway] = []
     shelters: list[Shelter] = []
     rescuer_starts: list[int] = []
+    limit = MAX_COORDINATE_M
 
-    def fail(lineno: int, why: str) -> None:
-        raise InputError(f"line {lineno}: {why}")
-
-    def points(lineno: int, kind: str, coords: list[str]) -> list[Point]:
-        values = [float(v) for v in coords]
-        if not all(abs(v) <= MAX_COORDINATE_M for v in values):  # False for nan
-            fail(lineno, f"{kind} coordinates must be finite and within +-{MAX_COORDINATE_M:g} m")
-        return [Point(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-
-    for lineno, line in content_lines(text):
+    for lineno, line in enumerate(split_lines(text), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
         parts = line.split("|")
         kind = parts[0]
         try:
-            if kind == "node":
+            if kind == "node" or kind == "building":
                 if len(parts) != 4:
-                    fail(lineno, "node expects node|id|x|y")
-                nid = int(parts[1])
-                if nid in nodes:
-                    fail(lineno, f"duplicate node id {nid}")
-                nodes[nid] = points(lineno, "node", parts[2:])[0]
+                    raise _bad_line(lineno, f"{kind} expects {kind}|id|x|y")
+                rid = int(parts[1])
+                table = nodes if kind == "node" else buildings
+                if rid in table:
+                    raise _bad_line(lineno, f"duplicate {kind} id {rid}")
+                x = float(parts[2])
+                y = float(parts[3])
+                if not (abs(x) <= limit and abs(y) <= limit):  # False for nan
+                    raise _coordinates_error(lineno, kind)
+                table[rid] = Point(x, y)
             elif kind == "edge":
                 if len(parts) not in (3, 4):
-                    fail(lineno, "edge expects edge|a|b or edge|a|b|length")
+                    raise _bad_line(lineno, "edge expects edge|a|b or edge|a|b|length")
                 a, b = int(parts[1]), int(parts[2])
                 if a == b:
-                    fail(lineno, f"self-loop edge at node {a}")
+                    raise _bad_line(lineno, f"self-loop edge at node {a}")
                 if a not in nodes or b not in nodes:
-                    fail(lineno, f"edge references unknown node ({a},{b}); nodes must precede edges")
+                    raise _bad_line(lineno, f"edge references unknown node ({a},{b}); "
+                                            "nodes must precede edges")
                 key = (min(a, b), max(a, b))
                 if key in edge_keys:
-                    fail(lineno, f"duplicate edge {key}")
+                    raise _bad_line(lineno, f"duplicate edge {key}")
                 edge_keys.add(key)
                 euclid = nodes[a].distance_to(nodes[b])
                 if euclid == 0.0:
-                    fail(lineno, f"zero-length edge ({a},{b}): its nodes coincide")
+                    raise _bad_line(lineno, f"zero-length edge ({a},{b}): its nodes coincide")
                 if len(parts) == 4:
                     stored = float(parts[3])
                     if abs(stored - euclid) > EDGE_LENGTH_TOL:
-                        fail(
+                        raise _bad_line(
                             lineno,
                             f"edge length {stored} differs from endpoint distance "
                             f"{euclid:.9f} by more than {EDGE_LENGTH_TOL}",
                         )
                 edges.append((a, b, euclid))
-            elif kind == "building":
-                if len(parts) != 4:
-                    fail(lineno, "building expects building|id|x|y")
-                bid = int(parts[1])
-                if bid in buildings:
-                    fail(lineno, f"duplicate building id {bid}")
-                buildings[bid] = points(lineno, "building", parts[2:])[0]
             elif kind == "waterway":
                 if len(parts) < 6 or len(parts) % 2 != 0:
-                    fail(lineno, "waterway expects waterway|id|x1|y1|x2|y2|... (>= 2 points)")
+                    raise _bad_line(lineno, "waterway expects waterway|id|x1|y1|x2|y2|... "
+                                            "(>= 2 points)")
                 wid = int(parts[1])
-                waterways.append(Waterway(wid, tuple(points(lineno, "waterway", parts[2:]))))
+                values = [float(v) for v in parts[2:]]
+                if not all(abs(v) <= limit for v in values):
+                    raise _coordinates_error(lineno, kind)
+                waterways.append(Waterway(wid, tuple(Point(values[i], values[i + 1])
+                                                     for i in range(0, len(values), 2))))
             elif kind == "shelter":
                 if len(parts) != 5:
-                    fail(lineno, "shelter expects shelter|id|node|capacity|external")
+                    raise _bad_line(lineno, "shelter expects shelter|id|node|capacity|external")
                 shelters.append(
                     Shelter(
                         id=int(parts[1]),
@@ -194,12 +208,12 @@ def parse_world(text: str) -> World:
                 )
             elif kind == "rescuer_start":
                 if len(parts) != 2:
-                    fail(lineno, "rescuer_start expects rescuer_start|node")
+                    raise _bad_line(lineno, "rescuer_start expects rescuer_start|node")
                 rescuer_starts.append(int(parts[1]))
             else:
-                fail(lineno, f"unknown record kind {kind!r}")
+                raise _bad_line(lineno, f"unknown record kind {kind!r}")
         except ValueError as exc:
-            fail(lineno, str(exc))
+            raise _bad_line(lineno, str(exc)) from None
 
     return World(
         nodes=nodes,
@@ -281,7 +295,7 @@ def serialize_world(world: World) -> str:
 
 
 # At most this many (point, node) squared distances are held at once.
-_BLOCK_PAIRS = 4096
+_BLOCK_PAIRS = 16384
 # The relative margin of the band rules: far above the few ulps by which a
 # squared distance computed two ways can differ, far below any distance
 # the world's geometry tells apart.
@@ -317,9 +331,11 @@ def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
     rows = max(1, _BLOCK_PAIRS // len(ids))
     out: list[int] = []
     for lo in range(0, len(points), rows):
-        dx = qx - px[lo:lo + rows, None]
+        d2 = qx - px[lo:lo + rows, None]
         dy = qy - py[lo:lo + rows, None]
-        d2 = dx * dx + dy * dy
+        d2 *= d2
+        dy *= dy
+        d2 += dy  # dx * dx + dy * dy, in place
         limit = d2.min(axis=1) * (1 + _BAND) + _TINY
         row, col = np.nonzero(d2 <= limit[:, None])
         first = np.searchsorted(row, np.arange(len(d2) + 1))

@@ -247,9 +247,15 @@ def build_design(rows: SweepTable, mode: str) -> DesignMatrix:
         names = ("intercept",) + tuple(n for n in PREDICTOR_ORDER if n != "w_crf")
     else:  # intercept-full
         names = ("intercept",) + PREDICTOR_ORDER
-    columns = [np.ones(len(rows)) if name == "intercept" else rows.columns[name].astype(float)
-               for name in names]
-    return DesignMatrix(names=tuple(names), x=np.column_stack(columns), y=y)
+    # Column-major, written one column at a time: fit_ols's QR reads X in
+    # this order, so it takes X without a copy.
+    x = np.empty((len(rows), len(names)), order="F")
+    for k, name in enumerate(names):
+        if name == "intercept":
+            x[:, k] = 1.0
+        else:
+            x[:, k] = rows.columns[name]
+    return DesignMatrix(names=tuple(names), x=x, y=y)
 
 
 def sensitivity(rows: SweepTable, mode: str = "drop-one-weight") -> RegressionReport:

@@ -4,9 +4,10 @@ Every reader of a world, population, results or spec file reads it with
 `read_text` and numbers its lines by `split_lines`: only `\\n` ends a line,
 and one `\\r` before it is dropped, so CRLF reads like LF and a line number
 is the one an editor shows. `str.splitlines` would also break at form
-feeds, vertical tabs and other control characters. World and spec files
-read their records through `content_lines`, the one place that skips
-blank lines and whole-line `#` comments. The module imports
+feeds, vertical tabs and other control characters. Spec files read their
+records through `content_lines`, which skips blank lines and whole-line
+`#` comments; `geo.parse_world` skips the same lines in its own one-pass
+loop, and its oracle test holds it to this rule. The module imports
 nothing of evacsim but its errors, so every reader can import it.
 """
 

@@ -12,6 +12,8 @@ from evacsim import engine
 from evacsim.engine import InformTimeline, RunConfig, RunResult, SimulationState, WorldIndex
 from evacsim.errors import InputError
 from evacsim.geo import (
+    EDGE_LENGTH_TOL,
+    MAX_COORDINATE_M,
     NEAR_CUTOFF_M,
     WITHIN_CUTOFF_M,
     Point,
@@ -19,12 +21,14 @@ from evacsim.geo import (
     Shelter,
     Waterway,
     World,
+    _parse_bool,
     shortest_path_tree,
 )
 from evacsim.population import CODED_FIELDS, HouseholdProfile, record_fields
 from evacsim.risk import WarningSource
 from evacsim.seeds import derive_seed
 from evacsim.sweep import FILTER_EXACT_ONE, RESULTS_HEADER, Combo, SweepRow, SweepSpec
+from evacsim.textfile import content_lines
 
 
 def population_of(households: list[HouseholdProfile]) -> dict[str, np.ndarray]:
@@ -531,3 +535,101 @@ def parse_population_reference(text: str) -> list[HouseholdProfile]:
             raise InputError(f"row {lineno}: members must be >= 1")
         profiles.append(household)
     return profiles
+
+
+def parse_world_reference(text: str) -> World:
+    """The world file read record by record through `textfile.content_lines`,
+    with a closure per check: the oracle of the one-pass `geo.parse_world`,
+    which must return an equal world or raise the same InputError text."""
+    nodes: dict[int, Point] = {}
+    edges: list[tuple[int, int, float]] = []
+    edge_keys: set[tuple[int, int]] = set()
+    buildings: dict[int, Point] = {}
+    waterways: list[Waterway] = []
+    shelters: list[Shelter] = []
+    rescuer_starts: list[int] = []
+
+    def fail(lineno: int, why: str) -> None:
+        raise InputError(f"line {lineno}: {why}")
+
+    def points(lineno: int, kind: str, coords: list[str]) -> list[Point]:
+        values = [float(v) for v in coords]
+        if not all(abs(v) <= MAX_COORDINATE_M for v in values):  # False for nan
+            fail(lineno, f"{kind} coordinates must be finite and within +-{MAX_COORDINATE_M:g} m")
+        return [Point(values[i], values[i + 1]) for i in range(0, len(values), 2)]
+
+    for lineno, line in content_lines(text):
+        parts = line.split("|")
+        kind = parts[0]
+        try:
+            if kind == "node":
+                if len(parts) != 4:
+                    fail(lineno, "node expects node|id|x|y")
+                nid = int(parts[1])
+                if nid in nodes:
+                    fail(lineno, f"duplicate node id {nid}")
+                nodes[nid] = points(lineno, "node", parts[2:])[0]
+            elif kind == "edge":
+                if len(parts) not in (3, 4):
+                    fail(lineno, "edge expects edge|a|b or edge|a|b|length")
+                a, b = int(parts[1]), int(parts[2])
+                if a == b:
+                    fail(lineno, f"self-loop edge at node {a}")
+                if a not in nodes or b not in nodes:
+                    fail(lineno, f"edge references unknown node ({a},{b}); nodes must precede edges")
+                key = (min(a, b), max(a, b))
+                if key in edge_keys:
+                    fail(lineno, f"duplicate edge {key}")
+                edge_keys.add(key)
+                euclid = nodes[a].distance_to(nodes[b])
+                if euclid == 0.0:
+                    fail(lineno, f"zero-length edge ({a},{b}): its nodes coincide")
+                if len(parts) == 4:
+                    stored = float(parts[3])
+                    if abs(stored - euclid) > EDGE_LENGTH_TOL:
+                        fail(
+                            lineno,
+                            f"edge length {stored} differs from endpoint distance "
+                            f"{euclid:.9f} by more than {EDGE_LENGTH_TOL}",
+                        )
+                edges.append((a, b, euclid))
+            elif kind == "building":
+                if len(parts) != 4:
+                    fail(lineno, "building expects building|id|x|y")
+                bid = int(parts[1])
+                if bid in buildings:
+                    fail(lineno, f"duplicate building id {bid}")
+                buildings[bid] = points(lineno, "building", parts[2:])[0]
+            elif kind == "waterway":
+                if len(parts) < 6 or len(parts) % 2 != 0:
+                    fail(lineno, "waterway expects waterway|id|x1|y1|x2|y2|... (>= 2 points)")
+                wid = int(parts[1])
+                waterways.append(Waterway(wid, tuple(points(lineno, "waterway", parts[2:]))))
+            elif kind == "shelter":
+                if len(parts) != 5:
+                    fail(lineno, "shelter expects shelter|id|node|capacity|external")
+                shelters.append(
+                    Shelter(
+                        id=int(parts[1]),
+                        node=int(parts[2]),
+                        capacity=int(parts[3]),
+                        external=_parse_bool(parts[4]),
+                    )
+                )
+            elif kind == "rescuer_start":
+                if len(parts) != 2:
+                    fail(lineno, "rescuer_start expects rescuer_start|node")
+                rescuer_starts.append(int(parts[1]))
+            else:
+                fail(lineno, f"unknown record kind {kind!r}")
+        except ValueError as exc:
+            fail(lineno, str(exc))
+
+    return World(
+        nodes=nodes,
+        edges=edges,
+        buildings=buildings,
+        waterways=waterways,
+        shelters=shelters,
+        rescuer_starts=rescuer_starts,
+    )

@@ -639,6 +639,32 @@ def test_help_states_each_default_once():
     assert "population spec file (default: built-in spec) --count" in helps["gen-population"]
 
 
+COMMANDS = ["validate", "gen-population", "simulate", "sweep", "analyze", "series", "emit-demo"]
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return parser._subparsers._group_actions[0].choices  # noqa: SLF001
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_build_parser_builds_the_invoked_command_only(name):
+    full = _subparsers(build_parser())
+    subs = _subparsers(build_parser(name))
+    assert list(subs) == list(full) == COMMANDS
+    assert subs[name].format_help() == full[name].format_help()
+    for other, sub in subs.items():
+        if other != name:
+            assert [type(action) for action in sub._actions] == [argparse._HelpAction], other
+
+
+@pytest.mark.parametrize("first", [None, "--help", "-h", "simulat", ""])
+def test_build_parser_builds_every_command_for_a_token_naming_none(first):
+    full = _subparsers(build_parser())
+    subs = _subparsers(build_parser(first))
+    assert [sub.format_help() for sub in subs.values()] == [
+        sub.format_help() for sub in full.values()]
+
+
 def test_demo_pop_csv_has_570_rows(demo_pop_csv):
     assert len(demo_pop_csv.read_text().splitlines()) == 571
 

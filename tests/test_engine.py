@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -168,6 +169,18 @@ def test_node_candidates_union_incident_edges_in_adjacency_order(demo_index):
                 if hid not in union:
                     union.append(hid)
         assert demo_index.node_candidates[node] == tuple(union)
+
+
+def test_node_candidates_built_on_read_survive_a_pickle_round_trip(demo_world, demo_profiles):
+    # Sweep workers started by forkserver or spawn unpickle the index, with
+    # the node lists read so far, and build the others on their first read.
+    index = WorldIndex(demo_world, demo_profiles)
+    first = next(iter(demo_world.adjacency))
+    index.node_candidates[first]
+    copy = pickle.loads(pickle.dumps(index))
+    assert list(copy.node_candidates) == [first]
+    for node in demo_world.adjacency:
+        assert copy.node_candidates[node] == index.node_candidates[node]
 
 
 def test_rescuer_informs_within_radius_only():

@@ -29,6 +29,7 @@ from evacsim.geo import (
 from helpers import (
     bellman_ford_distances,
     classify_proximity,
+    parse_world_reference,
     point_segment_distance_reference,
     random_graph_world,
 )
@@ -90,6 +91,95 @@ def test_edge_length_field_checked_against_geometry():
     parse_world(ok)
     with pytest.raises(InputError, match="differs"):
         parse_world("node|0|0|0\nnode|1|100|0\nedge|0|1|99.0\n")
+
+
+def _lines_of(lines: list[str], *kinds: str) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.split("|")[0] in kinds]
+
+
+def _mutate_one_line(lines: list[str], data) -> list[str]:
+    """The world file's lines with one mutation of the kinds a world
+    parser must refuse, or read the same way, drawn from data."""
+    lines = list(lines)
+
+    def pick(*kinds: str) -> int:  # a line of a drawn kind, so rare kinds get drawn
+        return data.draw(st.sampled_from(_lines_of(lines, data.draw(st.sampled_from(kinds)))))
+
+    how = data.draw(st.sampled_from([
+        "drop field", "add field", "coordinate", "repeat id", "edge before node",
+        "self-loop", "coincident", "length off", "unknown kind", "crlf", "insert line"]))
+    if how in ("drop field", "add field"):
+        i = pick("node", "edge", "building", "waterway", "shelter", "rescuer_start")
+        parts = lines[i].split("|")
+        if how == "drop field":
+            del parts[data.draw(st.integers(0, len(parts) - 1))]
+        else:
+            parts.insert(data.draw(st.integers(1, len(parts))),
+                         data.draw(st.sampled_from(["0", "1", "7.5"])))
+        lines[i] = "|".join(parts)
+    elif how == "coordinate":
+        i = pick("node", "building", "waterway")
+        parts = lines[i].split("|")
+        parts[data.draw(st.integers(2, len(parts) - 1))] = data.draw(
+            st.sampled_from(["nan", "NaN", "inf", "-inf", "1e10", "-1e10", "-0.0"]))
+        lines[i] = "|".join(parts)
+    elif how == "repeat id":
+        kind = data.draw(st.sampled_from(["node", "building"]))
+        # the id of line src, given to line dst, before or after src
+        src, dst = data.draw(st.lists(st.sampled_from(_lines_of(lines, kind)),
+                                      min_size=2, max_size=2, unique=True))
+        parts = lines[dst].split("|")
+        parts[1] = lines[src].split("|")[1]
+        lines[dst] = "|".join(parts)
+    elif how == "edge before node":
+        i = pick("edge")
+        lines.insert(data.draw(st.integers(0, max(_lines_of(lines, "node")))), lines.pop(i))
+    elif how in ("self-loop", "coincident"):
+        i = pick("edge")
+        parts = lines[i].split("|")
+        if how == "self-loop":
+            parts[2] = parts[1]
+            lines[i] = "|".join(parts)
+        else:
+            node_line = {line.split("|")[1]: k for k, line in enumerate(lines)
+                         if line.startswith("node|")}
+            a, b = node_line[parts[1]], node_line[parts[2]]
+            lines[b] = "|".join(lines[b].split("|")[:2] + lines[a].split("|")[2:])
+    elif how == "length off":
+        i = pick("edge")
+        parts = lines[i].split("|")
+        parts[3] = repr(float(parts[3]) + data.draw(st.sampled_from([2e-6, -2e-6])))
+        lines[i] = "|".join(parts)
+    elif how == "unknown kind":
+        i = pick("node", "edge", "building", "shelter")
+        parts = lines[i].split("|")
+        parts[0] = data.draw(st.sampled_from(["volcano", "Node", "nodes", "edge ", ""]))
+        lines[i] = "|".join(parts)
+    elif how == "crlf":
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] += "\r"
+    else:  # insert line
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(st.sampled_from(["", "   ", "\t", "#", "#node|0|1|2",
+                                                "  # indented"])))
+    return lines
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        world = parse(text)
+    except InputError as exc:
+        return "refused", str(exc)
+    return "parsed", world, repr(world), list(world.nodes), list(world.buildings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_world_matches_the_record_by_record_oracle(demo_world, data):
+    # Equal worlds with the same key order and the same -0.0s, or the same
+    # InputError text, on the demo world with one line mutated.
+    text = "\n".join(_mutate_one_line(serialize_world(demo_world).split("\n")[:-1], data)) + "\n"
+    assert _parse_outcome(parse_world, text) == _parse_outcome(parse_world_reference, text)
 
 
 def test_demo_world_shape(demo_world):
