@@ -210,24 +210,6 @@ class InformTimeline:
     source: tuple[WarningSource | None, ...]
 
 
-class _NodeCandidates(dict):
-    """node -> the households a rescuer standing on it could perceive: the
-    union of its incident edges' candidate lists in adjacency order, first
-    occurrence kept. A node's list is built on its first read and kept."""
-
-    def __init__(self, edge_lists: tuple[tuple[int, ...], ...],
-                 edges: dict[int, dict[int, tuple[float, int]]]):
-        super().__init__()
-        self.edge_lists = edge_lists
-        self.edges = edges  # node -> neighbour -> (edge length, edge list number)
-
-    def __missing__(self, node: int) -> tuple[int, ...]:
-        lists = self.edge_lists
-        got = self[node] = tuple(dict.fromkeys(chain.from_iterable(
-            lists[slot] for _, slot in self.edges[node].values())))
-        return got
-
-
 class WorldIndex:
     """The one owner of a run's world, population and engine parameters,
     and the precomputation shared by every run on them.
@@ -239,34 +221,29 @@ class WorldIndex:
     `validate_profiles` refuses (`check_codes`, then the households' fit
     together and to the world); it is the one owner of that check. Holds
     the parameters, house positions, snapped road nodes, hazard proximity
-    classes, per-household CDM and CRF scores (`cdm_score` and `crf_score`
-    of the columns), one shortest-path tree per shelter for routing, and
-    the inform timeline of the last seed it served, which holds what every
-    run of that seed reads. The parameters are frozen, so the timeline is
-    keyed on the seed alone. It also keeps the perceived-risk array of the
-    last (seed, scenario, weights) it served: those are every input of the
-    array besides the index's own.
+    codes (`proximity_code`), per-household CDM and CRF scores (`cdm_score`
+    and `crf_score` of the columns), one shortest-path tree per shelter for
+    routing (`shelter_next`), and the inform timeline of the last seed it
+    served, which holds what every run of that seed reads. The parameters
+    are frozen, so the timeline is keyed on the seed alone. It also keeps
+    the perceived-risk array of the last (seed, scenario, weights) it
+    served: those are every input of the array besides the index's own.
 
-    For the rescuer walk it holds the households a rescuer could perceive,
-    in ascending id per edge (`edge_candidates`, every house within
-    rescuer_radius of the segment) and per node (`node_candidates`, the
-    union of the incident edges' lists in adjacency order, first occurrence
-    kept, built on the first read of its node and kept, since a move rarely
-    ends exactly on a node and most runs read none). `candidate_lists`
-    numbers the edge lists, in `edge_candidates` order, and `slots_of` maps
-    a household to the numbers of the edge lists holding it, so a walk can
-    count the unaware households of each edge list. A node list is read only
-    while a rescuer stands on its node: for the one tick its move ends
-    exactly there, or for the whole walk at a start node with no road, whose
-    list is empty; so it is scanned whole, and no count is kept for it. The
-    linked move table `move_rows` holds one row per (node, node a rescuer
-    came from, or None at its start, so that no node id can be taken for a
-    start), and `start_row` numbers each node's start row. A row is
-    (choices, choice count, the count's bit length), the choices in
+    For the rescuer walk it holds the households a rescuer could perceive
+    from a point of each edge: `candidate_lists`, numbered in world.edges
+    order, each every house within rescuer_radius of the segment in
+    ascending id. `slots_of` maps a household to the numbers of the edge
+    lists holding it, so a walk can count the unaware households of each
+    list. The linked move table `move_rows` holds one row per (node, node a
+    rescuer came from, or None at its start, so that no node id can be
+    taken for a start), and `start_row` numbers each node's start row. A
+    row is (choices, choice count, the count's bit length), the choices in
     adjacency order without the way back unless that is the only way, and a
     choice is (next node, edge length, edge list number, the row its walker
     draws from at the next node), so a walk follows row numbers and never
-    looks up where it came from.
+    looks up where it came from. A node's start row names every edge list
+    of the node in adjacency order, which a rescuer standing on the node
+    scans; no list is kept per node.
 
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
@@ -300,13 +277,13 @@ class WorldIndex:
         houses = [world.buildings[b] for b in population["building_id"].tolist()]
         self.house_pos = [(pos.x, pos.y) for pos in houses]
         self.house_node = nearest_road_nodes(world, houses)
-        self.proximity = proximity_classes(world, houses)
-        self.proximity_code = np.array([c.value for c in self.proximity], dtype=float)
+        self.proximity_code = np.array([c.value for c in proximity_classes(world, houses)],
+                                       dtype=float)
 
         # A superset of anything perceivable from a point on the edge.
-        self.edge_candidates = points_near_edges(world, houses, params.rescuer_radius)
-        edge_lists = tuple(self.edge_candidates.values())
-        edge_slot = {key: slot for slot, key in enumerate(self.edge_candidates)}
+        near_edges = points_near_edges(world, houses, params.rescuer_radius)
+        self.candidate_lists = tuple(near_edges.values())
+        edge_slot = {key: slot for slot, key in enumerate(near_edges)}
         # neighbour -> (length of its first adjacency entry, list number), per node
         edges: dict[int, dict[int, tuple[float, int]]] = {}
         row_of: dict[tuple[int, int | None], int] = {}  # (node, came-from) -> row number
@@ -316,7 +293,6 @@ class WorldIndex:
                 edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
             for prev in (None, *edge):
                 row_of[(node, prev)] = len(row_of)
-        self.node_candidates = _NodeCandidates(edge_lists, edges)
         self.start_row = {node: row_of[(node, None)] for node in edges}
         # Every choice of a node, in adjacency order; a row drops the way
         # back unless that is the only way.
@@ -330,7 +306,6 @@ class WorldIndex:
                 choices = tuple(c for c in choices if c[0] != prev)
             rows.append((choices, len(choices), len(choices).bit_length()))
         self.move_rows = tuple(rows)
-        self.candidate_lists = edge_lists
         slots_of: list[list[int]] = [[] for _ in range(self.n)]
         for slot, cands in enumerate(self.candidate_lists):
             for hid in cands:
@@ -443,8 +418,15 @@ class WorldIndex:
                 self.arrival_offset(node, chain[:-1])
                 start = self.shelters_by_id[chain[-2]].node
                 offset, route, leg, progress, x, y = self._walks[(node, chain[:-1])]
-            tail = self.route_to_shelter(start, chain[-1])
-            walk = self._walk(chain[-1], offset, route[leg:] + tail[1:], progress, x, y)
+            # The tail of the route: the next hops from the start to the
+            # shelter's node, read off its shortest-path tree.
+            nxt = self.shelter_next[chain[-1]]
+            target = self.shelters_by_id[chain[-1]].node
+            route = route[leg:]
+            while start != target:
+                start = nxt[start]
+                route.append(start)
+            walk = self._walk(chain[-1], offset, route, progress, x, y)
             self._walks[key] = walk
         return walk[0]
 
@@ -505,16 +487,6 @@ class WorldIndex:
             if not far and math.hypot(x - spos.x, y - spos.y) <= radius:
                 return offset, route, leg, progress, x, y
 
-    def route_to_shelter(self, node: int, shelter_id: int) -> list[int]:
-        nxt = self.shelter_next[shelter_id]
-        route = [node]
-        cur = node
-        target = self.shelters_by_id[shelter_id].node
-        while cur != target:
-            cur = nxt[cur]
-            route.append(cur)
-        return route
-
 
 class HouseholdState:
     """What a run learns of one household beyond its decision: the source
@@ -561,7 +533,6 @@ class SimulationState:
     cfg: RunConfig
     index: WorldIndex
     timeline: InformTimeline
-    perceived: np.ndarray  # per household, shared by the runs of its seed group
     evacuate: list[bool]  # per household, perceived > threshold * highest possible score
     households: list[HouseholdState]  # per household, shared until it heads out
     occupancy: dict[int, int]  # shelter id -> persons
@@ -571,8 +542,8 @@ class SimulationState:
     evacuate_decisions: int = 0
     time_series: list[int] = field(default_factory=list)
     events: list[Event] | None = None
-    # While events are collected: `perceived` as Python floats, and the
-    # `highest=` part of every `decided` detail, formatted once per run.
+    # While events are collected: the perceived risks as Python floats, and
+    # the `highest=` part of every `decided` detail, formatted once per run.
     event_perceived: list[float] | None = None
     event_highest: str = ""
     # The admission heap: one (arrival tick, decision tick, household id)
@@ -602,7 +573,6 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         cfg=cfg,
         index=index,
         timeline=timeline,
-        perceived=perceived,
         evacuate=evacuate,
         households=households,
         occupancy={s.id: 0 for s in world.shelters},
@@ -622,14 +592,14 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     every rescuer every tick would, but a rescuer does work only when it
     reaches a node (or stands on one) in that tick, or when the candidate
     list of the edge it walks still holds an unaware household; the walk
-    counts those per edge list only, and a rescuer standing on a node scans
-    the node's list whole. On entering an edge it
-    computes the tick it reaches the far node and the budget it has left
-    then, by the same float additions the tick-by-tick walk makes; its
-    progress along the edge is advanced by those additions only when it
-    scans. A tick's informs keep their order: rescuers, then the fallback
-    channel. The walk records each household's source as it informs it, and
-    each inform tick's pairs in ascending id.
+    counts those per edge list only. A rescuer standing on a node scans the
+    edge lists its start row names, in adjacency order, whatever their
+    counts. On entering an edge it computes the tick it reaches the far
+    node and the budget it has left then, by the same float additions the
+    tick-by-tick walk makes; its progress along the edge is advanced by
+    those additions only when it scans. A tick's informs keep their order:
+    rescuers, then the fallback channel. The walk records each household's
+    source as it informs it, and each inform tick's pairs in ascending id.
 
     Every fallback tick is drawn in stream order, but the schedule of the
     fallback channel is built only when the walk reaches
@@ -679,13 +649,13 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     house_pos = index.house_pos
     nodes = world.nodes
     move_rows = index.move_rows
+    start_row = index.start_row
     lists = index.candidate_lists
-    node_candidates = index.node_candidates
     slots_of = index.slots_of
     # The unaware households of each edge list, and past them the count of
     # `standing`, the list number of a rescuer standing on a node: no
     # household lowers it, so a standing rescuer always scans its node's
-    # list.
+    # edge lists.
     standing = len(lists)
     unaware_in = [len(cands) for cands in lists] + [1]
     # The rescuers as parallel lists: the node each last left or stands on,
@@ -697,7 +667,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     # (NEVER if that is past max_ticks, or if its start node has no road).
     k = len(placed)
     at = list(placed)
-    row = [index.start_row[node] for node in placed]
+    row = [start_row[node] for node in placed]
     to: list[int | None] = [None] * k
     edge_len = [0.0] * k
     progress = [0.0] * k
@@ -757,8 +727,12 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
             node, nxt = at[r], to[r]
             pa = nodes[node]
             if nxt is None:
+                # Standing on a node: its edge lists in adjacency order. A
+                # household on several is tested at its first; at a later
+                # one it is informed, or fails the same test again.
                 rx, ry = pa.x, pa.y
-                candidates = node_candidates[node]
+                candidates = chain.from_iterable(
+                    lists[c[2]] for c in move_rows[start_row[node]][0])
             else:
                 done = progress[r]
                 for _ in range(t - walked[r]):

@@ -102,10 +102,6 @@ class Combo:
     w_hrf: float
     w_crf: float
 
-    @property
-    def weight_sum(self) -> float:
-        return self.w_cdm + self.w_hrf + self.w_crf
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -194,7 +190,7 @@ def enumerate_combos(spec: SweepSpec) -> list[Combo]:
     threshold axis (`scenario_weight_index`). The weight triples are
     filtered once, then crossed with the other axes."""
     triples = list(itertools.product(spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values))
-    # Summed in Combo.weight_sum's order, so a triple passes exactly when its
+    # Summed in `filter_valid`'s order, so a triple passes exactly when its
     # combinations do.
     valid = [(wi, w) for wi, w in enumerate(triples)
              if _weights_pass(w[0] + w[1] + w[2], spec.weight_filter)]
@@ -212,7 +208,7 @@ def enumerate_combos(spec: SweepSpec) -> list[Combo]:
 def filter_valid(combos: list[Combo], mode: str) -> list[Combo]:
     """The combos whose weights pass `mode`; every combo `enumerate_combos`
     yields for a spec with that filter does."""
-    return [c for c in combos if _weights_pass(c.weight_sum, mode)]
+    return [c for c in combos if _weights_pass(c.w_cdm + c.w_hrf + c.w_crf, mode)]
 
 
 def replicate_seed(base_seed: int, combo: Combo, replicate: int) -> int:

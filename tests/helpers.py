@@ -22,6 +22,7 @@ from evacsim.geo import (
     Waterway,
     World,
     _parse_bool,
+    points_near_edges,
     shortest_path_tree,
 )
 from evacsim.population import CODED_FIELDS, HouseholdProfile, record_fields
@@ -120,6 +121,24 @@ def random_graph_world(seed: int, n_nodes: int = 50, extra_edges: int = 30) -> W
     )
 
 
+def grid_world(cols: int, rows: int, spacing: float) -> World:
+    """A cols x rows lattice of roads `spacing` apart, node r * cols + c at
+    (c * spacing, r * spacing), with no buildings, shelters or starts. An
+    inner node has four edges, a border node three, a corner two."""
+    nodes = {r * cols + c: Point(c * spacing, r * spacing)
+             for r in range(rows) for c in range(cols)}
+    edges = [(node, node + 1, spacing) for node in nodes if node % cols < cols - 1]
+    edges += [(node, node + cols, spacing) for node in nodes if node + cols in nodes]
+    return World(
+        nodes=nodes,
+        edges=edges,
+        buildings={},
+        waterways=[],
+        shelters=[],
+        rescuer_starts=[],
+    )
+
+
 def bellman_ford_distances(world: World, src: int) -> dict[int, float]:
     """Independent relaxation-based shortest-path oracle: the distance from
     src to every node, math.inf where unreachable."""
@@ -181,14 +200,25 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
     the chain's last it keeps its leg progress, finishes the route to that
     shelter and follows the route from there to the next one.
 
-    The tick-by-tick oracle of `WorldIndex.arrival_offset`; routes come from
-    the index's shortest-path trees, which the Bellman-Ford oracle checks.
+    The tick-by-tick oracle of `WorldIndex.arrival_offset`; routes follow
+    the parents of `geo.shortest_path_tree`, which the Bellman-Ford oracle
+    checks, and legs are measured as they are walked. Of the index it reads
+    only the world and the parameters.
     """
     params = index.params
-    nodes = index.world.nodes
-    shelter_node = {s.id: s.node for s in index.world.shelters}
+    world = index.world
+    nodes = world.nodes
+    shelter_node = {s.id: s.node for s in world.shelters}
     move = params.household_speed * params.tick_seconds
-    route = index.route_to_shelter(node, chain[0])
+
+    def route_to(start: int, shelter_id: int) -> list[int]:
+        parent = shortest_path_tree(world, shelter_node[shelter_id])[1]
+        route = [start]
+        while route[-1] != shelter_node[shelter_id]:
+            route.append(parent[route[-1]])
+        return route
+
+    route = route_to(node, chain[0])
     leg, progress = 0, 0.0
     x, y = nodes[node].x, nodes[node].y
     arrivals: list[int] = []
@@ -214,7 +244,7 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
             if len(arrivals) == len(chain):
                 return arrivals
             here = shelter_node[chain[len(arrivals) - 1]]
-            route = route[leg:] + index.route_to_shelter(here, chain[len(arrivals)])[1:]
+            route = route[leg:] + route_to(here, chain[len(arrivals)])[1:]
             leg = 0
         tick += 1
 
@@ -230,20 +260,31 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     order without the way it came unless that is the only way, with the
     walk stream's randrange when there is more than one; a budget that ends
     exactly on a node leaves it standing there. At its position it informs
-    every unaware household within rescuer_radius among the index's
-    candidates of its edge (of the node's edges while it stands). Then the
+    every unaware household within rescuer_radius among the candidates of
+    its edge, in ascending id, or while it stands among the union of its
+    node's edges' candidates, in adjacency order with each household at its
+    first occurrence. An edge's candidates are the houses
+    `geo.points_near_edges` finds within rescuer_radius of it. Then the
     fallback channel informs the unaware households drawn for the tick. The
     walk ends when all are informed or at max_ticks. Each tick's informs,
     ordered by household id, are its decide order, and a household's source
     is the one its inform names (None if it has none).
 
     The tick-by-tick oracle of `engine._walk_rescuers`, which visits a
-    rescuer only when it reaches a node or can still inform someone; the
-    choices are read off the world's adjacency, not the index's move table.
+    rescuer only when it reaches a node or can still inform someone. Of the
+    index it reads only the world, the parameters, the household count and
+    the house positions: the choices come from the world's adjacency, not
+    the index's move table, and the candidates from the world's edges, not
+    the index's lists.
     """
     world = index.world
     n = index.n
     p = index.params
+    houses = [Point(x, y) for x, y in index.house_pos]
+    near_edge = points_near_edges(world, houses, p.rescuer_radius)
+    near_node = {node: tuple(dict.fromkeys(itertools.chain.from_iterable(
+                     near_edge[(min(node, nb), max(node, nb))] for nb, _ in nbrs)))
+                 for node, nbrs in world.adjacency.items()}
     rng_init = random.Random(derive_seed(seed, "init"))
     epsilon: list[float] = []
     fallback_source: list[WarningSource] = []
@@ -304,13 +345,13 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
             pa = nodes[node]
             if nxt is None:
                 rx, ry = pa.x, pa.y
-                candidates = index.node_candidates[node]
+                candidates = near_node[node]
             else:
                 pb = nodes[nxt]
                 f = done / length
                 rx = pa.x + (pb.x - pa.x) * f
                 ry = pa.y + (pb.y - pa.y) * f
-                candidates = index.edge_candidates[(min(node, nxt), max(node, nxt))]
+                candidates = near_edge[(min(node, nxt), max(node, nxt))]
             for hid in candidates:
                 if unaware[hid]:
                     hx, hy = index.house_pos[hid]

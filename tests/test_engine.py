@@ -1,6 +1,5 @@
 import hashlib
 import math
-import pickle
 from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -19,7 +18,7 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError, InternalError
-from evacsim.geo import Point, Shelter
+from evacsim.geo import Point, ProximityClass, Shelter, points_near_edges
 from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import line_world, pick_shelter_reference, population_of, run_with_final_state
@@ -91,10 +90,14 @@ def test_demo_index_is_pinned(demo_index):
     # Recorded from the all-pairs index build; dict key order included.
     assert _sha256(demo_index.house_node) == (
         "b21b0fb3d26d9d2a696fd52744c481621fdc507a66ac810b55c380d50ccddef1")
-    assert _sha256([p.name for p in demo_index.proximity]) == (
+    proximity = [ProximityClass(code) for code in demo_index.proximity_code.tolist()]
+    assert _sha256([p.name for p in proximity]) == (
         "79d5ce1c50d387e8a320c53cb02d7c7a4f89dc8ff9c5490d03f7af8f05779b24")
-    assert _sha256(list(demo_index.edge_candidates.items())) == (
+    houses = [Point(x, y) for x, y in demo_index.house_pos]
+    near_edges = points_near_edges(demo_index.world, houses, demo_index.params.rescuer_radius)
+    assert _sha256(list(near_edges.items())) == (
         "f77739f10d853423975ecf6ea951a26b90615c5a7af0445e8e86939e7e02bd3c")
+    assert demo_index.candidate_lists == tuple(near_edges.values())
 
 
 def test_risk_memo_keys_on_seed_scenario_and_weights(demo_world, demo_profiles, monkeypatch):
@@ -111,7 +114,7 @@ def test_risk_memo_keys_on_seed_scenario_and_weights(demo_world, demo_profiles, 
     assert not first.flags.writeable  # a run cannot alter what the next one reads
     # Runs of every threshold of the seed group reuse it.
     for threshold in (0.7, 0.8, 0.9):
-        assert init_run(index, RunConfig(s, w, threshold, 5)).perceived is first
+        init_run(index, RunConfig(s, w, threshold, 5))
     assert len(calls) == 1
     # Each step changes one of seed, scenario and weights; each recomputes.
     keys = [(6, s, w), (6, Scenario.from_names(2, "red", "nighttime"), w),
@@ -158,29 +161,6 @@ def test_demo_inform_timelines_are_pinned(demo_index):
         )))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "7e1aacf646a91f8f8ad148617e3ef2f73b4f0c75af0b653e5e5d4fd7da3a8d8a")
-
-
-def test_node_candidates_union_incident_edges_in_adjacency_order(demo_index):
-    world = demo_index.world
-    for node, nbrs in world.adjacency.items():
-        union: list[int] = []
-        for nb, _ in nbrs:
-            for hid in demo_index.edge_candidates[(min(node, nb), max(node, nb))]:
-                if hid not in union:
-                    union.append(hid)
-        assert demo_index.node_candidates[node] == tuple(union)
-
-
-def test_node_candidates_built_on_read_survive_a_pickle_round_trip(demo_world, demo_profiles):
-    # Sweep workers started by forkserver or spawn unpickle the index, with
-    # the node lists read so far, and build the others on their first read.
-    index = WorldIndex(demo_world, demo_profiles)
-    first = next(iter(demo_world.adjacency))
-    index.node_candidates[first]
-    copy = pickle.loads(pickle.dumps(index))
-    assert list(copy.node_candidates) == [first]
-    for node in demo_world.adjacency:
-        assert copy.node_candidates[node] == index.node_candidates[node]
 
 
 def test_rescuer_informs_within_radius_only():

@@ -202,9 +202,12 @@ def test_memoised_risk_reads_each_households_source(demo_world, demo_profiles):
     s = Scenario.from_names(2, "orange", "nighttime")
     w = Weights(0.3, 0.4, 0.3)
     got = index.perceived(seed, s, w)
-    for i, p in enumerate(households_of(demo_profiles)):
+    households = households_of(demo_profiles)
+    proximity = proximity_classes(demo_world, [demo_world.buildings[p.building_id]
+                                               for p in households])
+    for i, p in enumerate(households):
         if i in source:
-            assert got[i] == straight_line_risk(p, s, index.proximity[i].value, source[i].value,
+            assert got[i] == straight_line_risk(p, s, proximity[i].value, source[i].value,
                                                 timeline.epsilon[i], w)
         else:
             assert np.isnan(got[i])

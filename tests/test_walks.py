@@ -27,6 +27,7 @@ from evacsim.geo import Point, Shelter, Waterway, World
 from evacsim.population import HouseholdProfile
 from evacsim.risk import WarningSource
 from helpers import (
+    grid_world,
     line_world,
     point_segment_distance_reference,
     population_of,
@@ -220,16 +221,24 @@ def shifted(world: World, by: int) -> World:
 
 @st.composite
 def rescuer_walks(draw):
-    """A world (its node ids from 0, or from -1 or -2), houses around its
-    roads, rescuer starts (one of them on a node no road reaches,
-    sometimes) and the walk's parameters."""
+    """A world (a line, a lattice or a random graph, its node ids from 0,
+    or from -1 or -2), houses around its roads, rescuer starts (one of them
+    on a node no road reaches, sometimes) and the walk's parameters.
+
+    On a lattice every budget is a multiple of a quarter edge, so rescuers
+    often stand on nodes of three or four edges, whose edge lists overlap."""
     tick_seconds = draw(st.sampled_from([1.0, 2.0, 4.0]))
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(["line", "lattice", "random"]))
+    if family == "line":
         spacing = draw(st.sampled_from([10.0, 50.0, 100.0, 137.5]))
         world = line_world(n_nodes=draw(st.integers(2, 8)), spacing=spacing)
         # Multiples of a quarter edge end exactly on a node.
         budget = spacing * draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
                                           st.floats(0.01, 6.0)))
+    elif family == "lattice":
+        spacing = draw(st.sampled_from([10.0, 50.0, 100.0, 137.5]))
+        world = grid_world(draw(st.integers(2, 6)), draw(st.integers(2, 6)), spacing)
+        budget = spacing * draw(st.integers(1, 12)) / 4
     else:
         world = random_graph_world(draw(st.integers(0, 10**6)), n_nodes=draw(st.integers(2, 30)),
                                    extra_edges=draw(st.integers(0, 20)))
@@ -259,7 +268,7 @@ def rescuer_walks(draw):
     return replace(world, rescuer_starts=starts), houses, params, draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(rescuer_walks())
 def test_inform_timeline_matches_the_tick_by_tick_walker(case):
     world, houses, params, seed = case
