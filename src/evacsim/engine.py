@@ -143,6 +143,13 @@ class EngineParams:
             if move == 0.0:
                 raise InputError(f"{name} * tick_seconds underflows to 0: the move per tick "
                                  "must be > 0")
+        # A range test compares squares (geo.within); a radius whose square
+        # is not a normal float would admit offsets whose squares underflow.
+        for name in ("rescuer_radius", "shelter_radius"):
+            radius = getattr(self, name)
+            if radius * radius < sys.float_info.min:
+                raise InputError(f"{name} * {name} underflows: the radius must be >= "
+                                 f"{math.sqrt(sys.float_info.min)!r} m")
         if self.max_ticks < 1:
             raise InputError("max_ticks must be >= 1")
         if self.nb_rescuers < 0:
@@ -329,9 +336,10 @@ class WorldIndex:
 
         # The leg table. A leg is far from a shelter, and leaves its near
         # set, only when its squared offset exceeds the square of the
-        # walk's margin, (shelter_radius + slack) * (1 + 1e-9): an error of
-        # the squares can only say "not far", which costs a walk one
-        # distance test and moves no arrival tick.
+        # walk's margin, (shelter_radius + slack) * (1 + 1e-9), whose square
+        # is a normal float (EngineParams refuses a smaller radius): an
+        # error of the squares can only say "not far", which costs a walk
+        # one distance test and moves no arrival tick.
         nodes = world.nodes
         ends = [(a, b) for a, b, _ in world.edges]
         ends += [(b, a) for a, b in ends]
@@ -346,7 +354,7 @@ class WorldIndex:
         reach = (params.shelter_radius + slack) * (1 + 1e-9)
         with np.errstate(over="ignore"):  # a reach past float range is never exceeded
             reach2 = reach * reach
-        far = (reach2 >= sys.float_info.min) & (ex * ex + ey * ey > reach2)
+        far = ex * ex + ey * ey > reach2
         near: list[list[int]] = [[] for _ in ends]
         legs, columns = np.nonzero(~far)
         for leg, k in zip(legs.tolist(), columns.tolist()):
@@ -445,11 +453,12 @@ class WorldIndex:
         far from the shelter are read off the index's leg table `legs`."""
         p = self.params
         move = p.household_speed * p.tick_seconds
-        radius = p.shelter_radius
+        r2 = p.shelter_radius * p.shelter_radius
         max_ticks = p.max_ticks
         nodes = self.world.nodes
         legs = self.legs
         spos = nodes[self.shelters_by_id[shelter_id].node]
+        sx, sy = spos.x, spos.y
         last = len(route) - 1
         leg = 0
         measured = -1  # the leg whose end points, length and farness a, b, leg_len, far hold
@@ -484,8 +493,11 @@ class WorldIndex:
                     leg += 1
                     progress = 0.0
                     x, y = b.x, b.y
-            if not far and math.hypot(x - spos.x, y - spos.y) <= radius:
-                return offset, route, leg, progress, x, y
+            if not far:
+                dx = x - sx
+                dy = y - sy
+                if dx * dx + dy * dy <= r2:
+                    return offset, route, leg, progress, x, y
 
 
 class HouseholdState:
@@ -642,9 +654,8 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
 
     getrandbits = random.Random(derive_seed(seed, "walk")).getrandbits
     budget = p.rescuer_speed * p.tick_seconds
-    radius = p.rescuer_radius
+    r2 = p.rescuer_radius * p.rescuer_radius
     max_ticks = p.max_ticks
-    hypot = math.hypot
     authorities = WarningSource.AUTHORITIES
     house_pos = index.house_pos
     nodes = world.nodes
@@ -746,7 +757,9 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
             for hid in candidates:
                 if source[hid] is None:
                     hx, hy = house_pos[hid]
-                    if hypot(hx - rx, hy - ry) <= radius:
+                    hx -= rx
+                    hy -= ry
+                    if hx * hx + hy * hy <= r2:
                         source[hid] = authorities
                         newly.append((hid, authorities))
                         for s in slots_of[hid]:

@@ -6,16 +6,17 @@ are planar meters.
 
 The geometry tables of a world index (which houses lie near each road
 edge, each house's hazard-proximity class, which walk legs are out of a
-shelter's reach) are built on numpy arrays by one point-to-segment kernel, `segment_offsets`, whose offsets are
-bit-identical to the scalar arithmetic in the same order. `within` decides
-`math.hypot(ex, ey) <= radius` on them exactly, by a band rule on the
-squared offset d2: it accepts when d2 <= r2 * (1 - 1e-9), rejects when
-d2 > r2 * (1 + 1e-9), and calls `math.hypot` on every pair in between, and
-on every pair when r2 = radius * radius is not a normal float. The squared
-offset is within a few ulps of the true square (a few subnormal steps
-below the normal range, which the band of a normal r2 dwarfs), so neither
-bound can decide against `math.hypot`; `np.hypot`, which rounds
-differently, decides nothing.
+shelter's reach) are built on numpy arrays by one point-to-segment kernel,
+`segment_offsets`, whose offsets are bit-identical to the scalar arithmetic
+in the same order.
+
+Two rules decide every distance, each one float64 expression that numpy
+and Python round alike. An offset (ex, ey) is within r when
+ex * ex + ey * ey <= r * r, the boundary included (`within`, and the
+walks' range tests); the nearest road node is the one of least
+dx * dx + dy * dy, ties to the lowest id (`nearest_road_nodes`). The
+engine parameters refuse a radius whose square is below the normal float
+range, so no offset's square underflows into a range it is not in.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,11 +296,6 @@ def serialize_world(world: World) -> str:
 
 # At most this many (point, node) squared distances are held at once.
 _BLOCK_PAIRS = 16384
-# The relative margin of the band rules: far above the few ulps by which a
-# squared distance computed two ways can differ, far below any distance
-# the world's geometry tells apart.
-_BAND = 1e-9
-_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _coords(points: list[Point]) -> tuple[np.ndarray, np.ndarray]:
@@ -309,24 +304,18 @@ def _coords(points: list[Point]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
-    """For each point, the node minimizing Euclidean distance to it; ties
-    break to the lowest id.
+    """For each point, the node of least squared distance
+    dx * dx + dy * dy to it; ties break to the lowest id.
 
-    The decision is the squared distance (q.x - p.x) ** 2 + (q.y - p.y) ** 2.
-    A numpy prefilter computes the squared distances with x * x, which
-    rounds differently from x ** 2, in blocks of at most _BLOCK_PAIRS pairs
-    (one point's row when the world has more nodes), and keeps the nodes
-    within a relative _BAND of each row's minimum, plus _TINY for squares
-    below the normal range: the two squares differ by a few ulps, so the
-    node the decision picks is always kept. A row with one candidate is
-    decided; among several, the decision's own expression picks, ties to
-    the lowest id.
+    The squares are computed in blocks of at most _BLOCK_PAIRS pairs (one
+    point's row when the world has more nodes), their columns the node ids
+    in ascending order, so each row's argmin is the lowest id of its
+    minimum.
     """
     if not world.nodes:
         raise InputError("world has no road nodes")
-    ids = list(world.nodes)
-    qs = list(world.nodes.values())
-    qx, qy = _coords(qs)
+    ids = sorted(world.nodes)
+    qx, qy = _coords([world.nodes[nid] for nid in ids])
     px, py = _coords(points)
     rows = max(1, _BLOCK_PAIRS // len(ids))
     out: list[int] = []
@@ -336,15 +325,7 @@ def nearest_road_nodes(world: World, points: list[Point]) -> list[int]:
         d2 *= d2
         dy *= dy
         d2 += dy  # dx * dx + dy * dy, in place
-        limit = d2.min(axis=1) * (1 + _BAND) + _TINY
-        row, col = np.nonzero(d2 <= limit[:, None])
-        first = np.searchsorted(row, np.arange(len(d2) + 1))
-        picked = [ids[k] for k in col[first[:-1]].tolist()]
-        for r in np.flatnonzero(np.diff(first) > 1).tolist():
-            p = points[lo + r]
-            picked[r] = min(((qs[k].x - p.x) ** 2 + (qs[k].y - p.y) ** 2, ids[k])
-                            for k in col[first[r]:first[r + 1]].tolist())[1]
-        out += picked
+        out += [ids[k] for k in d2.argmin(axis=1).tolist()]
     return out
 
 
@@ -371,19 +352,9 @@ def segment_offsets(px: np.ndarray, py: np.ndarray, ax: np.ndarray, ay: np.ndarr
 
 
 def within(ex: np.ndarray, ey: np.ndarray, radius: float) -> np.ndarray:
-    """Per offset, math.hypot(ex, ey) <= radius, decided exactly by the band
-    rule of the module docstring on 1-D arrays."""
-    d2 = ex * ex + ey * ey
-    r2 = radius * radius
-    if _TINY <= r2 < math.inf:
-        inside = d2 <= r2 * (1 - _BAND)
-        band = np.flatnonzero(~inside & (d2 <= r2 * (1 + _BAND)))
-    else:
-        inside = np.zeros(len(d2), dtype=bool)
-        band = np.arange(len(d2))
-    for i, x, y in zip(band.tolist(), ex[band].tolist(), ey[band].tolist()):
-        inside[i] = math.hypot(x, y) <= radius
-    return inside
+    """Per offset, ex * ex + ey * ey <= radius * radius: the within rule of
+    the module docstring, on arrays."""
+    return ex * ex + ey * ey <= radius * radius
 
 
 # Padding of the prefilter box beyond the radius. segment_offsets rounds

@@ -48,12 +48,14 @@ ALIAS_REL_TOL = 1e-8
 
 
 class RankDeficiencyError(InputError):
-    def __init__(self, aliased: list[str], detail: str):
+    """A design with aliased columns; `advice`, if any, ends the message."""
+
+    def __init__(self, aliased: list[str], detail: str, advice: str = ""):
         self.aliased = aliased
+        self.detail = detail
         super().__init__(
-            f"design matrix is rank deficient; aliased columns: {', '.join(aliased)} ({detail}). "
-            "Choose --mode drop-one-weight or --mode no-intercept to fit these results."
-        )
+            f"design matrix is rank deficient; aliased columns: {', '.join(aliased)} ({detail})."
+            + (f" {advice}" if advice else ""))
 
 
 @dataclass(frozen=True)
@@ -263,9 +265,16 @@ def sensitivity(rows: SweepTable, mode: str = "drop-one-weight") -> RegressionRe
 
     An exact-sum weight grid makes the full model singular, so intercept-full
     raises RankDeficiencyError on such sweeps; that diagnostic is the point
-    of the mode.
+    of the mode, and its error names the two modes that drop a weight
+    column. The other modes' errors name the aliased columns alone.
     """
-    return fit_ols(build_design(rows, mode))
+    try:
+        return fit_ols(build_design(rows, mode))
+    except RankDeficiencyError as exc:
+        if mode != "intercept-full":
+            raise
+        raise RankDeficiencyError(exc.aliased, exc.detail, "Choose --mode drop-one-weight or "
+                                  "--mode no-intercept to fit these results.") from None
 
 
 def format_p(p: float) -> str:

@@ -225,7 +225,13 @@ SeedGroup = tuple[int, tuple[tuple[int, RunConfig], ...]]
 
 def _seed_groups(spec: SweepSpec) -> list[SeedGroup]:
     """Every run's config, grouped by seed. Building a config checks its
-    threshold, so a spec threshold outside [0, 1] raises here."""
+    threshold, so a spec threshold outside [0, 1] raises here, and so does
+    every weight-axis value that Weights refuses, whether or not a triple
+    the filter keeps uses it."""
+    # Each position of the three axes, padded with a valid weight.
+    for ws in itertools.zip_longest(spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values,
+                                    fillvalue=1.0):
+        Weights(*ws)
     by_sw: dict[int, list[Combo]] = {}
     for combo in enumerate_combos(spec):
         by_sw.setdefault(combo.scenario_weight_index, []).append(combo)

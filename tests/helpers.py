@@ -158,21 +158,28 @@ def bellman_ford_distances(world: World, src: int) -> dict[int, float]:
     return dist
 
 
-def point_segment_distance_reference(p: Point, a: Point, b: Point) -> float:
-    """Distance from p to the closed segment ab, one pair at a time: the
-    all-pairs oracle of `geo.segment_offsets` with `geo.within`."""
+def point_segment_offset_reference(p: Point, a: Point, b: Point) -> tuple[float, float]:
+    """The offset from the nearest point of the closed segment ab to p, one
+    pair at a time: the all-pairs oracle of `geo.segment_offsets`."""
     ax, ay = a.x, a.y
     vx, vy = b.x - ax, b.y - ay
     wx, wy = p.x - ax, p.y - ay
     seg_len2 = vx * vx + vy * vy
     if seg_len2 == 0.0:
-        return math.hypot(wx, wy)
+        return wx, wy
     t = (wx * vx + wy * vy) / seg_len2
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
         t = 1.0
-    return math.hypot(wx - t * vx, wy - t * vy)
+    return wx - t * vx, wy - t * vy
+
+
+def within_reference(dx: float, dy: float, radius: float) -> bool:
+    """Whether the offset (dx, dy) is within radius, boundary included, by
+    its squares in Python floats: the scalar oracle of `geo.within` and the
+    range test of the tick-by-tick walkers."""
+    return dx * dx + dy * dy <= radius * radius
 
 
 def classify_proximity(d: float) -> ProximityClass:
@@ -239,7 +246,7 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
                 progress = 0.0
                 x, y = b.x, b.y
         target = nodes[shelter_node[chain[len(arrivals)]]]
-        if math.hypot(x - target.x, y - target.y) <= params.shelter_radius:
+        if within_reference(x - target.x, y - target.y, params.shelter_radius):
             arrivals.append(tick)
             if len(arrivals) == len(chain):
                 return arrivals
@@ -355,7 +362,7 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
             for hid in candidates:
                 if unaware[hid]:
                     hx, hy = index.house_pos[hid]
-                    if math.hypot(hx - rx, hy - ry) <= p.rescuer_radius:
+                    if within_reference(hx - rx, hy - ry, p.rescuer_radius):
                         unaware[hid] = False
                         newly.append((hid, WarningSource.AUTHORITIES))
         for hid in fallback_schedule.pop(t, ()):

@@ -336,6 +336,26 @@ def test_sweep_rejects_a_bad_spec_value_before_any_run(tmp_path, capsys, monkeyp
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("line, bad_line, message", [
+    ("w_cdm = 0.2", "w_cdm = 0.2,nan", "w_cdm must be in (0, 1], got nan"),
+    ("w_cdm = 0.2", "w_cdm = 0.2,inf", "w_cdm must be in (0, 1], got inf"),
+    ("w_hrf = 0.2", "w_hrf = 0.2,1.5", "w_hrf must be in (0, 1], got 1.5"),
+    ("w_crf = 0.6", "w_crf = 0.6,0.0", "w_crf must be in (0, 1], got 0.0"),
+], ids=["nan", "inf", "over-1", "zero"])
+def test_sweep_refuses_a_weight_no_kept_triple_uses(tmp_path, capsys, line, bad_line, message):
+    # Only 0.2 + 0.2 + 0.6 sums to 1, so the weight filter drops every
+    # triple with the bad value, and no run's weights would refuse it.
+    world_path, pop_path = micro_assets(tmp_path)
+    spec_path = sweep_spec_file(tmp_path)
+    spec_path.write_text(spec_path.read_text().replace(f"{line}\n", f"{bad_line}\n"))
+    rc = main(["sweep", "--spec", str(spec_path), "--world", str(world_path),
+               "--population", str(pop_path), "--out", str(tmp_path / "rows.csv"),
+               *MICRO_FLAGS])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
 @pytest.mark.parametrize("command, other_fault, other_error", [
     ("simulate", ["--threshold", "1.5"], "threshold 1.5 outside [0, 1]"),
     ("sweep", ["--workers", "0"], "workers must be >= 1"),
@@ -401,10 +421,17 @@ def test_an_engine_flag_that_is_not_finite_exits_1(tmp_path, capsys, command, fl
      "rescuer_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
     (["--household-speed", "1e-200", "--tick-seconds", "1e-200"],
      "household_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
-], ids=["fallback-min-0", "rescuer-move", "household-move"])
+    (["--rescuer-radius", "1e-200"], "rescuer_radius * rescuer_radius underflows: the radius "
+     "must be >= 1.4916681462400413e-154 m"),
+    (["--shelter-radius", "1e-200"], "shelter_radius * shelter_radius underflows: the radius "
+     "must be >= 1.4916681462400413e-154 m"),
+], ids=["fallback-min-0", "rescuer-move", "household-move", "rescuer-radius",
+        "shelter-radius"])
 def test_an_engine_flag_no_walk_can_honour_exits_1(tmp_path, capsys, command, flags, message):
     # Before EngineParams refused them, a household drawn for fallback tick 0
-    # was never informed by that channel, and a move of 0 never left its start.
+    # was never informed by that channel, a move of 0 never left its start,
+    # and a house 1e-170 m off a node was in range of a 1e-200 m radius: its
+    # squared offset underflows to 0.
     assert main(micro_argv(tmp_path, command) + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "rows.csv").exists()

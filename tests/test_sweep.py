@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import multiprocessing
 from concurrent import futures
 from dataclasses import astuple, fields, replace
@@ -471,6 +472,14 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
      "household_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
     (EngineParams(), {"rescuer_speed": 1e-200, "tick_seconds": 1e-200}, InputError,
      "rescuer_speed * tick_seconds underflows to 0: the move per tick must be > 0"),
+    # Each radius is > 0, but its square is no normal float: range tests
+    # compare squares.
+    (EngineParams(), {"rescuer_radius": 1e-200}, InputError,
+     "rescuer_radius * rescuer_radius underflows: the radius must be >= "
+     "1.4916681462400413e-154 m"),
+    (EngineParams(), {"shelter_radius": math.nextafter(2.0 ** -511, 0.0)}, InputError,
+     "shelter_radius * shelter_radius underflows: the radius must be >= "
+     "1.4916681462400413e-154 m"),
     (RUN_CONFIG, {"threshold": 1.5}, InputError, "threshold 1.5 outside [0, 1]"),
     (default_sweep_spec(), {"storm_levels": (4,)}, InputError,
      "sweep storm level 4 outside supported PSWS range"),
@@ -485,7 +494,8 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
     (RUN_CONFIG.weights, {"w_crf": float("-inf")}, InputError,
      "w_crf must be in (0, 1], got -inf"),
 ], ids=["params-tick", "params-fallback", "params-fallback-0-0", "params-fallback-0-5",
-        "params-household-move-0", "params-rescuer-move-0", "run-threshold", "spec-storm", "spec-duplicate",
+        "params-household-move-0", "params-rescuer-move-0", "params-rescuer-radius-square",
+        "params-shelter-radius-square", "run-threshold", "spec-storm", "spec-duplicate",
         "population-count", "population-mean", "weights-nan", "weights-inf",
         "weights-minus-inf"])
 def test_records_check_themselves_when_built(record, change, error, message):

@@ -4,7 +4,8 @@
 node, shelter chain) and continues a longer chain from its prefix's state;
 `helpers.walk_arrivals` walks the whole chain one tick at a time. The walk
 reads each leg's length and farness from the index's leg table, which
-`helpers.point_segment_distance_reference` checks pair by pair.
+`helpers.point_segment_offset_reference` and `helpers.within_reference`
+check pair by pair.
 
 `WorldIndex.inform_timeline` walks the rescuers event by event, visiting a
 rescuer only when it reaches a node or can still inform someone, and
@@ -15,6 +16,7 @@ and derives both from its informs afterwards.
 
 import math
 import random
+import sys
 import time
 from dataclasses import replace
 
@@ -29,11 +31,12 @@ from evacsim.risk import WarningSource
 from helpers import (
     grid_world,
     line_world,
-    point_segment_distance_reference,
+    point_segment_offset_reference,
     population_of,
     random_graph_world,
     walk_arrivals,
     walk_rescuers_reference,
+    within_reference,
 )
 
 
@@ -150,8 +153,8 @@ def test_a_slow_household_looks_no_further_ahead_than_max_ticks():
 
 def assert_leg_table_is_sound(index: WorldIndex) -> None:
     """Each directed leg's length is the walk's math.hypot, and no leg is
-    far from a shelter whose reference distance is within shelter_radius
-    plus the walk's slack."""
+    far from a shelter whose reference offset is within shelter_radius plus
+    the walk's slack."""
     nodes = index.world.nodes
     radius = index.params.shelter_radius
     assert len(index.legs) == 2 * len(index.world.edges)
@@ -161,13 +164,18 @@ def assert_leg_table_is_sound(index: WorldIndex) -> None:
         for shelter in index.world.shelters:
             s = nodes[shelter.node]
             slack = 1e-9 * (abs(a.x) + abs(a.y) + abs(b.x) + abs(b.y) + abs(s.x) + abs(s.y))
-            if point_segment_distance_reference(s, a, b) <= radius + slack:
+            if within_reference(*point_segment_offset_reference(s, a, b), radius + slack):
                 assert shelter.id in near, ((a_id, b_id), shelter.id)
+
+
+# The smallest radius EngineParams accepts: its square is the smallest
+# normal float.
+SMALLEST_RADIUS = math.sqrt(sys.float_info.min)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n_nodes=st.integers(2, 30),
-       radius=st.one_of(st.floats(0.5, 300.0), st.sampled_from([1e-200, 1e300])))
+       radius=st.one_of(st.floats(0.5, 300.0), st.sampled_from([SMALLEST_RADIUS, 1e300])))
 def test_the_leg_table_is_never_far_within_reach(seed, n_nodes, radius):
     world = random_graph_world(seed, n_nodes=n_nodes, extra_edges=10)
     shelters = random.Random(seed).sample(sorted(world.nodes), min(3, n_nodes))
@@ -381,6 +389,19 @@ def test_a_rescuer_reaching_a_node_on_the_last_tick_informs_from_it():
     index = inform_index(replace(line_world(), rescuer_starts=[0]), [Point(100.0, 30.0)],
                          nb_rescuers=1, rescuer_speed=5.0, rescuer_radius=31.0, max_ticks=2)
     assert index.inform_timeline(0).informs == {2: ((0, WarningSource.AUTHORITIES),)}
+
+
+def test_a_rescuer_informs_a_house_exactly_rescuer_radius_away():
+    # 50 m a tick ends exactly on node 1 on tick 2, the walk's last. House
+    # 0 is a 30-40-50 triangle off the node, exactly rescuer_radius away;
+    # house 1 is one ulp farther and stays unaware.
+    houses = [Point(130.0, 40.0), Point(130.0, math.nextafter(40.0, math.inf))]
+    index = inform_index(replace(line_world(), rescuer_starts=[0]), houses, nb_rescuers=1,
+                         rescuer_speed=5.0, rescuer_radius=50.0, max_ticks=2)
+    timeline = index.inform_timeline(0)
+    assert timeline.informs == {2: ((0, WarningSource.AUTHORITIES),)}
+    assert timeline.source == (WarningSource.AUTHORITIES, None)
+    assert timeline == walk_rescuers_reference(index, 0)
 
 
 def test_a_slow_rescuer_looks_no_further_ahead_than_max_ticks():
