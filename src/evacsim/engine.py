@@ -58,7 +58,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -71,6 +70,7 @@ from .geo import (
     proximity_classes,
     segment_offsets,
     shortest_path_tree,
+    within,
 )
 from .population import csv_header, validate_profiles
 from .risk import (
@@ -236,29 +236,33 @@ class WorldIndex:
     the perceived-risk array of the last (seed, scenario, weights) it
     served: those are every input of the array besides the index's own.
 
+    Both of its tables of what lies near a road pad their radius by one
+    margin, `reach(radius)`, so that no rounding of a walk's position can
+    put a point within the radius of that position outside the table.
+
     For the rescuer walk it holds the households a rescuer could perceive
     from a point of each edge: `candidate_lists`, numbered in world.edges
-    order, each every house within rescuer_radius of the segment in
-    ascending id. `slots_of` maps a household to the numbers of the edge
-    lists holding it, so a walk can count the unaware households of each
-    list. The linked move table `move_rows` holds one row per (node, node a
-    rescuer came from, or None at its start, so that no node id can be
-    taken for a start), and `start_row` numbers each node's start row. A
-    row is (choices, choice count, the count's bit length), the choices in
-    adjacency order without the way back unless that is the only way, and a
-    choice is (next node, edge length, edge list number, the row its walker
-    draws from at the next node), so a walk follows row numbers and never
-    looks up where it came from. A node's start row names every edge list
-    of the node in adjacency order, which a rescuer standing on the node
-    scans; no list is kept per node.
+    order, each every house within reach(rescuer_radius) of the segment in
+    ascending id: a superset of anything perceivable from a rescuer's
+    computed position on the edge or at either end of it. `slots_of` maps
+    a household to the numbers of the edge lists holding it, so a walk can
+    count the unaware households of each list. The linked move table
+    `move_rows` holds one row per (node, node a rescuer came from, or None
+    at its start, so that no node id can be taken for a start), and
+    `start_row` numbers each node's start row. A row is (choices, choice
+    count, the count's bit length), the choices in adjacency order without
+    the way back unless that is the only way, and a choice is (next node,
+    edge length, edge list number, the row its walker draws from at the
+    next node), so a walk follows row numbers and never looks up where it
+    came from.
 
     For the households it holds `shelter_order`: per road node, the
     shelters it reaches, internal before external, then by distance, then
     by id; and it memoises `arrival_offset` per (house node, shelter chain).
     Their walks read the leg table `legs`, built once with the index: per
     directed road leg (a, b), its length, math.hypot(b.x - a.x, b.y - a.y),
-    and the ids of the shelters the leg is not provably out of reach of
-    (see `_walk`), so no walk measures a leg again.
+    and the ids of the shelters within reach(shelter_radius) of the leg,
+    so no walk measures a leg again.
     """
 
     def __init__(self, world: World, population: dict[str, np.ndarray],
@@ -287,8 +291,18 @@ class WorldIndex:
         self.proximity_code = np.array([c.value for c in proximity_classes(world, houses)],
                                        dtype=float)
 
-        # A superset of anything perceivable from a point on the edge.
-        near_edges = points_near_edges(world, houses, params.rescuer_radius)
+        # The margin of the tables. A walk's computed position and a
+        # segment offset round by a few ulps of the largest node coordinate
+        # and of the radius; a difference from a house or a shelter, and a
+        # square, by a few ulps of themselves. 6e-9 of that coordinate and
+        # 1e-9 of the radius cover them a million times over.
+        xy = [c for p in world.nodes.values() for c in (p.x, p.y)]
+        slack = 6e-9 * max(max(xy), -min(xy))
+
+        def reach(radius: float) -> float:
+            return (radius + slack) * (1 + 1e-9)
+
+        near_edges = points_near_edges(world, houses, reach(params.rescuer_radius))
         self.candidate_lists = tuple(near_edges.values())
         edge_slot = {key: slot for slot, key in enumerate(near_edges)}
         # neighbour -> (length of its first adjacency entry, list number), per node
@@ -334,12 +348,7 @@ class WorldIndex:
             node: tuple(self.shelters_by_id[sid] for _, _, sid in sorted(keys))
             for node, keys in reached.items()}
 
-        # The leg table. A leg is far from a shelter, and leaves its near
-        # set, only when its squared offset exceeds the square of the
-        # walk's margin, (shelter_radius + slack) * (1 + 1e-9), whose square
-        # is a normal float (EngineParams refuses a smaller radius): an
-        # error of the squares can only say "not far", which costs a walk
-        # one distance test and moves no arrival tick.
+        # The leg table, one near set of shelters per directed leg.
         nodes = world.nodes
         ends = [(a, b) for a, b, _ in world.edges]
         ends += [(b, a) for a, b in ends]
@@ -350,13 +359,8 @@ class WorldIndex:
         sx = np.array([nodes[s.node].x for s in world.shelters], dtype=float)
         sy = np.array([nodes[s.node].y for s in world.shelters], dtype=float)
         ex, ey = segment_offsets(sx, sy, ax, ay, bx, by)
-        slack = 1e-9 * (abs(ax) + abs(ay) + abs(bx) + abs(by) + abs(sx) + abs(sy))
-        reach = (params.shelter_radius + slack) * (1 + 1e-9)
-        with np.errstate(over="ignore"):  # a reach past float range is never exceeded
-            reach2 = reach * reach
-        far = ex * ex + ey * ey > reach2
         near: list[list[int]] = [[] for _ in ends]
-        legs, columns = np.nonzero(~far)
+        legs, columns = np.nonzero(within(ex, ey, reach(params.shelter_radius)))
         for leg, k in zip(legs.tolist(), columns.tolist()):
             near[leg].append(world.shelters[k].id)
         self.legs: dict[tuple[int, int], tuple[float, frozenset[int]]] = {
@@ -445,12 +449,12 @@ class WorldIndex:
         shelter (its end always is), or, as NEVER, past offset max_ticks.
 
         A tick ends on a point of the leg it walked last, up to the rounding
-        of the interpolation. On a leg whose segment is farther from the
-        shelter than shelter_radius by more than that rounding (a margin of
-        1e-9 of the coordinates' magnitudes), no tick can end in range: the
-        walk only adds up its progress there, and the position it returns
-        with NEVER may be stale. Each leg's length and whether it is that
-        far from the shelter are read off the index's leg table `legs`."""
+        of the interpolation. On a leg whose segment is not within
+        reach(shelter_radius) of the shelter, the index's margin over that
+        rounding, no tick can end in range: the walk only adds up its
+        progress there, and the position it returns with NEVER may be
+        stale. Each leg's length and whether it is that far from the
+        shelter are read off the index's leg table `legs`."""
         p = self.params
         move = p.household_speed * p.tick_seconds
         r2 = p.shelter_radius * p.shelter_radius
@@ -603,15 +607,16 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     Each tick visits the rescuers in ascending order, as a walk that moves
     every rescuer every tick would, but a rescuer does work only when it
     reaches a node (or stands on one) in that tick, or when the candidate
-    list of the edge it walks still holds an unaware household; the walk
-    counts those per edge list only. A rescuer standing on a node scans the
-    edge lists its start row names, in adjacency order, whatever their
-    counts. On entering an edge it computes the tick it reaches the far
-    node and the budget it has left then, by the same float additions the
-    tick-by-tick walk makes; its progress along the edge is advanced by
-    those additions only when it scans. A tick's informs keep their order:
-    rescuers, then the fallback channel. The walk records each household's
-    source as it informs it, and each inform tick's pairs in ascending id.
+    list of the edge it walks or last walked still holds an unaware
+    household; the walk counts those per edge list only. A rescuer whose
+    budget ends exactly on a node stands there for the tick, on the edge it
+    came by with the node at both ends, and scans that edge's list. On
+    entering an edge it computes the tick it reaches the far node and the
+    budget it has left then, by the same float additions the tick-by-tick
+    walk makes; its progress along the edge is advanced by those additions
+    only when it scans. A tick's informs keep their order: rescuers, then
+    the fallback channel. The walk records each household's source as it
+    informs it, and each inform tick's pairs in ascending id.
 
     Every fallback tick is drawn in stream order, but the schedule of the
     fallback channel is built only when the walk reaches
@@ -660,30 +665,29 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     house_pos = index.house_pos
     nodes = world.nodes
     move_rows = index.move_rows
-    start_row = index.start_row
     lists = index.candidate_lists
     slots_of = index.slots_of
-    # The unaware households of each edge list, and past them the count of
-    # `standing`, the list number of a rescuer standing on a node: no
-    # household lowers it, so a standing rescuer always scans its node's
-    # edge lists.
-    standing = len(lists)
-    unaware_in = [len(cands) for cands in lists] + [1]
+    # The unaware households of each edge list, and past them the count 0
+    # of the list number `nowhere`, of a rescuer that has walked no edge.
+    nowhere = len(lists)
+    unaware_in = [len(cands) for cands in lists] + [0]
     # The rescuers as parallel lists: the node each last left or stands on,
-    # the edge it walks (its far node, None while standing on a node, and
-    # its length), the move-table row it draws from at the node it stands
-    # on or walks to, its progress along the edge and the tick that
-    # progress is for, the list number of its candidates, and the tick it
-    # next reaches or stands on a node with the budget it has left then
-    # (NEVER if that is past max_ticks, or if its start node has no road).
+    # the edge it walks (its far node, the same node while standing on it,
+    # and the length of the edge it walks or came by), the move-table row it
+    # draws from at the node it stands on or walks to, its progress along
+    # the edge and the tick that progress is for, the list number of its
+    # candidates, and the tick it next reaches or stands on a node with the
+    # budget it has left then (NEVER if that is past max_ticks, or if its
+    # start node has no road: such a rescuer walks no edge and so informs
+    # nobody).
     k = len(placed)
     at = list(placed)
-    row = [start_row[node] for node in placed]
-    to: list[int | None] = [None] * k
+    row = [index.start_row[node] for node in placed]
+    to = list(placed)
     edge_len = [0.0] * k
     progress = [0.0] * k
     walked = [0] * k
-    slot = [standing] * k
+    slot = [nowhere] * k
     arrive: list[float] = [1 if move_rows[here][1] else NEVER for here in row]
     left_then = [budget] * k
     source: list[WarningSource | None] = [None] * n  # None while unaware
@@ -698,9 +702,8 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
         # (1) rescuers roam; (2) they inform unaware households in range
         for r in range(k):
             if arrive[r] == t:
-                node, nxt, left, here = at[r], to[r], left_then[r], row[r]
-                if nxt is not None:
-                    node, nxt = nxt, None
+                node = nxt = to[r]
+                left, here, length, edge_slot = left_then[r], row[r], edge_len[r], slot[r]
                 while left > 0.0:  # standing on a node: pick an edge
                     choices, count, bits = move_rows[here]
                     if count > 1:
@@ -713,17 +716,15 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                     if left < length:
                         break
                     left -= length
-                    node, nxt = nxt, None
-                at[r], to[r], row[r] = node, nxt, here
-                if nxt is None:  # the budget ended exactly on a node
-                    slot[r] = standing
+                    node = nxt
+                at[r], to[r], row[r], edge_len[r], slot[r] = node, nxt, here, length, edge_slot
+                walked[r] = t
+                if node == nxt:  # the budget ended exactly on a node
+                    progress[r] = 0.0
                     arrive[r] = t + 1
                     left_then[r] = budget
                 else:
-                    slot[r] = edge_slot
-                    edge_len[r] = length
                     progress[r] = done = left
-                    walked[r] = t
                     reach = t + 1
                     while budget < length - done and reach <= max_ticks:
                         done += budget
@@ -735,26 +736,16 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
                         left_then[r] = budget - (length - done)
             if not unaware_in[slot[r]]:
                 continue
-            node, nxt = at[r], to[r]
-            pa = nodes[node]
-            if nxt is None:
-                # Standing on a node: its edge lists in adjacency order. A
-                # household on several is tested at its first; at a later
-                # one it is informed, or fails the same test again.
-                rx, ry = pa.x, pa.y
-                candidates = chain.from_iterable(
-                    lists[c[2]] for c in move_rows[start_row[node]][0])
-            else:
-                done = progress[r]
-                for _ in range(t - walked[r]):
-                    done += budget
-                progress[r], walked[r] = done, t
-                pb = nodes[nxt]
-                f = done / edge_len[r]
-                rx = pa.x + (pb.x - pa.x) * f
-                ry = pa.y + (pb.y - pa.y) * f
-                candidates = lists[slot[r]]
-            for hid in candidates:
+            done = progress[r]
+            for _ in range(t - walked[r]):
+                done += budget
+            progress[r], walked[r] = done, t
+            pa = nodes[at[r]]
+            pb = nodes[to[r]]
+            f = done / edge_len[r]  # 0.0 on a node, whose coordinates it then gives
+            rx = pa.x + (pb.x - pa.x) * f
+            ry = pa.y + (pb.y - pa.y) * f
+            for hid in lists[slot[r]]:
                 if source[hid] is None:
                     hx, hy = house_pos[hid]
                     hx -= rx

@@ -178,7 +178,7 @@ def parse_world(text: str) -> World:
                     raise _bad_line(lineno, f"zero-length edge ({a},{b}): its nodes coincide")
                 if len(parts) == 4:
                     stored = float(parts[3])
-                    if abs(stored - euclid) > EDGE_LENGTH_TOL:
+                    if not abs(stored - euclid) <= EDGE_LENGTH_TOL:  # True for nan
                         raise _bad_line(
                             lineno,
                             f"edge length {stored} differs from endpoint distance "

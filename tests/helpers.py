@@ -22,7 +22,6 @@ from evacsim.geo import (
     Waterway,
     World,
     _parse_bool,
-    points_near_edges,
     shortest_path_tree,
 )
 from evacsim.population import CODED_FIELDS, HouseholdProfile, record_fields
@@ -267,31 +266,23 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     order without the way it came unless that is the only way, with the
     walk stream's randrange when there is more than one; a budget that ends
     exactly on a node leaves it standing there. At its position it informs
-    every unaware household within rescuer_radius among the candidates of
-    its edge, in ascending id, or while it stands among the union of its
-    node's edges' candidates, in adjacency order with each household at its
-    first occurrence. An edge's candidates are the houses
-    `geo.points_near_edges` finds within rescuer_radius of it. Then the
-    fallback channel informs the unaware households drawn for the tick. The
-    walk ends when all are informed or at max_ticks. Each tick's informs,
-    ordered by household id, are its decide order, and a household's source
-    is the one its inform names (None if it has none).
+    every unaware household within rescuer_radius, in ascending id; a
+    rescuer on a node no road reaches never moves and informs nobody. Then
+    the fallback channel informs the unaware households drawn for the tick.
+    The walk ends when all are informed or at max_ticks. Each tick's
+    informs, ordered by household id, are its decide order, and a
+    household's source is the one its inform names (None if it has none).
 
     The tick-by-tick oracle of `engine._walk_rescuers`, which visits a
-    rescuer only when it reaches a node or can still inform someone. Of the
-    index it reads only the world, the parameters, the household count and
-    the house positions: the choices come from the world's adjacency, not
-    the index's move table, and the candidates from the world's edges, not
-    the index's lists.
+    rescuer only when it reaches a node or can still inform someone, and
+    then only the households of its edge's candidate list. Of the index it
+    reads only the world, the parameters, the household count and the house
+    positions: the choices come from the world's adjacency, not the index's
+    move table, and every house is tested, not the index's lists.
     """
     world = index.world
     n = index.n
     p = index.params
-    houses = [Point(x, y) for x, y in index.house_pos]
-    near_edge = points_near_edges(world, houses, p.rescuer_radius)
-    near_node = {node: tuple(dict.fromkeys(itertools.chain.from_iterable(
-                     near_edge[(min(node, nb), max(node, nb))] for nb, _ in nbrs)))
-                 for node, nbrs in world.adjacency.items()}
     rng_init = random.Random(derive_seed(seed, "init"))
     epsilon: list[float] = []
     fallback_source: list[WarningSource] = []
@@ -349,22 +340,20 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
                     came_from[r] = node
                     node, nxt, done = nxt, None, 0.0
             at[r], to[r], edge_len[r], progress[r] = node, nxt, length, done
+            if not world.adjacency[node]:
+                continue
             pa = nodes[node]
             if nxt is None:
                 rx, ry = pa.x, pa.y
-                candidates = near_node[node]
             else:
                 pb = nodes[nxt]
                 f = done / length
                 rx = pa.x + (pb.x - pa.x) * f
                 ry = pa.y + (pb.y - pa.y) * f
-                candidates = near_edge[(min(node, nxt), max(node, nxt))]
-            for hid in candidates:
-                if unaware[hid]:
-                    hx, hy = index.house_pos[hid]
-                    if within_reference(hx - rx, hy - ry, p.rescuer_radius):
-                        unaware[hid] = False
-                        newly.append((hid, WarningSource.AUTHORITIES))
+            for hid, (hx, hy) in enumerate(index.house_pos):
+                if unaware[hid] and within_reference(hx - rx, hy - ry, p.rescuer_radius):
+                    unaware[hid] = False
+                    newly.append((hid, WarningSource.AUTHORITIES))
         for hid in fallback_schedule.pop(t, ()):
             if unaware[hid]:
                 unaware[hid] = False
@@ -634,7 +623,7 @@ def parse_world_reference(text: str) -> World:
                     fail(lineno, f"zero-length edge ({a},{b}): its nodes coincide")
                 if len(parts) == 4:
                     stored = float(parts[3])
-                    if abs(stored - euclid) > EDGE_LENGTH_TOL:
+                    if not abs(stored - euclid) <= EDGE_LENGTH_TOL:
                         fail(
                             lineno,
                             f"edge length {stored} differs from endpoint distance "

@@ -90,8 +90,9 @@ def test_non_finite_coordinates_rejected_with_line_number(record, kind):
 def test_edge_length_field_checked_against_geometry():
     ok = "node|0|0|0\nnode|1|100|0\nedge|0|1|100.0\n"
     parse_world(ok)
-    with pytest.raises(InputError, match="differs"):
-        parse_world("node|0|0|0\nnode|1|100|0\nedge|0|1|99.0\n")
+    for length in ("99.0", "nan"):
+        with pytest.raises(InputError, match="differs"):
+            parse_world(f"node|0|0|0\nnode|1|100|0\nedge|0|1|{length}\n")
 
 
 def _lines_of(lines: list[str], *kinds: str) -> list[int]:

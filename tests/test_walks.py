@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evacsim.engine import NEVER, EngineParams, WorldIndex
-from evacsim.geo import Point, Shelter, Waterway, World
+from evacsim.geo import Point, Shelter, Waterway, World, points_near_edges
 from evacsim.population import HouseholdProfile
 from evacsim.risk import WarningSource
 from helpers import (
@@ -401,6 +401,48 @@ def test_a_rescuer_informs_a_house_exactly_rescuer_radius_away():
     timeline = index.inform_timeline(0)
     assert timeline.informs == {2: ((0, WarningSource.AUTHORITIES),)}
     assert timeline.source == (WarningSource.AUTHORITIES, None)
+    assert timeline == walk_rescuers_reference(index, 0)
+
+
+@pytest.mark.parametrize("p, n, house, speed", [
+    # The first tick's move is the edge's length: it ends exactly on n,
+    # 31 m from the house.
+    (Point(-5.436238797932923, 2.536571701313285), Point(91.46709943890697, 2.536571701313285),
+     Point(110.7681612910153, -21.721808528642054), None),
+    # The first tick ends mid-edge, at a computed position 31 m from the
+    # house.
+    (Point(-35.233447033367526, -69.83016521509961),
+     Point(230.18689460797074, -85.51274266649145),
+     Point(95.06892048057678, -46.47512149261108), 128.69796053946763),
+], ids=["standing on a node", "on an edge"])
+def test_a_rescuer_informs_a_house_its_edge_offset_rounds_out_of_range(p, n, house, speed):
+    # One rescuer walks the road from p to n, 1 s a tick, with the fallback
+    # channel firing on tick 50. The offset of the house from the segment
+    # rounds past 31 m, so a list of the houses exactly within 31 m of the
+    # edge misses it.
+    world = World(nodes={0: p, 1: n}, edges=[(0, 1, p.distance_to(n))], buildings={},
+                  waterways=[], shelters=[Shelter(0, 1, 100, False)], rescuer_starts=[0])
+    assert points_near_edges(world, [house], 31.0) == {(0, 1): ()}
+    index = inform_index(world, [house], nb_rescuers=1, tick_seconds=1.0,
+                         rescuer_speed=p.distance_to(n) if speed is None else speed,
+                         rescuer_radius=31.0, fallback_tick_min=50, fallback_tick_max=50,
+                         max_ticks=60)
+    timeline = index.inform_timeline(0)
+    assert timeline.informs == {1: ((0, WarningSource.AUTHORITIES),)}
+    assert timeline == walk_rescuers_reference(index, 0)
+
+
+def test_a_rescuer_on_a_node_no_road_reaches_informs_nobody():
+    # Node 9 has no road. The rescuer placed there never moves and perceives
+    # nobody, not even the house 1 m off it, which waits for the fallback
+    # channel on tick 5.
+    world = line_world(n_nodes=2)
+    world = replace(world, nodes={**world.nodes, 9: Point(0.0, 500.0)}, rescuer_starts=[9])
+    index = inform_index(world, [Point(1.0, 500.0)], nb_rescuers=1, rescuer_radius=10.0,
+                         fallback_tick_min=5, fallback_tick_max=5, max_ticks=10)
+    timeline = index.inform_timeline(0)
+    assert list(timeline.informs) == [5]
+    assert timeline.source[0] is not WarningSource.AUTHORITIES
     assert timeline == walk_rescuers_reference(index, 0)
 
 
