@@ -22,19 +22,19 @@ run with the same seed. The walk is event-driven: a rescuer is visited in
 a tick only if it reaches a node then, where it draws its next edge, or if
 the candidate list it walks still holds an unaware household, which it
 scans; it draws what a walk that moves every rescuer every tick draws, in
-the same order. A household's perceived risk depends only on the
-seed (its epsilon draw and the source that informed it), the scenario and
-the weights, so the runs of one seed group, which differ only in
-threshold, share one perceived-risk array: the world index computes it once
-per (seed, scenario, weights) and keeps the last one, and each run compares
-it with its threshold once, in `init_run`. A household decides in the tick
-it is informed, and a tick's newly informed decide in ascending id; that
-order, like each household's warning source, is fixed by the seed, so the
-walk records both in the timeline as it informs, and `step` replays a tick
-in one pass over its newly informed. A household's walk depends only on
-its house node and the shelters it heads for in turn, so the world index
-computes the tick it reaches each shelter (NEVER past max_ticks) once per
-(house node, shelter chain) and keeps it for every later run. `step` then admits the households that arrive in its tick,
+the same order. The timeline holds each household's inform tick and source
+code, and the informed in inform order and in decide order (by inform
+tick, then id: a household decides in the tick it is informed); `step`
+replays a tick through one slice of each. A household's perceived risk
+depends only on the seed (its epsilon draw and its source), the scenario
+and the weights, so the runs of one seed group, which differ only in
+threshold, share one perceived-risk array: the world index computes it
+once per (seed, scenario, weights) and keeps the last one, and each run
+compares it with its threshold once, in `init_run`. A household's walk
+depends only on its house node and the shelters it heads for in turn, so
+the world index computes the tick it reaches each shelter (NEVER past
+max_ticks) once per (house node, shelter chain) and keeps it for every
+later run. `step` then admits the households that arrive in its tick,
 popped from a heap keyed by arrival. One pick sends a household off: from
 its house when it departs, from a full shelter when it is redirected.
 
@@ -200,21 +200,23 @@ class RunResult:
 
 @dataclass(frozen=True)
 class InformTimeline:
-    """The inform phase of a run, with everything the runs of its seed read
-    off it: its init-stream draws; for every tick the rescuers walked, the
-    households informed in that tick with their warning source, in inform
-    order (rescuers first, then the fallback channel, `informs`) and in
-    ascending id, the order in which they decide (`decide_order`); and each
-    household's warning source, None if it is never informed. Ticks that
-    inform nobody are absent from `informs` and `decide_order`."""
+    """The inform phase of a run, as tuples the runs of its seed read: its
+    init-stream draws; per household, the code of the source that informed
+    it (NaN if none did) and its inform tick (0 if none: ticks start at 1);
+    the informed in inform order (rescuers first within a tick) and in
+    decide order (by inform tick, then id); and per tick from 0 to the
+    walk's last, how many are informed by its end, so that a tick's informs
+    are one slice of either order."""
 
     epsilon: tuple[float, ...]
-    fallback_source: tuple[WarningSource, ...]
+    fallback_source: tuple[float, ...]
     fallback_tick: tuple[int, ...]
     placed: tuple[int, ...]  # start node of each rescuer
-    informs: dict[int, tuple[tuple[int, WarningSource], ...]]
-    decide_order: dict[int, tuple[tuple[int, WarningSource], ...]]
-    source: tuple[WarningSource | None, ...]
+    source: tuple[float, ...]
+    inform_tick: tuple[int, ...]
+    inform_order: tuple[int, ...]
+    decide_order: tuple[int, ...]
+    informed_by: tuple[int, ...]
 
 
 class WorldIndex:
@@ -387,18 +389,14 @@ class WorldIndex:
         """Every household's perceived risk in a run with this seed, scenario
         and weights, whatever its threshold: the one memoised from the last
         call if it had the same three, else a fresh array. A household's
-        source is the one the seed's inform timeline informs it by (its code
-        NaN if it is never informed) and its epsilon the timeline's draw."""
+        source code and its epsilon are the seed's inform timeline's (the
+        code NaN if it is never informed)."""
         key = (seed, scenario, weights)
         if key != self._risk_key:
             timeline = self.inform_timeline(seed)
-            # `_value_` is the member's value, read without the descriptor
-            # call of `.value`.
-            source = np.array([math.nan if s is None else s._value_ for s in timeline.source],
-                              dtype=float)
-            hrf = hrf_score(scenario, self.proximity_code, source)
-            self._risk = perceived_risk(self.cdm, hrf, self.crf,
-                                        np.array(timeline.epsilon, dtype=float), weights)
+            hrf = hrf_score(scenario, self.proximity_code, np.array(timeline.source))
+            self._risk = perceived_risk(self.cdm, hrf, self.crf, np.array(timeline.epsilon),
+                                        weights)
             self._risk.flags.writeable = False  # every run of the key reads it
             self._risk_key = key
         return self._risk
@@ -511,7 +509,7 @@ class HouseholdState:
     A value, shared until it changes: a run replaces a household's record
     and never changes one. Every household starts on the one `UNAWARE`
     record and, when informed, takes the one record of its source
-    (`INFORMED_BY`, keyed by the source's value); a record of its own is
+    (`INFORMED_BY`, keyed by the source's code); a record of its own is
     built only when it heads out, is redirected or strands. Two records are
     equal only if they are one object.
 
@@ -537,11 +535,11 @@ class HouseholdState:
 
 
 # The record of every unaware household, and of every informed one that has
-# not headed out, per warning source value.
+# not headed out, per warning source code.
 UNAWARE = HouseholdState()
-INFORMED_BY = {source._value_: HouseholdState(source) for source in WarningSource}
-# The detail of an `informed` event, per warning source value.
-SOURCE_NAME = {source._value_: source.name.lower() for source in WarningSource}
+INFORMED_BY = {source.value: HouseholdState(source) for source in WarningSource}
+# The detail of an `informed` event, per warning source code.
+SOURCE_NAME = {source.value: source.name.lower() for source in WarningSource}
 
 
 @dataclass
@@ -615,8 +613,8 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     budget it has left then, by the same float additions the tick-by-tick
     walk makes; its progress along the edge is advanced by those additions
     only when it scans. A tick's informs keep their order: rescuers, then
-    the fallback channel. The walk records each household's source as it
-    informs it, and each inform tick's pairs in ascending id.
+    the fallback channel. The walk records each household's source code
+    and tick as it informs it, and sorts the decide order once at the end.
 
     Every fallback tick is drawn in stream order, but the schedule of the
     fallback channel is built only when the walk reaches
@@ -632,16 +630,16 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     rand, bits_init = rng_init.random, rng_init.getrandbits
     eps_lo, eps_span = p.epsilon_min, p.epsilon_max - p.epsilon_min
     friends_prob = p.fallback_friends_prob
+    friends, media = WarningSource.FRIENDS.value, WarningSource.MEDIA.value
     tick_lo, ticks = p.fallback_tick_min, p.fallback_tick_max + 1 - p.fallback_tick_min
     tick_bits = ticks.bit_length()
     epsilon: list[float] = []
-    fallback_source: list[WarningSource] = []
+    fallback_source: list[float] = []
     fallback_tick: list[int] = []
     for _ in range(n):
         # random.uniform, spelled as its docs define it
         epsilon.append(eps_lo + eps_span * rand())
-        fallback_source.append(
-            WarningSource.FRIENDS if rand() < friends_prob else WarningSource.MEDIA)
+        fallback_source.append(friends if rand() < friends_prob else media)
         # random.randint(fallback_tick_min, fallback_tick_max)
         drawn = bits_init(tick_bits)
         while drawn >= ticks:
@@ -661,7 +659,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     budget = p.rescuer_speed * p.tick_seconds
     r2 = p.rescuer_radius * p.rescuer_radius
     max_ticks = p.max_ticks
-    authorities = WarningSource.AUTHORITIES
+    authorities = WarningSource.AUTHORITIES.value
     house_pos = index.house_pos
     nodes = world.nodes
     move_rows = index.move_rows
@@ -690,15 +688,14 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     slot = [nowhere] * k
     arrive: list[float] = [1 if move_rows[here][1] else NEVER for here in row]
     left_then = [budget] * k
-    source: list[WarningSource | None] = [None] * n  # None while unaware
-    remaining = n
-    informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
-    decide_order: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    source = [math.nan] * n
+    inform_tick = [0] * n  # 0 while unaware
+    order: list[int] = []
+    informed_by = [0]
     fallback_schedule: dict[int, list[int]] = {}
     t = 0
-    while remaining and t < max_ticks:
+    while len(order) < n and t < max_ticks:
         t += 1
-        newly: list[tuple[int, WarningSource]] = []
         # (1) rescuers roam; (2) they inform unaware households in range
         for r in range(k):
             if arrive[r] == t:
@@ -746,33 +743,33 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
             rx = pa.x + (pb.x - pa.x) * f
             ry = pa.y + (pb.y - pa.y) * f
             for hid in lists[slot[r]]:
-                if source[hid] is None:
+                if not inform_tick[hid]:
                     hx, hy = house_pos[hid]
                     hx -= rx
                     hy -= ry
                     if hx * hx + hy * hy <= r2:
                         source[hid] = authorities
-                        newly.append((hid, authorities))
+                        inform_tick[hid] = t
+                        order.append(hid)
                         for s in slots_of[hid]:
                             unaware_in[s] -= 1
         # (3) fallback channel fires on its pre-drawn tick
         if t == tick_lo:
             for hid, tick in enumerate(fallback_tick):
-                if source[hid] is None:
+                if not inform_tick[hid]:
                     fallback_schedule.setdefault(tick, []).append(hid)
         for hid in fallback_schedule.pop(t, ()):
-            if source[hid] is None:
-                source[hid] = fallback = fallback_source[hid]
-                newly.append((hid, fallback))
+            if not inform_tick[hid]:
+                source[hid] = fallback_source[hid]
+                inform_tick[hid] = t
+                order.append(hid)
                 for s in slots_of[hid]:
                     unaware_in[s] -= 1
-        if newly:
-            informs[t] = tuple(newly)
-            # A household is informed once, so no two pairs share an id.
-            decide_order[t] = tuple(sorted(newly))
-            remaining -= len(newly)
-    return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick),
-                          placed, informs, decide_order, tuple(source))
+        informed_by.append(len(order))
+    decide_order = sorted(sorted(order), key=inform_tick.__getitem__)
+    return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick), placed,
+                          tuple(source), tuple(inform_tick), tuple(order), tuple(decide_order),
+                          tuple(informed_by))
 
 
 def _pick_shelter(state: SimulationState, node: int, members: int,
@@ -831,20 +828,23 @@ def step(state: SimulationState) -> SimulationState:
     events = state.events
     moving = state.moving
 
-    order = state.timeline.decide_order.get(t)
-    if order is not None:
+    timeline = state.timeline
+    bounds = timeline.informed_by
+    if t < len(bounds) and bounds[t] > state.informed_count:
         # (1)-(3) the informs of this tick, as the rescuer walk recorded them
-        state.informed_count += len(order)
+        a = state.informed_count
+        b = state.informed_count = bounds[t]
+        source = timeline.source
         if events is not None:
-            events += [Event(t, "household", hid, "informed", SOURCE_NAME[source._value_])
-                       for hid, source in state.timeline.informs[t]]
+            events += [Event(t, "household", hid, "informed", SOURCE_NAME[source[hid]])
+                       for hid in timeline.inform_order[a:b]]
             perceived, highest = state.event_perceived, state.event_highest
         # (4) the newly informed, in ascending id, act on the decision
         # init_run made
         evacuate = state.evacuate
-        informed_by = INFORMED_BY
-        for hid, source in order:
-            households[hid] = informed_by[source._value_]
+        shared = INFORMED_BY
+        for hid in timeline.decide_order[a:b]:
+            households[hid] = shared[source[hid]]
             go = evacuate[hid]
             if events is not None:
                 events.append(Event(t, "household", hid, "decided",

@@ -276,7 +276,7 @@ def execute(
 ) -> list[SweepRow]:
     """Run every valid combination x replications on the world index of
     (world, population, params). The index is built once, in the caller, and
-    the worker processes inherit it.
+    the worker processes inherit it (fork) or unpickle it (forkserver, spawn).
 
     A run's config is its combination's scenario, weights and threshold and
     its replicate seed. Every config and the index are built, and so check

@@ -269,9 +269,12 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     every unaware household within rescuer_radius, in ascending id; a
     rescuer on a node no road reaches never moves and informs nobody. Then
     the fallback channel informs the unaware households drawn for the tick.
-    The walk ends when all are informed or at max_ticks. Each tick's
-    informs, ordered by household id, are its decide order, and a
-    household's source is the one its inform names (None if it has none).
+    The walk ends when all are informed or at max_ticks. It lists its
+    informs as (tick, household, source code) triples in inform order, and
+    derives every column from that list afterwards: a household's source
+    code and tick are those its inform names (NaN and 0 if it has none),
+    the decide order is the list sorted, and the count informed by a tick
+    is the number of informs up to it.
 
     The tick-by-tick oracle of `engine._walk_rescuers`, which visits a
     rescuer only when it reaches a node or can still inform someone, and
@@ -285,15 +288,15 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     p = index.params
     rng_init = random.Random(derive_seed(seed, "init"))
     epsilon: list[float] = []
-    fallback_source: list[WarningSource] = []
+    fallback_source: list[float] = []
     fallback_tick: list[int] = []
     fallback_schedule: dict[int, list[int]] = {}
     for i in range(n):
         epsilon.append(rng_init.uniform(p.epsilon_min, p.epsilon_max))
         fallback_source.append(
-            WarningSource.FRIENDS
+            WarningSource.FRIENDS.value
             if rng_init.random() < p.fallback_friends_prob
-            else WarningSource.MEDIA
+            else WarningSource.MEDIA.value
         )
         tick = rng_init.randint(p.fallback_tick_min, p.fallback_tick_max)
         fallback_tick.append(tick)
@@ -313,12 +316,10 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
     edge_len = [0.0] * len(placed)
     progress = [0.0] * len(placed)
     unaware = [True] * n
-    remaining = n
-    informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    informs: list[tuple[int, int, float]] = []
     t = 0
-    while remaining and t < p.max_ticks:
+    while len(informs) < n and t < p.max_ticks:
         t += 1
-        newly: list[tuple[int, WarningSource]] = []
         for r in range(len(at)):
             node, nxt, length, done = at[r], to[r], edge_len[r], progress[r]
             left = budget
@@ -353,22 +354,30 @@ def walk_rescuers_reference(index, seed: int) -> InformTimeline:
             for hid, (hx, hy) in enumerate(index.house_pos):
                 if unaware[hid] and within_reference(hx - rx, hy - ry, p.rescuer_radius):
                     unaware[hid] = False
-                    newly.append((hid, WarningSource.AUTHORITIES))
+                    informs.append((t, hid, WarningSource.AUTHORITIES.value))
         for hid in fallback_schedule.pop(t, ()):
             if unaware[hid]:
                 unaware[hid] = False
-                newly.append((hid, fallback_source[hid]))
-        if newly:
-            informs[t] = tuple(newly)
-            remaining -= len(newly)
-    decide_order = {t: tuple(sorted(pairs, key=lambda pair: pair[0]))
-                    for t, pairs in informs.items()}
-    source: list[WarningSource | None] = [None] * n
-    for pairs in informs.values():
-        for hid, by in pairs:
-            source[hid] = by
-    return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick),
-                          placed, informs, decide_order, tuple(source))
+                informs.append((t, hid, fallback_source[hid]))
+    source = [math.nan] * n
+    inform_tick = [0] * n
+    for tick, hid, by in informs:
+        source[hid], inform_tick[hid] = by, tick
+    informed_by = [sum(tick <= u for tick, _, _ in informs) for u in range(t + 1)]
+    return InformTimeline(tuple(epsilon), tuple(fallback_source), tuple(fallback_tick), placed,
+                          tuple(source), tuple(inform_tick),
+                          tuple(hid for _, hid, _ in informs),
+                          tuple(hid for _, hid, _ in sorted(informs)), tuple(informed_by))
+
+
+def informs_of(timeline: InformTimeline) -> dict[int, tuple[tuple[int, WarningSource], ...]]:
+    """The informs of a timeline per inform tick, in ascending tick: each a
+    (household, source) pair, in inform order."""
+    informs: dict[int, tuple[tuple[int, WarningSource], ...]] = {}
+    for hid in timeline.inform_order:
+        tick = timeline.inform_tick[hid]
+        informs[tick] = (*informs.get(tick, ()), (hid, WarningSource(timeline.source[hid])))
+    return informs
 
 
 def pick_shelter_reference(world: World, occupancy: dict[int, int], node: int, members: int,

@@ -21,7 +21,13 @@ from evacsim.errors import InputError, InternalError
 from evacsim.geo import Point, ProximityClass, Shelter, points_near_edges
 from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
-from helpers import line_world, pick_shelter_reference, population_of, run_with_final_state
+from helpers import (
+    informs_of,
+    line_world,
+    pick_shelter_reference,
+    population_of,
+    run_with_final_state,
+)
 
 
 def profile(i: int, building: int, members: int = 4, **overrides) -> HouseholdProfile:
@@ -156,8 +162,9 @@ def test_demo_inform_timelines_are_pinned(demo_index):
     for seed in range(50):
         tl = demo_index.inform_timeline(seed)
         lines.append(repr((
-            seed, tl.epsilon, [s.name for s in tl.fallback_source], tl.fallback_tick, tl.placed,
-            [(tick, [(hid, s.name) for hid, s in got]) for tick, got in tl.informs.items()],
+            seed, tl.epsilon, [WarningSource(s).name for s in tl.fallback_source],
+            tl.fallback_tick, tl.placed,
+            [(tick, [(hid, s.name) for hid, s in got]) for tick, got in informs_of(tl).items()],
         )))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "7e1aacf646a91f8f8ad148617e3ef2f73b4f0c75af0b653e5e5d4fd7da3a8d8a")
@@ -192,7 +199,7 @@ def test_rescuer_ending_its_tick_on_a_node_informs_from_there():
     profiles = population_of([profile(0, 0), profile(1, 1)])
     index = WorldIndex(world, profiles, params(rescuer_speed=10.0, fallback_tick_min=50,
                                                fallback_tick_max=60, max_ticks=50))
-    informs = index.inform_timeline(11).informs
+    informs = informs_of(index.inform_timeline(11))
     assert informs[1] == ((1, WarningSource.AUTHORITIES),)
     assert informs[2] == ((0, WarningSource.AUTHORITIES),)
 
@@ -658,6 +665,45 @@ def small_runs(draw):
     cfg = config(threshold=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2**32)),
                  weights=draw(st.sampled_from([Weights(0.2, 0.3, 0.5), Weights(0.6, 0.2, 0.2)])))
     return world, profiles, engine_params, cfg
+
+
+def check_timeline_invariants(timeline: engine.InformTimeline, n: int) -> None:
+    """The columns of an inform timeline agree with each other, and none of
+    them can be altered by a run that reads it."""
+    for f in fields(timeline):
+        assert type(getattr(timeline, f.name)) is tuple, f.name
+    tick, order, source = timeline.inform_tick, timeline.inform_order, timeline.source
+    assert len(tick) == len(source) == len(timeline.epsilon) == n
+    assert len(set(order)) == len(order)
+    # Grouped by tick, and in decide order by id within a tick.
+    assert [tick[hid] for hid in order] == sorted(tick[hid] for hid in order)
+    assert timeline.decide_order == tuple(sorted(order, key=lambda hid: (tick[hid], hid)))
+    last = len(timeline.informed_by) - 1
+    assert timeline.informed_by == tuple(sum(tick[hid] <= u for hid in order)
+                                         for u in range(last + 1))
+    assert all(1 <= tick[hid] <= last for hid in order)
+    codes = {s.value for s in WarningSource}
+    informed = set(order)
+    for hid in range(n):
+        if hid in informed:
+            assert source[hid] in codes
+        else:
+            assert math.isnan(source[hid]) and tick[hid] == 0
+
+
+def test_demo_inform_timelines_keep_their_invariants(demo_index):
+    for seed in range(50):
+        check_timeline_invariants(demo_index.inform_timeline(seed), 570)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_inform_timelines_keep_their_invariants(case):
+    # Fallback, truncated and redirected runs: the timelines of the walks
+    # that end inside and past the fallback window, or at max_ticks.
+    world, profiles, engine_params, cfg = case
+    timeline = WorldIndex(world, profiles, engine_params).inform_timeline(cfg.seed)
+    check_timeline_invariants(timeline, len(profiles["id"]))
 
 
 @settings(max_examples=150, deadline=None)

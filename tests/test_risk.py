@@ -148,7 +148,8 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     s = Scenario.from_names(2, "orange", "nighttime")
     cfg = RunConfig(scenario=s, weights=w, threshold=0.7, seed=11)
     _, state = run_with_final_state(demo_index, cfg)
-    source = {hid: src for informs in state.timeline.informs.values() for hid, src in informs}
+    source = {hid: WarningSource(state.timeline.source[hid])
+              for hid in state.timeline.inform_order}
     highest = 8.0 * w.w_cdm + 3.0 * w.w_crf + 5.0 * w.w_hrf
     decided = [e for e in state.events if e.event == "decided"]
     assert len(decided) == len(households)
@@ -173,7 +174,7 @@ def test_memoised_risk_matches_straight_line_oracle_on_the_grid(demo_world, demo
     seed = 11
     households = households_of(demo_profiles)
     timeline = demo_index.inform_timeline(seed)
-    source = {hid: src.value for informs in timeline.informs.values() for hid, src in informs}
+    source = {hid: timeline.source[hid] for hid in timeline.inform_order}
     assert len(source) == len(households)
     houses = [demo_world.buildings[p.building_id] for p in households]
     proximity = proximity_classes(demo_world, houses)
@@ -196,7 +197,7 @@ def test_memoised_risk_reads_each_households_source(demo_world, demo_profiles):
         nb_rescuers=0, fallback_tick_min=1, fallback_tick_max=6, max_ticks=3))
     seed = 3
     timeline = index.inform_timeline(seed)
-    source = {hid: src for informs in timeline.informs.values() for hid, src in informs}
+    source = {hid: WarningSource(timeline.source[hid]) for hid in timeline.inform_order}
     assert set(source.values()) == {WarningSource.FRIENDS, WarningSource.MEDIA}
     assert 0 < len(source) < len(demo_profiles["id"])
     s = Scenario.from_names(2, "orange", "nighttime")
