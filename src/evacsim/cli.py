@@ -285,7 +285,8 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--population", required=True)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes (output is identical for any count)")
+                   help="parallel worker processes (output is identical for any count); a "
+                        "sweep starts at most one per seed group, and none for one group")
     _add_engine_flags(p)
 
 

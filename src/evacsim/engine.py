@@ -3,11 +3,11 @@
 One run: rescuers roam the road network informing households, informed
 households score their perceived risk and either stay or walk to the
 nearest shelter with room, shelter managers admit or redirect arrivals.
-Every run is a pure function of (index, config). The `WorldIndex` owns the
-world, the population and the `EngineParams` (rescuers, speeds, radii, tick
-length, tick limit, fallback channel and epsilon range), the fixed model
-parameters of an experiment; the household and shelter counts are those of
-its world and population. The `RunConfig` is one grid point of the
+Every run is a pure function of (index, config). The `WorldIndex` owns
+copies, taken when it is built, of what runs read of the world and the
+population, and the `EngineParams` (rescuers, speeds, radii, tick length,
+tick limit, fallback channel and epsilon range), the fixed model
+parameters of an experiment. The `RunConfig` is one grid point of the
 experiment (scenario, weights, threshold) plus the replicate seed. All
 randomness flows from config.seed through two named streams, one consumed
 in a fixed order at initialization (epsilon draws, fallback channel and
@@ -220,8 +220,9 @@ class InformTimeline:
 
 
 class WorldIndex:
-    """The one owner of a run's world, population and engine parameters,
-    and the precomputation shared by every run on them.
+    """The one owner of what runs read of a world and a population, copied
+    when it is built so that a later change to either reaches no run, and
+    of the engine parameters and the precomputation shared by every run.
 
     Checks, when built, what its parameters cannot check alone: raises
     InputError on rescuers for a world with no rescuer_start nodes or with
@@ -229,9 +230,10 @@ class WorldIndex:
     population, one array per HouseholdProfile field, that
     `validate_profiles` refuses (`check_codes`, then the households' fit
     together and to the world); it is the one owner of that check. Holds
-    the parameters, house positions, snapped road nodes, hazard proximity
-    codes (`proximity_code`), per-household CDM and CRF scores (`cdm_score`
-    and `crf_score` of the columns), one shortest-path tree per shelter for
+    the parameters, node positions (`nodes`), rescuer starts, house
+    positions, snapped road nodes, hazard proximity codes
+    (`proximity_code`), per-household CDM and CRF scores (`cdm_score` and
+    `crf_score` of the columns), one shortest-path tree per shelter for
     routing (`shelter_next`), and the inform timeline of the last seed it
     served, which holds what every run of that seed reads. The parameters
     are frozen, so the timeline is keyed on the seed alone. It also keeps
@@ -281,8 +283,9 @@ class WorldIndex:
                                  f"the shortest edge ({shortest!r} m): walking it would not "
                                  "shrink the move left in a tick")
         validate_profiles(population, world)
-        self.world = world
         self.params = params
+        self.nodes = nodes = dict(world.nodes)  # Point is frozen: a full copy
+        self.rescuer_starts = tuple(world.rescuer_starts)
         self.n = len(population["id"])
         self.members = tuple(population["members"].tolist())
         self.cdm = cdm_score(population)
@@ -298,7 +301,7 @@ class WorldIndex:
         # and of the radius; a difference from a house or a shelter, and a
         # square, by a few ulps of themselves. 6e-9 of that coordinate and
         # 1e-9 of the radius cover them a million times over.
-        xy = [c for p in world.nodes.values() for c in (p.x, p.y)]
+        xy = [c for p in nodes.values() for c in (p.x, p.y)]
         slack = 6e-9 * max(max(xy), -min(xy))
 
         def reach(radius: float) -> float:
@@ -351,7 +354,6 @@ class WorldIndex:
             for node, keys in reached.items()}
 
         # The leg table, one near set of shelters per directed leg.
-        nodes = world.nodes
         ends = [(a, b) for a, b, _ in world.edges]
         ends += [(b, a) for a, b in ends]
         # one row per leg, one column per shelter
@@ -422,7 +424,7 @@ class WorldIndex:
         walk = self._walks.get(key)
         if walk is None:
             if len(chain) == 1:
-                p = self.world.nodes[node]
+                p = self.nodes[node]
                 start, offset, route, leg, progress, x, y = node, -1, [node], 0, 0.0, p.x, p.y
             else:
                 self.arrival_offset(node, chain[:-1])
@@ -457,7 +459,7 @@ class WorldIndex:
         move = p.household_speed * p.tick_seconds
         r2 = p.shelter_radius * p.shelter_radius
         max_ticks = p.max_ticks
-        nodes = self.world.nodes
+        nodes = self.nodes
         legs = self.legs
         spos = nodes[self.shelters_by_id[shelter_id].node]
         sx, sy = spos.x, spos.y
@@ -568,7 +570,6 @@ class SimulationState:
 def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> SimulationState:
     """Build the tick-0 state of a run with cfg on index's world,
     population and parameters. Identical inputs give bit-identical states."""
-    world = index.world
     timeline = index.inform_timeline(cfg.seed)
     perceived = index.perceived(cfg.seed, cfg.scenario, cfg.weights)
     highest = highest_possible_score(cfg.weights)
@@ -589,8 +590,8 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
         timeline=timeline,
         evacuate=evacuate,
         households=households,
-        occupancy={s.id: 0 for s in world.shelters},
-        admitted={s.id: 0 for s in world.shelters},
+        occupancy=dict.fromkeys(index.shelters_by_id, 0),
+        admitted=dict.fromkeys(index.shelters_by_id, 0),
         events=events,
         event_perceived=event_perceived,
         event_highest=event_highest,
@@ -620,7 +621,6 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     fallback channel is built only when the walk reaches
     fallback_tick_min, and only from the households still unaware then: a
     walk that ends sooner never reads it."""
-    world = index.world
     n = index.n
     p = index.params
     # Both streams draw an integer below m as CPython's randrange does
@@ -645,7 +645,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
         while drawn >= ticks:
             drawn = bits_init(tick_bits)
         fallback_tick.append(tick_lo + drawn)
-    starts = world.rescuer_starts
+    starts = index.rescuer_starts
     start_bits = len(starts).bit_length()
     placed_at: list[int] = []
     for _ in range(p.nb_rescuers):
@@ -661,7 +661,7 @@ def _walk_rescuers(index: WorldIndex, seed: int) -> InformTimeline:
     max_ticks = p.max_ticks
     authorities = WarningSource.AUTHORITIES.value
     house_pos = index.house_pos
-    nodes = world.nodes
+    nodes = index.nodes
     move_rows = index.move_rows
     lists = index.candidate_lists
     slots_of = index.slots_of

@@ -1,8 +1,9 @@
 """Spatial world: road graph, buildings, waterways, shelters.
 
 The world is loaded once from a plain-text file (grammar in
-docs/formats.md), validated, and then treated as immutable. All distances
-are planar meters.
+docs/formats.md) and validated. A world index reads it only while it is
+built and copies what its runs read, so a later change to a world reaches
+no run on an index already built. All distances are planar meters.
 
 The geometry tables of a world index (which houses lie near each road
 edge, each house's hazard-proximity class, which walk legs are out of a
@@ -81,7 +82,8 @@ class Waterway:
 
 @dataclass
 class World:
-    """Immutable spatial scene. Mutating after load is unsupported."""
+    """The spatial scene of an experiment. A world index reads it only while
+    it is built, so a later change to it reaches no run on that index."""
 
     nodes: dict[int, Point]
     edges: list[tuple[int, int, float]]  # (a, b, length), undirected

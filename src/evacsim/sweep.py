@@ -224,14 +224,16 @@ SeedGroup = tuple[int, tuple[tuple[int, RunConfig], ...]]
 
 
 def _seed_groups(spec: SweepSpec) -> list[SeedGroup]:
-    """Every run's config, grouped by seed. Building a config checks its
-    threshold, so a spec threshold outside [0, 1] raises here, and so does
-    every weight-axis value that Weights refuses, whether or not a triple
-    the filter keeps uses it."""
-    # Each position of the three axes, padded with a valid weight.
-    for ws in itertools.zip_longest(spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values,
-                                    fillvalue=1.0):
-        Weights(*ws)
+    """Every run's config, grouped by seed. Every axis value a config would
+    refuse raises here (a rainfall or time-of-day code that Scenario
+    refuses, a weight that Weights refuses, a threshold outside [0, 1]),
+    whether or not a combination the weight filter keeps uses it."""
+    # One config per position of the axes, padded with 1.0, a valid value
+    # of each; SweepSpec has checked the storm levels.
+    for rain, tod, threshold, *ws in itertools.zip_longest(
+            spec.rainfall_codes, spec.time_of_day_codes, spec.thresholds,
+            spec.w_cdm_values, spec.w_hrf_values, spec.w_crf_values, fillvalue=1.0):
+        RunConfig(Scenario(1.0, rain, tod), Weights(*ws), threshold, 0)
     by_sw: dict[int, list[Combo]] = {}
     for combo in enumerate_combos(spec):
         by_sw.setdefault(combo.scenario_weight_index, []).append(combo)
@@ -277,6 +279,8 @@ def execute(
     """Run every valid combination x replications on the world index of
     (world, population, params). The index is built once, in the caller, and
     the worker processes inherit it (fork) or unpickle it (forkserver, spawn).
+    A sweep starts no more workers than it has seed groups, and none for
+    one group: it runs that in the calling process.
 
     A run's config is its combination's scenario, weights and threshold and
     its replicate seed. Every config and the index are built, and so check
@@ -291,7 +295,8 @@ def execute(
         raise InputError("workers must be >= 1")
     groups = _seed_groups(spec)
     index = WorldIndex(world, population, params)
-    if workers == 1:
+    workers = min(workers, len(groups))
+    if workers <= 1:
         batches = [_run_group(g, index) for g in groups]
     else:
         with futures.ProcessPoolExecutor(workers, initializer=_worker_init,

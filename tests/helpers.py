@@ -197,7 +197,7 @@ def bellman_ford_distance(world: World, src: int, dst: int) -> float:
     return bellman_ford_distances(world, src)[dst]
 
 
-def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
+def walk_arrivals(world: World, index, node: int, chain: tuple[int, ...]) -> list[int]:
     """The ticks, counted from the decision tick, on which a household that
     departs from road node `node` comes within shelter_radius of each
     shelter of `chain` in turn, walked by a per-tick move loop: every tick
@@ -208,11 +208,10 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
 
     The tick-by-tick oracle of `WorldIndex.arrival_offset`; routes follow
     the parents of `geo.shortest_path_tree`, which the Bellman-Ford oracle
-    checks, and legs are measured as they are walked. Of the index it reads
-    only the world and the parameters.
+    checks, and legs are measured as they are walked on `world`, the world
+    the index was built on. Of the index it reads only the parameters.
     """
     params = index.params
-    world = index.world
     nodes = world.nodes
     shelter_node = {s.id: s.node for s in world.shelters}
     move = params.household_speed * params.tick_seconds
@@ -255,35 +254,35 @@ def walk_arrivals(index, node: int, chain: tuple[int, ...]) -> list[int]:
         tick += 1
 
 
-def walk_rescuers_reference(index, seed: int) -> InformTimeline:
-    """The inform phase of a run with `seed` on `index`, walked one tick at
-    a time. The init stream draws, per household in id order, its epsilon
-    (uniform in the epsilon range), its fallback source (friends if a draw
-    is below fallback_friends_prob, else media) and its fallback tick
-    (randint over the window), then one start node per rescuer. Then every
-    tick moves every rescuer, in ascending order, rescuer_speed *
-    tick_seconds metres: on a node it picks one of its edges, in adjacency
-    order without the way it came unless that is the only way, with the
-    walk stream's randrange when there is more than one; a budget that ends
-    exactly on a node leaves it standing there. At its position it informs
-    every unaware household within rescuer_radius, in ascending id; a
-    rescuer on a node no road reaches never moves and informs nobody. Then
-    the fallback channel informs the unaware households drawn for the tick.
-    The walk ends when all are informed or at max_ticks. It lists its
-    informs as (tick, household, source code) triples in inform order, and
-    derives every column from that list afterwards: a household's source
-    code and tick are those its inform names (NaN and 0 if it has none),
-    the decide order is the list sorted, and the count informed by a tick
-    is the number of informs up to it.
+def walk_rescuers_reference(world: World, index, seed: int) -> InformTimeline:
+    """The inform phase of a run with `seed` on `index`, built on `world`,
+    walked one tick at a time. The init stream draws, per household in id
+    order, its epsilon (uniform in the epsilon range), its fallback source
+    (friends if a draw is below fallback_friends_prob, else media) and its
+    fallback tick (randint over the window), then one start node per
+    rescuer. Then every tick moves every rescuer, in ascending order,
+    rescuer_speed * tick_seconds metres: on a node it picks one of its
+    edges, in adjacency order without the way it came unless that is the
+    only way, with the walk stream's randrange when there is more than one;
+    a budget that ends exactly on a node leaves it standing there. At its
+    position it informs every unaware household within rescuer_radius, in
+    ascending id; a rescuer on a node no road reaches never moves and
+    informs nobody. Then the fallback channel informs the unaware
+    households drawn for the tick. The walk ends when all are informed or
+    at max_ticks. It lists its informs as (tick, household, source code)
+    triples in inform order, and derives every column from that list
+    afterwards: a household's source code and tick are those its inform
+    names (NaN and 0 if it has none), the decide order is the list sorted,
+    and the count informed by a tick is the number of informs up to it.
 
     The tick-by-tick oracle of `engine._walk_rescuers`, which visits a
     rescuer only when it reaches a node or can still inform someone, and
     then only the households of its edge's candidate list. Of the index it
-    reads only the world, the parameters, the household count and the house
-    positions: the choices come from the world's adjacency, not the index's
-    move table, and every house is tested, not the index's lists.
+    reads only the parameters, the household count and the house positions:
+    the starts, the nodes and the choices come from the world, not from the
+    index's copies and move table, and every house is tested, not the
+    index's lists.
     """
-    world = index.world
     n = index.n
     p = index.params
     rng_init = random.Random(derive_seed(seed, "init"))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 from collections import Counter
@@ -18,7 +19,7 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError, InternalError
-from evacsim.geo import Point, ProximityClass, Shelter, points_near_edges
+from evacsim.geo import Point, ProximityClass, Shelter, World, points_near_edges
 from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import (
@@ -92,7 +93,7 @@ def _sha256(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def test_demo_index_is_pinned(demo_index):
+def test_demo_index_is_pinned(demo_world, demo_index):
     # Recorded from the all-pairs index build; dict key order included.
     assert _sha256(demo_index.house_node) == (
         "b21b0fb3d26d9d2a696fd52744c481621fdc507a66ac810b55c380d50ccddef1")
@@ -100,10 +101,34 @@ def test_demo_index_is_pinned(demo_index):
     assert _sha256([p.name for p in proximity]) == (
         "79d5ce1c50d387e8a320c53cb02d7c7a4f89dc8ff9c5490d03f7af8f05779b24")
     houses = [Point(x, y) for x, y in demo_index.house_pos]
-    near_edges = points_near_edges(demo_index.world, houses, demo_index.params.rescuer_radius)
+    near_edges = points_near_edges(demo_world, houses, demo_index.params.rescuer_radius)
     assert _sha256(list(near_edges.items())) == (
         "f77739f10d853423975ecf6ea951a26b90615c5a7af0445e8e86939e7e02bd3c")
     assert demo_index.candidate_lists == tuple(near_edges.values())
+
+
+def test_an_index_reads_no_input_after_it_is_built(demo_world, demo_profiles):
+    # Every container of the index's world and population is changed after
+    # the build, before any run: a run reads only the index's own copies.
+    world = copy.deepcopy(demo_world)
+    population = {name: column.copy() for name, column in demo_profiles.items()}
+    index = WorldIndex(world, population)
+    for node, p in world.nodes.items():
+        world.nodes[node] = Point(p.x + 40.0, p.y)
+    for i, s in enumerate(world.shelters):
+        world.shelters[i] = Shelter(s.id + 1000, s.node, 1, not s.external)
+    world.rescuer_starts.reverse()
+    for container in (world.edges, world.buildings, world.waterways, world.adjacency):
+        container.clear()
+    for column in population.values():
+        column[:] = column[::-1]
+    untouched = WorldIndex(demo_world, demo_profiles)
+    for seed in (5, 99):
+        assert repr(index.inform_timeline(seed)) == repr(untouched.inform_timeline(seed))
+    cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
+                    weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
+    result = run(index, cfg)
+    assert result.events and result == run(untouched, cfg)
 
 
 def test_risk_memo_keys_on_seed_scenario_and_weights(demo_world, demo_profiles, monkeypatch):
@@ -518,25 +543,26 @@ def test_run_config_is_the_grid_point_and_seed():
     assert {f.name for f in fields(RunConfig)} == {"scenario", "weights", "threshold", "seed"}
 
 
-def unreachable_shelter_index() -> WorldIndex:
+def unreachable_shelter_world() -> World:
     """A line world with an external shelter and an internal shelter 3 on
     road 10-11, which no road joins to the others."""
     base = line_world(n_nodes=4, shelter_specs=[(0, 3, 8, False), (1, 1, 4, False),
                                                 (2, 0, 1, True)])
-    world = replace(base, nodes={**base.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
-                    edges=[*base.edges, (10, 11, 100.0)],
-                    shelters=[*base.shelters, Shelter(3, 11, 8, False)])
-    return WorldIndex(world, population_of([]), EngineParams(nb_rescuers=0))
+    return replace(base, nodes={**base.nodes, 10: Point(0.0, 500.0), 11: Point(100.0, 500.0)},
+                   edges=[*base.edges, (10, 11, 100.0)],
+                   shelters=[*base.shelters, Shelter(3, 11, 8, False)])
 
 
-UNREACHABLE_SHELTER_INDEX = unreachable_shelter_index()
+UNREACHABLE_SHELTER_WORLD = unreachable_shelter_world()
+UNREACHABLE_SHELTER_INDEX = WorldIndex(UNREACHABLE_SHELTER_WORLD, population_of([]),
+                                       EngineParams(nb_rescuers=0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(on_demo=st.booleans(), data=st.data())
-def test_pick_shelter_matches_the_linear_scan(demo_index, on_demo, data):
-    index = demo_index if on_demo else UNREACHABLE_SHELTER_INDEX
-    world = index.world
+def test_pick_shelter_matches_the_linear_scan(demo_world, demo_index, on_demo, data):
+    world, index = ((demo_world, demo_index) if on_demo
+                    else (UNREACHABLE_SHELTER_WORLD, UNREACHABLE_SHELTER_INDEX))
     ids = [s.id for s in world.shelters]
     # Occupancy empty or within a household of full, so that fit decides.
     occupancy = {s.id: data.draw(st.one_of(st.just(0), st.integers(max(0, s.capacity - 10),
@@ -606,7 +632,8 @@ def test_households_that_stay_hold_their_sources_shared_record(demo_index):
         assert (h.source.value, h.tried_shelters, h.stranded) == (value, (), False)
 
 
-def test_runs_call_init_run_and_step_through_the_module(demo_index, demo_profiles, monkeypatch):
+def test_runs_call_init_run_and_step_through_the_module(demo_world, demo_index, demo_profiles,
+                                                        monkeypatch):
     # bench/tracer.py wraps engine.init_run and engine.step where run looks
     # them up: a run calls init_run once and then step once per tick, with
     # events on or off and when it is truncated.
@@ -617,7 +644,7 @@ def test_runs_call_init_run_and_step_through_the_module(demo_index, demo_profile
     monkeypatch.setattr(engine, "step", lambda state: calls.append("step") or real_step(state))
     cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
                     weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
-    truncated = WorldIndex(demo_index.world, demo_profiles, EngineParams(max_ticks=40))
+    truncated = WorldIndex(demo_world, demo_profiles, EngineParams(max_ticks=40))
     for index, collect_events in ((demo_index, True), (demo_index, False), (truncated, False)):
         calls.clear()
         result = run(index, cfg, collect_events=collect_events)

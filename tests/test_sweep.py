@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evacsim import engine, population
+from evacsim import engine, population, sweep
 from evacsim.engine import EngineParams, RunConfig, WorldIndex, run
 from evacsim.errors import InputError
 from evacsim.population import default_population_spec, record_fields
@@ -178,6 +178,62 @@ def test_execute_worker_count_does_not_change_bytes():
     serial = rows_to_csv(execute(spec, world, profiles, params, workers=1))
     parallel = rows_to_csv(execute(spec, world, profiles, params, workers=2))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("axis, value, message", [
+    ("rainfall_codes", 0.3, "rainfall code 0.3 invalid"),
+    ("time_of_day_codes", 7.0, "time-of-day code 7.0 invalid"),
+    ("thresholds", 1.5, "threshold 1.5 outside [0, 1]"),
+    ("thresholds", math.nan, "threshold nan outside [0, 1]"),
+], ids=["rainfall", "time-of-day", "threshold", "threshold-nan"])
+def test_sweep_refuses_a_bad_axis_value_when_the_filter_keeps_no_triple(axis, value, message):
+    # 0.1 + 0.1 + 0.1 passes no weight filter, so no run's config would
+    # see the bad value.
+    spec = replace(default_sweep_spec(), w_cdm_values=(0.1,), w_hrf_values=(0.1,),
+                   w_crf_values=(0.1,), **{axis: (value,)})
+    assert enumerate_combos(spec) == []
+    world, profiles, params, _ = micro_setup()
+    with pytest.raises(InputError) as refused:
+        execute(spec, world, profiles, params)
+    assert str(refused.value) == message
+
+
+class FakePool:
+    """A ProcessPoolExecutor that starts no process: it records its worker
+    count and maps in the calling process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("replications, workers, started", [
+    (1, 6, []),  # one seed group runs in the calling process
+    (3, 6, [3]),
+    (3, 2, [2]),
+])
+def test_a_sweep_starts_no_more_workers_than_seed_groups(monkeypatch, replications, workers,
+                                                          started):
+    world, profiles, params, spec = micro_setup()
+    spec = replace(spec, storm_levels=(1,), rainfall_codes=(0.25,), w_cdm_values=(0.2,),
+                   w_hrf_values=(0.2,), w_crf_values=(0.6,), replications=replications)
+    serial = rows_to_csv(execute(spec, world, profiles, params, workers=1))
+    monkeypatch.setattr(FakePool, "started", [])
+    monkeypatch.setattr(sweep, "_worker_index", None)
+    monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor", FakePool)
+    assert rows_to_csv(execute(spec, world, profiles, params, workers=workers)) == serial
+    assert FakePool.started == started
 
 
 def test_rows_csv_round_trip():

@@ -43,10 +43,11 @@ from helpers import (
 )
 
 
-def matches_reference(index: WorldIndex, seed: int) -> bool:
-    """Whether the index's inform timeline of `seed` is the tick-by-tick
-    walker's, compared by repr: a NaN source code equals itself there."""
-    return repr(index.inform_timeline(seed)) == repr(walk_rescuers_reference(index, seed))
+def matches_reference(world: World, index: WorldIndex, seed: int) -> bool:
+    """Whether the inform timeline of `seed` on an index built on `world` is
+    the tick-by-tick walker's, compared by repr: a NaN source code equals
+    itself there."""
+    return repr(index.inform_timeline(seed)) == repr(walk_rescuers_reference(world, index, seed))
 
 
 def with_shelters(world: World, nodes: list[int]) -> World:
@@ -83,7 +84,7 @@ def walks(draw):
 def test_arrival_offsets_match_the_tick_by_tick_walker(case):
     world, house, chain, walk = case
     index = walk_index(world, **walk)
-    offsets = walk_arrivals(index, house, chain)
+    offsets = walk_arrivals(world, index, house, chain)
     assert all(a < b for a, b in zip(offsets, offsets[1:]))
     # A walk that has not arrived by offset max_ticks never arrives.
     expected = [o if o <= index.params.max_ticks else NEVER for o in offsets]
@@ -93,21 +94,23 @@ def test_arrival_offsets_match_the_tick_by_tick_walker(case):
 
 
 def test_house_node_at_the_shelter_arrives_in_its_decision_tick():
-    index = walk_index(with_shelters(line_world(), [3]))
-    assert index.arrival_offset(3, (0,)) == 0 == walk_arrivals(index, 3, (0,))[0]
+    world = with_shelters(line_world(), [3])
+    index = walk_index(world)
+    assert index.arrival_offset(3, (0,)) == 0 == walk_arrivals(world, index, 3, (0,))[0]
 
 
 def test_radius_covering_the_whole_route_arrives_in_its_decision_tick():
-    index = walk_index(with_shelters(line_world(n_nodes=4), [3]), shelter_radius=400.0)
-    assert index.arrival_offset(0, (0,)) == 0 == walk_arrivals(index, 0, (0,))[0]
+    world = with_shelters(line_world(n_nodes=4), [3])
+    index = walk_index(world, shelter_radius=400.0)
+    assert index.arrival_offset(0, (0,)) == 0 == walk_arrivals(world, index, 0, (0,))[0]
 
 
 def test_tick_budget_ending_exactly_on_a_node():
     # 50 m a tick on 100 m legs: every second tick ends on a node, and with a
     # 1 m radius only the shelter's node is in reach.
-    index = walk_index(with_shelters(line_world(n_nodes=4), [2]), household_speed=5.0,
-                       tick_seconds=10.0, shelter_radius=1.0)
-    assert index.arrival_offset(0, (0,)) == 3 == walk_arrivals(index, 0, (0,))[0]
+    world = with_shelters(line_world(n_nodes=4), [2])
+    index = walk_index(world, household_speed=5.0, tick_seconds=10.0, shelter_radius=1.0)
+    assert index.arrival_offset(0, (0,)) == 3 == walk_arrivals(world, index, 0, (0,))[0]
 
 
 def test_redirect_starting_mid_leg():
@@ -116,12 +119,12 @@ def test_redirect_starting_mid_leg():
     # finishes that leg before heading on to shelter 1 (x=400, reached at
     # x=360 on tick 8) and then back to shelter 2 (x=0, reached at x=40 on
     # tick 18).
-    index = walk_index(with_shelters(line_world(n_nodes=5), [2, 4, 0]), household_speed=4.0,
-                       tick_seconds=10.0, shelter_radius=50.0)
+    world = with_shelters(line_world(n_nodes=5), [2, 4, 0])
+    index = walk_index(world, household_speed=4.0, tick_seconds=10.0, shelter_radius=50.0)
     assert [index.arrival_offset(0, (0, 1, 2)[:k]) for k in (1, 2, 3)] == [3, 8, 18]
-    assert walk_arrivals(index, 0, (0, 1, 2)) == [3, 8, 18]
+    assert walk_arrivals(world, index, 0, (0, 1, 2)) == [3, 8, 18]
     # Straight back from shelter 0 instead: x=200 on tick 4, x=40 on tick 8.
-    assert index.arrival_offset(0, (0, 2)) == 8 == walk_arrivals(index, 0, (0, 2))[1]
+    assert index.arrival_offset(0, (0, 2)) == 8 == walk_arrivals(world, index, 0, (0, 2))[1]
 
 
 @pytest.mark.parametrize("radius, offset", [(30.0, 9), (30.0 - 1e-9, 27)])
@@ -134,7 +137,7 @@ def test_a_leg_grazing_the_radius_ends_a_tick_in_range(radius, offset):
                   edges=[(0, 1, 200.0), (1, 2, math.hypot(100.0, 30.0))], buildings={},
                   waterways=[], shelters=[Shelter(0, 2, 100, False)], rescuer_starts=[])
     index = walk_index(world, household_speed=1.0, tick_seconds=10.0, shelter_radius=radius)
-    assert index.arrival_offset(0, (0,)) == offset == walk_arrivals(index, 0, (0,))[0]
+    assert index.arrival_offset(0, (0,)) == offset == walk_arrivals(world, index, 0, (0,))[0]
 
 
 @pytest.mark.parametrize("max_ticks, offsets", [
@@ -160,17 +163,17 @@ def test_a_slow_household_looks_no_further_ahead_than_max_ticks():
     assert time.process_time() - start < 0.5
 
 
-def assert_leg_table_is_sound(index: WorldIndex) -> None:
-    """Each directed leg's length is the walk's math.hypot, and no leg is
-    far from a shelter whose reference offset is within shelter_radius plus
-    the walk's slack."""
-    nodes = index.world.nodes
+def assert_leg_table_is_sound(world: World, index: WorldIndex) -> None:
+    """Of an index built on `world`: each directed leg's length is the
+    walk's math.hypot, and no leg is far from a shelter whose reference
+    offset is within shelter_radius plus the walk's slack."""
+    nodes = world.nodes
     radius = index.params.shelter_radius
-    assert len(index.legs) == 2 * len(index.world.edges)
+    assert len(index.legs) == 2 * len(world.edges)
     for (a_id, b_id), (length, near) in index.legs.items():
         a, b = nodes[a_id], nodes[b_id]
         assert length == math.hypot(b.x - a.x, b.y - a.y)
-        for shelter in index.world.shelters:
+        for shelter in world.shelters:
             s = nodes[shelter.node]
             slack = 1e-9 * (abs(a.x) + abs(a.y) + abs(b.x) + abs(b.y) + abs(s.x) + abs(s.y))
             if within_reference(*point_segment_offset_reference(s, a, b), radius + slack):
@@ -188,7 +191,8 @@ SMALLEST_RADIUS = math.sqrt(sys.float_info.min)
 def test_the_leg_table_is_never_far_within_reach(seed, n_nodes, radius):
     world = random_graph_world(seed, n_nodes=n_nodes, extra_edges=10)
     shelters = random.Random(seed).sample(sorted(world.nodes), min(3, n_nodes))
-    assert_leg_table_is_sound(walk_index(with_shelters(world, shelters), shelter_radius=radius))
+    world = with_shelters(world, shelters)
+    assert_leg_table_is_sound(world, walk_index(world, shelter_radius=radius))
 
 
 def test_the_leg_table_keeps_a_leg_whose_distance_is_exactly_in_reach():
@@ -209,7 +213,7 @@ def test_the_leg_table_keeps_a_leg_whose_distance_is_exactly_in_reach():
     assert radius + slack == 10.0
     index = walk_index(world, shelter_radius=radius)
     assert 0 in index.legs[(0, 1)][1]
-    assert_leg_table_is_sound(index)
+    assert_leg_table_is_sound(world, index)
 
 
 def household(i: int) -> HouseholdProfile:
@@ -221,11 +225,12 @@ def household(i: int) -> HouseholdProfile:
     return HouseholdProfile(id=i, **codes, members=1, building_id=i)
 
 
-def inform_index(world: World, houses: list[Point], **overrides) -> WorldIndex:
+def inform_index(world: World, houses: list[Point], **overrides) -> tuple[World, WorldIndex]:
+    """world with household i living in house i, and an index built on it."""
     world = replace(world, buildings=dict(enumerate(houses)),
                     waterways=[Waterway(0, (Point(-5000.0, -5000.0), Point(-4000.0, -5000.0)))])
-    return WorldIndex(world, population_of([household(i) for i in range(len(houses))]),
-                      EngineParams(**overrides))
+    return world, WorldIndex(world, population_of([household(i) for i in range(len(houses))]),
+                             EngineParams(**overrides))
 
 
 def shifted(world: World, by: int) -> World:
@@ -289,8 +294,8 @@ def rescuer_walks(draw):
 @given(rescuer_walks())
 def test_inform_timeline_matches_the_tick_by_tick_walker(case):
     world, houses, params, seed = case
-    index = inform_index(world, houses, **params)
-    assert matches_reference(index, seed)
+    world, index = inform_index(world, houses, **params)
+    assert matches_reference(world, index, seed)
 
 
 def test_a_road_node_with_id_minus_one_is_a_node_like_any_other():
@@ -299,8 +304,8 @@ def test_a_road_node_with_id_minus_one_is_a_node_like_any_other():
     world = World(nodes={-1: Point(-100.0, 0.0), 0: Point(0.0, 0.0), 1: Point(100.0, 0.0)},
                   edges=[(-1, 0, 100.0), (0, 1, 100.0)], buildings={}, waterways=[],
                   shelters=[], rescuer_starts=[0])
-    index = inform_index(world, [Point(-100.0, 10.0), Point(100.0, 10.0)], nb_rescuers=1,
-                         rescuer_speed=5.0, rescuer_radius=15.0)
+    world, index = inform_index(world, [Point(-100.0, 10.0), Point(100.0, 10.0)],
+                                nb_rescuers=1, rescuer_speed=5.0, rescuer_radius=15.0)
     rows = index.move_rows
     assert [nb for nb, *_ in rows[index.start_row[0]][0]] == [-1, 1]
     ((to, _, _, row),) = rows[index.start_row[-1]][0]
@@ -308,7 +313,7 @@ def test_a_road_node_with_id_minus_one_is_a_node_like_any_other():
     first_informed = set()
     for seed in range(20):
         timeline = index.inform_timeline(seed)
-        assert matches_reference(index, seed)
+        assert matches_reference(world, index, seed)
         first_informed.add(timeline.inform_order[0])
     assert first_informed == {0, 1}
 
@@ -333,7 +338,7 @@ def test_a_walk_into_the_fallback_window_matches_the_tick_by_tick_walker(case):
     # households still unaware then. Walk from the drawn seed up to the
     # first one whose channel informs on the window's first tick.
     world, houses, params, seed = case
-    index = inform_index(world, houses, **params)
+    world, index = inform_index(world, houses, **params)
     opens = params["fallback_tick_min"]
     for seed in range(seed, seed + 100):
         timeline = index.inform_timeline(seed)
@@ -342,10 +347,11 @@ def test_a_walk_into_the_fallback_window_matches_the_tick_by_tick_walker(case):
             break
     else:
         pytest.fail(f"no walk informed by the fallback channel on tick {opens}")
-    assert matches_reference(index, seed)
+    assert matches_reference(world, index, seed)
 
 
-def draw_widths_index(tick_min: int, tick_max: int, starts: list[int]) -> WorldIndex:
+def draw_widths_index(tick_min: int, tick_max: int,
+                      starts: list[int]) -> tuple[World, WorldIndex]:
     """Rescuers on a small random graph, houses around it, a fallback window
     [tick_min, tick_max] and the given rescuer starts."""
     world = replace(random_graph_world(7, n_nodes=12, extra_edges=8), rescuer_starts=starts)
@@ -370,9 +376,9 @@ def draw_widths_index(tick_min: int, tick_max: int, starts: list[int]) -> WorldI
 ])
 @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
 def test_one_wide_and_power_of_two_draws_match_randrange(tick_min, tick_max, starts, seed):
-    index = draw_widths_index(tick_min, tick_max, starts)
+    world, index = draw_widths_index(tick_min, tick_max, starts)
     timeline = index.inform_timeline(seed)
-    assert matches_reference(index, seed)
+    assert matches_reference(world, index, seed)
     assert set(timeline.fallback_tick) <= set(range(tick_min, tick_max + 1))
     assert set(timeline.placed) <= set(starts)
 
@@ -386,18 +392,19 @@ def test_budgets_ending_on_nodes_inform_from_the_node():
     # fires.
     world = replace(line_world(n_nodes=6), rescuer_starts=[0])
     houses = [Point(x * 100.0, 30.0) for x in range(6)]
-    index = inform_index(world, houses, nb_rescuers=1, rescuer_speed=15.0, rescuer_radius=31.0,
-                         fallback_tick_min=20, fallback_tick_max=20, max_ticks=60)
+    world, index = inform_index(world, houses, nb_rescuers=1, rescuer_speed=15.0,
+                                rescuer_radius=31.0, fallback_tick_min=20, fallback_tick_max=20,
+                                max_ticks=60)
     timeline = index.inform_timeline(0)
     assert informs_of(timeline) == {t: ((hid, WarningSource.AUTHORITIES),) for t, hid in
                                 ((2, 3), (4, 4), (6, 1), (8, 2), (10, 5), (20, 0))}
-    assert matches_reference(index, 0)
+    assert matches_reference(world, index, 0)
 
 
 def test_a_rescuer_reaching_a_node_on_the_last_tick_informs_from_it():
     # 50 m a tick ends exactly on node 1 on tick 2, the walk's last.
-    index = inform_index(replace(line_world(), rescuer_starts=[0]), [Point(100.0, 30.0)],
-                         nb_rescuers=1, rescuer_speed=5.0, rescuer_radius=31.0, max_ticks=2)
+    _, index = inform_index(replace(line_world(), rescuer_starts=[0]), [Point(100.0, 30.0)],
+                            nb_rescuers=1, rescuer_speed=5.0, rescuer_radius=31.0, max_ticks=2)
     assert informs_of(index.inform_timeline(0)) == {2: ((0, WarningSource.AUTHORITIES),)}
 
 
@@ -406,13 +413,14 @@ def test_a_rescuer_informs_a_house_exactly_rescuer_radius_away():
     # 0 is a 30-40-50 triangle off the node, exactly rescuer_radius away;
     # house 1 is one ulp farther and stays unaware.
     houses = [Point(130.0, 40.0), Point(130.0, math.nextafter(40.0, math.inf))]
-    index = inform_index(replace(line_world(), rescuer_starts=[0]), houses, nb_rescuers=1,
-                         rescuer_speed=5.0, rescuer_radius=50.0, max_ticks=2)
+    world, index = inform_index(replace(line_world(), rescuer_starts=[0]), houses,
+                                nb_rescuers=1, rescuer_speed=5.0, rescuer_radius=50.0,
+                                max_ticks=2)
     timeline = index.inform_timeline(0)
     assert informs_of(timeline) == {2: ((0, WarningSource.AUTHORITIES),)}
     assert timeline.inform_tick == (2, 0)
     assert timeline.source[0] == WarningSource.AUTHORITIES.value and math.isnan(timeline.source[1])
-    assert matches_reference(index, 0)
+    assert matches_reference(world, index, 0)
 
 
 @pytest.mark.parametrize("p, n, house, speed", [
@@ -434,13 +442,13 @@ def test_a_rescuer_informs_a_house_its_edge_offset_rounds_out_of_range(p, n, hou
     world = World(nodes={0: p, 1: n}, edges=[(0, 1, p.distance_to(n))], buildings={},
                   waterways=[], shelters=[Shelter(0, 1, 100, False)], rescuer_starts=[0])
     assert points_near_edges(world, [house], 31.0) == {(0, 1): ()}
-    index = inform_index(world, [house], nb_rescuers=1, tick_seconds=1.0,
-                         rescuer_speed=p.distance_to(n) if speed is None else speed,
-                         rescuer_radius=31.0, fallback_tick_min=50, fallback_tick_max=50,
-                         max_ticks=60)
+    world, index = inform_index(world, [house], nb_rescuers=1, tick_seconds=1.0,
+                                rescuer_speed=p.distance_to(n) if speed is None else speed,
+                                rescuer_radius=31.0, fallback_tick_min=50, fallback_tick_max=50,
+                                max_ticks=60)
     timeline = index.inform_timeline(0)
     assert informs_of(timeline) == {1: ((0, WarningSource.AUTHORITIES),)}
-    assert matches_reference(index, 0)
+    assert matches_reference(world, index, 0)
 
 
 def test_a_rescuer_on_a_node_no_road_reaches_informs_nobody():
@@ -449,12 +457,13 @@ def test_a_rescuer_on_a_node_no_road_reaches_informs_nobody():
     # channel on tick 5.
     world = line_world(n_nodes=2)
     world = replace(world, nodes={**world.nodes, 9: Point(0.0, 500.0)}, rescuer_starts=[9])
-    index = inform_index(world, [Point(1.0, 500.0)], nb_rescuers=1, rescuer_radius=10.0,
-                         fallback_tick_min=5, fallback_tick_max=5, max_ticks=10)
+    world, index = inform_index(world, [Point(1.0, 500.0)], nb_rescuers=1,
+                                rescuer_radius=10.0, fallback_tick_min=5, fallback_tick_max=5,
+                                max_ticks=10)
     timeline = index.inform_timeline(0)
     assert timeline.inform_tick == (5,)
     assert timeline.source[0] != WarningSource.AUTHORITIES.value
-    assert matches_reference(index, 0)
+    assert matches_reference(world, index, 0)
 
 
 def test_a_slow_rescuer_looks_no_further_ahead_than_max_ticks():
@@ -462,10 +471,11 @@ def test_a_slow_rescuer_looks_no_further_ahead_than_max_ticks():
     # the walk stops at max_ticks, with the house 400 m off the road never
     # informed, and must not compute the arrival past it.
     world = line_world(n_nodes=2)
-    index = inform_index(world, [Point(50.0, 400.0)], nb_rescuers=2, rescuer_speed=1e-9,
-                         fallback_tick_min=6000, fallback_tick_max=6000)
+    world, index = inform_index(world, [Point(50.0, 400.0)], nb_rescuers=2,
+                                rescuer_speed=1e-9, fallback_tick_min=6000,
+                                fallback_tick_max=6000)
     start = time.process_time()
     timeline = index.inform_timeline(3)
     assert time.process_time() - start < 0.5
     assert timeline.inform_order == () and timeline.inform_tick == (0,)
-    assert matches_reference(index, 3)
+    assert matches_reference(world, index, 3)
