@@ -49,6 +49,9 @@ is a `HouseholdState` value, replaced and never changed: every household
 starts on the one shared `UNAWARE` record and, once informed, takes the one
 shared record of its source, so a run builds a record only for a household
 that heads out or strands.
+
+A run that collects events writes each as its line of the event log, once,
+where it happens; `event_log_csv` only puts the header above the lines.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .geo import (
     shortest_path_tree,
     within,
 )
-from .population import csv_header, validate_profiles
+from .population import validate_profiles
 from .risk import (
     EPSILON_MAX,
     Scenario,
@@ -175,19 +178,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise InputError(f"threshold {self.threshold!r} outside [0, 1]")
-
-
-@dataclass(slots=True)
-class Event:
-    tick: int
-    agent_kind: str
-    agent_id: int
-    event: str
-    detail: str
+        # The results file holds a seed as an unsigned 64-bit integer.
+        if not 0 <= self.seed <= 2**64 - 1:
+            raise InputError(f"seed {self.seed!r} outside [0, 2**64 - 1]")
 
 
 @dataclass
 class RunResult:
+    """What a run reports; its `events`, if collected, are the lines of its
+    event log, with no header and no newline."""
+
     evacuated: int
     ticks_elapsed: int
     truncated: bool
@@ -195,7 +195,7 @@ class RunResult:
     sheltered_by_shelter: dict[int, int]  # shelter id -> admitted households
     shelter_occupancy: dict[int, int]  # shelter id -> persons
     stayed: int
-    events: list[Event] | None
+    events: list[str] | None
 
 
 @dataclass(frozen=True)
@@ -557,7 +557,7 @@ class SimulationState:
     informed_count: int = 0
     evacuate_decisions: int = 0
     time_series: list[int] = field(default_factory=list)
-    events: list[Event] | None = None
+    events: list[str] | None = None  # the event log's lines, if collected
     # While events are collected: the perceived risks as Python floats, and
     # the `highest=` part of every `decided` detail, formatted once per run.
     event_perceived: list[float] | None = None
@@ -576,12 +576,11 @@ def init_run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> 
     evacuate = decide(perceived, highest, cfg.threshold).tolist()
     households = [UNAWARE] * index.n
 
-    events: list[Event] | None = None
+    events: list[str] | None = None
     event_perceived: list[float] | None = None
     event_highest = ""
     if collect_events:
-        events = [Event(0, "rescuer", i, "placed", f"node={node}")
-                  for i, node in enumerate(timeline.placed)]
+        events = [f"0,rescuer,{i},placed,node={node}" for i, node in enumerate(timeline.placed)]
         event_perceived = perceived.tolist()
         event_highest = f"highest={highest:.6f}"
     return SimulationState(
@@ -805,16 +804,16 @@ def _head_out(state: SimulationState, hid: int, decided: int) -> None:
         if state.events is not None:
             detail = ("no reachable shelter" if full is None
                       else f"no capacity anywhere after shelter={full}")
-            state.events.append(Event(state.tick, "household", hid, "stranded", detail))
+            state.events.append(f"{state.tick},household,{hid},stranded,{detail}")
     else:
         chain += (target,)
         state.households[hid] = HouseholdState(h.source, chain)
         arrival = decided + index.arrival_offset(index.house_node[hid], chain)
         heapq.heappush(state.moving, (arrival, decided, hid))
         if state.events is not None:
-            kind, detail = (("depart", f"shelter={target}") if full is None
-                            else ("redirected", f"from={full} to={target}"))
-            state.events.append(Event(state.tick, "household", hid, kind, detail))
+            state.events.append(
+                f"{state.tick},household,{hid},depart,shelter={target}" if full is None
+                else f"{state.tick},household,{hid},redirected,from={full} to={target}")
 
 
 def step(state: SimulationState) -> SimulationState:
@@ -836,7 +835,7 @@ def step(state: SimulationState) -> SimulationState:
         b = state.informed_count = bounds[t]
         source = timeline.source
         if events is not None:
-            events += [Event(t, "household", hid, "informed", SOURCE_NAME[source[hid]])
+            events += [f"{t},household,{hid},informed,{SOURCE_NAME[source[hid]]}"
                        for hid in timeline.inform_order[a:b]]
             perceived, highest = state.event_perceived, state.event_highest
         # (4) the newly informed, in ascending id, act on the decision
@@ -847,9 +846,8 @@ def step(state: SimulationState) -> SimulationState:
             households[hid] = shared[source[hid]]
             go = evacuate[hid]
             if events is not None:
-                events.append(Event(t, "household", hid, "decided",
-                                    f"{'evacuate' if go else 'stay'} "
-                                    f"perceived={perceived[hid]:.6f} {highest}"))
+                events.append(f"{t},household,{hid},decided,{'evacuate' if go else 'stay'} "
+                              f"perceived={perceived[hid]:.6f} {highest}")
             if go:
                 state.evacuate_decisions += 1
                 _head_out(state, hid, t)
@@ -871,8 +869,8 @@ def step(state: SimulationState) -> SimulationState:
                 f"{occupancy[shelter.id]} > {shelter.capacity}"
             )
         if events is not None:
-            events.append(Event(t, "household", hid, "admitted",
-                                f"shelter={shelter.id} occupancy={occupancy[shelter.id]}"))
+            events.append(f"{t},household,{hid},admitted,"
+                          f"shelter={shelter.id} occupancy={occupancy[shelter.id]}")
 
     state.time_series.append(state.evacuate_decisions)
     return state
@@ -905,8 +903,9 @@ def run(index: WorldIndex, cfg: RunConfig, collect_events: bool = True) -> RunRe
     )
 
 
-def event_log_csv(events: list[Event]) -> str:
-    lines = [csv_header(Event)]
-    for e in events:
-        lines.append(f"{e.tick},{e.agent_kind},{e.agent_id},{e.event},{e.detail}")
-    return "\n".join(lines) + "\n"
+EVENT_LOG_HEADER = "tick,agent_kind,agent_id,event,detail"
+
+
+def event_log_csv(lines: list[str]) -> str:
+    """The event log file: the header, then a run's event lines."""
+    return "\n".join([EVENT_LOG_HEADER, *lines]) + "\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -480,6 +481,27 @@ def run_with_final_state(index: WorldIndex, cfg: RunConfig, collect_events: bool
         engine.init_run = real_init
     [state] = states
     return result, state
+
+
+class LoggedEvent(NamedTuple):
+    """One line of a run's event log, read back into its five cells."""
+
+    tick: int
+    agent_kind: str
+    agent_id: int
+    event: str
+    detail: str
+
+
+def events_of(lines: list[str]) -> list[LoggedEvent]:
+    """The lines of a run's event log, each split into its five cells with
+    `line.split(",", 4)`: a detail holds no comma, so a line with more
+    cells fails to unpack."""
+    events = []
+    for line in lines:
+        tick, kind, agent, event, detail = line.split(",", 4)
+        events.append(LoggedEvent(int(tick), kind, int(agent), event, detail))
+    return events
 
 
 def split_lines_reference(text: str) -> list[str]:

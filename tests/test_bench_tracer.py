@@ -18,6 +18,7 @@ from pathlib import Path
 from evacsim import cli, engine, geo, population, stats, sweep
 from evacsim.engine import RunConfig
 from evacsim.risk import Scenario, Weights
+from helpers import events_of
 from test_cli import MICRO_FLAGS, micro_assets
 from test_sweep import micro_setup
 
@@ -81,4 +82,4 @@ def test_traced_counts_of_a_demo_run_with_redirects(demo_index, monkeypatch):
         "engine.evacuate_decisions": 248, "engine.moving_household_ticks": 4531,
         "engine.redirects": 41, "engine.stranded": 0,
     }
-    assert sum(e.event == "redirected" for e in result.events) == 41
+    assert sum(e.event == "redirected" for e in events_of(result.events)) == 41

@@ -250,6 +250,22 @@ def test_simulate_rejects_non_positive_rescuer_radius(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rescuer_radius must be > 0")
 
 
+@pytest.mark.parametrize("seed, rc", [(-1, 1), (2**64, 1), (2**64 - 1, 0)],
+                         ids=["negative", "past-uint64", "largest"])
+def test_simulate_takes_only_a_seed_the_results_file_holds(tmp_path, capsys, seed, rc):
+    # The summary's seed cell is read back as an unsigned 64-bit integer.
+    world_path, pop_path = micro_assets(tmp_path)
+    summary = tmp_path / "s.csv"
+    assert main(["simulate", "--world", str(world_path), "--population", str(pop_path),
+                 "--seed", str(seed), "--out-summary", str(summary), *MICRO_FLAGS]) == rc
+    if rc:
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not summary.exists()
+    else:
+        [row] = sweep.rows_from_csv(summary.read_text())
+        assert row.seed == seed
+
+
 # Engine flags whose dest differs from the EngineParams field they set.
 FLAG_FIELD_RENAMES = {"rescuers": "nb_rescuers", "fallback_min": "fallback_tick_min",
                       "fallback_max": "fallback_tick_max"}

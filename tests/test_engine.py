@@ -23,6 +23,7 @@ from evacsim.geo import Point, ProximityClass, Shelter, World, points_near_edges
 from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import (
+    events_of,
     informs_of,
     line_world,
     pick_shelter_reference,
@@ -249,7 +250,7 @@ def test_full_shelter_redirects_and_occupancy_unchanged():
     assert result.shelter_occupancy[0] == 10
     assert result.sheltered_by_shelter[0] == 1
     assert result.sheltered_by_shelter[1] == 1
-    redirects = [e for e in result.events if e.event == "redirected"]
+    redirects = [e for e in events_of(result.events) if e.event == "redirected"]
     assert len(redirects) == 1 and redirects[0].agent_id == 1
     assert "from=0" in redirects[0].detail and "to=1" in redirects[0].detail
 
@@ -380,7 +381,7 @@ def test_fallback_informs_without_rescuers():
     result = run(WorldIndex(world, profiles, params(nb_rescuers=0, max_ticks=300)),
                  config(threshold=0.5))
     assert not result.truncated
-    informed = [e for e in result.events if e.event == "informed"]
+    informed = [e for e in events_of(result.events) if e.event == "informed"]
     assert len(informed) == 3
     assert all(e.detail in ("friends", "media") for e in informed)
 
@@ -586,7 +587,7 @@ def test_one_pick_serves_departures_and_redirects(demo_index, monkeypatch):
     cfg = RunConfig(scenario=Scenario.from_names(2, "orange", "nighttime"),
                     weights=Weights(0.1, 0.1, 0.8), threshold=0.8, seed=99)
     result = run(demo_index, cfg)
-    kinds = Counter(e.event for e in result.events)
+    kinds = Counter(e.event for e in events_of(result.events))
     assert (result.evacuated, kinds["redirected"], kinds["stranded"]) == (248, 41, 0)
     assert len(calls) == 289 == kinds["depart"] + kinds["redirected"]
 
@@ -757,7 +758,7 @@ def test_household_states_are_derived_from_the_runs_facts(case):
     staying = {hid for hid, h in enumerate(state.households)
                if h.source is not None and not state.evacuate[hid]}
     in_heap = [hid for _, _, hid in state.moving]
-    admitted = [e.agent_id for e in result.events if e.event == "admitted"]
+    admitted = [e.agent_id for e in events_of(result.events) if e.event == "admitted"]
     assert len(set(in_heap)) == len(in_heap) and len(set(admitted)) == len(admitted)
     assert len(admitted) == sum(state.admitted.values())
     parts = [unaware, staying, set(in_heap), set(admitted)]
@@ -770,6 +771,60 @@ def test_household_states_are_derived_from_the_runs_facts(case):
     stranded = {hid for hid, h in enumerate(state.households) if h.stranded}
     assert stranded == {hid for arrival, _, hid in state.moving
                         if state.households[hid].stranded and arrival == math.inf}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_event_log_invariants(case):
+    # The lines of a run's event log agree with the facts the run keeps: its
+    # inform timeline, its decisions, each household's shelter chain and the
+    # shelters' occupancy.
+    world, profiles, engine_params, cfg = case
+    index = WorldIndex(world, profiles, engine_params)
+    result, state = run_with_final_state(index, cfg)
+    timeline = state.timeline
+    events = events_of(result.events)
+    assert all(line.count(",") == 4 for line in result.events)
+    assert {e.event for e in events} <= {"placed", "informed", "decided", "depart", "admitted",
+                                          "redirected", "stranded"}
+    ticks = [e.tick for e in events]
+    assert ticks == sorted(ticks)
+    assert [line for line in result.events if line.startswith("0,")] == [
+        f"0,rescuer,{i},placed,node={node}" for i, node in enumerate(timeline.placed)]
+    assert [(e.tick, e.agent_id, e.detail) for e in events if e.event == "informed"] == [
+        (timeline.inform_tick[hid], hid, WarningSource(timeline.source[hid]).name.lower())
+        for hid in timeline.inform_order if timeline.inform_tick[hid] <= result.ticks_elapsed]
+    # Per tick: its informed lines, then per newly informed household in
+    # ascending id its decided line, then its depart or stranded line if it
+    # evacuates.
+    for tick in sorted(set(ticks) - {0}):
+        in_tick = [e for e in events if e.tick == tick]
+        informed = sorted(e.agent_id for e in in_tick if e.event == "informed")
+        assert all(e.event == "informed" for e in in_tick[:len(informed)])
+        decided = [i for i, e in enumerate(in_tick) if e.event == "decided"]
+        assert [in_tick[i].agent_id for i in decided] == informed
+        for i in decided:
+            hid = in_tick[i].agent_id
+            assert in_tick[i].detail.split()[0] == ("evacuate" if state.evacuate[hid] else "stay")
+            if state.evacuate[hid]:
+                assert in_tick[i + 1].agent_id == hid
+                assert in_tick[i + 1].event in ("depart", "stranded")
+    # Each household's depart and redirected lines name its chain, in order.
+    for hid, h in enumerate(state.households):
+        heads = [e.detail for e in events
+                 if e.agent_id == hid and e.event in ("depart", "redirected")]
+        assert heads == [f"shelter={h.chain[0]}" if i == 0
+                         else f"from={h.chain[i - 1]} to={h.chain[i]}"
+                         for i in range(len(h.chain))]
+    # Per shelter, each admission adds its household's members.
+    occupancy = dict.fromkeys(result.shelter_occupancy, 0)
+    capacity = {s.id: math.inf if s.external else s.capacity for s in world.shelters}
+    for e in events:
+        if e.event == "admitted":
+            shelter, now = (int(cell.split("=")[1]) for cell in e.detail.split())
+            assert now == occupancy[shelter] + index.members[e.agent_id] <= capacity[shelter]
+            occupancy[shelter] = now
+    assert occupancy == result.shelter_occupancy
 
 
 def _one_household_index() -> WorldIndex:

@@ -25,7 +25,13 @@ from evacsim.risk import (
     perceived_risk,
 )
 from evacsim.sweep import default_sweep_spec, enumerate_combos
-from helpers import cdm_reference, crf_reference, households_of, run_with_final_state
+from helpers import (
+    cdm_reference,
+    crf_reference,
+    events_of,
+    households_of,
+    run_with_final_state,
+)
 
 
 def make_profile(gender=0.5, educ=0.25, income=0.25, own=0.5, child=0.0, eld=0.0,
@@ -151,7 +157,7 @@ def test_engine_decisions_match_straight_line_oracle(demo_world, demo_profiles, 
     source = {hid: WarningSource(state.timeline.source[hid])
               for hid in state.timeline.inform_order}
     highest = 8.0 * w.w_cdm + 3.0 * w.w_crf + 5.0 * w.w_hrf
-    decided = [e for e in state.events if e.event == "decided"]
+    decided = [e for e in events_of(state.events) if e.event == "decided"]
     assert len(decided) == len(households)
     assert {e.detail.split()[0] for e in decided} == {"evacuate", "stay"}
     proximity = proximity_classes(demo_world,

@@ -537,6 +537,7 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
      "shelter_radius * shelter_radius underflows: the radius must be >= "
      "1.4916681462400413e-154 m"),
     (RUN_CONFIG, {"threshold": 1.5}, InputError, "threshold 1.5 outside [0, 1]"),
+    (RUN_CONFIG, {"seed": 2**64}, InputError, "seed 18446744073709551616 outside [0, 2**64 - 1]"),
     (default_sweep_spec(), {"storm_levels": (4,)}, InputError,
      "sweep storm level 4 outside supported PSWS range"),
     (default_sweep_spec(), {"thresholds": (0.7, 0.7)}, InputError,
@@ -551,7 +552,7 @@ RUN_CONFIG = RunConfig(Scenario.from_names(1, "yellow", "daytime"), Weights(0.2,
      "w_crf must be in (0, 1], got -inf"),
 ], ids=["params-tick", "params-fallback", "params-fallback-0-0", "params-fallback-0-5",
         "params-household-move-0", "params-rescuer-move-0", "params-rescuer-radius-square",
-        "params-shelter-radius-square", "run-threshold", "spec-storm", "spec-duplicate",
+        "params-shelter-radius-square", "run-threshold", "run-seed", "spec-storm", "spec-duplicate",
         "population-count", "population-mean", "weights-nan", "weights-inf",
         "weights-minus-inf"])
 def test_records_check_themselves_when_built(record, change, error, message):
