@@ -69,11 +69,9 @@ from .geo import (
     Shelter,
     World,
     nearest_road_nodes,
-    points_near_edges,
+    points_near_segments,
     proximity_classes,
-    segment_offsets,
     shortest_path_tree,
-    within,
 )
 from .population import validate_profiles
 from .risk import (
@@ -240,9 +238,11 @@ class WorldIndex:
     the perceived-risk array of the last (seed, scenario, weights) it
     served: those are every input of the array besides the index's own.
 
-    Both of its tables of what lies near a road pad their radius by one
-    margin, `reach(radius)`, so that no rounding of a walk's position can
-    put a point within the radius of that position outside the table.
+    Both of its tables of what lies near a road edge are built by
+    `geo.points_near_segments` on the edges' segments, in world.edges
+    order, with their radius padded by one margin, `reach(radius)`, so
+    that no rounding of a walk's position can put a point within the
+    radius of that position outside the table.
 
     For the rescuer walk it holds the households a rescuer could perceive
     from a point of each edge: `candidate_lists`, numbered in world.edges
@@ -265,8 +265,10 @@ class WorldIndex:
     by id; and it memoises `arrival_offset` per (house node, shelter chain).
     Their walks read the leg table `legs`, built once with the index: per
     directed road leg (a, b), its length, math.hypot(b.x - a.x, b.y - a.y),
-    and the ids of the shelters within reach(shelter_radius) of the leg,
-    so no walk measures a leg again.
+    and the ids of the shelters within reach(shelter_radius) of the edge's
+    segment, so no walk measures a leg again. The legs (a, b) and (b, a)
+    share one entry: the length is the same either way, and the margin is
+    far above the ulps by which the offsets from a reversed segment differ.
     """
 
     def __init__(self, world: World, population: dict[str, np.ndarray],
@@ -307,16 +309,18 @@ class WorldIndex:
         def reach(radius: float) -> float:
             return (radius + slack) * (1 + 1e-9)
 
-        near_edges = points_near_edges(world, houses, reach(params.rescuer_radius))
-        self.candidate_lists = tuple(near_edges.values())
-        edge_slot = {key: slot for slot, key in enumerate(near_edges)}
+        segments = [(nodes[a], nodes[b]) for a, b, _ in world.edges]
+        self.candidate_lists = tuple(points_near_segments(segments, houses,
+                                                          reach(params.rescuer_radius)))
+        edge_slot = {key: slot for slot, (a, b, _) in enumerate(world.edges)
+                     for key in ((a, b), (b, a))}
         # neighbour -> (length of its first adjacency entry, list number), per node
         edges: dict[int, dict[int, tuple[float, int]]] = {}
         row_of: dict[tuple[int, int | None], int] = {}  # (node, came-from) -> row number
         for node, nbrs in world.adjacency.items():
             edge = edges[node] = {}
             for nb, length in nbrs:
-                edge.setdefault(nb, (length, edge_slot[(node, nb) if node < nb else (nb, node)]))
+                edge.setdefault(nb, (length, edge_slot[node, nb]))
             for prev in (None, *edge):
                 row_of[(node, prev)] = len(row_of)
         self.start_row = {node: row_of[(node, None)] for node in edges}
@@ -353,24 +357,14 @@ class WorldIndex:
             node: tuple(self.shelters_by_id[sid] for _, _, sid in sorted(keys))
             for node, keys in reached.items()}
 
-        # The leg table, one near set of shelters per directed leg.
-        ends = [(a, b) for a, b, _ in world.edges]
-        ends += [(b, a) for a, b in ends]
-        # one row per leg, one column per shelter
-        ax, ay, bx, by = (np.array(c, dtype=float).reshape(-1, 1) for c in (
-            [nodes[a].x for a, _ in ends], [nodes[a].y for a, _ in ends],
-            [nodes[b].x for _, b in ends], [nodes[b].y for _, b in ends]))
-        sx = np.array([nodes[s.node].x for s in world.shelters], dtype=float)
-        sy = np.array([nodes[s.node].y for s in world.shelters], dtype=float)
-        ex, ey = segment_offsets(sx, sy, ax, ay, bx, by)
-        near: list[list[int]] = [[] for _ in ends]
-        legs, columns = np.nonzero(within(ex, ey, reach(params.shelter_radius)))
-        for leg, k in zip(legs.tolist(), columns.tolist()):
-            near[leg].append(world.shelters[k].id)
-        self.legs: dict[tuple[int, int], tuple[float, frozenset[int]]] = {
-            (a, b): (math.hypot(nodes[b].x - nodes[a].x, nodes[b].y - nodes[a].y),
-                     frozenset(ids))
-            for (a, b), ids in zip(ends, near)}
+        # The leg table: both directions of an edge share one entry.
+        near_shelters = points_near_segments(segments, [nodes[s.node] for s in world.shelters],
+                                             reach(params.shelter_radius))
+        self.legs: dict[tuple[int, int], tuple[float, frozenset[int]]] = {}
+        for (a, b, _), near in zip(world.edges, near_shelters):
+            self.legs[a, b] = self.legs[b, a] = (
+                math.hypot(nodes[b].x - nodes[a].x, nodes[b].y - nodes[a].y),
+                frozenset(world.shelters[k].id for k in near))
         self._timeline: tuple[int, InformTimeline] | None = None  # (seed, its timeline)
         self._risk_key: tuple[int, Scenario, Weights] | None = None
         self._risk: np.ndarray | None = None

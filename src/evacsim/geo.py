@@ -6,10 +6,10 @@ built and copies what its runs read, so a later change to a world reaches
 no run on an index already built. All distances are planar meters.
 
 The geometry tables of a world index (which houses lie near each road
-edge, each house's hazard-proximity class, which walk legs are out of a
-shelter's reach) are built on numpy arrays by one point-to-segment kernel,
-`segment_offsets`, whose offsets are bit-identical to the scalar arithmetic
-in the same order.
+edge, each house's hazard-proximity class, which shelters lie near each
+walk leg) are built on numpy arrays by one builder, `points_near_segments`,
+through one point-to-segment kernel, `segment_offsets`, whose offsets are
+bit-identical to the scalar arithmetic in the same order.
 
 Two rules decide every distance, each one float64 expression that numpy
 and Python round alike. An offset (ex, ey) is within r when
@@ -43,7 +43,7 @@ __all__ = [
     "validate_world",
     "serialize_world",
     "nearest_road_nodes",
-    "points_near_edges",
+    "points_near_segments",
     "shortest_path_tree",
     "proximity_classes",
     "segment_offsets",
@@ -365,12 +365,6 @@ def within(ex: np.ndarray, ey: np.ndarray, radius: float) -> np.ndarray:
 _BOX_SLACK = 1e-6
 
 
-def _segment_coords(segments: list[tuple[Point, Point]]) -> tuple[np.ndarray, ...]:
-    ax, ay = _coords([a for a, _ in segments])
-    bx, by = _coords([b for _, b in segments])
-    return ax, ay, bx, by
-
-
 def _boxed_pairs(px: np.ndarray, py: np.ndarray, ax: np.ndarray, ay: np.ndarray,
                  bx: np.ndarray, by: np.ndarray,
                  radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -398,26 +392,25 @@ def _boxed_pairs(px: np.ndarray, py: np.ndarray, ax: np.ndarray, ay: np.ndarray,
     return seg[ranked], pt[ranked]
 
 
-def points_near_edges(world: World, points: list[Point],
-                      radius: float) -> dict[tuple[int, int], tuple[int, ...]]:
-    """For every road edge, keyed (lower id, higher id) in world.edges
-    order, the ascending indices of the points within radius of the edge:
-    `within` on the `segment_offsets` of point and segment.
+def points_near_segments(segments: list[tuple[Point, Point]], points: list[Point],
+                         radius: float) -> list[tuple[int, ...]]:
+    """For every segment, in order, the ascending indices of the points
+    within radius of it: `within` on the `segment_offsets` of point and
+    segment.
 
-    Only the points inside the edge's padded bounding box reach the kernel.
-    The kernel makes every decision, so the result equals a test of every
-    pair.
+    Only the points inside the segment's padded bounding box reach the
+    kernel. The kernel makes every decision, so the result equals a test
+    of every pair.
     """
     px, py = _coords(points)
-    ax, ay, bx, by = _segment_coords([(world.nodes[a], world.nodes[b])
-                                      for a, b, _ in world.edges])
+    ax, ay = _coords([a for a, _ in segments])
+    bx, by = _coords([b for _, b in segments])
     seg, pt = _boxed_pairs(px, py, ax, ay, bx, by, radius)
     ex, ey = segment_offsets(px[pt], py[pt], ax[seg], ay[seg], bx[seg], by[seg])
     keep = within(ex, ey, radius)
-    bounds = np.searchsorted(seg[keep], np.arange(len(world.edges) + 1)).tolist()
+    bounds = np.searchsorted(seg[keep], np.arange(len(segments) + 1)).tolist()
     near = pt[keep].tolist()
-    return {(min(a, b), max(a, b)): tuple(near[bounds[k]:bounds[k + 1]])
-            for k, (a, b, _) in enumerate(world.edges)}
+    return [tuple(near[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def shortest_path_tree(world: World, root: int) -> tuple[dict[int, float], dict[int, int]]:
@@ -466,24 +459,16 @@ def proximity_classes(world: World, points: list[Point]) -> list[ProximityClass]
     """The proximity class of each point's minimum distance to the world's
     waterway polylines.
 
-    A point is WITHIN if some segment passes `within` at WITHIN_CUTOFF_M,
-    else NEAR if one passes at NEAR_CUTOFF_M, else FAR: the class of the
-    minimum is monotone in distance, so no minimum is taken. Only the
-    points inside a segment's bounding box padded by NEAR_CUTOFF_M reach
-    the kernel for that segment, and a point in no box is FAR. That is
-    exact: a segment within NEAR_CUTOFF_M of a point has the point inside
-    its box. Raises InputError for any point in a world with no waterways.
+    A point is WITHIN if `points_near_segments` lists it for some segment
+    at WITHIN_CUTOFF_M, else NEAR if it does at NEAR_CUTOFF_M, else FAR:
+    the class of the minimum is monotone in distance, so no minimum is
+    taken. Raises InputError for any point in a world with no waterways.
     """
     if points and not world.waterways:
         raise InputError("world has no waterways; hazard distance is undefined")
-    px, py = _coords(points)
-    ax, ay, bx, by = _segment_coords([seg for w in world.waterways
-                                      for seg in zip(w.points, w.points[1:])])
-    seg, pt = _boxed_pairs(px, py, ax, ay, bx, by, NEAR_CUTOFF_M)
-    ex, ey = segment_offsets(px[pt], py[pt], ax[seg], ay[seg], bx[seg], by[seg])
-    inside = np.zeros(len(points), dtype=bool)
-    inside[pt[within(ex, ey, WITHIN_CUTOFF_M)]] = True
-    near = np.zeros(len(points), dtype=bool)
-    near[pt[within(ex, ey, NEAR_CUTOFF_M)]] = True
-    return [ProximityClass.WITHIN if i else ProximityClass.NEAR if n else ProximityClass.FAR
-            for i, n in zip(inside.tolist(), near.tolist())]
+    segments = [seg for w in world.waterways for seg in zip(w.points, w.points[1:])]
+    inside = set().union(*points_near_segments(segments, points, WITHIN_CUTOFF_M))
+    near = set().union(*points_near_segments(segments, points, NEAR_CUTOFF_M))
+    return [ProximityClass.WITHIN if i in inside else
+            ProximityClass.NEAR if i in near else ProximityClass.FAR
+            for i in range(len(points))]

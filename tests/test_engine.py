@@ -19,7 +19,7 @@ from evacsim.engine import (
     step,
 )
 from evacsim.errors import InputError, InternalError
-from evacsim.geo import Point, ProximityClass, Shelter, World, points_near_edges
+from evacsim.geo import Point, ProximityClass, Shelter, World, points_near_segments
 from evacsim.population import CODED_FIELDS, HouseholdProfile
 from evacsim.risk import Scenario, WarningSource, Weights
 from helpers import (
@@ -102,10 +102,14 @@ def test_demo_index_is_pinned(demo_world, demo_index):
     assert _sha256([p.name for p in proximity]) == (
         "79d5ce1c50d387e8a320c53cb02d7c7a4f89dc8ff9c5490d03f7af8f05779b24")
     houses = [Point(x, y) for x, y in demo_index.house_pos]
-    near_edges = points_near_edges(demo_world, houses, demo_index.params.rescuer_radius)
-    assert _sha256(list(near_edges.items())) == (
+    segments = [(demo_world.nodes[a], demo_world.nodes[b]) for a, b, _ in demo_world.edges]
+    near_edges = points_near_segments(segments, houses, demo_index.params.rescuer_radius)
+    assert _sha256([((min(a, b), max(a, b)), near)
+                    for (a, b, _), near in zip(demo_world.edges, near_edges)]) == (
         "f77739f10d853423975ecf6ea951a26b90615c5a7af0445e8e86939e7e02bd3c")
-    assert demo_index.candidate_lists == tuple(near_edges.values())
+    assert demo_index.candidate_lists == tuple(near_edges)
+    legs = sorted((key, length, sorted(near)) for key, (length, near) in demo_index.legs.items())
+    assert _sha256(legs) == "a4c2b18e4047a002ab2313e2f4dd96323a9205508742cf52fbd2564e12aa3624"
 
 
 def test_an_index_reads_no_input_after_it_is_built(demo_world, demo_profiles):

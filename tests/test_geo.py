@@ -18,7 +18,7 @@ from evacsim.geo import (
     load_world,
     nearest_road_nodes,
     parse_world,
-    points_near_edges,
+    points_near_segments,
     proximity_classes,
     segment_offsets,
     serialize_world,
@@ -257,19 +257,15 @@ def test_nearest_nodes_batch_matches_linear_scan_with_ties(seed, n_nodes, n_dups
     assert got == [_linear_scan_nearest(world, p) for p in points]
 
 
-def _all_pairs_candidates(world, points, radius):
-    out = {}
-    for a, b, _ in world.edges:
-        pa, pb = world.nodes[a], world.nodes[b]
-        out[(min(a, b), max(a, b))] = tuple(
-            i for i, p in enumerate(points)
-            if within_reference(*point_segment_offset_reference(p, pa, pb), radius))
-    return out
+def _all_pairs_near(segments, points, radius):
+    return [tuple(i for i, p in enumerate(points)
+                  if within_reference(*point_segment_offset_reference(p, a, b), radius))
+            for a, b in segments]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), radius=st.sampled_from([0.5, 7.25, 50.0, 133.0, 900.0]))
-def test_points_near_edges_equals_all_pairs(seed, radius):
+def test_points_near_segments_equals_all_pairs(seed, radius):
     world = random_graph_world(seed=seed, n_nodes=25, extra_edges=15)
     rng = random.Random(seed)
     points = [Point(rng.uniform(-200, 1200), rng.uniform(-200, 1200)) for _ in range(60)]
@@ -288,10 +284,18 @@ def test_points_near_edges_equals_all_pairs(seed, radius):
             Point(lo_x - pad, (lo_y + hi_y) / 2), Point(hi_x + pad, hi_y),
             Point((lo_x + hi_x) / 2, lo_y - pad), Point(lo_x, hi_y + radius),
         ]
+    # A waterway-style polyline whose repeated vertex makes a zero-length
+    # segment, with points exactly radius from that vertex.
+    polyline = [Point(rng.uniform(-200, 1200), rng.uniform(-200, 1200)) for _ in range(8)]
+    v = polyline[3]
+    polyline.insert(3, v)
+    points += [Point(v.x - radius, v.y), Point(v.x, v.y + radius)]
     rng.shuffle(points)
-    got = points_near_edges(world, points, radius)
-    want = _all_pairs_candidates(world, points, radius)
-    assert list(got.items()) == list(want.items())
+    edges = [(world.nodes[a], world.nodes[b]) for a, b, _ in world.edges]
+    for segments in (edges, [(b, a) for a, b in edges], list(zip(polyline, polyline[1:])), []):
+        for pts in (points, []):
+            assert points_near_segments(segments, pts, radius) == (
+                _all_pairs_near(segments, pts, radius))
 
 
 def _edge_lengths(world):

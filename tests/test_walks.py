@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evacsim.engine import NEVER, EngineParams, WorldIndex
-from evacsim.geo import Point, Shelter, Waterway, World, points_near_edges
+from evacsim.geo import Point, Shelter, Waterway, World, points_near_segments
 from evacsim.population import HouseholdProfile
 from evacsim.risk import WarningSource
 from helpers import (
@@ -165,12 +165,14 @@ def test_a_slow_household_looks_no_further_ahead_than_max_ticks():
 
 def assert_leg_table_is_sound(world: World, index: WorldIndex) -> None:
     """Of an index built on `world`: each directed leg's length is the
-    walk's math.hypot, and no leg is far from a shelter whose reference
-    offset is within shelter_radius plus the walk's slack."""
+    walk's math.hypot, no leg is far from a shelter whose reference offset
+    is within shelter_radius plus the walk's slack, and the two directions
+    of an edge share one entry."""
     nodes = world.nodes
     radius = index.params.shelter_radius
     assert len(index.legs) == 2 * len(world.edges)
     for (a_id, b_id), (length, near) in index.legs.items():
+        assert index.legs[a_id, b_id] == index.legs[b_id, a_id]
         a, b = nodes[a_id], nodes[b_id]
         assert length == math.hypot(b.x - a.x, b.y - a.y)
         for shelter in world.shelters:
@@ -441,7 +443,7 @@ def test_a_rescuer_informs_a_house_its_edge_offset_rounds_out_of_range(p, n, hou
     # edge misses it.
     world = World(nodes={0: p, 1: n}, edges=[(0, 1, p.distance_to(n))], buildings={},
                   waterways=[], shelters=[Shelter(0, 1, 100, False)], rescuer_starts=[0])
-    assert points_near_edges(world, [house], 31.0) == {(0, 1): ()}
+    assert points_near_segments([(p, n)], [house], 31.0) == [()]
     world, index = inform_index(world, [house], nb_rescuers=1, tick_seconds=1.0,
                                 rescuer_speed=p.distance_to(n) if speed is None else speed,
                                 rescuer_radius=31.0, fallback_tick_min=50, fallback_tick_max=50,
